@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .coloring import coloring_from_regions
@@ -39,7 +38,7 @@ from .search import (
     exact_chi_f,
     sweep_dividing_systems,
 )
-from .independence import alpha_via_konig, maximum_matching
+from .independence import maximum_matching
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -68,9 +67,8 @@ def _load_valid(path: str) -> tuple[InstanceFile, PlaneGraph]:
     return inst, g
 
 
-def _result_payload(inst: InstanceFile, g: PlaneGraph, res: SearchResult) -> dict:
-    m = build_medial_graph(g)
-    r = decompose_regions(m, assemble_dividing_system(m, res.witness_parities))
+def _result_payload(inst: InstanceFile, res: SearchResult) -> dict:
+    r = res.witness_regions
     return {
         "name": inst.name,
         "chiF": res.chi_f,
@@ -79,10 +77,11 @@ def _result_payload(inst: InstanceFile, g: PlaneGraph, res: SearchResult) -> dic
         "witnessParities": "".join(str(b) for b in res.witness_parities),
         "regions": [list(region) for region in r.regions],
         "cycles": [list(c.vertices) for c in r.cycles],
+        # a violated claim raises, so every returned result has all three
         "audit": {
-            "claim1": res.audit.claim1_ok,
-            "claim2": res.audit.claim2_ok,
-            "claim3": res.audit.claim3_ok,
+            "claim1": True,
+            "claim2": True,
+            "claim3": True,
             "case": res.audit.case,
         },
         "systemsExplored": res.systems_explored,
@@ -99,9 +98,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_chif(args: argparse.Namespace) -> int:
     inst, g = _load_valid(args.file)
-    res = exact_chi_f(g, face_cap=args.face_cap, jobs=args.jobs)
+    res = exact_chi_f(g, face_cap=args.face_cap)
     if args.json:
-        payload = _result_payload(inst, g, res)
+        payload = _result_payload(inst, res)
         print(json.dumps(payload, indent=2, sort_keys=True))
         return EXIT_OK
     print(f"name: {inst.name}")
@@ -114,7 +113,7 @@ def cmd_chif(args: argparse.Namespace) -> int:
     )
     print(f"systems explored: {res.systems_explored}")
     if args.witness:
-        payload = _result_payload(inst, g, res)
+        payload = _result_payload(inst, res)
         print(f"witness parities: {payload['witnessParities']}")
         for i, region in enumerate(payload["regions"]):
             print(f"region {i} (color {i}): vertices {region}")
@@ -125,10 +124,12 @@ def cmd_chif(args: argparse.Namespace) -> int:
 
 def cmd_alpha(args: argparse.Namespace) -> int:
     inst, g = _load_valid(args.file)
-    b = compute_bipartition(g)
-    matching = maximum_matching(g, b)
+    matching = maximum_matching(g, compute_bipartition(g))
+    alpha = g.n - matching.size  # Konig: alpha = n - maximum matching size
+    # Bipartite inputs always satisfy alpha >= n / 2.
+    assert 2 * alpha >= g.n
     print(f"name: {inst.name}")
-    print(f"alpha = {alpha_via_konig(g, b)}")
+    print(f"alpha = {alpha}")
     print(f"matching size = {matching.size}")
     print(f"cover = {list(matching.cover)}")
     return EXIT_OK
@@ -136,13 +137,14 @@ def cmd_alpha(args: argparse.Namespace) -> int:
 
 def _check_one(path: Path, face_cap: int, sweep_cap: int) -> str:
     inst, g = _load_valid(str(path))
-    # exact_chi_f certifies the bound and audits the claims, raising the
-    # exit-code-2 family on any violation
-    res = exact_chi_f(g, face_cap=face_cap)
-    if g.num_faces <= sweep_cap:
+    # both calls certify the bound and audit the claims, raising the
+    # exit-code-2 family on any violation; exact_chi_f raises the face cap
+    if g.num_faces <= min(face_cap, sweep_cap):
         sweep = sweep_dividing_systems(g, face_cap=sweep_cap, check_colorings=True)
+        res = sweep.result
         sweep_note = f"sweep={sweep.systems_explored} systems ok"
     else:
+        res = exact_chi_f(g, face_cap=face_cap)
         sweep_note = f"sweep=skipped ({g.num_faces} faces > {sweep_cap})"
     return (
         f"{path.name}: chiF={res.chi_f} alpha={res.alpha} "
@@ -159,20 +161,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         else:
             paths.append(p)
     results: dict[str, tuple[str | None, BaseException | None]] = {}
-
-    def run(p: Path) -> tuple[str | None, BaseException | None]:
+    for p in paths:
         try:
-            return _check_one(p, args.face_cap, args.sweep_cap), None
+            results[str(p)] = _check_one(p, args.face_cap, args.sweep_cap), None
         except Exception as exc:  # report per file, keep batch going
-            return None, exc
-
-    if args.jobs > 1 and len(paths) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            for p, outcome in zip(paths, pool.map(run, paths)):
-                results[str(p)] = outcome
-    else:
-        for p in paths:
-            results[str(p)] = run(p)
+            results[str(p)] = None, exc
 
     worst = EXIT_OK
     for key in sorted(results):
@@ -256,7 +249,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", action="store_true")
     p.add_argument("--json", action="store_true")
     p.add_argument("--face-cap", type=int, default=DEFAULT_FACE_CAP)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1, help="accepted for compatibility; no effect"
+    )
     p.set_defaults(func=cmd_chif)
 
     p = sub.add_parser("alpha", help="independence number with certificate")
@@ -269,7 +264,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("paths", nargs="+", metavar="FILE_OR_DIR")
     p.add_argument("--face-cap", type=int, default=DEFAULT_FACE_CAP)
     p.add_argument("--sweep-cap", type=int, default=16)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1, help="accepted for compatibility; no effect"
+    )
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("oracle", help="brute-force maximum over all partitions")

@@ -17,8 +17,6 @@ import colorsys
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .coloring import Coloring
 from .dividing import Cycle, assemble_dividing_system, extract_cycles
 from .errors import BadParameter, DegenerateLayout, ParseError
@@ -283,6 +281,8 @@ def tutte_embedding(
 
     interior = [v for v in range(g.n) if v not in pos]
     if interior:
+        import numpy as np  # deferred: only layouts need it, and it is slow to import
+
         idx = {v: i for i, v in enumerate(interior)}
         a = np.zeros((len(interior), len(interior)))
         rhs = np.zeros((len(interior), 2))

@@ -1,19 +1,17 @@
 """Exact maximum color count via exhaustive search over dividing systems.
 
 The maximum number of colors of an admissible coloring equals the maximum
-number of regions over all dividing systems, so the solver enumerates all
-2^F per-face parity vectors, keeps the lexicographically smallest maximizer
-as witness, derives the witness coloring from its regions, and certifies
-2 * chiF <= 3 * alpha in exact integer arithmetic.
-
-Enumeration is deliberately plain: the parity space may be split into
-blocks evaluated on several threads, and the (max regions, min vector)
-reduction makes the result schedule-independent.
+number of regions over all dividing systems.  `_scan` is the package's one
+loop over all 2^F per-face parity vectors: it keeps the lexicographically
+smallest maximizer as witness and, for the law sweep, also checks every
+system's tree, claim and region-coloring laws.  `_certify` then rebuilds the
+witness once, derives the witness coloring from its regions, audits the
+claims and certifies 2 * chiF <= 3 * alpha in exact integer arithmetic.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .coloring import (
@@ -45,11 +43,14 @@ DEFAULT_FACE_CAP = 24
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Outcome of the structural checks run on a computed optimum."""
+    """Outcome of the structural checks run on a computed optimum.
 
-    claim1_ok: bool  # no face boundary carries exactly two colors
-    claim2_ok: bool  # every base edge joins adjacent tree regions
-    claim3_ok: bool  # tree nodes of degree >= 2 hold >= 2 vertices
+    A report exists only when all three claims hold, since a violation
+    raises ClaimViolated: no face boundary carries exactly two colors
+    (claim 1), every base edge joins adjacent tree regions (claim 2), and
+    tree nodes of degree >= 2 hold >= 2 vertices (claim 3).
+    """
+
     degree_census: tuple[tuple[int, int], ...]  # (tree degree, node count)
     case: str  # "i" when 3*|degree-1 nodes| >= 2*chiF, else "ii"
 
@@ -58,6 +59,7 @@ class AuditReport:
 class SearchResult:
     chi_f: int
     witness_parities: tuple[int, ...]
+    witness_regions: RegionDecomposition
     witness_coloring: Coloring
     alpha: int
     bound_satisfied: bool
@@ -70,23 +72,12 @@ class SweepReport:
     num_faces: int
     systems_explored: int
     max_regions: int
+    result: SearchResult  # the optimum found by the same pass, certified
 
 
 def _decode(index: int, num_faces: int) -> tuple[int, ...]:
     # Face 0 in the most significant bit: integer order == vector order.
     return tuple((index >> (num_faces - 1 - f)) & 1 for f in range(num_faces))
-
-
-def _chunks(total: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, min(parts, total))
-    step, extra = divmod(total, parts)
-    bounds = []
-    lo = 0
-    for i in range(parts):
-        hi = lo + step + (1 if i < extra else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
 
 
 def _check_structural_claims(
@@ -131,9 +122,6 @@ def _audit_witness(
     leaves = census.get(1, 0)
     case = "i" if 3 * leaves >= 2 * chi_f else "ii"
     return AuditReport(
-        claim1_ok=True,
-        claim2_ok=True,
-        claim3_ok=True,
         degree_census=tuple(sorted(census.items())),
         case=case,
     )
@@ -146,6 +134,61 @@ def _witness_structures(
     return r, build_division_tree(r)
 
 
+def _scan(
+    m: MedialGraph,
+    check_laws: Callable[[int, RegionDecomposition], None] | None = None,
+) -> int:
+    """Index of the lexicographically smallest region-count maximizer.
+
+    The only loop over all 2^F dividing systems.  check_laws(index, regions),
+    when given, is called on every system and raises on a violated law.
+    """
+    nf = m.graph.num_faces
+    best_lam, best_idx = -1, -1
+    for idx in range(1 << nf):
+        r = decompose_regions(m, assemble_dividing_system(m, _decode(idx, nf)))
+        if check_laws is not None:
+            check_laws(idx, r)
+        if r.num_regions > best_lam:
+            best_lam, best_idx = r.num_regions, idx
+    return best_idx
+
+
+def _certify(g: PlaneGraph, m: MedialGraph, index: int) -> SearchResult:
+    """Rebuild the witness at `index`, audit it and certify the bound."""
+    parities = _decode(index, g.num_faces)
+    r, tree = _witness_structures(m, parities)
+    chi_f = r.num_regions
+    coloring = coloring_from_regions(r)
+    audit = _audit_witness(g, r, tree, coloring, chi_f)
+
+    b = compute_bipartition(g)
+    alpha = alpha_via_konig(g, b)
+    if 2 * chi_f > 3 * alpha:
+        raise BoundViolated(f"2*{chi_f} > 3*{alpha}")
+
+    baseline = baseline_coloring(g, b)
+    if chi_f < baseline.num_colors or 2 * chi_f < g.n:
+        raise InternalInvariantError(
+            f"optimum {chi_f} below the guaranteed lower bound"
+        )
+    if coloring.num_colors != chi_f or not (
+        check_proper(g, coloring) and check_half_monochromatic(g, coloring)
+    ):
+        raise InternalInvariantError("witness coloring failed its checks")
+
+    return SearchResult(
+        chi_f=chi_f,
+        witness_parities=parities,
+        witness_regions=r,
+        witness_coloring=coloring,
+        alpha=alpha,
+        bound_satisfied=True,
+        audit=audit,
+        systems_explored=1 << g.num_faces,
+    )
+
+
 def exact_chi_f(
     g: PlaneGraph, face_cap: int = DEFAULT_FACE_CAP, jobs: int = 1
 ) -> SearchResult:
@@ -155,7 +198,8 @@ def exact_chi_f(
         g: a validated even-polygonal plane graph.
         face_cap: refuse instances with more faces than this (the search
             cost doubles per face).
-        jobs: worker threads; any value returns the same result.
+        jobs: accepted for compatibility and ignored; the search runs on
+            the calling thread.
 
     Raises:
         FaceCapExceeded: too many faces for exhaustive enumeration.
@@ -166,56 +210,7 @@ def exact_chi_f(
     if nf > face_cap:
         raise FaceCapExceeded(f"{nf} faces exceeds cap {face_cap}")
     m = build_medial_graph(g)
-    total = 1 << nf
-
-    def best_in(lo: int, hi: int) -> tuple[int, int]:
-        best_lam, best_idx = -1, -1
-        for idx in range(lo, hi):
-            r = decompose_regions(m, assemble_dividing_system(m, _decode(idx, nf)))
-            if r.num_regions > best_lam:
-                best_lam, best_idx = r.num_regions, idx
-        return best_lam, best_idx
-
-    if jobs <= 1 or total < 64:
-        best_lam, best_idx = best_in(0, total)
-    else:
-        best_lam, best_idx = -1, -1
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(best_in, lo, hi) for lo, hi in _chunks(total, jobs * 4)]
-            for fut in as_completed(futures):
-                lam, idx = fut.result()
-                if lam > best_lam or (lam == best_lam and idx < best_idx):
-                    best_lam, best_idx = lam, idx
-
-    parities = _decode(best_idx, nf)
-    r, tree = _witness_structures(m, parities)
-    coloring = coloring_from_regions(r)
-    audit = _audit_witness(g, r, tree, coloring, best_lam)
-
-    b = compute_bipartition(g)
-    alpha = alpha_via_konig(g, b)
-    if 2 * best_lam > 3 * alpha:
-        raise BoundViolated(f"2*{best_lam} > 3*{alpha}")
-
-    baseline = baseline_coloring(g, b)
-    if best_lam < baseline.num_colors or 2 * best_lam < g.n:
-        raise InternalInvariantError(
-            f"optimum {best_lam} below the guaranteed lower bound"
-        )
-    if coloring.num_colors != best_lam or not (
-        check_proper(g, coloring) and check_half_monochromatic(g, coloring)
-    ):
-        raise InternalInvariantError("witness coloring failed its checks")
-
-    return SearchResult(
-        chi_f=best_lam,
-        witness_parities=parities,
-        witness_coloring=coloring,
-        alpha=alpha,
-        bound_satisfied=True,
-        audit=audit,
-        systems_explored=total,
-    )
+    return _certify(g, m, _scan(m))
 
 
 def verify_theorem_bound(result: SearchResult) -> bool:
@@ -237,17 +232,17 @@ def sweep_dividing_systems(
 
     Exhaustive over all 2^F parity vectors; every violation raises.  With
     check_colorings, additionally verifies that the region coloring of each
-    system is proper and half-monochromatic with one color per region.
+    system is proper and half-monochromatic with one color per region.  The
+    same pass finds the optimum, certified exactly as by exact_chi_f.
     """
     require_even_polygonal(g)
     nf = g.num_faces
     if nf > face_cap:
         raise FaceCapExceeded(f"{nf} faces exceeds sweep cap {face_cap}")
     m = build_medial_graph(g)
-    max_regions = 0
-    for idx in range(1 << nf):
-        r, tree = _witness_structures(m, _decode(idx, nf))
-        _check_structural_claims(g, r, tree)
+
+    def check_laws(idx: int, r: RegionDecomposition) -> None:
+        _check_structural_claims(g, r, build_division_tree(r))
         if check_colorings:
             c = coloring_from_regions(r)
             if c.num_colors != r.num_regions or not (
@@ -256,7 +251,11 @@ def sweep_dividing_systems(
                 raise InternalInvariantError(
                     f"region coloring failed for parity index {idx}"
                 )
-        max_regions = max(max_regions, r.num_regions)
+
+    result = _certify(g, m, _scan(m, check_laws))
     return SweepReport(
-        num_faces=nf, systems_explored=1 << nf, max_regions=max_regions
+        num_faces=nf,
+        systems_explored=result.systems_explored,
+        max_regions=result.chi_f,
+        result=result,
     )

@@ -1,4 +1,6 @@
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -154,3 +156,70 @@ def test_gen_bad_parameters(tmp_path):
 
 def test_missing_file():
     assert cli.main(["chif", "/nonexistent/path.hmg"]) == 1
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "family,params,name", [("cycle", "6", "cycle6"), ("grid", "3x4", "grid3x4")]
+)
+def test_chif_json_golden_bytes(family, params, name, tmp_path, capsys):
+    path = tmp_path / f"{name}.hmg"
+    assert cli.main(["gen", family, params, "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["chif", str(path), "--json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_check_cap_branches(tmp_path, capsys):
+    path = tmp_path / "grid.hmg"  # grid3x4 has F = 7 faces
+    assert cli.main(["gen", "grid", "3x4", "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["check", str(path)]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("sweep=128 systems ok")
+    assert cli.main(["check", str(path), "--sweep-cap", "6"]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("sweep=skipped (7 faces > 6)")
+    # the face cap wins even when the sweep cap would admit the instance
+    assert cli.main(["check", str(path), "--face-cap", "6", "--sweep-cap", "16"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds cap 6" in captured.err
+
+
+def _count_calls(monkeypatch, module_name: str, attr: str) -> list:
+    """Count calls of a function through every halfmono module that binds it."""
+    original = getattr(sys.modules[module_name], attr)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "halfmono":
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counting)
+    return calls
+
+
+@pytest.mark.parametrize("command", [["check"], ["chif", "--json"]])
+def test_one_enumeration_and_one_medial_build_per_op(
+    command, tmp_path, monkeypatch, capsys
+):
+    path = tmp_path / "grid.hmg"  # grid3x4 has F = 7 faces
+    assert cli.main(["gen", "grid", "3x4", "-o", str(path)]) == 0
+    decompose = _count_calls(monkeypatch, "halfmono.dividing", "decompose_regions")
+    medial = _count_calls(monkeypatch, "halfmono.medial", "build_medial_graph")
+    assert cli.main([command[0], str(path), *command[1:]]) == 0
+    # every system once, plus the witness rebuilt once
+    assert len(decompose) == 2**7 + 1
+    assert len(medial) == 1
+
+
+def test_alpha_computes_one_matching(c4_file, monkeypatch, capsys):
+    matching = _count_calls(monkeypatch, "halfmono.independence", "maximum_matching")
+    assert cli.main(["alpha", str(c4_file)]) == 0
+    assert len(matching) == 1
+    assert "alpha = 2" in capsys.readouterr().out

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -199,3 +203,12 @@ def test_render_uses_tutte_when_no_coords():
     bare = InstanceFile(inst.name, inst.n, inst.rotations, None)
     svg = render_svg(RenderSpec(graph=build(bare)))
     assert svg.count("<circle ") == 8
+
+
+def test_cli_import_does_not_load_numpy():
+    # numpy is imported only when a layout is computed
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import halfmono.cli, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
