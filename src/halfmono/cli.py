@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 invalid instance or input, 2 violated internal
-law (a result that would contradict the certified bound or claims),
-3 exhaustive-search cap exceeded.
+Exit codes: 0 success, 1 invalid instance, input or usage, 2 violated
+internal law (a result that would contradict the certified bound or
+claims), 3 exhaustive-search cap exceeded.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .coloring import coloring_from_regions
 from .dividing import assemble_dividing_system, decompose_regions
@@ -201,14 +202,12 @@ def cmd_render(args: argparse.Namespace) -> int:
             raise BadParameter("parities must be a string of 0s and 1s")
         parities = tuple(int(ch) for ch in args.parities)
     coloring = None
-    if args.color:
-        res = exact_chi_f(g, face_cap=args.face_cap)
-        if parities is None:
-            coloring = res.witness_coloring
-        else:
-            m = build_medial_graph(g)
-            r = decompose_regions(m, assemble_dividing_system(m, parities))
-            coloring = coloring_from_regions(r)
+    if args.color and parities is None:
+        coloring = exact_chi_f(g, face_cap=args.face_cap).witness_coloring
+    elif args.color:
+        m = build_medial_graph(g)
+        r = decompose_regions(m, assemble_dividing_system(m, parities))
+        coloring = coloring_from_regions(r)
     svg = render_svg(RenderSpec(graph=g, parities=parities, coloring=coloring))
     Path(args.out).write_text(svg, encoding="utf-8")
     print(f"wrote {args.out}")
@@ -232,8 +231,16 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 (invalid input); 2 is kept for violated laws."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="halfmono",
         description="Exact solver and verifier for half-monochromatic "
         "colorings of plane graphs with even polygonal faces.",

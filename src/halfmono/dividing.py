@@ -4,10 +4,15 @@ A dividing system picks, in every face, one of the two perfect matchings of
 that face's medial cycle.  The union of the selected edges is a disjoint
 collection of closed curves.  Regions are computed without any geometry:
 the faces of the medial graph are one cell per base vertex plus one cell
-per base face, two cells sharing a non-selected medial edge lie in the same
-region, and a union-find over the cells yields the region partition.  The
-classical fact "k closed curves cut the sphere into k + 1 regions" becomes
-a verified law rather than an assumption.
+per base face, and two cells sharing a non-selected medial edge lie in the
+same region.  The medial edge at walk position i of a face joins the
+midpoints of walk edges i and i + 1, so it cuts off walk vertex i + 1.  A
+face with bit b leaves positions 1 - b, 3 - b, ... unselected, and as its
+walk has even length those cut off walk vertices b, b + 2, ...: one
+bipartition side of its boundary.  So the regions are the components of
+the graph joining each face cell to that side.  The classical fact
+"k closed curves cut the sphere into k + 1 regions" becomes a verified law
+rather than an assumption.
 """
 
 from __future__ import annotations
@@ -26,6 +31,11 @@ from .medial import MedialEdge, MedialGraph
 
 @dataclass(frozen=True)
 class DividingSystem:
+    """One selected matching per face.
+
+    edges is sorted by (face, position) key; extract_cycles relies on it.
+    """
+
     parities: tuple[int, ...]  # one matching-selection bit per face
     edges: tuple[MedialEdge, ...]
     cut_count: tuple[int, ...]  # selected edges cutting each base vertex
@@ -50,12 +60,6 @@ class RegionDecomposition:
     region_of_cell: tuple[int, ...]
     regions: tuple[tuple[int, ...], ...]  # base vertices per region, sorted
     cycles: tuple[Cycle, ...]
-
-    def region_of_vertex(self, v: int) -> int:
-        return self.region_of_cell[v]
-
-    def region_of_face(self, f: int) -> int:
-        return self.region_of_cell[self.n + f]
 
 
 @dataclass(frozen=True)
@@ -115,33 +119,31 @@ def assemble_dividing_system(
 
 def extract_cycles(d: DividingSystem) -> tuple[Cycle, ...]:
     """Split the selected edges into closed curves, ordered by smallest midpoint."""
-    incident: dict[int, list[MedialEdge]] = {}
+    # d.edges is in key order, so each incidence list is too, and a curve
+    # leaves its smallest midpoint by the smaller-keyed edge.  Midpoints have
+    # degree two, so they are as many as the edges; inserting them largest
+    # first makes popitem() yield the smallest midpoint not yet walked.
+    incident: dict[int, list[MedialEdge]] = {
+        v: [] for v in reversed(range(len(d.edges)))
+    }
     for e in d.edges:
-        incident.setdefault(e.a, []).append(e)
-        incident.setdefault(e.b, []).append(e)
-    for edges in incident.values():
-        edges.sort(key=lambda e: e.key)
+        incident[e.a].append(e)
+        incident[e.b].append(e)
 
-    visited: set[int] = set()
     cycles: list[Cycle] = []
-    for start in sorted(incident):
-        if start in visited:
-            continue
+    while incident:
+        start, (edge, _) = incident.popitem()
         verts = [start]
         edges: list[MedialEdge] = []
-        visited.add(start)
         current = start
-        edge = incident[start][0]
         while True:
             edges.append(edge)
-            nxt = edge.b if edge.a == current else edge.a
-            if nxt == start:
+            current = edge.b if edge.a == current else edge.a
+            if current == start:
                 break
-            verts.append(nxt)
-            visited.add(nxt)
-            first, second = incident[nxt]
-            edge = second if first.key == edge.key else first
-            current = nxt
+            verts.append(current)
+            pair = incident.pop(current)
+            edge = pair[pair[0] is edge]  # leave by the other edge
         cycles.append(Cycle(vertices=tuple(verts), edges=tuple(edges)))
     return tuple(cycles)
 
@@ -156,46 +158,48 @@ def _find(parent: list[int], x: int) -> int:
 def decompose_regions(m: MedialGraph, d: DividingSystem) -> RegionDecomposition:
     """Union-find the medial cells into regions of the dividing system.
 
-    A non-selected medial edge tagged (face f, corner v) is an open border
-    between the cell of v and the cell of f; cells joined through such
-    borders form one region.  Verifies that the region count exceeds the
-    curve count by exactly one.
+    Each non-selected medial edge is an open border between the cell of the
+    vertex it cuts off and the cell of its face; for face f with bit b those
+    vertices are g.faces[f].vertices[b::2] (see the module docstring).
+    Regions are numbered by smallest cell.  Verifies that every region
+    holds a base vertex and that regions outnumber curves by exactly one.
     """
     g = m.graph
-    num_cells = g.n + g.num_faces
+    n = g.n
+    num_cells = n + g.num_faces
     parent = list(range(num_cells))
     for f, bit in enumerate(d.parities):
-        for e in m.face_edges[f][1 - bit :: 2]:
-            ra = _find(parent, e.corner)
-            rb = _find(parent, g.n + e.face)
-            if ra != rb:
-                parent[ra] = rb
+        # No earlier face links cell n + f, so it is a root and stays one.
+        cell = n + f
+        for v in g.faces[f].vertices[bit::2]:
+            root = _find(parent, v)
+            if root != cell:
+                parent[root] = cell
 
-    roots: dict[int, list[int]] = {}
-    for cell in range(num_cells):
-        roots.setdefault(_find(parent, cell), []).append(cell)
-    ordered = sorted(roots.values(), key=lambda cells: cells[0])
-
+    # Scanning cells in order numbers each region at its smallest cell.
     region_of_cell = [-1] * num_cells
-    regions: list[tuple[int, ...]] = []
-    for rid, cells in enumerate(ordered):
-        for cell in cells:
-            region_of_cell[cell] = rid
-        regions.append(tuple(v for v in cells if v < g.n))
-
-    if any(not r for r in regions):
-        raise InternalInvariantError("region without any base vertex")
+    regions: list[list[int]] = []
+    for cell in range(num_cells):
+        root = _find(parent, cell)
+        if region_of_cell[root] < 0:
+            if cell >= n:
+                raise InternalInvariantError("region without any base vertex")
+            region_of_cell[root] = len(regions)
+            regions.append([])
+        rid = region_of_cell[cell] = region_of_cell[root]
+        if cell < n:
+            regions[rid].append(cell)
 
     cycles = extract_cycles(d)
-    if len(ordered) != len(cycles) + 1:
+    if len(regions) != len(cycles) + 1:
         raise RegionCycleMismatch(
-            f"{len(ordered)} regions but {len(cycles)} curves"
+            f"{len(regions)} regions but {len(cycles)} curves"
         )
     return RegionDecomposition(
-        n=g.n,
-        num_regions=len(ordered),
+        n=n,
+        num_regions=len(regions),
         region_of_cell=tuple(region_of_cell),
-        regions=tuple(regions),
+        regions=tuple(map(tuple, regions)),
         cycles=cycles,
     )
 

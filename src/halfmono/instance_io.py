@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import colorsys
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .coloring import Coloring
 from .dividing import Cycle, assemble_dividing_system, extract_cycles
@@ -259,20 +259,16 @@ def subdivide_edge(inst: InstanceFile, u: int, v: int, times: int = 2) -> Instan
 # ---------------------------------------------------------------------------
 
 
-def tutte_embedding(
-    g: PlaneGraph, outer_face: int | None = None
-) -> tuple[tuple[float, float], ...]:
+def tutte_embedding(g: PlaneGraph) -> tuple[tuple[float, float], ...]:
     """Barycentric layout: pin one face to a regular polygon, average the rest.
 
-    Defaults to pinning a face of maximum degree.  Interior positions solve
-    the linear system "every vertex sits at the mean of its neighbours" by
-    direct elimination; a residual above 1e-9 or two vertices closer than
-    1e-6 raise DegenerateLayout (expected when the graph is not
+    Pins a face of maximum degree, the lowest-numbered on ties.  Interior
+    positions solve the linear system "every vertex sits at the mean of its
+    neighbours" by direct elimination; a residual above 1e-9 or two vertices
+    closer than 1e-6 raise DegenerateLayout (expected when the graph is not
     3-connected), in which case callers should supply explicit coords.
     """
-    if outer_face is None:
-        outer_face = max(g.faces, key=lambda f: (f.degree, -f.id)).id
-    boundary = g.faces[outer_face].vertices
+    boundary = max(g.faces, key=lambda f: (f.degree, -f.id)).vertices
     ring = len(boundary)
     pos: dict[int, tuple[float, float]] = {}
     for k, v in enumerate(boundary):
@@ -314,15 +310,12 @@ def tutte_embedding(
     return coords
 
 
-@dataclass(frozen=True)
-class StyleOptions:
-    scale: float = 70.0
-    margin: float = 40.0
-    vertex_radius: float = 7.0
-    edge_width: float = 1.6
-    curve_width: float = 2.4
-    corner_pull: float = 0.45
-    show_labels: bool = True
+SCALE = 70.0  # drawing units per layout unit
+MARGIN = 40.0
+VERTEX_RADIUS = 7.0
+EDGE_WIDTH = 1.6
+CURVE_WIDTH = 2.4
+CORNER_PULL = 0.45  # how far a curve bends into the corner it cuts off
 
 
 @dataclass(frozen=True)
@@ -330,7 +323,6 @@ class RenderSpec:
     graph: PlaneGraph
     parities: tuple[int, ...] | None = None
     coloring: Coloring | None = None
-    style: StyleOptions = field(default_factory=StyleOptions)
 
 
 def _hex_color(h: float, s: float, v: float) -> str:
@@ -366,7 +358,6 @@ def render_svg(spec: RenderSpec) -> str:
     """Deterministic SVG: base edges, one colored path per closed curve,
     vertices filled by the coloring when given."""
     g = spec.graph
-    style = spec.style
     if spec.parities is not None and len(spec.parities) != g.num_faces:
         raise BadParameter(
             f"expected {g.num_faces} parity bits, got {len(spec.parities)}"
@@ -382,12 +373,12 @@ def render_svg(spec: RenderSpec) -> str:
 
     def tx(p: tuple[float, float]) -> tuple[float, float]:
         return (
-            style.margin + (p[0] - min(xs)) * style.scale,
-            style.margin + (max(ys) - p[1]) * style.scale,  # y grows downward
+            MARGIN + (p[0] - min(xs)) * SCALE,
+            MARGIN + (max(ys) - p[1]) * SCALE,  # y grows downward
         )
 
-    width = 2 * style.margin + span_x * style.scale
-    height = 2 * style.margin + span_y * style.scale
+    width = 2 * MARGIN + span_x * SCALE
+    height = 2 * MARGIN + span_y * SCALE
 
     cycles: tuple[Cycle, ...] = ()
     if spec.parities is not None:
@@ -407,7 +398,7 @@ def render_svg(spec: RenderSpec) -> str:
         f'width="{_fmt(width)}" height="{_fmt(height)}" '
         f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
         f'<rect width="{_fmt(width)}" height="{_fmt(height)}" fill="#ffffff"/>',
-        f'<g stroke="#555555" stroke-width="{_fmt(style.edge_width)}">',
+        f'<g stroke="#555555" stroke-width="{_fmt(EDGE_WIDTH)}">',
     ]
     for u, v in g.edges:
         (x1, y1), (x2, y2) = tx(coords[u]), tx(coords[v])
@@ -418,12 +409,12 @@ def render_svg(spec: RenderSpec) -> str:
     out.append("</g>")
 
     if cycles:
-        out.append(f'<g fill="none" stroke-width="{_fmt(style.curve_width)}">')
+        out.append(f'<g fill="none" stroke-width="{_fmt(CURVE_WIDTH)}">')
         for j, cyc in enumerate(cycles):
             x0, y0 = tx(midpoint(cyc.vertices[0]))
             path = [f"M {_fmt(x0)} {_fmt(y0)}"]
             for i, me in enumerate(cyc.edges):
-                cx, cy = tx(_corner_control(g, coords, me, style.corner_pull))
+                cx, cy = tx(_corner_control(g, coords, me, CORNER_PULL))
                 nx_, ny_ = tx(midpoint(cyc.vertices[(i + 1) % len(cyc.vertices)]))
                 path.append(
                     f"Q {_fmt(cx)} {_fmt(cy)} {_fmt(nx_)} {_fmt(ny_)}"
@@ -443,22 +434,21 @@ def render_svg(spec: RenderSpec) -> str:
             fill = "#ffffff"
         out.append(
             f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" '
-            f'r="{_fmt(style.vertex_radius)}" fill="{fill}"/>'
+            f'r="{_fmt(VERTEX_RADIUS)}" fill="{fill}"/>'
         )
     out.append("</g>")
 
-    if style.show_labels:
-        size = style.vertex_radius * 1.1
+    size = VERTEX_RADIUS * 1.1
+    out.append(
+        f'<g font-family="Helvetica" font-size="{_fmt(size)}" '
+        f'text-anchor="middle">'
+    )
+    for v in range(g.n):
+        x, y = tx(coords[v])
         out.append(
-            f'<g font-family="Helvetica" font-size="{_fmt(size)}" '
-            f'text-anchor="middle">'
+            f'<text x="{_fmt(x)}" y="{_fmt(y + size * 0.35)}">{v}</text>'
         )
-        for v in range(g.n):
-            x, y = tx(coords[v])
-            out.append(
-                f'<text x="{_fmt(x)}" y="{_fmt(y + size * 0.35)}">{v}</text>'
-            )
-        out.append("</g>")
+    out.append("</g>")
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -50,7 +50,6 @@ class PlaneGraph:
     faces: tuple[Face, ...]
     dart_tail: tuple[int, ...]
     dart_head: tuple[int, ...]
-    dart_twin: tuple[int, ...]
     dart_next: tuple[int, ...]
     dart_face: tuple[int, ...]
     dart_edge: tuple[int, ...]
@@ -70,9 +69,6 @@ class PlaneGraph:
 
     def degree(self, v: int) -> int:
         return len(self.rotations[v])
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.rotations[v]
 
 
 @dataclass(frozen=True)
@@ -174,7 +170,6 @@ def build_plane_graph(
     slot = {
         (v, u): i for v in range(n) for i, u in enumerate(rot[v])
     }
-    twin = tuple(index[(heads[d], tails[d])] for d in range(num_darts))
     nxt = []
     for d in range(num_darts):
         u, v = tails[d], heads[d]
@@ -220,7 +215,6 @@ def build_plane_graph(
         faces=tuple(faces),
         dart_tail=tuple(tails),
         dart_head=tuple(heads),
-        dart_twin=twin,
         dart_next=tuple(nxt),
         dart_face=tuple(face_of),
         dart_edge=dart_edge,

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -147,6 +149,46 @@ def test_render(tmp_path, c4_file, capsys):
     assert svg.startswith("<?xml")
     assert svg.count("<path ") == 2
     assert cli.main(["render", str(c4_file), "-o", str(out), "--parities", "0"]) == 1
+
+
+def test_render_with_parities_runs_no_search(tmp_path, c4_file):
+    # the colouring comes from the given parities, so the face cap is moot
+    default, capped = tmp_path / "default.svg", tmp_path / "capped.svg"
+    argv = ["render", str(c4_file), "--parities", "00", "--color"]
+    assert cli.main([*argv, "-o", str(default)]) == 0
+    assert cli.main([*argv, "--face-cap", "1", "-o", str(capped)]) == 0
+    assert capped.read_bytes() == default.read_bytes()
+
+
+def _run_cli(*argv: str) -> subprocess.CompletedProcess:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "halfmono.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["chif", "x.hmg", "--bogus"], ["chif"], ["chif", "x.hmg", "--face-cap", "abc"]],
+    ids=["unknown-flag", "missing-file", "bad-int"],
+)
+def test_usage_errors_exit_1(argv):
+    proc = _run_cli(*argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: halfmono")
+    assert "error: " in proc.stderr
+
+
+def test_help_exits_0():
+    proc = _run_cli("chif", "--help")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: halfmono chif")
 
 
 def test_gen_bad_parameters(tmp_path):

@@ -1,8 +1,17 @@
+import hashlib
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from corpus import corpus_graphs, cycle_graph, grid_graph, prism_graph
+from corpus import (
+    corpus_graphs,
+    cycle_graph,
+    grid_graph,
+    oracle_corpus_graphs,
+    prism_graph,
+)
 from halfmono.dividing import (
     assemble_dividing_system,
     build_division_tree,
@@ -128,3 +137,71 @@ def test_cycle_walks_are_consistent(g):
         assert len(cyc.edges) == k
         for i, e in enumerate(cyc.edges):
             assert {cyc.vertices[i], cyc.vertices[(i + 1) % k]} == {e.a, e.b}
+
+
+def _reference_region_of_cell(m, parities):
+    """Union-find over each unselected medial edge's (corner, face cell) pair,
+    regions numbered by smallest cell."""
+    g = m.graph
+    parent = list(range(g.n + g.num_faces))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for f, bit in enumerate(parities):
+        for e in m.face_edges[f][1 - bit :: 2]:
+            parent[find(e.corner)] = find(g.n + e.face)
+    ids: dict[int, int] = {}
+    return tuple(ids.setdefault(find(cell), len(ids)) for cell in range(len(parent)))
+
+
+@given(
+    g=st.sampled_from(
+        [g for _, g in corpus_graphs() + oracle_corpus_graphs() if g.num_faces <= 10]
+    ),
+    data=st.data(),
+)
+def test_regions_match_medial_edge_union_find(g, data):
+    nf = g.num_faces
+    parities = tuple(data.draw(st.lists(st.integers(0, 1), min_size=nf, max_size=nf)))
+    m = build_medial_graph(g)
+    r = decompose_regions(m, assemble_dividing_system(m, parities))
+    assert r.region_of_cell == _reference_region_of_cell(m, parities)
+
+
+# sha256 over every system's regions, curves and curve edge keys, in
+# parity-vector order; captured before regions were read off the face walks
+SYSTEM_DIGESTS = {
+    "cycle6": (
+        cycle_graph(6),
+        "1658d6854dce3fc8c6a867b385a6400bd0454d217a2970f1f0395924b8b50569",
+    ),
+    "grid3x4": (
+        grid_graph(3, 4),
+        "db8cad7ecfb6a8d45069a627dfd037afc100dcc9c080d0051ff649c5d6300a70",
+    ),
+    "prism6": (
+        prism_graph(6),
+        "838aee0064b5ac3a638d32e83874d8b18907fc5b3e04b64f9332cd6d4a121261",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEM_DIGESTS))
+def test_every_system_golden_digest(name):
+    g, expected = SYSTEM_DIGESTS[name]
+    m = build_medial_graph(g)
+    h = hashlib.sha256()
+    for bits in itertools.product((0, 1), repeat=g.num_faces):
+        r = decompose_regions(m, assemble_dividing_system(m, bits))
+        record = (
+            bits,
+            r.region_of_cell,
+            r.regions,
+            tuple(c.vertices for c in r.cycles),
+            tuple(tuple(e.key for e in c.edges) for c in r.cycles),
+        )
+        h.update(repr(record).encode())
+    assert h.hexdigest() == expected
