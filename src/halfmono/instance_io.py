@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import colorsys
 import math
+import re
+from collections.abc import Collection
 from dataclasses import dataclass
 
 from .coloring import Coloring
@@ -35,6 +37,36 @@ class InstanceFile:
 def build(inst: InstanceFile) -> PlaneGraph:
     """Build the plane graph an instance describes (without face validation)."""
     return build_plane_graph(inst.n, inst.rotations, inst.coords)
+
+
+# ASCII decimal integers only: str.isdigit also admits digits that int()
+# rejects, and 18 digits is far past any size cap and well under int()'s
+# 4300-digit limit.  A rotation line is matched whole, after its directive.
+_ID = r"-?[0-9]{1,18}"
+_INTEGER = re.compile(_ID)
+_INTEGER_LIST = re.compile(rf"(?:\s+{_ID})+")
+
+
+def _missing_ids(present: Collection[int], n: int) -> str:
+    """Describe the ids in range(n) absent from present; '' if none is.
+
+    Gives the count and the first five gaps as ranges, walking the present
+    ids rather than range(n), so a huge declared n costs nothing.
+    """
+    if len(present) == n and min(present) >= 0 and max(present) < n:
+        return ""  # n distinct ids, all in range
+    ids = sorted(v for v in present if 0 <= v < n)
+    gaps: list[str] = []
+    expected = 0
+    for v in (*ids, n):
+        if v > expected:
+            if len(gaps) == 5:
+                gaps.append("...")
+                break
+            last = v - 1
+            gaps.append(str(last) if last == expected else f"{expected}-{last}")
+        expected = v + 1
+    return f"{n - len(ids)} of {n} vertices: {', '.join(gaps)}"
 
 
 def parse_instance_text(text: str) -> InstanceFile:
@@ -59,7 +91,7 @@ def parse_instance_text(text: str) -> InstanceFile:
             else:
                 name = " ".join(parts[1:])
         elif key == "vertices":
-            if len(parts) != 2 or not parts[1].lstrip("-").isdigit():
+            if len(parts) != 2 or not _INTEGER.fullmatch(parts[1]):
                 defects.append((line_no, "vertices requires one integer"))
             elif n is not None:
                 defects.append((line_no, "duplicate vertices"))
@@ -68,7 +100,7 @@ def parse_instance_text(text: str) -> InstanceFile:
             else:
                 n = int(parts[1])
         elif key == "rotation":
-            if len(parts) < 2 or any(not p.lstrip("-").isdigit() for p in parts[1:]):
+            if not _INTEGER_LIST.fullmatch(line, len(key)):
                 defects.append((line_no, "rotation requires integer ids"))
                 continue
             v = int(parts[1])
@@ -77,7 +109,7 @@ def parse_instance_text(text: str) -> InstanceFile:
             else:
                 rotations[v] = (line_no, tuple(int(p) for p in parts[2:]))
         elif key == "coord":
-            if len(parts) != 4 or not parts[1].lstrip("-").isdigit():
+            if len(parts) != 4 or not _INTEGER.fullmatch(parts[1]):
                 defects.append((line_no, "coord requires: vertex id, x, y"))
                 continue
             v = int(parts[1])
@@ -102,13 +134,13 @@ def parse_instance_text(text: str) -> InstanceFile:
         for v, (line_no, _) in sorted(coords.items()):
             if not 0 <= v < n:
                 defects.append((line_no, f"coord for out-of-range vertex {v}"))
-        missing = [v for v in range(n) if v not in rotations]
+        missing = _missing_ids(rotations, n)
         if missing:
-            defects.append((0, f"missing rotation for vertices {missing}"))
+            defects.append((0, f"missing rotation for {missing}"))
         if coords:
-            missing_xy = [v for v in range(n) if v not in coords]
+            missing_xy = _missing_ids(coords, n)
             if missing_xy:
-                defects.append((0, f"missing coord for vertices {missing_xy}"))
+                defects.append((0, f"missing coord for {missing_xy}"))
 
     if defects:
         raise ParseError(sorted(defects))

@@ -1,12 +1,17 @@
-"""Exact maximum color count via exhaustive search over dividing systems.
+"""Exact maximum color count via search over dividing systems.
 
 The maximum number of colors of an admissible coloring equals the maximum
-number of regions over all dividing systems.  `_scan` is the package's one
-loop over all 2^F per-face parity vectors: it keeps the lexicographically
-smallest maximizer as witness and, for the law sweep, also checks every
-system's tree, claim and region-coloring laws.  `_certify` then rebuilds the
-witness once, derives the witness coloring from its regions, audits the
-claims and certifies 2 * chiF <= 3 * alpha in exact integer arithmetic.
+number of regions over all dividing systems.  exact_chi_f finds it with
+`_best_index`, a depth-first search over the faces that counts components
+with a rollback union-find and cuts off every prefix whose count is no
+better than the best so far; it keeps the lexicographically smallest
+maximizer as witness.  Every system is visited or bounded, so
+systems_explored still reports 2^F.  The law sweep keeps `_scan`, the one
+loop over all 2^F per-face parity vectors, which decomposes every system
+and checks its tree, claim and region-coloring laws.  `_certify` then
+rebuilds the witness once, derives the witness coloring from its regions,
+audits the claims and certifies 2 * chiF <= 3 * alpha in exact integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -140,8 +145,9 @@ def _scan(
 ) -> int:
     """Index of the lexicographically smallest region-count maximizer.
 
-    The only loop over all 2^F dividing systems.  check_laws(index, regions),
-    when given, is called on every system and raises on a violated law.
+    Decomposes all 2^F dividing systems; the law sweep's search and the
+    reference for _best_index.  check_laws(index, regions), when given, is
+    called on every system and raises on a violated law.
     """
     nf = m.graph.num_faces
     best_lam, best_idx = -1, -1
@@ -151,6 +157,62 @@ def _scan(
             check_laws(idx, r)
         if r.num_regions > best_lam:
             best_lam, best_idx = r.num_regions, idx
+    return best_idx
+
+
+def _best_index(g: PlaneGraph) -> int:
+    """Index of the lexicographically smallest region-count maximizer.
+
+    Same answer as _scan, found by a depth-first search over the faces in
+    index order, bit 0 first.  The regions are the components of the V + F
+    cells with face cell n + f joined to g.faces[f].vertices[bit::2] (see
+    dividing.decompose_regions).  Adding a face adds one cell and merges
+    c >= 1 components, so the count of a prefix bounds every completion and
+    a prefix whose count is <= the best so far is pruned.  Union-by-size
+    without path compression lets each step be undone on backtrack.
+    """
+    n, nf = g.n, g.num_faces
+    sides = [(f.vertices[0::2], f.vertices[1::2]) for f in g.faces]
+    parent = list(range(n + nf))
+    size = [1] * (n + nf)
+    # Each face adds one cell and each union removes one component, so
+    # with faces < f joined there are n + f - len(merged) components.
+    merged: list[int] = []  # absorbed roots, in union order
+    mark = [0] * nf  # len(merged) before face f was joined
+    bit = [-1] * nf  # bit tried last at face f; -1 before the first
+    best, best_idx = 0, -1
+    f = 0
+    while f >= 0:
+        if f == nf:  # a completion that beat every earlier one
+            best = n + nf - len(merged)
+            best_idx = sum(b << (nf - 1 - i) for i, b in enumerate(bit))
+            f -= 1
+            continue
+        if bit[f] < 0:
+            mark[f] = len(merged)
+        else:
+            while len(merged) > mark[f]:
+                r = merged.pop()
+                size[parent[r]] -= size[r]
+                parent[r] = r
+        if bit[f] == 1:
+            bit[f] = -1
+            f -= 1
+            continue
+        bit[f] += 1
+        root = n + f  # of the face cell's component
+        for v in sides[f][bit[f]]:
+            while parent[v] != v:
+                v = parent[v]
+            if v == root:
+                continue
+            a, b = (v, root) if size[v] < size[root] else (root, v)
+            parent[a] = b
+            size[b] += size[a]
+            merged.append(a)
+            root = b
+        if n + f + 1 - len(merged) > best:
+            f += 1
     return best_idx
 
 
@@ -194,10 +256,14 @@ def exact_chi_f(
 ) -> SearchResult:
     """Maximize the region count over all 2^F dividing systems.
 
+    A pruned depth-first search (`_best_index`) finds the lexicographically
+    smallest maximizer; only that witness is decomposed and certified.
+    systems_explored is 2^F: every system is either visited or bounded.
+
     Args:
         g: a validated even-polygonal plane graph.
         face_cap: refuse instances with more faces than this (the search
-            cost doubles per face).
+            is still exponential in the worst case).
         jobs: accepted for compatibility and ignored; the search runs on
             the calling thread.
 
@@ -209,8 +275,7 @@ def exact_chi_f(
     nf = g.num_faces
     if nf > face_cap:
         raise FaceCapExceeded(f"{nf} faces exceeds cap {face_cap}")
-    m = build_medial_graph(g)
-    return _certify(g, m, _scan(m))
+    return _certify(g, build_medial_graph(g), _best_index(g))
 
 
 def verify_theorem_bound(result: SearchResult) -> bool:

@@ -160,7 +160,7 @@ def test_render_with_parities_runs_no_search(tmp_path, c4_file):
     assert capped.read_bytes() == default.read_bytes()
 
 
-def _run_cli(*argv: str) -> subprocess.CompletedProcess:
+def _run_cli(*argv: str, timeout: float | None = None) -> subprocess.CompletedProcess:
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -169,6 +169,7 @@ def _run_cli(*argv: str) -> subprocess.CompletedProcess:
         env=env,
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 
@@ -204,7 +205,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.mark.parametrize(
-    "family,params,name", [("cycle", "6", "cycle6"), ("grid", "3x4", "grid3x4")]
+    "family,params,name",
+    [("cycle", "6", "cycle6"), ("grid", "3x4", "grid3x4"), ("grid", "4x5", "grid4x5")],
 )
 def test_chif_json_golden_bytes(family, params, name, tmp_path, capsys):
     path = tmp_path / f"{name}.hmg"
@@ -212,6 +214,16 @@ def test_chif_json_golden_bytes(family, params, name, tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["chif", str(path), "--json"]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_chif_long_ladder_needs_no_recursion(tmp_path):
+    # F = 1200 faces, one search level each: far past the recursion limit
+    path = tmp_path / "ladder.hmg"
+    assert cli.main(["gen", "grid", "2x1200", "-o", str(path)]) == 0
+    proc = _run_cli("chif", str(path), "--face-cap", "1200", timeout=120)
+    assert proc.returncode == 0
+    assert "chiF = 1201\n" in proc.stdout
+    assert "Traceback" not in proc.stderr
 
 
 def test_check_cap_branches(tmp_path, capsys):
@@ -246,6 +258,11 @@ def _count_calls(monkeypatch, module_name: str, attr: str) -> list:
     return calls
 
 
+# The sweep decomposes every system once, then rebuilds the witness; the
+# pruned search decomposes nothing, so chif builds only the witness.
+DECOMPOSITIONS_PER_OP = {"check": 2**7 + 1, "chif": 1}
+
+
 @pytest.mark.parametrize("command", [["check"], ["chif", "--json"]])
 def test_one_enumeration_and_one_medial_build_per_op(
     command, tmp_path, monkeypatch, capsys
@@ -255,8 +272,7 @@ def test_one_enumeration_and_one_medial_build_per_op(
     decompose = _count_calls(monkeypatch, "halfmono.dividing", "decompose_regions")
     medial = _count_calls(monkeypatch, "halfmono.medial", "build_medial_graph")
     assert cli.main([command[0], str(path), *command[1:]]) == 0
-    # every system once, plus the witness rebuilt once
-    assert len(decompose) == 2**7 + 1
+    assert len(decompose) == DECOMPOSITIONS_PER_OP[command[0]]
     assert len(medial) == 1
 
 

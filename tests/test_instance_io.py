@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from corpus import corpus_instances, random_subdivided_instance
+from halfmono import cli
 from halfmono.coloring import Coloring
 from halfmono.errors import BadParameter, FaceStructureError, ParseError
 from halfmono.instance_io import (
@@ -68,6 +69,47 @@ def test_parse_missing_rotation():
     with pytest.raises(ParseError) as err:
         parse_instance_text("vertices 2\nrotation 0 1\n")
     assert any("missing rotation" in msg for _, msg in err.value.defects)
+
+
+def test_parse_huge_vertex_count_gives_short_message(tmp_path):
+    text = "vertices 1000000000\n"
+    with pytest.raises(ParseError) as err:
+        parse_instance_text(text)
+    assert len(str(err.value)) < 1024
+    assert "missing rotation for 1000000000 of 1000000000" in str(err.value)
+    path = tmp_path / "huge.hmg"
+    path.write_text(text)
+    assert cli.main(["validate", str(path)]) == 1
+
+
+@pytest.mark.parametrize(
+    "present,message",
+    [
+        ((1, 4, 9, 19), "16 of 20 vertices: 0, 2-3, 5-8, 10-18"),
+        (range(0, 20, 2), "10 of 20 vertices: 1, 3, 5, 7, 9, ..."),
+    ],
+)
+def test_parse_missing_ids_as_ranges(present, message):
+    text = "vertices 20\n" + "".join(f"rotation {v} 1\n" for v in present)
+    with pytest.raises(ParseError) as err:
+        parse_instance_text(text)
+    assert err.value.defects == [(0, f"missing rotation for {message}")]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "vertices " + "9" * 5000 + "\n",
+        "vertices \u00b2\n",
+        "vertices 2\nrotation 0 --1\nrotation 1 0\n",
+        "vertices 2\nrotation 0 1\nrotation 1 0\ncoord 0 1 1\ncoord --1 1 1\n",
+    ],
+    ids=["5000-digit-count", "superscript-digit", "double-minus-rotation", "double-minus-coord"],
+)
+def test_parse_rejects_malformed_integers(text):
+    with pytest.raises(ParseError) as err:
+        parse_instance_text(text)
+    assert len(str(err.value)) < 1024
 
 
 def test_parse_instance_surfaces_face_defects():

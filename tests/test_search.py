@@ -2,12 +2,23 @@ import dataclasses
 
 import pytest
 
-from corpus import corpus_graphs, cycle_graph, grid_graph, prism_graph
+from corpus import (
+    corpus_graphs,
+    cycle_graph,
+    grid_graph,
+    oracle_corpus_graphs,
+    prism_graph,
+    random_subdivided_instance,
+)
 from halfmono.coloring import baseline_coloring, check_half_monochromatic, check_proper
 from halfmono.errors import FaceCapExceeded
+from halfmono.instance_io import build
+from halfmono.medial import build_medial_graph
 from halfmono.oracle import chi_f_bruteforce
 from halfmono.plane_graph import compute_bipartition
 from halfmono.search import (
+    _best_index,
+    _scan,
     audit_claims,
     exact_chi_f,
     sweep_dividing_systems,
@@ -113,3 +124,23 @@ def test_verify_theorem_bound_on_doctored_result():
 def test_sweep_maximum_agrees_with_search():
     for g in (cycle_graph(4), cycle_graph(6), grid_graph(2, 3), prism_graph(4)):
         assert sweep_dividing_systems(g).max_regions == exact_chi_f(g).chi_f
+
+
+def _random_subdivided_graphs():
+    graphs = [
+        (f"s{seed}", build(random_subdivided_instance(seed, 16))) for seed in range(60)
+    ]
+    assert all(g.num_faces <= 14 for _, g in graphs)
+    return graphs
+
+
+@pytest.mark.parametrize(
+    "name,g", corpus_graphs() + oracle_corpus_graphs() + _random_subdivided_graphs()
+)
+def test_pruned_search_matches_exhaustive_scan(name, g):
+    assert _best_index(g) == _scan(build_medial_graph(g))
+
+
+@pytest.mark.parametrize("name,g", corpus_graphs())
+def test_search_result_matches_sweep(name, g):
+    assert exact_chi_f(g) == sweep_dividing_systems(g).result
