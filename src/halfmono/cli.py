@@ -20,8 +20,10 @@ from .errors import (
     CapExceeded,
     HalfmonoError,
     InternalInvariantError,
+    InvalidInstanceError,
 )
 from .instance_io import (
+    _INTEGER,
     InstanceFile,
     RenderSpec,
     build,
@@ -35,6 +37,7 @@ from .oracle import chi_f_bruteforce
 from .plane_graph import PlaneGraph, compute_bipartition, validate_even_polygonal
 from .search import (
     DEFAULT_FACE_CAP,
+    DEFAULT_SWEEP_CAP,
     SearchResult,
     exact_chi_f,
     sweep_dividing_systems,
@@ -56,7 +59,13 @@ def exit_code_for_exception(exc: BaseException) -> int:
 
 
 def _read_instance(path: str) -> InstanceFile:
-    return parse_instance_text(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidInstanceError(
+            f"{path}: not UTF-8 text (bad byte at offset {exc.start})"
+        ) from None
+    return parse_instance_text(text)
 
 
 def _load_valid(path: str) -> tuple[InstanceFile, PlaneGraph]:
@@ -218,7 +227,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     params: list[int] = []
     for token in args.params:
         for piece in token.lower().split("x"):
-            if not piece.lstrip("-").isdigit():
+            if not _INTEGER.fullmatch(piece):
                 raise BadParameter(f"parameter {token!r} is not an integer")
             params.append(int(piece))
     inst = generate_instance(args.family, params)
@@ -270,7 +279,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     p.add_argument("paths", nargs="+", metavar="FILE_OR_DIR")
     p.add_argument("--face-cap", type=int, default=DEFAULT_FACE_CAP)
-    p.add_argument("--sweep-cap", type=int, default=16)
+    p.add_argument("--sweep-cap", type=int, default=DEFAULT_SWEEP_CAP)
     p.add_argument(
         "--jobs", type=int, default=1, help="accepted for compatibility; no effect"
     )

@@ -26,25 +26,44 @@ class MatchingResult:
         return tuple(v for v in range(self.n) if v not in covered)
 
 
+def _augment(
+    rotations: tuple[tuple[int, ...], ...], match: list[int], root: int
+) -> bool:
+    """Flip one augmenting path from `root`, if any, found depth-first.
+
+    An explicit stack, so path length is not bounded by the recursion
+    limit; neighbours in rotation order and one `seen` set per search.
+    """
+    seen: set[int] = set()
+    stack = [(root, iter(rotations[root]))]
+    path: list[int] = []  # path[k]: the right vertex taken from stack[k]
+    while stack:
+        for v in stack[-1][1]:
+            if v in seen:
+                continue
+            seen.add(v)
+            path.append(v)
+            if match[v] == -1:
+                for (u, _), w in zip(stack, path):
+                    match[u] = w
+                    match[w] = u
+                return True
+            stack.append((match[v], iter(rotations[match[v]])))
+            break
+        else:
+            stack.pop()
+            if path:
+                path.pop()
+    return False
+
+
 def maximum_matching(g: PlaneGraph, b: Bipartition) -> MatchingResult:
     """Maximum matching by augmenting paths, with a minimum-cover witness."""
     left = [v for v in range(g.n) if b.side[v] == BLACK]
     match = [-1] * g.n
-
-    def augment(u: int, seen: set[int]) -> bool:
-        for v in g.rotations[u]:
-            if v in seen:
-                continue
-            seen.add(v)
-            if match[v] == -1 or augment(match[v], seen):
-                match[v] = u
-                match[u] = v
-                return True
-        return False
-
     size = 0
     for u in left:
-        if augment(u, set()):
+        if _augment(g.rotations, match, u):
             size += 1
 
     # Alternating reachability from unmatched left vertices: the cover is

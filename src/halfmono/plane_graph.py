@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import (
     EulerViolation,
@@ -157,67 +158,55 @@ def build_plane_graph(
     _check_rotations(n, rot)
     _check_connected(n, rot)
 
-    tails: list[int] = []
-    heads: list[int] = []
-    index: dict[tuple[int, int], int] = {}
-    for u in range(n):
-        for v in rot[u]:
-            index[(u, v)] = len(tails)
-            tails.append(u)
-            heads.append(v)
-    num_darts = len(tails)
+    # Dart start[u] + i is u -> rot[u][i]; pos[(v, u)] is the slot of u in
+    # rot[v], so the dart after u -> v is v -> rot[v][pos[(v, u)] + 1].
+    start = list(accumulate(map(len, rot), initial=0))
+    pos = {(u, v): i for u, r in enumerate(rot) for i, v in enumerate(r)}
+    tails = [u for u, r in enumerate(rot) for _ in r]
+    heads = [v for r in rot for v in r]
+    nxt = [
+        start[v] + (pos[(v, u)] + 1) % len(rot[v]) for u, v in zip(tails, heads)
+    ]
 
-    slot = {
-        (v, u): i for v in range(n) for i, u in enumerate(rot[v])
-    }
-    nxt = []
-    for d in range(num_darts):
-        u, v = tails[d], heads[d]
-        w = rot[v][(slot[(v, u)] + 1) % len(rot[v])]
-        nxt.append(index[(v, w)])
-
-    # Scanning darts by (tail, head) makes each face start at its smallest
-    # dart and orders face ids canonically.
-    face_of = [-1] * num_darts
+    # Visiting darts in (tail, head) order starts each face at its smallest
+    # dart, orders face ids canonically and meets the edges (u, v), u < v,
+    # in sorted order.
+    face_of = [-1] * len(tails)
+    dart_edge = [-1] * len(tails)
+    edges: list[tuple[int, int]] = []
     faces: list[Face] = []
-    for d0 in sorted(range(num_darts), key=lambda d: (tails[d], heads[d])):
-        if face_of[d0] != -1:
-            continue
-        walk = []
-        d = d0
-        while True:
-            face_of[d] = len(faces)
-            walk.append(d)
-            d = nxt[d]
-            if d == d0:
-                break
-        faces.append(
-            Face(len(faces), tuple(walk), tuple(tails[x] for x in walk))
-        )
+    for u in range(n):
+        for v in sorted(rot[u]):
+            d0 = start[u] + pos[(u, v)]
+            if u < v:
+                dart_edge[d0] = dart_edge[start[v] + pos[(v, u)]] = len(edges)
+                edges.append((u, v))
+            if face_of[d0] != -1:
+                continue
+            walk = [d0]
+            while (d := nxt[walk[-1]]) != d0:
+                walk.append(d)
+            for d in walk:
+                face_of[d] = len(faces)
+            faces.append(
+                Face(len(faces), tuple(walk), tuple(tails[x] for x in walk))
+            )
 
-    num_edges = num_darts // 2
-    if n - num_edges + len(faces) != 2:
+    if n - len(edges) + len(faces) != 2:
         raise EulerViolation(
-            f"V - E + F = {n} - {num_edges} + {len(faces)} != 2"
+            f"V - E + F = {n} - {len(edges)} + {len(faces)} != 2"
         )
-
-    edge_list = sorted({(min(u, v), max(u, v)) for u, v in zip(tails, heads)})
-    edge_id = {e: i for i, e in enumerate(edge_list)}
-    dart_edge = tuple(
-        edge_id[(min(tails[d], heads[d]), max(tails[d], heads[d]))]
-        for d in range(num_darts)
-    )
 
     return PlaneGraph(
         n=n,
         rotations=rot,
-        edges=tuple(edge_list),
+        edges=tuple(edges),
         faces=tuple(faces),
         dart_tail=tuple(tails),
         dart_head=tuple(heads),
         dart_next=tuple(nxt),
         dart_face=tuple(face_of),
-        dart_edge=dart_edge,
+        dart_edge=tuple(dart_edge),
         coords=tuple((float(x), float(y)) for x, y in coords) if coords else None,
     )
 

@@ -44,6 +44,7 @@ from .medial import MedialGraph, build_medial_graph
 from .plane_graph import PlaneGraph, compute_bipartition, require_even_polygonal
 
 DEFAULT_FACE_CAP = 24
+DEFAULT_SWEEP_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -291,7 +292,7 @@ def audit_claims(g: PlaneGraph, result: SearchResult) -> AuditReport:
 
 
 def sweep_dividing_systems(
-    g: PlaneGraph, face_cap: int = 16, check_colorings: bool = False
+    g: PlaneGraph, face_cap: int = DEFAULT_SWEEP_CAP, check_colorings: bool = False
 ) -> SweepReport:
     """Verify the region, tree and claim laws on every dividing system.
 

@@ -197,6 +197,20 @@ def test_gen_bad_parameters(tmp_path):
     assert cli.main(["gen", "grid", "1x5", "-o", str(tmp_path / "y.hmg")]) == 1
 
 
+@pytest.mark.parametrize(
+    "params",
+    ["\u00b2", "2x\u0663", "9" * 5000],
+    ids=["superscript", "arabic-indic", "5000-digits"],
+)
+def test_gen_rejects_non_ascii_and_overlong_integers(params, capsys):
+    family = "grid" if "x" in params else "cycle"
+    assert cli.main(["gen", family, params]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: parameter ")
+    assert captured.err.endswith(" is not an integer\n")
+
+
 def test_missing_file():
     assert cli.main(["chif", "/nonexistent/path.hmg"]) == 1
 
@@ -281,3 +295,39 @@ def test_alpha_computes_one_matching(c4_file, monkeypatch, capsys):
     assert cli.main(["alpha", str(c4_file)]) == 0
     assert len(matching) == 1
     assert "alpha = 2" in capsys.readouterr().out
+
+
+def test_alpha_long_ladder_needs_no_recursion(tmp_path):
+    # an augmenting path along a 2x2000 ladder is about 1000 steps long
+    path = tmp_path / "ladder.hmg"
+    assert cli.main(["gen", "grid", "2x2000", "-o", str(path)]) == 0
+    proc = _run_cli("alpha", str(path), timeout=120)
+    assert proc.returncode == 0
+    assert "alpha = 2000\n" in proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
+NON_PLANAR_K5 = "vertices 5\n" + "".join(
+    f"rotation {u} " + " ".join(str(v) for v in range(5) if v != u) + "\n"
+    for u in range(5)
+)
+
+HOSTILE_INPUTS = {
+    "empty": b"",
+    "huge-n": b"vertices 1000000000\n",
+    "non-planar": NON_PLANAR_K5.encode(),
+    "binary": b"\xff\xfe\x00\x01junk\x80\x81\n",
+}
+
+
+@pytest.mark.parametrize(
+    "subcommand", ["validate", "chif", "alpha", "check", "oracle", "render"]
+)
+@pytest.mark.parametrize("kind", sorted(HOSTILE_INPUTS))
+def test_hostile_input_ends_without_traceback(kind, subcommand, tmp_path):
+    path = tmp_path / "hostile.hmg"
+    path.write_bytes(HOSTILE_INPUTS[kind])
+    extra = ["-o", str(tmp_path / "out.svg")] if subcommand == "render" else []
+    proc = _run_cli(subcommand, str(path), *extra, timeout=60)
+    assert proc.returncode in {0, 1, 2, 3}
+    assert "Traceback" not in proc.stderr

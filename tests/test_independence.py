@@ -1,9 +1,16 @@
 import pytest
 
-from corpus import corpus_graphs, cycle_graph, grid_graph, prism_graph
+from corpus import (
+    corpus_graphs,
+    cycle_graph,
+    grid_graph,
+    prism_graph,
+    random_subdivided_instance,
+)
 from halfmono.errors import SizeCapExceeded
 from halfmono.independence import alpha_bruteforce, alpha_via_konig, maximum_matching
-from halfmono.plane_graph import compute_bipartition
+from halfmono.instance_io import build
+from halfmono.plane_graph import BLACK, compute_bipartition
 
 CORPUS = corpus_graphs()
 
@@ -63,3 +70,38 @@ def test_konig_matches_bruteforce_and_half_bound(name, g):
 def test_bruteforce_cap():
     with pytest.raises(SizeCapExceeded):
         alpha_bruteforce(cycle_graph(6), vertex_cap=4)
+
+
+def _recursive_matching(g, b) -> list[int]:
+    """Reference: the same augmenting-path search, written recursively."""
+    match = [-1] * g.n
+
+    def augment(u: int, seen: set[int]) -> bool:
+        for v in g.rotations[u]:
+            if v in seen:
+                continue
+            seen.add(v)
+            if match[v] == -1 or augment(match[v], seen):
+                match[v] = u
+                match[u] = v
+                return True
+        return False
+
+    for u in range(g.n):
+        if b.side[u] == BLACK:
+            augment(u, set())
+    return match
+
+
+MATCHING_GRAPHS = [g for _, g in CORPUS] + [
+    build(random_subdivided_instance(seed, 40)) for seed in range(60)
+]
+
+
+def test_matching_equals_recursive_search():
+    for g in MATCHING_GRAPHS:
+        b = compute_bipartition(g)
+        match = _recursive_matching(g, b)
+        left = [u for u in range(g.n) if b.side[u] == BLACK]
+        expected = tuple((u, match[u]) for u in left if match[u] != -1)
+        assert maximum_matching(g, b).edges == expected

@@ -1,19 +1,31 @@
+import hashlib
+from dataclasses import fields
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from corpus import corpus_graphs, cycle_graph, grid_graph, prism_graph
+from corpus import (
+    corpus_graphs,
+    cycle_graph,
+    grid_graph,
+    oracle_corpus_graphs,
+    prism_graph,
+    random_subdivided_instance,
+)
 from halfmono.errors import (
     EulerViolation,
     InconsistentRotation,
     NotConnected,
     OddCycleFound,
 )
+from halfmono.instance_io import build
 from halfmono.plane_graph import (
     BLACK,
     FACE_NOT_CYCLE,
     ODD_FACE,
     WHITE,
+    PlaneGraph,
     build_plane_graph,
     compute_bipartition,
     validate_even_polygonal,
@@ -156,3 +168,54 @@ def test_bipartition_alternates_around_faces(g):
     for f in g.faces:
         sides = [b.side[v] for v in f.vertices]
         assert all(sides[i] != sides[(i + 1) % len(sides)] for i in range(len(sides)))
+
+
+# the tracer's golden inputs: both corpora, 60 random subdivided grids, and
+# two graphs whose faces are not even cycles (K4 and a path)
+GOLDEN_GRAPHS = (
+    [g for _, g in CORPUS]
+    + [g for _, g in oracle_corpus_graphs()]
+    + [build(random_subdivided_instance(seed, 16)) for seed in range(60)]
+    + [build_plane_graph(4, K4_ROTATIONS), build_plane_graph(3, [[1], [0, 2], [1]])]
+)
+
+
+# sha256 over repr(field) of every golden graph, one line each, recorded
+# from the tracer that built a dart-index dict and sorted all darts
+PLANE_GRAPH_DIGESTS = {
+    "n": "293092b3ade1b9687464a48d2c6448ca9d22e3b7766ea668425235cdf7e697dd",
+    "rotations": "129499e411095576835e58fd292086be2e3dfbba2a1c2856ee1b95692d659d6b",
+    "edges": "056f8ec0034f1db6fd06985b809f81e7398ee6a63dcc17db7910aa8a50337dac",
+    "faces": "58e35236824aaab8ef8693c6e6517014d79b8874c5a834ff977992bb970c0f1e",
+    "dart_tail": "7308f0c9c7f883f7d0d99c1ddb6b74f438b91c7b8539137c167d87fb8c353b82",
+    "dart_head": "4b1c82d7c259ec8349835f18757953b1da64021df098003b5b02f3badd868d1d",
+    "dart_next": "548acce2a80712aab4fb149309956becf8edf80073a53ddaed831c011252be80",
+    "dart_face": "07d36cbe81d7b5d5b25b6b7079f376c4e812831977abd165bf95641c71afb35f",
+    "dart_edge": "4e529ca3b015c3dfa5b7ffd223a2758c9bc0c2bf6f12b6852d577ba1f61a871e",
+    "coords": "498d00c12dc7ad0168f85aa2509d926758eaf8af350a957d750f353bc222f7fc",
+}
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(PlaneGraph)])
+def test_plane_graph_golden_digest(field):
+    digest = hashlib.sha256()
+    for g in GOLDEN_GRAPHS:
+        digest.update(repr(getattr(g, field)).encode() + b"\n")
+    assert digest.hexdigest() == PLANE_GRAPH_DIGESTS[field]
+
+
+@pytest.mark.parametrize(
+    "n,rotations,error,message",
+    [
+        (5, [[v for v in range(5) if v != u] for u in range(5)], EulerViolation,
+         "V - E + F = 5 - 10 + 3 != 2"),
+        (8, [[1, 3], [2, 0], [3, 1], [0, 2], [5, 7], [6, 4], [7, 5], [4, 6]],
+         NotConnected, "only 4 of 8 vertices reachable from 0"),
+        (2, [[1], []], InconsistentRotation, "vertex 0 lists 1 but 1 does not list 0"),
+    ],
+    ids=["euler", "connected", "rotation"],
+)
+def test_build_errors_keep_their_messages(n, rotations, error, message):
+    with pytest.raises(error) as info:
+        build_plane_graph(n, rotations)
+    assert str(info.value) == message
