@@ -2,12 +2,17 @@
 
 Exit codes: 0 success, 1 invalid instance, input or usage, 2 violated
 internal law (a result that would contradict the certified bound or
-claims), 3 exhaustive-search cap exceeded.
+claims), 3 search or size cap exceeded.
+
+The argument parser is built once per process, on the first `main()` call,
+and reused by every later call; each call still parses into a fresh
+namespace, so `main(argv)` can be called repeatedly in one process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -228,7 +233,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     for token in args.params:
         for piece in token.lower().split("x"):
             if not _INTEGER.fullmatch(piece):
-                raise BadParameter(f"parameter {token!r} is not an integer")
+                shown = token if len(token) <= 20 else token[:20] + "..."
+                raise BadParameter(f"parameter {shown!r} is not an integer")
             params.append(int(piece))
     inst = generate_instance(args.family, params)
     text = serialize_instance(inst)
@@ -248,6 +254,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="halfmono",

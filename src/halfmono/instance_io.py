@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .coloring import Coloring
 from .dividing import Cycle, assemble_dividing_system, extract_cycles
-from .errors import BadParameter, DegenerateLayout, ParseError
+from .errors import BadParameter, DegenerateLayout, ParseError, SizeCapExceeded
 from .medial import build_medial_graph
 from .plane_graph import PlaneGraph, build_plane_graph, require_even_polygonal
 
@@ -174,11 +174,22 @@ def serialize_instance(inst: InstanceFile) -> str:
 # Corpus generators
 # ---------------------------------------------------------------------------
 
+# Each generator works out its vertex count from its parameters and checks
+# it against this cap before building anything, so an absurd size fails
+# fast instead of exhausting memory.
+GEN_VERTEX_CAP = 10**6
+
+
+def _require_gen_size(n: int) -> None:
+    if n > GEN_VERTEX_CAP:
+        raise SizeCapExceeded(f"{n} vertices exceeds generator cap {GEN_VERTEX_CAP}")
+
 
 def cycle_instance(length: int) -> InstanceFile:
     """A cycle drawn on a circle; its two faces are the inside and outside."""
     if length < 4 or length % 2 != 0:
         raise BadParameter("cycle length must be an even number >= 4")
+    _require_gen_size(length)
     rotations = tuple(
         ((v + 1) % length, (v - 1) % length) for v in range(length)
     )
@@ -194,6 +205,7 @@ def grid_instance(rows: int, cols: int) -> InstanceFile:
     if rows < 2 or cols < 2:
         raise BadParameter("grid requires rows >= 2 and cols >= 2")
     n = rows * cols
+    _require_gen_size(n)
     rotations = []
     for i in range(rows):
         for j in range(cols):
@@ -218,6 +230,7 @@ def prism_instance(cycle_len: int) -> InstanceFile:
     """Two concentric even cycles joined by spokes (cycle_len 4 is the cube)."""
     if cycle_len < 4 or cycle_len % 2 != 0:
         raise BadParameter("prism cycle length must be an even number >= 4")
+    _require_gen_size(2 * cycle_len)
     m = cycle_len
     rotations = []
     for i in range(m):  # outer ring
@@ -290,6 +303,10 @@ def subdivide_edge(inst: InstanceFile, u: int, v: int, times: int = 2) -> Instan
 # Layout and rendering
 # ---------------------------------------------------------------------------
 
+# The layout solves a dense n x n system and then compares all vertex pairs:
+# a 50x50 grid takes about 0.9 s and 120 MB peak on a 2-core machine.
+LAYOUT_VERTEX_CAP = 2500
+
 
 def tutte_embedding(g: PlaneGraph) -> tuple[tuple[float, float], ...]:
     """Barycentric layout: pin one face to a regular polygon, average the rest.
@@ -299,7 +316,13 @@ def tutte_embedding(g: PlaneGraph) -> tuple[tuple[float, float], ...]:
     neighbours" by direct elimination; a residual above 1e-9 or two vertices
     closer than 1e-6 raise DegenerateLayout (expected when the graph is not
     3-connected), in which case callers should supply explicit coords.
+    More than LAYOUT_VERTEX_CAP vertices raise SizeCapExceeded.
     """
+    if g.n > LAYOUT_VERTEX_CAP:
+        raise SizeCapExceeded(
+            f"{g.n} vertices exceeds layout cap {LAYOUT_VERTEX_CAP}; "
+            "give the instance coord lines to draw it"
+        )
     boundary = max(g.faces, key=lambda f: (f.degree, -f.id)).vertices
     ring = len(boundary)
     pos: dict[int, tuple[float, float]] = {}

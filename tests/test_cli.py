@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,6 +8,12 @@ from pathlib import Path
 import pytest
 
 from halfmono import cli
+from halfmono.instance_io import (
+    LAYOUT_VERTEX_CAP,
+    InstanceFile,
+    cycle_instance,
+    serialize_instance,
+)
 from halfmono.errors import (
     BoundViolated,
     ClaimViolated,
@@ -209,6 +216,35 @@ def test_gen_rejects_non_ascii_and_overlong_integers(params, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: parameter ")
     assert captured.err.endswith(" is not an integer\n")
+    assert captured.err.count("\n") == 1
+    assert len(captured.err.encode()) < 200
+
+
+def test_gen_size_cap_exits_3(tmp_path):
+    # 10^17 vertices: the count is checked before anything is built
+    out = tmp_path / "x.hmg"
+    proc = _run_cli("gen", "cycle", "100000000000000000", "-o", str(out), timeout=60)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "exceeds generator cap" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_render_without_coords_above_layout_cap_exits_3(tmp_path, capsys):
+    inst = cycle_instance(LAYOUT_VERTEX_CAP + 2)
+    path = tmp_path / "bare.hmg"
+    path.write_text(
+        serialize_instance(InstanceFile(inst.name, inst.n, inst.rotations, None))
+    )
+    out = tmp_path / "bare.svg"
+    assert cli.main(["render", str(path), "-o", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "exceeds layout cap" in captured.err and "coord" in captured.err
+    assert not out.exists()
 
 
 def test_missing_file():
@@ -331,3 +367,52 @@ def test_hostile_input_ends_without_traceback(kind, subcommand, tmp_path):
     proc = _run_cli(subcommand, str(path), *extra, timeout=60)
     assert proc.returncode in {0, 1, 2, 3}
     assert "Traceback" not in proc.stderr
+
+
+def test_main_builds_parser_once(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "grid.hmg"
+    assert cli.main(["gen", "grid", "3x4", "-o", str(path)]) == 0  # warm-up
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["validate"], ["chif", "--json"], ["check"]):
+        assert cli.main([argv[0], str(path), *argv[1:]]) == 0
+    assert built == []
+
+
+# Calls in an order where a flag or default leaking from one call into the
+# next would change the output: a cap, then no cap; --json, then --witness.
+REPEATED_CALLS = [
+    (["check", "FILE", "--sweep-cap", "6"], 0),
+    (["check", "FILE"], 0),
+    (["chif", "FILE", "--face-cap", "1"], 3),
+    (["chif", "FILE", "--json"], 0),
+    (["chif", "FILE", "--witness"], 0),
+    (["chif", "FILE", "--bogus"], 1),
+    (["alpha", "FILE"], 0),
+    (["--help"], 0),
+    (["validate", "FILE"], 0),
+]
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the same width
+    path = tmp_path / "grid.hmg"
+    assert cli.main(["gen", "grid", "3x4", "-o", str(path)]) == 0
+    capsys.readouterr()
+    for command, expected_code in REPEATED_CALLS:
+        argv = [str(path) if arg == "FILE" else arg for arg in command]
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # --help and usage errors
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = _run_cli(*argv, timeout=60)
+        assert code == fresh.returncode == expected_code, argv
+        assert captured.out == fresh.stdout, argv
+        assert captured.err == fresh.stderr, argv

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -7,9 +8,14 @@ from pathlib import Path
 import pytest
 
 from corpus import corpus_instances, random_subdivided_instance
-from halfmono import cli
+from halfmono import cli, instance_io
 from halfmono.coloring import Coloring
-from halfmono.errors import BadParameter, FaceStructureError, ParseError
+from halfmono.errors import (
+    BadParameter,
+    FaceStructureError,
+    ParseError,
+    SizeCapExceeded,
+)
 from halfmono.instance_io import (
     InstanceFile,
     RenderSpec,
@@ -144,6 +150,14 @@ def test_generator_bad_parameters(family, params):
         generate_instance(family, params)
 
 
+def test_generator_size_cap_boundary(monkeypatch):
+    monkeypatch.setattr(instance_io, "GEN_VERTEX_CAP", 12)
+    assert cycle_instance(12).n == grid_instance(3, 4).n == prism_instance(6).n == 12
+    for family, params in (("cycle", [14]), ("grid", [3, 5]), ("prism", [8])):
+        with pytest.raises(SizeCapExceeded):
+            generate_instance(family, params)
+
+
 @pytest.mark.parametrize("inst", corpus_instances(), ids=lambda i: i.name)
 def test_generated_instances_validate(inst):
     assert validate_even_polygonal(build(inst)).ok
@@ -245,6 +259,37 @@ def test_render_uses_tutte_when_no_coords():
     bare = InstanceFile(inst.name, inst.n, inst.rotations, None)
     svg = render_svg(RenderSpec(graph=build(bare)))
     assert svg.count("<circle ") == 8
+
+
+def _bare(inst: InstanceFile) -> InstanceFile:
+    return InstanceFile(inst.name, inst.n, inst.rotations, None)
+
+
+# sha256 of the coordinate-less render, recorded before the layout cap existed
+BARE_RENDER_SHA256 = {
+    "prism4": "484461dab936230593fedb840002e3760ffbfe2089e9f6e2d4593b3e27ae439c",
+    "grid3x4": "6706e8fc06bd4bf92dacd656057d116581e5341772b7d38cfc68b17f283cb332",
+    "grid6x6": "dd6f3138b687749745730b9e60c80289a69ded95089c4deefd24ef7a8acdc012",
+}
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [prism_instance(4), grid_instance(3, 4), grid_instance(6, 6)],
+    ids=lambda i: i.name,
+)
+def test_bare_render_golden_digest(inst):
+    svg = render_svg(RenderSpec(graph=build(_bare(inst))))
+    assert hashlib.sha256(svg.encode()).hexdigest() == BARE_RENDER_SHA256[inst.name]
+
+
+def test_layout_cap_spares_instances_with_coords(monkeypatch):
+    inst = grid_instance(3, 4)
+    expected = render_svg(RenderSpec(graph=build(inst)))
+    monkeypatch.setattr(instance_io, "LAYOUT_VERTEX_CAP", inst.n - 1)
+    assert render_svg(RenderSpec(graph=build(inst))) == expected
+    with pytest.raises(SizeCapExceeded, match="coord"):
+        render_svg(RenderSpec(graph=build(_bare(inst))))
 
 
 def test_cli_import_does_not_load_numpy():
