@@ -13,11 +13,18 @@ bipartition side of its boundary.  So the regions are the components of
 the graph joining each face cell to that side.  The classical fact
 "k closed curves cut the sphere into k + 1 regions" becomes a verified law
 rather than an assumption.
+
+`region_kernel` does all of this for one parity vector on int tables that
+`kernel_tables` builds once per medial graph, and allocates no per-curve
+or per-region object; the law sweep runs it on every system.
+`decompose_regions`, `extract_cycles` and `build_division_tree` turn its
+arrays into the dataclasses below for the witness, the renderer and tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BadParameter,
@@ -81,6 +88,217 @@ class DivisionTree:
         return {deg: tuple(nodes) for deg, nodes in sorted(classes.items())}
 
 
+@dataclass(frozen=True)
+class KernelTables:
+    """Int tables of one medial graph, shared by every system of an op.
+
+    Medial edge i is m.edges[i].  m.edges is in (face, position) order, so
+    comparing two indices compares the two keys.
+    """
+
+    n: int  # base vertex count
+    num_midpoints: int
+    selected: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # [face][bit]
+    sides: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # [face][bit]
+    ends: tuple[tuple[int, int], ...]  # the two midpoints of each medial edge
+    corner: tuple[int, ...]
+    face: tuple[int, ...]
+
+
+class SystemArrays(NamedTuple):
+    """What region_kernel computes for one parity vector."""
+
+    region_of_cell: list[int]
+    num_regions: int
+    walk: list[int]  # selected medial edges, curve after curve, in walk order
+    walk_midpoints: list[int]  # walk[k] leaves walk_midpoints[k]
+    curve_ends: list[int]  # curve c is walk[curve_ends[c - 1]:curve_ends[c]]
+    curve_sides: list[tuple[int, int, int]]  # (region, region, midpoint)
+
+
+def kernel_tables(m: MedialGraph) -> KernelTables:
+    """The int tables region_kernel reads, built in one pass over m."""
+    g = m.graph
+    selected = []
+    start = 0
+    for f in g.faces:
+        stop = start + f.degree
+        selected.append(
+            (tuple(range(start, stop, 2)), tuple(range(start + 1, stop, 2)))
+        )
+        start = stop
+    return KernelTables(
+        n=g.n,
+        num_midpoints=m.num_vertices,
+        selected=tuple(selected),
+        sides=tuple((f.vertices[0::2], f.vertices[1::2]) for f in g.faces),
+        ends=tuple((e.a, e.b) for e in m.edges),
+        corner=tuple(e.corner for e in m.edges),
+        face=tuple(e.face for e in m.edges),
+    )
+
+
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _incidences(
+    num_midpoints: int, ends, selected
+) -> tuple[list[int], list[int]]:
+    """Each midpoint's two selected edges, in the order of `selected`.
+
+    Verifies the degree-two law: every midpoint lies on exactly two.
+    """
+    first = [-1] * num_midpoints
+    second = [-1] * num_midpoints
+    for e in selected:
+        for v in ends[e]:
+            if first[v] < 0:
+                first[v] = e
+            elif second[v] < 0:
+                second[v] = e
+            else:
+                raise _degree_violation(num_midpoints, ends, selected)
+    if -1 in second:
+        raise _degree_violation(num_midpoints, ends, selected)
+    return first, second
+
+
+def _degree_violation(num_midpoints: int, ends, selected) -> InternalDegreeViolation:
+    degree = [0] * num_midpoints
+    for e in selected:
+        for v in ends[e]:
+            degree[v] += 1
+    bad = next(v for v, d in enumerate(degree) if d != 2)
+    return InternalDegreeViolation(
+        f"midpoint {bad} has degree {degree[bad]}, expected 2"
+    )
+
+
+def _walk_curves(
+    num_midpoints: int, ends, selected
+) -> tuple[list[int], list[int], list[int]]:
+    """Split the selected edges into closed curves, ordered by smallest midpoint.
+
+    `selected` must be in key order: then each midpoint's first incidence is
+    its smaller-keyed edge, by which a curve leaves its smallest midpoint.
+    Returns (walk, walk_midpoints, curve_ends) as in SystemArrays.
+    """
+    first, second = _incidences(num_midpoints, ends, selected)
+    walk: list[int] = []
+    walk_midpoints: list[int] = []
+    curve_ends: list[int] = []
+    for start in range(num_midpoints):
+        e = first[start]
+        if e < 0:  # walked as part of an earlier curve
+            continue
+        first[start] = -1
+        v = start
+        while True:
+            walk_midpoints.append(v)
+            walk.append(e)
+            a, b = ends[e]
+            v = b if a == v else a
+            if v == start:
+                break
+            nxt = first[v]
+            first[v] = -1
+            e = second[v] if nxt == e else nxt  # leave by the other edge
+        curve_ends.append(len(walk))
+    return walk, walk_midpoints, curve_ends
+
+
+def region_kernel(t: KernelTables, bits) -> SystemArrays:
+    """Regions and curves of the dividing system with these parity bits.
+
+    Joins face cell n + f to t.sides[f][bit] (see the module docstring) by
+    union-find, numbers regions by smallest cell and walks the curves.
+    Verifies the degree-two law, that every region holds a base vertex and
+    that regions outnumber curves by exactly one.  `bits` must be one 0 or
+    1 per face; assemble_dividing_system checks parity vectors from outside.
+    """
+    n, sides, selected_by_face = t.n, t.sides, t.selected
+    parent = list(range(n + len(bits)))
+    selected: list[int] = []
+    for f, bit in enumerate(bits):
+        # No earlier face links cell n + f, so it is a root and stays one.
+        cell = n + f
+        for v in sides[f][bit]:
+            root = _find(parent, v)
+            if root != cell:
+                parent[root] = cell
+        selected += selected_by_face[f][bit]
+
+    # A union points a root at a later face cell and path halving only
+    # skips ahead, so parent[c] > c unless c is a root: resolving the cells
+    # from the last one down leaves every cell pointing at its root.
+    for c in range(len(parent) - 1, -1, -1):
+        parent[c] = parent[parent[c]]
+    # Roots in order of their smallest vertex cell; a region whose smallest
+    # cell is a face cell has no vertex cell at all.
+    label = {root: i for i, root in enumerate(dict.fromkeys(parent[:n]))}
+    try:
+        region_of_cell = list(map(label.__getitem__, parent))
+    except KeyError:
+        raise InternalInvariantError("region without any base vertex") from None
+
+    walk, walk_midpoints, curve_ends = _walk_curves(
+        t.num_midpoints, t.ends, selected
+    )
+    if len(label) != len(curve_ends) + 1:
+        raise RegionCycleMismatch(
+            f"{len(label)} regions but {len(curve_ends)} curves"
+        )
+    # Every edge of one curve separates the same two regions, so the edge
+    # with the smallest (face, position) key is the deterministic witness.
+    corner, face, ends = t.corner, t.face, t.ends
+    curve_sides = []
+    begin = 0
+    for end in curve_ends:
+        e = min(walk[begin:end])
+        curve_sides.append(
+            (region_of_cell[corner[e]], region_of_cell[n + face[e]], ends[e][0])
+        )
+        begin = end
+    return SystemArrays(
+        region_of_cell, len(label), walk, walk_midpoints, curve_ends, curve_sides
+    )
+
+
+def division_tree(
+    curve_sides, num_regions: int
+) -> tuple[list[tuple[int, int]], list[int]]:
+    """Join, for every curve, the two regions on its sides; verify treeness.
+
+    curve_sides holds (region, region, midpoint) per curve.  Returns the
+    tree edges, aligned with the curves, and the node degrees.
+    """
+    edges: list[tuple[int, int]] = []
+    for a, b, midpoint in curve_sides:
+        if a == b:
+            raise NotATree(
+                f"curve through midpoint {midpoint} borders a single region"
+            )
+        edges.append((a, b) if a < b else (b, a))
+
+    parent = list(range(num_regions))
+    degrees = [0] * num_regions
+    for a, b in edges:
+        degrees[a] += 1
+        degrees[b] += 1
+        ra, rb = _find(parent, a), _find(parent, b)
+        if ra == rb:
+            raise NotATree(f"regions {a} and {b} are joined by two curve paths")
+        parent[ra] = rb
+    # num_regions nodes with num_regions - 1 acyclic edges are connected.
+    if len(edges) != num_regions - 1:
+        raise NotATree(f"{len(edges)} edges on {num_regions} regions")
+    return edges, degrees
+
+
 def assemble_dividing_system(
     m: MedialGraph, parities
 ) -> DividingSystem:
@@ -100,142 +318,71 @@ def assemble_dividing_system(
     selected: list[MedialEdge] = []
     for f, bit in enumerate(bits):
         selected.extend(m.face_edges[f][bit::2])
-
-    degree = [0] * m.num_vertices
     cut_count = [0] * m.graph.n
     for e in selected:
-        degree[e.a] += 1
-        degree[e.b] += 1
         cut_count[e.corner] += 1
-    bad = [v for v, d in enumerate(degree) if d != 2]
-    if bad:
-        raise InternalDegreeViolation(
-            f"midpoint {bad[0]} has degree {degree[bad[0]]}, expected 2"
-        )
+    _incidences(  # raises on a violated degree-two law
+        m.num_vertices, [(e.a, e.b) for e in selected], range(len(selected))
+    )
     return DividingSystem(
         parities=bits, edges=tuple(selected), cut_count=tuple(cut_count)
     )
 
 
-def extract_cycles(d: DividingSystem) -> tuple[Cycle, ...]:
-    """Split the selected edges into closed curves, ordered by smallest midpoint."""
-    # d.edges is in key order, so each incidence list is too, and a curve
-    # leaves its smallest midpoint by the smaller-keyed edge.  Midpoints have
-    # degree two, so they are as many as the edges; inserting them largest
-    # first makes popitem() yield the smallest midpoint not yet walked.
-    incident: dict[int, list[MedialEdge]] = {
-        v: [] for v in reversed(range(len(d.edges)))
-    }
-    for e in d.edges:
-        incident[e.a].append(e)
-        incident[e.b].append(e)
-
-    cycles: list[Cycle] = []
-    while incident:
-        start, (edge, _) = incident.popitem()
-        verts = [start]
-        edges: list[MedialEdge] = []
-        current = start
-        while True:
-            edges.append(edge)
-            current = edge.b if edge.a == current else edge.a
-            if current == start:
-                break
-            verts.append(current)
-            pair = incident.pop(current)
-            edge = pair[pair[0] is edge]  # leave by the other edge
-        cycles.append(Cycle(vertices=tuple(verts), edges=tuple(edges)))
+def _cycles(
+    edges, walk: list[int], walk_midpoints: list[int], curve_ends: list[int]
+) -> tuple[Cycle, ...]:
+    cycles = []
+    begin = 0
+    for end in curve_ends:
+        cycles.append(
+            Cycle(
+                vertices=tuple(walk_midpoints[begin:end]),
+                edges=tuple(edges[e] for e in walk[begin:end]),
+            )
+        )
+        begin = end
     return tuple(cycles)
 
 
-def _find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
+def extract_cycles(d: DividingSystem) -> tuple[Cycle, ...]:
+    """Split the selected edges into closed curves, ordered by smallest midpoint."""
+    # Midpoints have degree two, so they are as many as the edges.
+    k = len(d.edges)
+    walked = _walk_curves(k, [(e.a, e.b) for e in d.edges], range(k))
+    return _cycles(d.edges, *walked)
 
 
 def decompose_regions(m: MedialGraph, d: DividingSystem) -> RegionDecomposition:
-    """Union-find the medial cells into regions of the dividing system.
+    """The regions and curves of d, as region_kernel computes and checks them.
 
-    Each non-selected medial edge is an open border between the cell of the
-    vertex it cuts off and the cell of its face; for face f with bit b those
-    vertices are g.faces[f].vertices[b::2] (see the module docstring).
-    Regions are numbered by smallest cell.  Verifies that every region
-    holds a base vertex and that regions outnumber curves by exactly one.
+    Regions are numbered by smallest cell; each lists its base vertices.
     """
-    g = m.graph
-    n = g.n
-    num_cells = n + g.num_faces
-    parent = list(range(num_cells))
-    for f, bit in enumerate(d.parities):
-        # No earlier face links cell n + f, so it is a root and stays one.
-        cell = n + f
-        for v in g.faces[f].vertices[bit::2]:
-            root = _find(parent, v)
-            if root != cell:
-                parent[root] = cell
-
-    # Scanning cells in order numbers each region at its smallest cell.
-    region_of_cell = [-1] * num_cells
-    regions: list[list[int]] = []
-    for cell in range(num_cells):
-        root = _find(parent, cell)
-        if region_of_cell[root] < 0:
-            if cell >= n:
-                raise InternalInvariantError("region without any base vertex")
-            region_of_cell[root] = len(regions)
-            regions.append([])
-        rid = region_of_cell[cell] = region_of_cell[root]
-        if cell < n:
-            regions[rid].append(cell)
-
-    cycles = extract_cycles(d)
-    if len(regions) != len(cycles) + 1:
-        raise RegionCycleMismatch(
-            f"{len(regions)} regions but {len(cycles)} curves"
-        )
+    s = region_kernel(kernel_tables(m), d.parities)
+    n = m.graph.n
+    regions: list[list[int]] = [[] for _ in range(s.num_regions)]
+    for v in range(n):
+        regions[s.region_of_cell[v]].append(v)
     return RegionDecomposition(
         n=n,
-        num_regions=len(regions),
-        region_of_cell=tuple(region_of_cell),
+        num_regions=s.num_regions,
+        region_of_cell=tuple(s.region_of_cell),
         regions=tuple(map(tuple, regions)),
-        cycles=cycles,
+        cycles=_cycles(m.edges, s.walk, s.walk_midpoints, s.curve_ends),
     )
 
 
 def build_division_tree(r: RegionDecomposition) -> DivisionTree:
-    """Join, for every curve, the two regions on its sides; verify treeness.
-
-    Every edge of one curve separates the same two regions, so the edge with
-    the smallest (face, position) tag is used as the deterministic witness.
-    """
-    tree_edges: list[tuple[int, int]] = []
+    """The division tree of r's curves; see division_tree."""
+    rc = r.region_of_cell
+    sides = []
     for cyc in r.cycles:
         e = min(cyc.edges, key=lambda me: me.key)
-        a = r.region_of_cell[e.corner]
-        b = r.region_of_cell[r.n + e.face]
-        if a == b:
-            raise NotATree(f"curve through midpoint {e.a} borders a single region")
-        tree_edges.append((min(a, b), max(a, b)))
-
-    parent = list(range(r.num_regions))
-    degrees = [0] * r.num_regions
-    for a, b in tree_edges:
-        degrees[a] += 1
-        degrees[b] += 1
-        ra, rb = _find(parent, a), _find(parent, b)
-        if ra == rb:
-            raise NotATree(f"regions {a} and {b} are joined by two curve paths")
-        parent[ra] = rb
-    # num_regions nodes with num_regions - 1 acyclic edges are connected.
-    if len(tree_edges) != r.num_regions - 1:
-        raise NotATree(
-            f"{len(tree_edges)} edges on {r.num_regions} regions"
-        )
+        sides.append((rc[e.corner], rc[r.n + e.face], e.a))
+    edges, degrees = division_tree(sides, r.num_regions)
     return DivisionTree(
         num_nodes=r.num_regions,
-        edges=tuple(tree_edges),
-        edge_set=frozenset(tree_edges),
+        edges=tuple(edges),
+        edge_set=frozenset(edges),
         degrees=tuple(degrees),
     )

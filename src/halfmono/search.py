@@ -7,15 +7,18 @@ with a rollback union-find and cuts off every prefix whose count is no
 better than the best so far; it keeps the lexicographically smallest
 maximizer as witness.  Every system is visited or bounded, so
 systems_explored still reports 2^F.  The law sweep keeps `_scan`, the one
-loop over all 2^F per-face parity vectors, which decomposes every system
-and checks its tree, claim and region-coloring laws.  `_certify` then
-rebuilds the witness once, derives the witness coloring from its regions,
-audits the claims and certifies 2 * chiF <= 3 * alpha in exact integer
-arithmetic.
+loop over all 2^F per-face parity vectors.  It runs
+`dividing.region_kernel` on every system, which checks the degree, base
+vertex and region-count laws on flat int arrays, and then checks the tree,
+claim and region-coloring laws on the same arrays, building no per-system
+object.  `_certify` then rebuilds the witness once as dataclasses, derives
+the witness coloring from its regions, audits the claims and certifies
+2 * chiF <= 3 * alpha in exact integer arithmetic.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -25,13 +28,19 @@ from .coloring import (
     check_half_monochromatic,
     check_proper,
     coloring_from_regions,
+    half_monochromatic_labels,
+    proper_labels,
 )
 from .dividing import (
     DivisionTree,
     RegionDecomposition,
+    SystemArrays,
     assemble_dividing_system,
     build_division_tree,
     decompose_regions,
+    division_tree,
+    kernel_tables,
+    region_kernel,
 )
 from .errors import (
     BoundViolated,
@@ -87,22 +96,31 @@ def _decode(index: int, num_faces: int) -> tuple[int, ...]:
 
 
 def _check_structural_claims(
-    g: PlaneGraph, r: RegionDecomposition, tree: DivisionTree
+    g: PlaneGraph, region_of_cell, tree_edges, degrees
 ) -> None:
-    """Region independence plus the two tree laws; raises ClaimViolated."""
+    """Region independence plus the two tree laws; raises ClaimViolated.
+
+    region_of_cell starts with the base vertices; tree_edges and degrees
+    are the division tree's, one degree per region.
+    """
+    k = len(degrees)
+    adjacent = bytearray(k * k)
+    for a, b in tree_edges:
+        adjacent[a * k + b] = adjacent[b * k + a] = 1
     for u, v in g.edges:
-        ru = r.region_of_cell[u]
-        rv = r.region_of_cell[v]
+        ru = region_of_cell[u]
+        rv = region_of_cell[v]
         if ru == rv:
             raise ClaimViolated(
                 "independent_regions", f"edge {u}-{v} inside region {ru}"
             )
-        if not tree.has_edge(ru, rv):
+        if not adjacent[ru * k + rv]:
             raise ClaimViolated(
                 "claim2", f"edge {u}-{v} spans non-adjacent regions {ru},{rv}"
             )
-    for node, deg in enumerate(tree.degrees):
-        if deg >= 2 and len(r.regions[node]) < 2:
+    labels = region_of_cell[: g.n]
+    for node, deg in enumerate(degrees):
+        if deg >= 2 and labels.count(node) < 2:
             raise ClaimViolated(
                 "claim3", f"region {node} has degree {deg} but one vertex"
             )
@@ -120,7 +138,7 @@ def _audit_witness(
             raise ClaimViolated(
                 "claim1", f"face {f.id} carries exactly two colors"
             )
-    _check_structural_claims(g, r, tree)
+    _check_structural_claims(g, r.region_of_cell, tree.edges, tree.degrees)
 
     census: dict[int, int] = {}
     for deg in tree.degrees:
@@ -142,22 +160,24 @@ def _witness_structures(
 
 def _scan(
     m: MedialGraph,
-    check_laws: Callable[[int, RegionDecomposition], None] | None = None,
+    check_laws: Callable[[int, SystemArrays], None] | None = None,
 ) -> int:
     """Index of the lexicographically smallest region-count maximizer.
 
-    Decomposes all 2^F dividing systems; the law sweep's search and the
-    reference for _best_index.  check_laws(index, regions), when given, is
-    called on every system and raises on a violated law.
+    Runs region_kernel on all 2^F dividing systems, in index order (the
+    product below yields face 0's bit most significant); the law sweep's
+    search and the reference for _best_index.  check_laws(index, arrays),
+    when given, is called on every system and raises on a violated law.
     """
-    nf = m.graph.num_faces
+    t = kernel_tables(m)
     best_lam, best_idx = -1, -1
-    for idx in range(1 << nf):
-        r = decompose_regions(m, assemble_dividing_system(m, _decode(idx, nf)))
+    systems = itertools.product((0, 1), repeat=m.graph.num_faces)
+    for idx, bits in enumerate(systems):
+        s = region_kernel(t, bits)
         if check_laws is not None:
-            check_laws(idx, r)
-        if r.num_regions > best_lam:
-            best_lam, best_idx = r.num_regions, idx
+            check_laws(idx, s)
+        if s.num_regions > best_lam:
+            best_lam, best_idx = s.num_regions, idx
     return best_idx
 
 
@@ -307,12 +327,13 @@ def sweep_dividing_systems(
         raise FaceCapExceeded(f"{nf} faces exceeds sweep cap {face_cap}")
     m = build_medial_graph(g)
 
-    def check_laws(idx: int, r: RegionDecomposition) -> None:
-        _check_structural_claims(g, r, build_division_tree(r))
+    def check_laws(idx: int, s: SystemArrays) -> None:
+        tree_edges, degrees = division_tree(s.curve_sides, s.num_regions)
+        _check_structural_claims(g, s.region_of_cell, tree_edges, degrees)
         if check_colorings:
-            c = coloring_from_regions(r)
-            if c.num_colors != r.num_regions or not (
-                check_proper(g, c) and check_half_monochromatic(g, c)
+            labels = s.region_of_cell[: g.n]  # one color per region
+            if len(set(labels)) != s.num_regions or not (
+                proper_labels(g, labels) and half_monochromatic_labels(g, labels)
             ):
                 raise InternalInvariantError(
                     f"region coloring failed for parity index {idx}"

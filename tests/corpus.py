@@ -79,3 +79,12 @@ def oracle_corpus_graphs() -> list[tuple[str, PlaneGraph]]:
     ]
     named += [random_subdivided_instance(seed) for seed in range(25)]
     return [(inst.name, build(inst)) for inst in named]
+
+
+def random_subdivided_graphs() -> list[tuple[str, PlaneGraph]]:
+    """Sixty seeded subdivided grids with up to 16 vertices (F <= 12)."""
+    graphs = [
+        (f"s{seed}", build(random_subdivided_instance(seed, 16))) for seed in range(60)
+    ]
+    assert all(g.num_faces <= 12 for _, g in graphs)
+    return graphs

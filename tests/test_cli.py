@@ -308,9 +308,9 @@ def _count_calls(monkeypatch, module_name: str, attr: str) -> list:
     return calls
 
 
-# The sweep decomposes every system once, then rebuilds the witness; the
-# pruned search decomposes nothing, so chif builds only the witness.
-DECOMPOSITIONS_PER_OP = {"check": 2**7 + 1, "chif": 1}
+# The sweep runs the region kernel once per system, then once more to
+# rebuild the witness; the pruned search runs it only for the witness.
+KERNEL_RUNS_PER_OP = {"check": 2**7 + 1, "chif": 1}
 
 
 @pytest.mark.parametrize("command", [["check"], ["chif", "--json"]])
@@ -319,10 +319,10 @@ def test_one_enumeration_and_one_medial_build_per_op(
 ):
     path = tmp_path / "grid.hmg"  # grid3x4 has F = 7 faces
     assert cli.main(["gen", "grid", "3x4", "-o", str(path)]) == 0
-    decompose = _count_calls(monkeypatch, "halfmono.dividing", "decompose_regions")
+    kernel = _count_calls(monkeypatch, "halfmono.dividing", "region_kernel")
     medial = _count_calls(monkeypatch, "halfmono.medial", "build_medial_graph")
     assert cli.main([command[0], str(path), *command[1:]]) == 0
-    assert len(decompose) == DECOMPOSITIONS_PER_OP[command[0]]
+    assert len(kernel) == KERNEL_RUNS_PER_OP[command[0]]
     assert len(medial) == 1
 
 

@@ -11,12 +11,16 @@ from corpus import (
     grid_graph,
     oracle_corpus_graphs,
     prism_graph,
+    random_subdivided_graphs,
 )
 from halfmono.dividing import (
     assemble_dividing_system,
     build_division_tree,
     decompose_regions,
+    division_tree,
     extract_cycles,
+    kernel_tables,
+    region_kernel,
 )
 from halfmono.errors import BadParameter
 from halfmono.medial import build_medial_graph
@@ -205,3 +209,77 @@ def test_every_system_golden_digest(name):
         )
         h.update(repr(record).encode())
     assert h.hexdigest() == expected
+
+
+def _reference_system(m, bits):
+    """The object pipeline the region kernel replaced, kept as its reference:
+    (region_of_cell, region count, curve count, division tree edges)."""
+    g = m.graph
+    n = g.n
+    selected = [e for f, bit in enumerate(bits) for e in m.face_edges[f][bit::2]]
+    degree = [0] * m.num_vertices
+    for e in selected:
+        degree[e.a] += 1
+        degree[e.b] += 1
+    assert all(d == 2 for d in degree)
+
+    incident = {v: [] for v in reversed(range(len(selected)))}
+    for e in selected:
+        incident[e.a].append(e)
+        incident[e.b].append(e)
+    cycles = []
+    while incident:
+        start, (edge, _) = incident.popitem()
+        edges = []
+        current = start
+        while True:
+            edges.append(edge)
+            current = edge.b if edge.a == current else edge.a
+            if current == start:
+                break
+            pair = incident.pop(current)
+            edge = pair[pair[0] is edge]
+        cycles.append(edges)
+
+    parent = list(range(n + g.num_faces))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for f, bit in enumerate(bits):
+        for v in g.faces[f].vertices[bit::2]:
+            root = find(v)
+            if root != n + f:
+                parent[root] = n + f
+    region_of_cell = [-1] * len(parent)
+    num_regions = 0
+    for cell in range(len(parent)):
+        root = find(cell)
+        if region_of_cell[root] < 0:
+            assert cell < n, "region without any base vertex"
+            region_of_cell[root] = num_regions
+            num_regions += 1
+        region_of_cell[cell] = region_of_cell[root]
+
+    tree = []
+    for edges in cycles:
+        e = min(edges, key=lambda me: me.key)
+        a, b = region_of_cell[e.corner], region_of_cell[n + e.face]
+        tree.append((min(a, b), max(a, b)))
+    return region_of_cell, num_regions, len(cycles), tree
+
+
+@pytest.mark.parametrize(
+    "name,g", corpus_graphs() + oracle_corpus_graphs() + random_subdivided_graphs()
+)
+def test_kernel_matches_object_pipeline_on_every_system(name, g):
+    m = build_medial_graph(g)
+    t = kernel_tables(m)
+    for bits in itertools.product((0, 1), repeat=g.num_faces):
+        s = region_kernel(t, bits)
+        tree_edges, _ = division_tree(s.curve_sides, s.num_regions)
+        kernel = (s.region_of_cell, s.num_regions, len(s.curve_ends), tree_edges)
+        assert kernel == _reference_system(m, bits), bits

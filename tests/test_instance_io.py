@@ -9,9 +9,12 @@ import pytest
 
 from corpus import corpus_instances, random_subdivided_instance
 from halfmono import cli, instance_io
-from halfmono.coloring import Coloring
+from halfmono.coloring import Coloring, coloring_from_regions
+from halfmono.dividing import assemble_dividing_system, decompose_regions
+from halfmono.medial import build_medial_graph
 from halfmono.errors import (
     BadParameter,
+    DegenerateLayout,
     FaceStructureError,
     ParseError,
     SizeCapExceeded,
@@ -299,3 +302,52 @@ def test_cli_import_does_not_load_numpy():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = "import halfmono.cli, sys; assert 'numpy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_render_extremes_are_computed_once(monkeypatch):
+    # counting wrappers shadow the builtins inside instance_io only
+    calls = []
+
+    def counting(builtin):
+        def wrapper(*args, **kwargs):
+            calls.append(builtin.__name__)
+            return builtin(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(instance_io, "min", counting(min), raising=False)
+    monkeypatch.setattr(instance_io, "max", counting(max), raising=False)
+    counts = []
+    for length in (100, 200):
+        calls.clear()
+        render_svg(RenderSpec(graph=build(cycle_instance(length))))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+# sha256 of a render with coordinates, curves and region colors
+# (`render --parities 0110010 --color`), recorded before the extremes of
+# the coordinates were hoisted out of the point transform
+COLORED_RENDER_SHA256 = "5ce0812db01d25564cb76a9e5c5c315be07478a1cf9fd3d81891039b673bfed3"
+
+
+def test_colored_render_with_coords_golden_digest():
+    g = build(grid_instance(3, 4))
+    assert g.coords is not None
+    bits = (0, 1, 1, 0, 0, 1, 0)
+    m = build_medial_graph(g)
+    coloring = coloring_from_regions(
+        decompose_regions(m, assemble_dividing_system(m, bits))
+    )
+    svg = render_svg(RenderSpec(graph=g, parities=bits, coloring=coloring))
+    assert hashlib.sha256(svg.encode()).hexdigest() == COLORED_RENDER_SHA256
+
+
+def test_tutte_reports_first_coincident_pair():
+    # K_{2,4}: the pinned face is 0-2-1-5, and the two spokes left inside
+    # both sit at the mean of the hubs 0 and 1
+    rotations = ((2, 3, 4, 5), (5, 4, 3, 2), (0, 1), (0, 1), (0, 1), (0, 1))
+    g = build(InstanceFile("k24", 6, rotations, None))
+    assert validate_even_polygonal(g).ok
+    with pytest.raises(DegenerateLayout, match=r"^vertices 3 and 4 coincide$"):
+        tutte_embedding(g)

@@ -1,23 +1,38 @@
 import dataclasses
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import (
     corpus_graphs,
+    corpus_instances,
     cycle_graph,
     grid_graph,
     oracle_corpus_graphs,
     prism_graph,
+    random_subdivided_graphs,
     random_subdivided_instance,
 )
+from halfmono import search
 from halfmono.coloring import baseline_coloring, check_half_monochromatic, check_proper
-from halfmono.errors import FaceCapExceeded
-from halfmono.instance_io import build
+from halfmono.dividing import division_tree, kernel_tables, region_kernel
+from halfmono.errors import (
+    ClaimViolated,
+    FaceCapExceeded,
+    InternalDegreeViolation,
+    InternalInvariantError,
+    NotATree,
+    RegionCycleMismatch,
+)
+from halfmono.instance_io import InstanceFile, build
 from halfmono.medial import build_medial_graph
 from halfmono.oracle import chi_f_bruteforce
 from halfmono.plane_graph import compute_bipartition
 from halfmono.search import (
     _best_index,
+    _check_structural_claims,
     _scan,
     audit_claims,
     exact_chi_f,
@@ -126,16 +141,8 @@ def test_sweep_maximum_agrees_with_search():
         assert sweep_dividing_systems(g).max_regions == exact_chi_f(g).chi_f
 
 
-def _random_subdivided_graphs():
-    graphs = [
-        (f"s{seed}", build(random_subdivided_instance(seed, 16))) for seed in range(60)
-    ]
-    assert all(g.num_faces <= 14 for _, g in graphs)
-    return graphs
-
-
 @pytest.mark.parametrize(
-    "name,g", corpus_graphs() + oracle_corpus_graphs() + _random_subdivided_graphs()
+    "name,g", corpus_graphs() + oracle_corpus_graphs() + random_subdivided_graphs()
 )
 def test_pruned_search_matches_exhaustive_scan(name, g):
     assert _best_index(g) == _scan(build_medial_graph(g))
@@ -144,3 +151,116 @@ def test_pruned_search_matches_exhaustive_scan(name, g):
 @pytest.mark.parametrize("name,g", corpus_graphs())
 def test_search_result_matches_sweep(name, g):
     assert exact_chi_f(g) == sweep_dividing_systems(g).result
+
+
+def _c4_tables():
+    g = cycle_graph(4)
+    return g, kernel_tables(build_medial_graph(g))
+
+
+def _raises(exc, message):
+    return pytest.raises(exc, match=f"^{re.escape(message)}$")
+
+
+def test_kernel_laws_raise_their_errors():
+    _, t = _c4_tables()
+    # face 1's odd matching also takes face 0's odd positions
+    doubled = (t.selected[0], ((4, 6), (1, 3, 5, 7)))
+    with _raises(InternalDegreeViolation, "midpoint 0 has degree 3, expected 2"):
+        region_kernel(dataclasses.replace(t, selected=doubled), (0, 1))
+    emptied = (t.selected[0], ((), ()))
+    with _raises(InternalDegreeViolation, "midpoint 0 has degree 1, expected 2"):
+        region_kernel(dataclasses.replace(t, selected=emptied), (0, 0))
+    with _raises(InternalInvariantError, "region without any base vertex"):
+        region_kernel(dataclasses.replace(t, sides=(t.sides[0], ((), ()))), (0, 0))
+    flipped = (t.sides[0][::-1], t.sides[1])
+    with _raises(RegionCycleMismatch, "2 regions but 2 curves"):
+        region_kernel(dataclasses.replace(t, sides=flipped), (0, 0))
+
+
+def test_tree_laws_raise_their_errors():
+    with _raises(NotATree, "curve through midpoint 5 borders a single region"):
+        division_tree([(0, 0, 5)], 2)
+    with _raises(NotATree, "regions 0 and 1 are joined by two curve paths"):
+        division_tree([(0, 1, 5), (1, 0, 6)], 3)
+    with _raises(NotATree, "1 edges on 3 regions"):
+        division_tree([(0, 1, 5)], 3)
+
+
+def test_claims_raise_their_errors():
+    g, t = _c4_tables()
+    s = region_kernel(t, (0, 0))  # regions {0, 2}, {1}, {3}: a star on region 0
+    tree_edges, degrees = division_tree(s.curve_sides, s.num_regions)
+    assert (tree_edges, degrees) == ([(0, 1), (0, 2)], [2, 1, 1])
+    _check_structural_claims(g, s.region_of_cell, tree_edges, degrees)
+    with _raises(
+        ClaimViolated, "claim 'independent_regions' violated: edge 0-1 inside region 0"
+    ):
+        _check_structural_claims(g, [0, 0, 1, 2], tree_edges, degrees)
+    with _raises(
+        ClaimViolated, "claim 'claim2' violated: edge 0-3 spans non-adjacent regions 0,2"
+    ):
+        _check_structural_claims(g, s.region_of_cell, tree_edges[:1], degrees)
+    with _raises(
+        ClaimViolated, "claim 'claim3' violated: region 1 has degree 2 but one vertex"
+    ):
+        _check_structural_claims(g, s.region_of_cell, tree_edges, [1, 2, 1])
+
+
+def test_sweep_checks_the_region_coloring_of_every_system(monkeypatch):
+    g = cycle_graph(4)
+    sweep_dividing_systems(g, check_colorings=True)
+    calls = []
+
+    def proper_until_the_last(graph, labels):
+        calls.append(labels)
+        return len(calls) < 4
+
+    monkeypatch.setattr(search, "proper_labels", proper_until_the_last)
+    with _raises(InternalInvariantError, "region coloring failed for parity index 3"):
+        sweep_dividing_systems(g, check_colorings=True)
+    assert [list(labels) for labels in calls[:2]] == [[0, 1, 0, 2], [0, 1, 0, 1]]
+
+
+def _mirror(inst: InstanceFile) -> InstanceFile:
+    """The mirror image: every rotation reversed, x coordinates negated."""
+    coords = inst.coords and tuple((-x, y) for x, y in inst.coords)
+    rotations = tuple(rot[::-1] for rot in inst.rotations)
+    return InstanceFile(f"{inst.name}-mirror", inst.n, rotations, coords)
+
+
+def _relabel(inst: InstanceFile, perm) -> InstanceFile:
+    """The same embedded graph with vertex v renamed perm[v]."""
+    rotations = [()] * inst.n
+    coords = [None] * inst.n
+    for v, rot in enumerate(inst.rotations):
+        rotations[perm[v]] = tuple(perm[u] for u in rot)
+        if inst.coords:
+            coords[perm[v]] = inst.coords[v]
+    return InstanceFile(
+        f"{inst.name}-relabelled",
+        inst.n,
+        tuple(rotations),
+        tuple(coords) if inst.coords else None,
+    )
+
+
+METAMORPHIC_INSTANCES = [
+    inst for inst in corpus_instances() if build(inst).num_faces <= 12
+] + [random_subdivided_instance(seed, 16) for seed in range(60)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    inst=st.sampled_from(METAMORPHIC_INSTANCES),
+    mirror=st.booleans(),
+    data=st.data(),
+)
+def test_mirror_and_relabel_keep_chif_alpha_and_the_laws(inst, mirror, data):
+    perm = data.draw(st.permutations(range(inst.n)))
+    expected = exact_chi_f(build(inst))
+    g = build(_relabel(_mirror(inst) if mirror else inst, perm))
+    res = exact_chi_f(g)
+    assert (res.chi_f, res.alpha) == (expected.chi_f, expected.alpha)
+    # what `check` runs: every law on every system, region colorings included
+    assert sweep_dividing_systems(g, check_colorings=True).max_regions == res.chi_f
