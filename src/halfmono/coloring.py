@@ -43,16 +43,10 @@ def proper_labels(g: PlaneGraph, labels: Sequence[int]) -> bool:
 def half_monochromatic_labels(g: PlaneGraph, labels: Sequence[int]) -> bool:
     """True iff on every face some label covers at least half the boundary."""
     for f in g.faces:
-        cols = [labels[v] for v in f.vertices]
-        # On an even face either alternation class is half the boundary,
-        # so one that is monochromatic settles the face without counting.
-        if len(cols) % 2 == 0 and (
-            len(set(cols[0::2])) == 1 or len(set(cols[1::2])) == 1
-        ):
-            continue
         counts: dict[int, int] = {}
         best = 0
-        for c in cols:
+        for v in f.vertices:
+            c = labels[v]
             k = counts.get(c, 0) + 1
             counts[c] = k
             if k > best:

@@ -104,9 +104,9 @@ def _check_structural_claims(
     are the division tree's, one degree per region.
     """
     k = len(degrees)
-    adjacent = bytearray(k * k)
-    for a, b in tree_edges:
-        adjacent[a * k + b] = adjacent[b * k + a] = 1
+    # Each tree edge under both orders, as one int per ordered pair.
+    adjacent = {a * k + b for a, b in tree_edges}
+    adjacent.update([b * k + a for a, b in tree_edges])
     for u, v in g.edges:
         ru = region_of_cell[u]
         rv = region_of_cell[v]
@@ -114,13 +114,15 @@ def _check_structural_claims(
             raise ClaimViolated(
                 "independent_regions", f"edge {u}-{v} inside region {ru}"
             )
-        if not adjacent[ru * k + rv]:
+        if ru * k + rv not in adjacent:
             raise ClaimViolated(
                 "claim2", f"edge {u}-{v} spans non-adjacent regions {ru},{rv}"
             )
-    labels = region_of_cell[: g.n]
+    sizes = [0] * k  # base vertices per region
+    for r in region_of_cell[: g.n]:
+        sizes[r] += 1
     for node, deg in enumerate(degrees):
-        if deg >= 2 and labels.count(node) < 2:
+        if deg >= 2 and sizes[node] < 2:
             raise ClaimViolated(
                 "claim3", f"region {node} has degree {deg} but one vertex"
             )

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -93,6 +94,22 @@ def test_even_cycle_family():
         res = exact_chi_f(cycle_graph(2 * half))
         assert res.chi_f == half + 1
         assert res.alpha == half
+
+
+@pytest.mark.parametrize("run", [exact_chi_f, sweep_dividing_systems])
+def test_claim_checks_stay_linear_in_the_region_count(run):
+    # A 20000-cycle has 10001 regions in its witness; a k x k adjacency
+    # table of them alone would take 100 MB.
+    g = cycle_graph(20000)
+    tracemalloc.start()
+    try:
+        res = run(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    chi_f = res.chi_f if run is exact_chi_f else res.max_regions
+    assert chi_f == 10001
+    assert peak < 60_000_000
 
 
 def test_matches_oracle_on_small_instances():
