@@ -155,7 +155,7 @@ def _check_one(path: Path, face_cap: int, sweep_cap: int) -> str:
     # both calls certify the bound and audit the claims, raising the
     # exit-code-2 family on any violation; exact_chi_f raises the face cap
     if g.num_faces <= min(face_cap, sweep_cap):
-        sweep = sweep_dividing_systems(g, face_cap=sweep_cap, check_colorings=True)
+        sweep = sweep_dividing_systems(g, face_cap=sweep_cap)
         res = sweep.result
         sweep_note = f"sweep={sweep.systems_explored} systems ok"
     else:

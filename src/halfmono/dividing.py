@@ -16,9 +16,11 @@ rather than an assumption.
 
 `region_kernel` does all of this for one parity vector on int tables that
 `kernel_tables` builds once per medial graph, and allocates no per-curve
-or per-region object; the law sweep runs it on every system.
-`decompose_regions`, `extract_cycles` and `build_division_tree` turn its
-arrays into the dataclasses below for the witness, the renderer and tests.
+or per-region object; the law sweep and the witness certificate run it.
+`region_decomposition` turns its arrays into the dataclasses below, once,
+for the output of a result; `decompose_regions`, `extract_cycles` and
+`build_division_tree` do the same from a `DividingSystem` for the renderer,
+the public API and tests.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ class DividingSystem:
 
     parities: tuple[int, ...]  # one matching-selection bit per face
     edges: tuple[MedialEdge, ...]
-    cut_count: tuple[int, ...]  # selected edges cutting each base vertex
 
 
 @dataclass(frozen=True)
@@ -302,10 +303,12 @@ def division_tree(
 def assemble_dividing_system(
     m: MedialGraph, parities
 ) -> DividingSystem:
-    """Select one matching per face and verify the degree-two law.
+    """Check a parity vector from outside and select one matching per face.
 
-    Every midpoint lies on exactly two face cycles and receives one matching
-    edge from each, so the selected edges form vertex-disjoint closed curves.
+    Raises BadParameter unless parities holds one 0 or 1 per face.  Every
+    midpoint lies on exactly two face cycles and receives one matching edge
+    from each, so the selected edges form vertex-disjoint closed curves;
+    extract_cycles and decompose_regions verify that degree-two law.
     """
     bits = tuple(parities)
     if len(bits) != len(m.face_edges):
@@ -318,15 +321,7 @@ def assemble_dividing_system(
     selected: list[MedialEdge] = []
     for f, bit in enumerate(bits):
         selected.extend(m.face_edges[f][bit::2])
-    cut_count = [0] * m.graph.n
-    for e in selected:
-        cut_count[e.corner] += 1
-    _incidences(  # raises on a violated degree-two law
-        m.num_vertices, [(e.a, e.b) for e in selected], range(len(selected))
-    )
-    return DividingSystem(
-        parities=bits, edges=tuple(selected), cut_count=tuple(cut_count)
-    )
+    return DividingSystem(parities=bits, edges=tuple(selected))
 
 
 def _cycles(
@@ -353,12 +348,11 @@ def extract_cycles(d: DividingSystem) -> tuple[Cycle, ...]:
     return _cycles(d.edges, *walked)
 
 
-def decompose_regions(m: MedialGraph, d: DividingSystem) -> RegionDecomposition:
-    """The regions and curves of d, as region_kernel computes and checks them.
+def region_decomposition(m: MedialGraph, s: SystemArrays) -> RegionDecomposition:
+    """The dataclass view of region_kernel's arrays s for a system of m.
 
     Regions are numbered by smallest cell; each lists its base vertices.
     """
-    s = region_kernel(kernel_tables(m), d.parities)
     n = m.graph.n
     regions: list[list[int]] = [[] for _ in range(s.num_regions)]
     for v in range(n):
@@ -370,6 +364,11 @@ def decompose_regions(m: MedialGraph, d: DividingSystem) -> RegionDecomposition:
         regions=tuple(map(tuple, regions)),
         cycles=_cycles(m.edges, s.walk, s.walk_midpoints, s.curve_ends),
     )
+
+
+def decompose_regions(m: MedialGraph, d: DividingSystem) -> RegionDecomposition:
+    """The regions and curves of d, as region_kernel computes and checks them."""
+    return region_decomposition(m, region_kernel(kernel_tables(m), d.parities))
 
 
 def build_division_tree(r: RegionDecomposition) -> DivisionTree:

