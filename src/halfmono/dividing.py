@@ -15,12 +15,16 @@ the graph joining each face cell to that side.  The classical fact
 rather than an assumption.
 
 `region_kernel` does all of this for one parity vector on int tables that
-`kernel_tables` builds once per medial graph, and allocates no per-curve
-or per-region object; the law sweep and the witness certificate run it.
-`region_decomposition` turns its arrays into the dataclasses below, once,
-for the output of a result; `decompose_regions`, `extract_cycles` and
-`build_division_tree` do the same from a `DividingSystem` for the renderer,
-the public API and tests.
+`kernel_tables` builds once per medial graph; the law sweep and the witness
+certificate run it.  It computes only what the laws read: the region of
+every cell, the region count, and per curve the two regions on its sides,
+taken at its smallest-keyed edge.  It walks the curves to count them and
+find those edges but records no walk.  `tree_adjacency` checks the tree
+laws on those sides.  The curve walks are recorded for the witness output
+alone: `region_decomposition` walks that one system with `_walk_curves` and
+turns it into the dataclasses below; `decompose_regions`, `extract_cycles`
+and `build_division_tree` do the same from a `DividingSystem` for the
+renderer, the public API and tests.
 """
 
 from __future__ import annotations
@@ -107,13 +111,15 @@ class KernelTables:
 
 
 class SystemArrays(NamedTuple):
-    """What region_kernel computes for one parity vector."""
+    """What region_kernel computes for one parity vector.
+
+    Only what the laws read: the regions, and per curve the two regions on
+    its sides.  The curve walks themselves are built for the witness
+    output alone, by region_decomposition.
+    """
 
     region_of_cell: list[int]
     num_regions: int
-    walk: list[int]  # selected medial edges, curve after curve, in walk order
-    walk_midpoints: list[int]  # walk[k] leaves walk_midpoints[k]
-    curve_ends: list[int]  # curve c is walk[curve_ends[c - 1]:curve_ends[c]]
     curve_sides: list[tuple[int, int, int]]  # (region, region, midpoint)
 
 
@@ -139,13 +145,6 @@ def kernel_tables(m: MedialGraph) -> KernelTables:
     )
 
 
-def _find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
 def _incidences(
     num_midpoints: int, ends, selected
 ) -> tuple[list[int], list[int]]:
@@ -156,13 +155,19 @@ def _incidences(
     first = [-1] * num_midpoints
     second = [-1] * num_midpoints
     for e in selected:
-        for v in ends[e]:
-            if first[v] < 0:
-                first[v] = e
-            elif second[v] < 0:
-                second[v] = e
-            else:
-                raise _degree_violation(num_midpoints, ends, selected)
+        a, b = ends[e]
+        if first[a] < 0:
+            first[a] = e
+        elif second[a] < 0:
+            second[a] = e
+        else:
+            raise _degree_violation(num_midpoints, ends, selected)
+        if first[b] < 0:
+            first[b] = e
+        elif second[b] < 0:
+            second[b] = e
+        else:
+            raise _degree_violation(num_midpoints, ends, selected)
     if -1 in second:
         raise _degree_violation(num_midpoints, ends, selected)
     return first, second
@@ -179,47 +184,50 @@ def _degree_violation(num_midpoints: int, ends, selected) -> InternalDegreeViola
     )
 
 
-def _walk_curves(
-    num_midpoints: int, ends, selected
-) -> tuple[list[int], list[int], list[int]]:
-    """Split the selected edges into closed curves, ordered by smallest midpoint.
+def _walk_curves(edges) -> tuple[Cycle, ...]:
+    """Split selected medial edges into closed curves, ordered by smallest midpoint.
 
-    `selected` must be in key order: then each midpoint's first incidence is
+    `edges` must be in key order: then each midpoint's first incidence is
     its smaller-keyed edge, by which a curve leaves its smallest midpoint.
-    Returns (walk, walk_midpoints, curve_ends) as in SystemArrays.
     """
-    first, second = _incidences(num_midpoints, ends, selected)
-    walk: list[int] = []
-    walk_midpoints: list[int] = []
-    curve_ends: list[int] = []
-    for start in range(num_midpoints):
-        e = first[start]
-        if e < 0:  # walked as part of an earlier curve
+    # Midpoints have degree two, so they are as many as the edges.
+    k = len(edges)
+    ends = [(e.a, e.b) for e in edges]
+    first, second = _incidences(k, ends, range(k))
+    cycles = []
+    for start in range(k):
+        i = first[start]
+        if i < 0:  # walked as part of an earlier curve
             continue
         first[start] = -1
         v = start
+        walk: list[int] = []
+        walk_midpoints: list[int] = []
         while True:
             walk_midpoints.append(v)
-            walk.append(e)
-            a, b = ends[e]
+            walk.append(i)
+            a, b = ends[i]
             v = b if a == v else a
             if v == start:
                 break
             nxt = first[v]
             first[v] = -1
-            e = second[v] if nxt == e else nxt  # leave by the other edge
-        curve_ends.append(len(walk))
-    return walk, walk_midpoints, curve_ends
+            i = second[v] if nxt == i else nxt  # leave by the other edge
+        cycles.append(
+            Cycle(vertices=tuple(walk_midpoints), edges=tuple(edges[j] for j in walk))
+        )
+    return tuple(cycles)
 
 
 def region_kernel(t: KernelTables, bits) -> SystemArrays:
-    """Regions and curves of the dividing system with these parity bits.
+    """Regions and curve sides of the dividing system with these parity bits.
 
     Joins face cell n + f to t.sides[f][bit] (see the module docstring) by
-    union-find, numbers regions by smallest cell and walks the curves.
-    Verifies the degree-two law, that every region holds a base vertex and
-    that regions outnumber curves by exactly one.  `bits` must be one 0 or
-    1 per face; assemble_dividing_system checks parity vectors from outside.
+    union-find, numbers regions by smallest cell and walks the curves,
+    keeping only each curve's smallest-keyed edge.  Verifies the degree-two
+    law, that every region holds a base vertex and that regions outnumber
+    curves by exactly one.  `bits` must be one 0 or 1 per face;
+    assemble_dividing_system checks parity vectors from outside.
     """
     n, sides, selected_by_face = t.n, t.sides, t.selected
     parent = list(range(n + len(bits)))
@@ -228,9 +236,10 @@ def region_kernel(t: KernelTables, bits) -> SystemArrays:
         # No earlier face links cell n + f, so it is a root and stays one.
         cell = n + f
         for v in sides[f][bit]:
-            root = _find(parent, v)
-            if root != cell:
-                parent[root] = cell
+            while parent[v] != v:  # find v's root, halving the path
+                parent[v] = v = parent[parent[v]]
+            if v != cell:
+                parent[v] = cell
         selected += selected_by_face[f][bit]
 
     # A union points a root at a later face cell and path halving only
@@ -246,58 +255,86 @@ def region_kernel(t: KernelTables, bits) -> SystemArrays:
     except KeyError:
         raise InternalInvariantError("region without any base vertex") from None
 
-    walk, walk_midpoints, curve_ends = _walk_curves(
-        t.num_midpoints, t.ends, selected
-    )
-    if len(label) != len(curve_ends) + 1:
-        raise RegionCycleMismatch(
-            f"{len(label)} regions but {len(curve_ends)} curves"
-        )
+    # The walk of _walk_curves, recording only each curve's smallest edge.
     # Every edge of one curve separates the same two regions, so the edge
     # with the smallest (face, position) key is the deterministic witness.
-    corner, face, ends = t.corner, t.face, t.ends
+    num_midpoints, ends, corner, face = t.num_midpoints, t.ends, t.corner, t.face
+    first, second = _incidences(num_midpoints, ends, selected)
     curve_sides = []
-    begin = 0
-    for end in curve_ends:
-        e = min(walk[begin:end])
+    for start in range(num_midpoints):
+        e = first[start]
+        if e < 0:  # walked as part of an earlier curve
+            continue
+        first[start] = -1
+        v = start
+        low = e
+        while True:
+            a, b = ends[e]
+            v = b if a == v else a
+            if v == start:
+                break
+            nxt = first[v]
+            first[v] = -1
+            e = second[v] if nxt == e else nxt  # leave by the other edge
+            if e < low:
+                low = e
         curve_sides.append(
-            (region_of_cell[corner[e]], region_of_cell[n + face[e]], ends[e][0])
+            (region_of_cell[corner[low]], region_of_cell[n + face[low]], ends[low][0])
         )
-        begin = end
-    return SystemArrays(
-        region_of_cell, len(label), walk, walk_midpoints, curve_ends, curve_sides
-    )
+    if len(label) != len(curve_sides) + 1:
+        raise RegionCycleMismatch(
+            f"{len(label)} regions but {len(curve_sides)} curves"
+        )
+    return SystemArrays(region_of_cell, len(label), curve_sides)
 
 
-def division_tree(
-    curve_sides, num_regions: int
-) -> tuple[list[tuple[int, int]], list[int]]:
+def tree_adjacency(curve_sides, num_regions: int) -> tuple[set[int], list[int]]:
     """Join, for every curve, the two regions on its sides; verify treeness.
 
     curve_sides holds (region, region, midpoint) per curve.  Returns the
-    tree edges, aligned with the curves, and the node degrees.
+    tree's adjacency as one int a * num_regions + b per edge and order, and
+    the node degrees.
     """
-    edges: list[tuple[int, int]] = []
+    k = num_regions
+    adjacent: set[int] = set()
+    degrees = [0] * k
     for a, b, midpoint in curve_sides:
         if a == b:
             raise NotATree(
                 f"curve through midpoint {midpoint} borders a single region"
             )
-        edges.append((a, b) if a < b else (b, a))
-
-    parent = list(range(num_regions))
-    degrees = [0] * num_regions
-    for a, b in edges:
+        adjacent.add(a * k + b)
+        adjacent.add(b * k + a)
         degrees[a] += 1
         degrees[b] += 1
-        ra, rb = _find(parent, a), _find(parent, b)
+
+    parent = list(range(k))
+    for a, b, _ in curve_sides:
+        ra, rb = a, b
+        while parent[ra] != ra:  # find both roots, halving the paths
+            parent[ra] = ra = parent[parent[ra]]
+        while parent[rb] != rb:
+            parent[rb] = rb = parent[parent[rb]]
         if ra == rb:
-            raise NotATree(f"regions {a} and {b} are joined by two curve paths")
+            raise NotATree(
+                f"regions {min(a, b)} and {max(a, b)} are joined by two curve paths"
+            )
         parent[ra] = rb
-    # num_regions nodes with num_regions - 1 acyclic edges are connected.
-    if len(edges) != num_regions - 1:
-        raise NotATree(f"{len(edges)} edges on {num_regions} regions")
-    return edges, degrees
+    # k nodes with k - 1 acyclic edges are connected.
+    if len(curve_sides) != k - 1:
+        raise NotATree(f"{len(curve_sides)} edges on {k} regions")
+    return adjacent, degrees
+
+
+def division_tree(
+    curve_sides, num_regions: int
+) -> tuple[list[tuple[int, int]], list[int]]:
+    """The tree edges, aligned with the curves, and the node degrees.
+
+    tree_adjacency verifies the tree laws.
+    """
+    _, degrees = tree_adjacency(curve_sides, num_regions)
+    return [(a, b) if a < b else (b, a) for a, b, _ in curve_sides], degrees
 
 
 def assemble_dividing_system(
@@ -324,51 +361,37 @@ def assemble_dividing_system(
     return DividingSystem(parities=bits, edges=tuple(selected))
 
 
-def _cycles(
-    edges, walk: list[int], walk_midpoints: list[int], curve_ends: list[int]
-) -> tuple[Cycle, ...]:
-    cycles = []
-    begin = 0
-    for end in curve_ends:
-        cycles.append(
-            Cycle(
-                vertices=tuple(walk_midpoints[begin:end]),
-                edges=tuple(edges[e] for e in walk[begin:end]),
-            )
-        )
-        begin = end
-    return tuple(cycles)
-
-
 def extract_cycles(d: DividingSystem) -> tuple[Cycle, ...]:
     """Split the selected edges into closed curves, ordered by smallest midpoint."""
-    # Midpoints have degree two, so they are as many as the edges.
-    k = len(d.edges)
-    walked = _walk_curves(k, [(e.a, e.b) for e in d.edges], range(k))
-    return _cycles(d.edges, *walked)
+    return _walk_curves(d.edges)
 
 
-def region_decomposition(m: MedialGraph, s: SystemArrays) -> RegionDecomposition:
-    """The dataclass view of region_kernel's arrays s for a system of m.
+def region_decomposition(
+    m: MedialGraph, parities, s: SystemArrays
+) -> RegionDecomposition:
+    """The dataclass view of one system of m and its region_kernel arrays s.
 
     Regions are numbered by smallest cell; each lists its base vertices.
+    The curves are walked here, as region_kernel keeps no walk.
     """
     n = m.graph.n
     regions: list[list[int]] = [[] for _ in range(s.num_regions)]
     for v in range(n):
         regions[s.region_of_cell[v]].append(v)
+    selected = [e for f, bit in enumerate(parities) for e in m.face_edges[f][bit::2]]
     return RegionDecomposition(
         n=n,
         num_regions=s.num_regions,
         region_of_cell=tuple(s.region_of_cell),
         regions=tuple(map(tuple, regions)),
-        cycles=_cycles(m.edges, s.walk, s.walk_midpoints, s.curve_ends),
+        cycles=_walk_curves(selected),
     )
 
 
 def decompose_regions(m: MedialGraph, d: DividingSystem) -> RegionDecomposition:
     """The regions and curves of d, as region_kernel computes and checks them."""
-    return region_decomposition(m, region_kernel(kernel_tables(m), d.parities))
+    s = region_kernel(kernel_tables(m), d.parities)
+    return region_decomposition(m, d.parities, s)
 
 
 def build_division_tree(r: RegionDecomposition) -> DivisionTree:

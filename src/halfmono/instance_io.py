@@ -114,10 +114,14 @@ def parse_instance_text(text: str) -> InstanceFile:
                 continue
             v = int(parts[1])
             try:
-                xy = (float(parts[2]), float(parts[3]))
+                x, y = float(parts[2]), float(parts[3])
             except ValueError:
                 defects.append((line_no, "coord values must be numbers"))
                 continue
+            if not (math.isfinite(x) and math.isfinite(y)):
+                defects.append((line_no, "coord values must be finite"))
+                continue
+            xy = (x, y)
             if v in coords:
                 defects.append((line_no, f"duplicate coord for vertex {v}"))
             else:

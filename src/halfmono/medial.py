@@ -37,8 +37,16 @@ class MedialGraph:
 
 
 def build_medial_graph(g: PlaneGraph) -> MedialGraph:
-    """Construct the medial graph with face/position/corner tags."""
+    """Construct the medial graph with face/position/corner tags.
+
+    Raises FaceStructureError unless every face is an even simple cycle.
+    """
     require_even_polygonal(g)
+    return build_medial_graph_unchecked(g)
+
+
+def build_medial_graph_unchecked(g: PlaneGraph) -> MedialGraph:
+    """build_medial_graph for a g whose faces the caller has validated."""
     face_cycles: list[tuple[int, ...]] = []
     face_edges: list[tuple[MedialEdge, ...]] = []
     all_edges: list[MedialEdge] = []

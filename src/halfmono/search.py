@@ -8,13 +8,20 @@ better than the best so far; it keeps the lexicographically smallest
 maximizer as witness.  Every system is visited or bounded, so
 systems_explored still reports 2^F.  The law sweep keeps `_scan`, the one
 loop over all 2^F per-face parity vectors.  Both read the int tables that
-`dividing.kernel_tables` builds once per op.  `dividing.region_kernel`
-checks the degree, base vertex and region-count laws of a system on flat
-int arrays, and `_check_system` checks its tree, claim and region-coloring
-laws on the same arrays; the sweep runs both on every system.  `_certify`
-runs the witness through the same two checks, adds claim 1, and certifies
-2 * chiF <= 3 * alpha in exact integer arithmetic; only then is the witness
-turned into dataclasses, as the result's output view.
+`dividing.kernel_tables` builds once per op, from a medial graph built
+once, after the faces were validated once.  Per system,
+`dividing.region_kernel` computes the region of every cell and the two
+regions beside each curve, checking the degree, base vertex and
+region-count laws on the way; it records no curve walk.
+`_check_system` then builds the division tree's adjacency as int-keyed
+region pairs (`dividing.tree_adjacency`, which checks the tree laws),
+checks region independence and claims 2 and 3 against it in one pass over
+the base edges, and runs the region coloring through `proper_labels` and
+`half_monochromatic_labels`.  The sweep runs both on every system.
+`_certify` runs the witness through the same two checks, adds claim 1, and
+certifies 2 * chiF <= 3 * alpha in exact integer arithmetic; only then are
+the witness's curves walked and turned into dataclasses, as the result's
+output view.
 """
 
 from __future__ import annotations
@@ -35,10 +42,10 @@ from .dividing import (
     RegionDecomposition,
     SystemArrays,
     assemble_dividing_system,
-    division_tree,
     kernel_tables,
     region_decomposition,
     region_kernel,
+    tree_adjacency,
 )
 from .errors import (
     BoundViolated,
@@ -47,7 +54,7 @@ from .errors import (
     InternalInvariantError,
 )
 from .independence import alpha_via_konig
-from .medial import MedialGraph, build_medial_graph
+from .medial import MedialGraph, build_medial_graph, build_medial_graph_unchecked
 from .plane_graph import PlaneGraph, compute_bipartition, require_even_polygonal
 
 DEFAULT_FACE_CAP = 24
@@ -94,17 +101,16 @@ def _decode(index: int, num_faces: int) -> tuple[int, ...]:
 
 
 def _check_structural_claims(
-    g: PlaneGraph, region_of_cell, tree_edges, degrees
+    g: PlaneGraph, region_of_cell, adjacent, degrees
 ) -> None:
     """Region independence plus the two tree laws; raises ClaimViolated.
 
-    region_of_cell starts with the base vertices; tree_edges and degrees
-    are the division tree's, one degree per region.
+    region_of_cell starts with the base vertices; adjacent and degrees are
+    the division tree's, as dividing.tree_adjacency returns them: one int
+    a * k + b per tree edge and order, where k is the region count, and
+    one degree per region.
     """
     k = len(degrees)
-    # Each tree edge under both orders, as one int per ordered pair.
-    adjacent = {a * k + b for a, b in tree_edges}
-    adjacent.update([b * k + a for a, b in tree_edges])
     for u, v in g.edges:
         ru = region_of_cell[u]
         rv = region_of_cell[v]
@@ -134,8 +140,8 @@ def _check_system(g: PlaneGraph, s: SystemArrays, idx: int) -> list[int]:
     be proper and half-monochromatic with one color per region.  Raises on
     a violated law; returns the division tree's node degrees.
     """
-    tree_edges, degrees = division_tree(s.curve_sides, s.num_regions)
-    _check_structural_claims(g, s.region_of_cell, tree_edges, degrees)
+    adjacent, degrees = tree_adjacency(s.curve_sides, s.num_regions)
+    _check_structural_claims(g, s.region_of_cell, adjacent, degrees)
     labels = s.region_of_cell[: g.n]  # one color per region
     if len(set(labels)) != s.num_regions or not (
         proper_labels(g, labels) and half_monochromatic_labels(g, labels)
@@ -251,7 +257,7 @@ def _certify(
             f"optimum {chi_f} below the guaranteed lower bound"
         )
 
-    r = region_decomposition(m, s)
+    r = region_decomposition(m, parities, s)
     return SearchResult(
         chi_f=chi_f,
         witness_parities=parities,
@@ -277,13 +283,15 @@ def exact_chi_f(
     systems_explored is 2^F: every system is either visited or bounded.
 
     Args:
-        g: a validated even-polygonal plane graph.
+        g: a plane graph.  Its faces are validated here, once; the medial
+            graph is then built without checking them again.
         face_cap: refuse instances with more faces than this (the search
             is still exponential in the worst case).
         jobs: accepted for compatibility and ignored; the search runs on
             the calling thread.
 
     Raises:
+        FaceStructureError: a face is not an even simple cycle.
         FaceCapExceeded: too many faces for exhaustive enumeration.
         BoundViolated, ClaimViolated: a certified law failed, meaning a bug.
     """
@@ -291,7 +299,7 @@ def exact_chi_f(
     nf = g.num_faces
     if nf > face_cap:
         raise FaceCapExceeded(f"{nf} faces exceeds cap {face_cap}")
-    m = build_medial_graph(g)
+    m = build_medial_graph_unchecked(g)
     t = kernel_tables(m)
     return _certify(g, m, t, _best_index(t))
 
@@ -328,7 +336,7 @@ def sweep_dividing_systems(
     nf = g.num_faces
     if nf > face_cap:
         raise FaceCapExceeded(f"{nf} faces exceeds sweep cap {face_cap}")
-    m = build_medial_graph(g)
+    m = build_medial_graph_unchecked(g)
     t = kernel_tables(m)
     result = _certify(g, m, t, _scan(t, g))
     return SweepReport(

@@ -7,11 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from corpus import random_subdivided_instance
 from halfmono import cli
 from halfmono.instance_io import (
     LAYOUT_VERTEX_CAP,
     InstanceFile,
     cycle_instance,
+    generate_instance,
     serialize_instance,
 )
 from halfmono.errors import (
@@ -266,6 +268,24 @@ def test_chif_json_golden_bytes(family, params, name, tmp_path, capsys):
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
 
 
+CHECK_GOLDEN_INSTANCES = [
+    generate_instance("cycle", [6]),
+    generate_instance("grid", [3, 4]),
+    generate_instance("prism", [6]),
+    random_subdivided_instance(5, 16),
+]
+
+
+@pytest.mark.parametrize("inst", CHECK_GOLDEN_INSTANCES, ids=lambda inst: inst.name)
+def test_check_golden_lines(inst, tmp_path, capsys):
+    path = tmp_path / f"{inst.name}.hmg"
+    path.write_text(serialize_instance(inst))
+    assert cli.main(["check", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (GOLDEN / f"check-{inst.name}.txt").read_text()
+
+
 def test_chif_long_ladder_needs_no_recursion(tmp_path):
     # F = 1200 faces, one search level each: far past the recursion limit
     path = tmp_path / "ladder.hmg"
@@ -320,7 +340,10 @@ def test_one_enumeration_and_one_medial_build_per_op(
     path = tmp_path / "grid.hmg"  # grid3x4 has F = 7 faces
     assert cli.main(["gen", "grid", "3x4", "-o", str(path)]) == 0
     kernel = _count_calls(monkeypatch, "halfmono.dividing", "region_kernel")
-    medial = _count_calls(monkeypatch, "halfmono.medial", "build_medial_graph")
+    # build_medial_graph validates, then calls the unchecked builder
+    medial = _count_calls(monkeypatch, "halfmono.medial", "build_medial_graph_unchecked")
+    # once by the CLI, for its message, and once by the solver entry point
+    validate = _count_calls(monkeypatch, "halfmono.plane_graph", "validate_even_polygonal")
     tables = _count_calls(monkeypatch, "halfmono.dividing", "kernel_tables")
     # the witness is checked on the kernel's arrays, not rebuilt as objects
     assemble = _count_calls(monkeypatch, "halfmono.dividing", "assemble_dividing_system")
@@ -328,6 +351,7 @@ def test_one_enumeration_and_one_medial_build_per_op(
     assert cli.main([command[0], str(path), *command[1:]]) == 0
     assert len(kernel) == KERNEL_RUNS_PER_OP[command[0]]
     assert len(medial) == len(tables) == 1
+    assert len(validate) == 2
     assert assemble == tree == []
 
 

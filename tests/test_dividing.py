@@ -283,5 +283,5 @@ def test_kernel_matches_object_pipeline_on_every_system(name, g):
     for bits in itertools.product((0, 1), repeat=g.num_faces):
         s = region_kernel(t, bits)
         tree_edges, _ = division_tree(s.curve_sides, s.num_regions)
-        kernel = (s.region_of_cell, s.num_regions, len(s.curve_ends), tree_edges)
+        kernel = (s.region_of_cell, s.num_regions, len(s.curve_sides), tree_edges)
         assert kernel == _reference_system(m, bits), bits

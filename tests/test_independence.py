@@ -5,6 +5,8 @@ from corpus import (
     cycle_graph,
     grid_graph,
     prism_graph,
+    random_split_graphs,
+    random_subdivided_graphs,
     random_subdivided_instance,
 )
 from halfmono.errors import SizeCapExceeded
@@ -60,7 +62,9 @@ def test_certificates(name, g):
     assert all(not (u in independent and v in independent) for u, v in g.edges)
 
 
-@pytest.mark.parametrize("name,g", CORPUS)
+@pytest.mark.parametrize(
+    "name,g", CORPUS + random_subdivided_graphs() + random_split_graphs()
+)
 def test_konig_matches_bruteforce_and_half_bound(name, g):
     alpha = alpha_via_konig(g, compute_bipartition(g))
     assert alpha == alpha_bruteforce(g)

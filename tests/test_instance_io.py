@@ -121,6 +121,37 @@ def test_parse_rejects_malformed_integers(text):
     assert len(str(err.value)) < 1024
 
 
+C4_WITH_COORD = """\
+name c4
+vertices 4
+rotation 0 1 3
+rotation 1 2 0
+rotation 2 3 1
+rotation 3 0 2
+coord 0 1 0
+coord 1 0 1
+coord 2 {} 0
+coord 3 0 -1
+"""
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_parse_rejects_non_finite_coords(value, tmp_path, capsys):
+    text = C4_WITH_COORD.format(value)
+    with pytest.raises(ParseError) as err:
+        parse_instance_text(text)
+    assert err.value.defects == [
+        (0, "missing coord for 1 of 4 vertices: 2"),
+        (9, "coord values must be finite"),
+    ]
+    path = tmp_path / "c4.hmg"
+    path.write_text(text)
+    out = tmp_path / "c4.svg"
+    assert cli.main(["render", str(path), "-o", str(out)]) == 1
+    assert "line 9: coord values must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parse_instance_surfaces_face_defects():
     with pytest.raises(FaceStructureError) as err:
         parse_instance(K4_TEXT)

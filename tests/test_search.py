@@ -21,7 +21,12 @@ from corpus import (
 )
 from halfmono import search
 from halfmono.coloring import baseline_coloring, check_half_monochromatic, check_proper
-from halfmono.dividing import division_tree, kernel_tables, region_kernel
+from halfmono.dividing import (
+    division_tree,
+    kernel_tables,
+    region_kernel,
+    tree_adjacency,
+)
 from halfmono.errors import (
     BadParameter,
     ClaimViolated,
@@ -228,19 +233,21 @@ def test_claims_raise_their_errors():
     s = region_kernel(t, (0, 0))  # regions {0, 2}, {1}, {3}: a star on region 0
     tree_edges, degrees = division_tree(s.curve_sides, s.num_regions)
     assert (tree_edges, degrees) == ([(0, 1), (0, 2)], [2, 1, 1])
-    _check_structural_claims(g, s.region_of_cell, tree_edges, degrees)
+    adjacent, degrees = tree_adjacency(s.curve_sides, s.num_regions)
+    assert adjacent == {0 * 3 + 1, 1 * 3 + 0, 0 * 3 + 2, 2 * 3 + 0}
+    _check_structural_claims(g, s.region_of_cell, adjacent, degrees)
     with _raises(
         ClaimViolated, "claim 'independent_regions' violated: edge 0-1 inside region 0"
     ):
-        _check_structural_claims(g, [0, 0, 1, 2], tree_edges, degrees)
+        _check_structural_claims(g, [0, 0, 1, 2], adjacent, degrees)
     with _raises(
         ClaimViolated, "claim 'claim2' violated: edge 0-3 spans non-adjacent regions 0,2"
     ):
-        _check_structural_claims(g, s.region_of_cell, tree_edges[:1], degrees)
+        _check_structural_claims(g, s.region_of_cell, {0 * 3 + 1, 1 * 3 + 0}, degrees)
     with _raises(
         ClaimViolated, "claim 'claim3' violated: region 1 has degree 2 but one vertex"
     ):
-        _check_structural_claims(g, s.region_of_cell, tree_edges, [1, 2, 1])
+        _check_structural_claims(g, s.region_of_cell, adjacent, [1, 2, 1])
 
 
 def test_witness_claim1_is_checked_on_the_kernel_arrays(monkeypatch):
