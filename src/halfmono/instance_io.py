@@ -76,14 +76,46 @@ def parse_instance_text(text: str) -> InstanceFile:
     n: int | None = None
     rotations: dict[int, tuple[int, tuple[int, ...]]] = {}
     coords: dict[int, tuple[int, tuple[float, float]]] = {}
+    rejected_xy: set[int] = set()  # ids of coord lines with bad values
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        line = line.strip()
         if not line:
             continue
         parts = line.split()
         key = parts[0]
-        if key == "name":
+        # rotation and coord lines outnumber the rest, so they go first
+        if key == "rotation":
+            if not _INTEGER_LIST.fullmatch(line, len(key)):
+                defects.append((line_no, "rotation requires integer ids"))
+                continue
+            v = int(parts[1])
+            if v in rotations:
+                defects.append((line_no, f"duplicate rotation for vertex {v}"))
+            else:
+                rotations[v] = (line_no, tuple(map(int, parts[2:])))
+        elif key == "coord":
+            if len(parts) != 4 or not _INTEGER.fullmatch(parts[1]):
+                defects.append((line_no, "coord requires: vertex id, x, y"))
+                continue
+            v = int(parts[1])
+            try:
+                x, y = float(parts[2]), float(parts[3])
+            except ValueError:
+                defects.append((line_no, "coord values must be numbers"))
+                rejected_xy.add(v)
+                continue
+            if not (math.isfinite(x) and math.isfinite(y)):
+                defects.append((line_no, "coord values must be finite"))
+                rejected_xy.add(v)
+                continue
+            if v in coords:
+                defects.append((line_no, f"duplicate coord for vertex {v}"))
+            else:
+                coords[v] = (line_no, (x, y))
+        elif key == "name":
             if len(parts) < 2:
                 defects.append((line_no, "name requires a value"))
             elif name is not None:
@@ -99,50 +131,26 @@ def parse_instance_text(text: str) -> InstanceFile:
                 defects.append((line_no, "vertex count must be positive"))
             else:
                 n = int(parts[1])
-        elif key == "rotation":
-            if not _INTEGER_LIST.fullmatch(line, len(key)):
-                defects.append((line_no, "rotation requires integer ids"))
-                continue
-            v = int(parts[1])
-            if v in rotations:
-                defects.append((line_no, f"duplicate rotation for vertex {v}"))
-            else:
-                rotations[v] = (line_no, tuple(int(p) for p in parts[2:]))
-        elif key == "coord":
-            if len(parts) != 4 or not _INTEGER.fullmatch(parts[1]):
-                defects.append((line_no, "coord requires: vertex id, x, y"))
-                continue
-            v = int(parts[1])
-            try:
-                x, y = float(parts[2]), float(parts[3])
-            except ValueError:
-                defects.append((line_no, "coord values must be numbers"))
-                continue
-            if not (math.isfinite(x) and math.isfinite(y)):
-                defects.append((line_no, "coord values must be finite"))
-                continue
-            xy = (x, y)
-            if v in coords:
-                defects.append((line_no, f"duplicate coord for vertex {v}"))
-            else:
-                coords[v] = (line_no, xy)
         else:
             defects.append((line_no, f"unknown directive {key!r}"))
 
     if n is None:
         defects.append((0, "missing 'vertices' line"))
     else:
-        for v, (line_no, _) in sorted(rotations.items()):
-            if not 0 <= v < n:
-                defects.append((line_no, f"rotation for out-of-range vertex {v}"))
-        for v, (line_no, _) in sorted(coords.items()):
-            if not 0 <= v < n:
-                defects.append((line_no, f"coord for out-of-range vertex {v}"))
+        for kind, table in (("rotation", rotations), ("coord", coords)):
+            if table and (min(table) < 0 or max(table) >= n):
+                for v, (line_no, _) in sorted(table.items()):
+                    if not 0 <= v < n:
+                        defects.append(
+                            (line_no, f"{kind} for out-of-range vertex {v}")
+                        )
         missing = _missing_ids(rotations, n)
         if missing:
             defects.append((0, f"missing rotation for {missing}"))
         if coords:
-            missing_xy = _missing_ids(coords, n)
+            # a vertex whose coord line was rejected has its defect already
+            present = coords.keys() | rejected_xy if rejected_xy else coords
+            missing_xy = _missing_ids(present, n)
             if missing_xy:
                 defects.append((0, f"missing coord for {missing_xy}"))
 
@@ -405,6 +413,11 @@ def _hex_color(h: float, s: float, v: float) -> str:
 
 
 def _fmt(x: float) -> str:
+    # finite coordinates can still overflow once shifted and scaled
+    if not math.isfinite(x):
+        raise BadParameter(
+            "coordinates span too far to draw: an SVG number overflows"
+        )
     return f"{x:.6f}"
 
 

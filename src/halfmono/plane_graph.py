@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import eq
 
 from .errors import (
     EulerViolation,
@@ -155,42 +156,59 @@ def build_plane_graph(
             which signals a non-planar or multiply-embedded input.
     """
     rot = tuple(tuple(r) for r in rotations)
-    _check_rotations(n, rot)
-    _check_connected(n, rot)
-
-    # Dart start[u] + i is u -> rot[u][i]; pos[(v, u)] is the slot of u in
-    # rot[v], so the dart after u -> v is v -> rot[v][pos[(v, u)] + 1].
+    # Dart d is tails[d] -> heads[d]; start[u] + i is u -> rot[u][i].  The
+    # dict maps the int key u * n + v of u -> v to its dart id, so twin[d],
+    # the dart v -> u, is one lookup of v * n + u.
     start = list(accumulate(map(len, rot), initial=0))
-    pos = {(u, v): i for u, r in enumerate(rot) for i, v in enumerate(r)}
     tails = [u for u, r in enumerate(rot) for _ in r]
     heads = [v for r in rot for v in r]
-    nxt = [
-        start[v] + (pos[(v, u)] + 1) % len(rot[v]) for u, v in zip(tails, heads)
-    ]
+    dart = {u * n + v: d for d, (u, v) in enumerate(zip(tails, heads))}
+    twin = list(map(dart.get, [v * n + u for u, v in zip(tails, heads)]))
+    # Whole-array tests; any failure reruns the per-vertex scan, which
+    # raises the first defect in vertex order.
+    if (
+        n <= 0
+        or len(rot) != n
+        or (heads and (min(heads) < 0 or max(heads) >= n))
+        or any(map(eq, tails, heads))
+        or len(dart) != len(heads)
+        or None in twin
+    ):
+        _check_rotations(n, rot)
+    _check_connected(n, rot)
 
-    # Visiting darts in (tail, head) order starts each face at its smallest
-    # dart, orders face ids canonically and meets the edges (u, v), u < v,
-    # in sorted order.
-    face_of = [-1] * len(tails)
-    dart_edge = [-1] * len(tails)
+    # The dart after u -> v is v -> w, w following u in rot[v]: the slot
+    # after twin[d] among v's slots, wrapping round at the last one.
+    succ = list(range(1, len(heads) + 1))
+    for s, e in zip(start, start[1:]):
+        if e > s:
+            succ[e - 1] = s
+    nxt = list(map(succ.__getitem__, twin))
+
+    # Visiting darts in key order, which is (tail, head) order, starts each
+    # face at its smallest dart, orders face ids canonically and meets the
+    # edges (u, v), u < v, in sorted order.
+    face_of = [-1] * len(heads)
+    dart_edge = [-1] * len(heads)
     edges: list[tuple[int, int]] = []
     faces: list[Face] = []
-    for u in range(n):
-        for v in sorted(rot[u]):
-            d0 = start[u] + pos[(u, v)]
-            if u < v:
-                dart_edge[d0] = dart_edge[start[v] + pos[(v, u)]] = len(edges)
-                edges.append((u, v))
-            if face_of[d0] != -1:
-                continue
-            walk = [d0]
-            while (d := nxt[walk[-1]]) != d0:
-                walk.append(d)
-            for d in walk:
-                face_of[d] = len(faces)
-            faces.append(
-                Face(len(faces), tuple(walk), tuple(tails[x] for x in walk))
-            )
+    for key in sorted(dart):
+        d0 = dart[key]
+        u, v = divmod(key, n)
+        if u < v:
+            dart_edge[d0] = dart_edge[twin[d0]] = len(edges)
+            edges.append((u, v))
+        if face_of[d0] != -1:
+            continue
+        walk = [d0]
+        d = nxt[d0]
+        while d != d0:
+            walk.append(d)
+            d = nxt[d]
+        f = len(faces)
+        for d in walk:
+            face_of[d] = f
+        faces.append(Face(f, tuple(walk), tuple(map(tails.__getitem__, walk))))
 
     if n - len(edges) + len(faces) != 2:
         raise EulerViolation(

@@ -140,15 +140,140 @@ def test_parse_rejects_non_finite_coords(value, tmp_path, capsys):
     text = C4_WITH_COORD.format(value)
     with pytest.raises(ParseError) as err:
         parse_instance_text(text)
-    assert err.value.defects == [
-        (0, "missing coord for 1 of 4 vertices: 2"),
-        (9, "coord values must be finite"),
-    ]
+    assert err.value.defects == [(9, "coord values must be finite")]
     path = tmp_path / "c4.hmg"
     path.write_text(text)
     out = tmp_path / "c4.svg"
     assert cli.main(["render", str(path), "-o", str(out)]) == 1
     assert "line 9: coord values must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rejected_coord_line_is_not_also_missing():
+    # only the line's own defect; the vertices without any coord line are
+    # still reported missing
+    text = C4_WITH_COORD.format("east").replace("coord 3 0 -1\n", "")
+    with pytest.raises(ParseError) as err:
+        parse_instance_text(text)
+    assert err.value.defects == [
+        (0, "missing coord for 1 of 4 vertices: 3"),
+        (9, "coord values must be numbers"),
+    ]
+
+
+C4_ROTATIONS = "rotation 0 1 3\nrotation 1 2 0\nrotation 2 3 1\nrotation 3 0 2\n"
+
+# defect lists recorded from the parser that split every line at "#",
+# converted ids one by one and scanned every id for its range
+PARSE_DEFECT_GOLDEN = {
+    "comments": (
+        "# a 4-cycle with one broken line\n"
+        "name c4  # the name\n"
+        "vertices 4 # four\n"
+        "rotation 0 1 3   # ok\n"
+        "rotation 1 2 0\n"
+        "rotation 2 3 x # bad id\n"
+        "rotation 3 0 2\n"
+        "#rotation 2 3 1\n"
+        "   # indented comment\n",
+        [(0, "missing rotation for 1 of 4 vertices: 2"),
+         (6, "rotation requires integer ids")],
+    ),
+    "crlf": (
+        "name c4\r\nvertices 4\r\n" + C4_ROTATIONS.replace("\n", "\r\n")
+        + "coord 0 1\r\nwobble\r\n",
+        [(7, "coord requires: vertex id, x, y"), (8, "unknown directive 'wobble'")],
+    ),
+    "tabs": (
+        "vertices\t4\nrotation\t0\t1 3\n\trotation 1\t2 0\nrotation 2 3 1\t\n"
+        "rotation\t3\t0\t2\ncoord\t0\t1\ncoord 1 0 0 0\n",
+        [(6, "coord requires: vertex id, x, y"),
+         (7, "coord requires: vertex id, x, y")],
+    ),
+    "bare-rotation": (
+        "vertices 2\nrotation\nrotation 0 1\nrotation 1 0\nrotation   \n",
+        [(2, "rotation requires integer ids"), (5, "rotation requires integer ids")],
+    ),
+    "19-digit-id": (
+        "vertices 2\nrotation 1234567890123456789 0\nrotation 0 1\n"
+        "rotation 1 9999999999999999999\ncoord 1234567890123456789 0 0\n",
+        [(0, "missing rotation for 1 of 2 vertices: 1"),
+         (2, "rotation requires integer ids"),
+         (4, "rotation requires integer ids"),
+         (5, "coord requires: vertex id, x, y")],
+    ),
+    "duplicate-rotation": (
+        "vertices 4\n" + C4_ROTATIONS + "rotation 2 1 3\nrotation 0 3 1\n",
+        [(6, "duplicate rotation for vertex 2"), (7, "duplicate rotation for vertex 0")],
+    ),
+    "out-of-range-rotation": (
+        "vertices 4\n" + C4_ROTATIONS + "rotation 4 0\nrotation -1 0\nrotation 100 2\n",
+        [(0, "missing rotation for 0 of 4 vertices: "),
+         (6, "rotation for out-of-range vertex 4"),
+         (7, "rotation for out-of-range vertex -1"),
+         (8, "rotation for out-of-range vertex 100")],
+    ),
+    "duplicate-coord": (
+        "vertices 4\n" + C4_ROTATIONS
+        + "coord 0 0 0\ncoord 1 1 0\ncoord 1 1 1\ncoord 0 2 2\n",
+        [(0, "missing coord for 2 of 4 vertices: 2-3"),
+         (8, "duplicate coord for vertex 1"),
+         (9, "duplicate coord for vertex 0")],
+    ),
+    "out-of-range-coord": (
+        "vertices 4\n" + C4_ROTATIONS + "coord 0 0 0\ncoord 1 1 0\ncoord 2 1 1\n"
+        "coord 3 0 1\ncoord 4 5 5\ncoord -2 5 5\n",
+        [(0, "missing coord for 0 of 4 vertices: "),
+         (10, "coord for out-of-range vertex 4"),
+         (11, "coord for out-of-range vertex -2")],
+    ),
+    "unknown-directive": (
+        "vertices 4\n" + C4_ROTATIONS + "edge 0 1\nRotation 0 1 3\nverts 4\n",
+        [(6, "unknown directive 'edge'"), (7, "unknown directive 'Rotation'"),
+         (8, "unknown directive 'verts'")],
+    ),
+    "missing-vertices": (
+        "name c4\n" + C4_ROTATIONS + "coord 0 0 0\n",
+        [(0, "missing 'vertices' line")],
+    ),
+    "header-defects": (
+        "name\nvertices 0\nvertices two\nvertices 4\nvertices 4\nname a\nname b\n"
+        "rotation 0 1 3\n",
+        [(0, "missing rotation for 3 of 4 vertices: 1-3"),
+         (1, "name requires a value"), (2, "vertex count must be positive"),
+         (3, "vertices requires one integer"), (5, "duplicate vertices"),
+         (7, "duplicate name")],
+    ),
+    "missing-ranges": (
+        "vertices 40\n"
+        + "".join(f"rotation {v} 1\n" for v in (0, 3, 4, 9, 20, 39))
+        + "coord 3 0 0\ncoord 9 0 0\n",
+        [(0, "missing coord for 38 of 40 vertices: 0-2, 4-8, 10-39"),
+         (0, "missing rotation for 34 of 40 vertices: 1-2, 5-8, 10-19, 21-38")],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PARSE_DEFECT_GOLDEN)
+def test_parse_defects_golden(case):
+    text, expected = PARSE_DEFECT_GOLDEN[case]
+    with pytest.raises(ParseError) as err:
+        parse_instance_text(text)
+    assert err.value.defects == expected
+
+
+def test_render_rejects_overflowing_span(tmp_path, capsys):
+    # every coordinate is finite, but the drawing width is not
+    text = C4_WITH_COORD.format("-1e308").replace("coord 0 1 0", "coord 0 1e308 0")
+    path = tmp_path / "wide.hmg"
+    path.write_text(text)
+    out = tmp_path / "wide.svg"
+    assert cli.main(["render", str(path), "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: coordinates span too far to draw: an SVG number overflows\n"
+    )
     assert not out.exists()
 
 

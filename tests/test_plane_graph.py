@@ -1,4 +1,5 @@
 import hashlib
+import random
 from dataclasses import fields
 
 import pytest
@@ -219,3 +220,50 @@ def test_build_errors_keep_their_messages(n, rotations, error, message):
     with pytest.raises(error) as info:
         build_plane_graph(n, rotations)
     assert str(info.value) == message
+
+
+def _break_rotation(g, kind, rng):
+    """One defect planted in g's rotations, and the message it must raise."""
+    rot = [list(r) for r in g.rotations]
+    u = rng.randrange(g.n)
+    i = rng.randrange(len(rot[u]))
+    v = rot[u][i]
+    if kind == "out-of-range":
+        bad = rng.choice([g.n, g.n + rng.randrange(100), -1 - rng.randrange(100)])
+        rot[u][i] = bad
+        return rot, f"vertex {u} lists out-of-range neighbour {bad}"
+    if kind == "loop":
+        rot[u][i] = u
+        return rot, f"vertex {u} lists itself (loop)"
+    if kind == "repeat":
+        j = rng.choice([j for j in range(len(rot[u])) if j != i])
+        rot[u][i] = rot[u][j]
+        return rot, f"vertex {u} lists neighbour {rot[u][j]} twice"
+    rot[v].remove(u)  # the back-reference of u -> v
+    return rot, f"vertex {u} lists {v} but {v} does not list {u}"
+
+
+@pytest.mark.parametrize("kind", ["out-of-range", "loop", "repeat", "asymmetry"])
+def test_broken_corpus_rotations_keep_their_messages(kind):
+    # each valid system broken once: the first defect in vertex order is the
+    # planted one, so the message is known without the per-vertex scan
+    rng = random.Random(f"break:{kind}")
+    for _ in range(60):
+        _, g = rng.choice(CORPUS)
+        rotations, message = _break_rotation(g, kind, rng)
+        with pytest.raises(InconsistentRotation) as info:
+            build_plane_graph(g.n, rotations)
+        assert str(info.value) == message
+
+
+def test_two_hubs_of_degree_20000_build():
+    # K_{2,k}: hubs 0 and 1 list the leaves 2..k+1 in opposite orders, so
+    # consecutive leaves a, b close the 4-face 0 a 1 b; a slot lookup that
+    # scans a hub's rotation would cost k^2 steps here
+    k = 20000
+    leaves = range(2, k + 2)
+    rotations = [tuple(leaves), tuple(reversed(leaves))] + [(0, 1)] * k
+    g = build_plane_graph(k + 2, rotations)
+    assert (g.num_edges, g.num_faces) == (2 * k, k)
+    assert {f.degree for f in g.faces} == {4}
+    assert validate_even_polygonal(g).ok
