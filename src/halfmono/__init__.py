@@ -10,8 +10,6 @@ from .coloring import (
 )
 from .dividing import (
     Cycle,
-    DividingSystem,
-    DivisionTree,
     RegionDecomposition,
     assemble_dividing_system,
     build_division_tree,
@@ -34,7 +32,7 @@ from .instance_io import (
     subdivide_edge,
     tutte_embedding,
 )
-from .medial import MedialEdge, MedialGraph, build_medial_graph, face_matchings
+from .medial import MedialEdge, MedialGraph, build_medial_graph
 from .oracle import OracleResult, chi_f_bruteforce
 from .plane_graph import (
     Bipartition,
@@ -62,8 +60,6 @@ __all__ = [
     "Bipartition",
     "Coloring",
     "Cycle",
-    "DividingSystem",
-    "DivisionTree",
     "Face",
     "InstanceFile",
     "MatchingResult",
@@ -94,7 +90,6 @@ __all__ = [
     "decompose_regions",
     "exact_chi_f",
     "extract_cycles",
-    "face_matchings",
     "generate_instance",
     "grid_instance",
     "maximum_matching",

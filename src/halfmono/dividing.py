@@ -15,16 +15,16 @@ the graph joining each face cell to that side.  The classical fact
 rather than an assumption.
 
 `region_kernel` does all of this for one parity vector on int tables that
-`kernel_tables` builds once per medial graph; the law sweep and the witness
-certificate run it.  It computes only what the laws read: the region of
-every cell, the region count, and per curve the two regions on its sides,
-taken at its smallest-keyed edge.  It walks the curves to count them and
-find those edges but records no walk.  `tree_adjacency` checks the tree
-laws on those sides.  The curve walks are recorded for the witness output
-alone: `region_decomposition` walks that one system with `_walk_curves` and
-turns it into the dataclasses below; `decompose_regions`, `extract_cycles`
-and `build_division_tree` do the same from a `DividingSystem` for the
-renderer, the public API and tests.
+`kernel_tables` builds once per medial graph.  It computes only what the
+laws read: the region of every cell, the region count, and per curve the
+two regions on its sides, taken at its smallest-keyed edge.  It walks the
+curves to count them and find those edges but records no walk.
+`build_division_tree` checks the tree laws on those sides.  Every system
+that the search, the law sweep, the renderer or the public API evaluates
+takes this one path.  Curve walks are recorded for the output alone:
+`extract_cycles` walks a system's selected edges, and `region_decomposition`
+adds them to the kernel arrays in the dataclasses below.
+`assemble_dividing_system` checks parity vectors that come from outside.
 """
 
 from __future__ import annotations
@@ -43,26 +43,11 @@ from .medial import MedialEdge, MedialGraph
 
 
 @dataclass(frozen=True)
-class DividingSystem:
-    """One selected matching per face.
-
-    edges is sorted by (face, position) key; extract_cycles relies on it.
-    """
-
-    parities: tuple[int, ...]  # one matching-selection bit per face
-    edges: tuple[MedialEdge, ...]
-
-
-@dataclass(frozen=True)
 class Cycle:
     """One closed curve; edges[i] joins vertices[i] to vertices[(i+1) % len]."""
 
     vertices: tuple[int, ...]
     edges: tuple[MedialEdge, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.edges)
 
 
 @dataclass(frozen=True)
@@ -72,25 +57,6 @@ class RegionDecomposition:
     region_of_cell: tuple[int, ...]
     regions: tuple[tuple[int, ...], ...]  # base vertices per region, sorted
     cycles: tuple[Cycle, ...]
-
-
-@dataclass(frozen=True)
-class DivisionTree:
-    """One node per region, one edge per closed curve between its two sides."""
-
-    num_nodes: int
-    edges: tuple[tuple[int, int], ...]  # aligned with the decomposition cycles
-    edge_set: frozenset[tuple[int, int]]
-    degrees: tuple[int, ...]
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.edge_set
-
-    def degree_classes(self) -> dict[int, tuple[int, ...]]:
-        classes: dict[int, list[int]] = {}
-        for node, deg in enumerate(self.degrees):
-            classes.setdefault(deg, []).append(node)
-        return {deg: tuple(nodes) for deg, nodes in sorted(classes.items())}
 
 
 @dataclass(frozen=True)
@@ -288,7 +254,9 @@ def region_kernel(t: KernelTables, bits) -> SystemArrays:
     return SystemArrays(region_of_cell, len(label), curve_sides)
 
 
-def tree_adjacency(curve_sides, num_regions: int) -> tuple[set[int], list[int]]:
+def build_division_tree(
+    curve_sides, num_regions: int
+) -> tuple[set[int], list[int]]:
     """Join, for every curve, the two regions on its sides; verify treeness.
 
     curve_sides holds (region, region, midpoint) per curve.  Returns the
@@ -326,26 +294,12 @@ def tree_adjacency(curve_sides, num_regions: int) -> tuple[set[int], list[int]]:
     return adjacent, degrees
 
 
-def division_tree(
-    curve_sides, num_regions: int
-) -> tuple[list[tuple[int, int]], list[int]]:
-    """The tree edges, aligned with the curves, and the node degrees.
+def assemble_dividing_system(m: MedialGraph, parities) -> tuple[int, ...]:
+    """Check a parity vector from outside; return it as a tuple of bits.
 
-    tree_adjacency verifies the tree laws.
-    """
-    _, degrees = tree_adjacency(curve_sides, num_regions)
-    return [(a, b) if a < b else (b, a) for a, b, _ in curve_sides], degrees
-
-
-def assemble_dividing_system(
-    m: MedialGraph, parities
-) -> DividingSystem:
-    """Check a parity vector from outside and select one matching per face.
-
-    Raises BadParameter unless parities holds one 0 or 1 per face.  Every
-    midpoint lies on exactly two face cycles and receives one matching edge
-    from each, so the selected edges form vertex-disjoint closed curves;
-    extract_cycles and decompose_regions verify that degree-two law.
+    Raises BadParameter unless parities holds one 0 or 1 per face.  Bit b
+    of face f selects the medial edges m.face_edges[f][b::2], one of the
+    two perfect matchings of the face's medial cycle.
     """
     bits = tuple(parities)
     if len(bits) != len(m.face_edges):
@@ -354,57 +308,43 @@ def assemble_dividing_system(
         )
     if any(b not in (0, 1) for b in bits):
         raise BadParameter("parity bits must be 0 or 1")
-
-    selected: list[MedialEdge] = []
-    for f, bit in enumerate(bits):
-        selected.extend(m.face_edges[f][bit::2])
-    return DividingSystem(parities=bits, edges=tuple(selected))
+    return bits
 
 
-def extract_cycles(d: DividingSystem) -> tuple[Cycle, ...]:
-    """Split the selected edges into closed curves, ordered by smallest midpoint."""
-    return _walk_curves(d.edges)
+def extract_cycles(m: MedialGraph, bits) -> tuple[Cycle, ...]:
+    """The closed curves of the system with these bits, by smallest midpoint.
+
+    Every midpoint lies on two face cycles and receives one matching edge
+    from each, so the selected edges form vertex-disjoint closed curves;
+    _walk_curves verifies that degree-two law.  Faces in order, each
+    face's edges in position order: the key order _walk_curves needs.
+    """
+    return _walk_curves(
+        [e for f, bit in enumerate(bits) for e in m.face_edges[f][bit::2]]
+    )
 
 
 def region_decomposition(
-    m: MedialGraph, parities, s: SystemArrays
+    m: MedialGraph, bits, s: SystemArrays
 ) -> RegionDecomposition:
     """The dataclass view of one system of m and its region_kernel arrays s.
 
     Regions are numbered by smallest cell; each lists its base vertices.
-    The curves are walked here, as region_kernel keeps no walk.
+    extract_cycles walks the curves, as region_kernel keeps no walk.
     """
     n = m.graph.n
     regions: list[list[int]] = [[] for _ in range(s.num_regions)]
     for v in range(n):
         regions[s.region_of_cell[v]].append(v)
-    selected = [e for f, bit in enumerate(parities) for e in m.face_edges[f][bit::2]]
     return RegionDecomposition(
         n=n,
         num_regions=s.num_regions,
         region_of_cell=tuple(s.region_of_cell),
         regions=tuple(map(tuple, regions)),
-        cycles=_walk_curves(selected),
+        cycles=extract_cycles(m, bits),
     )
 
 
-def decompose_regions(m: MedialGraph, d: DividingSystem) -> RegionDecomposition:
-    """The regions and curves of d, as region_kernel computes and checks them."""
-    s = region_kernel(kernel_tables(m), d.parities)
-    return region_decomposition(m, d.parities, s)
-
-
-def build_division_tree(r: RegionDecomposition) -> DivisionTree:
-    """The division tree of r's curves; see division_tree."""
-    rc = r.region_of_cell
-    sides = []
-    for cyc in r.cycles:
-        e = min(cyc.edges, key=lambda me: me.key)
-        sides.append((rc[e.corner], rc[r.n + e.face], e.a))
-    edges, degrees = division_tree(sides, r.num_regions)
-    return DivisionTree(
-        num_nodes=r.num_regions,
-        edges=tuple(edges),
-        edge_set=frozenset(edges),
-        degrees=tuple(degrees),
-    )
+def decompose_regions(m: MedialGraph, bits) -> RegionDecomposition:
+    """The regions and curves of one system, as region_kernel checks them."""
+    return region_decomposition(m, bits, region_kernel(kernel_tables(m), bits))

@@ -56,6 +56,8 @@ def _missing_ids(present: Collection[int], n: int) -> str:
     if len(present) == n and min(present) >= 0 and max(present) < n:
         return ""  # n distinct ids, all in range
     ids = sorted(v for v in present if 0 <= v < n)
+    if len(ids) == n:
+        return ""  # every id in range is there, beside some out of range
     gaps: list[str] = []
     expected = 0
     for v in (*ids, n):
@@ -471,7 +473,7 @@ def render_svg(spec: RenderSpec) -> str:
     cycles: tuple[Cycle, ...] = ()
     if spec.parities is not None:
         m = build_medial_graph(g)
-        cycles = extract_cycles(assemble_dividing_system(m, spec.parities))
+        cycles = extract_cycles(m, assemble_dividing_system(m, spec.parities))
 
     def midpoint(edge_id: int) -> tuple[float, float]:
         u, v = g.edges[edge_id]

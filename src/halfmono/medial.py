@@ -4,7 +4,9 @@ Every edge of the base graph contributes one vertex (its midpoint).  Inside
 each face, midpoints of consecutive boundary edges are joined; each join is
 tagged with the face it lies in, its position along the face walk, and the
 corner vertex it cuts off.  Joins coming from different faces are kept as
-distinct parallel edges.
+distinct parallel edges.  face_edges[f] is face f's medial cycle in walk
+order; as the cycle is even, its two perfect matchings are exactly the
+edges at even positions, face_edges[f][0::2], and those at odd ones.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ class MedialGraph:
     graph: PlaneGraph
     num_vertices: int  # one midpoint per base edge
     edges: tuple[MedialEdge, ...]
-    face_cycles: tuple[tuple[int, ...], ...]  # midpoint walk per face
     face_edges: tuple[tuple[MedialEdge, ...], ...]
 
 
@@ -47,7 +48,6 @@ def build_medial_graph(g: PlaneGraph) -> MedialGraph:
 
 def build_medial_graph_unchecked(g: PlaneGraph) -> MedialGraph:
     """build_medial_graph for a g whose faces the caller has validated."""
-    face_cycles: list[tuple[int, ...]] = []
     face_edges: list[tuple[MedialEdge, ...]] = []
     all_edges: list[MedialEdge] = []
     for f in g.faces:
@@ -63,25 +63,12 @@ def build_medial_graph_unchecked(g: PlaneGraph) -> MedialGraph:
             )
             for i in range(deg)
         )
-        face_cycles.append(cyc)
         face_edges.append(per_face)
         all_edges.extend(per_face)
     return MedialGraph(
         graph=g,
         num_vertices=g.num_edges,
         edges=tuple(all_edges),
-        face_cycles=tuple(face_cycles),
         face_edges=tuple(face_edges),
     )
 
-
-def face_matchings(
-    m: MedialGraph, face_id: int
-) -> tuple[tuple[MedialEdge, ...], tuple[MedialEdge, ...]]:
-    """The two perfect matchings of a face's medial cycle.
-
-    An even cycle has exactly two perfect matchings: the edges at even
-    positions and the edges at odd positions, so this pair is exhaustive.
-    """
-    per_face = m.face_edges[face_id]
-    return per_face[0::2], per_face[1::2]

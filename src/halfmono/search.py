@@ -14,14 +14,16 @@ once, after the faces were validated once.  Per system,
 regions beside each curve, checking the degree, base vertex and
 region-count laws on the way; it records no curve walk.
 `_check_system` then builds the division tree's adjacency as int-keyed
-region pairs (`dividing.tree_adjacency`, which checks the tree laws),
+region pairs (`dividing.build_division_tree`, which checks the tree laws),
 checks region independence and claims 2 and 3 against it in one pass over
 the base edges, and runs the region coloring through `proper_labels` and
 `half_monochromatic_labels`.  The sweep runs both on every system.
 `_certify` runs the witness through the same two checks, adds claim 1, and
-certifies 2 * chiF <= 3 * alpha in exact integer arithmetic; only then are
-the witness's curves walked and turned into dataclasses, as the result's
-output view.
+certifies 2 * chiF <= 3 * alpha in exact integer arithmetic; only then
+does `dividing.region_decomposition` walk the witness's curves
+(`dividing.extract_cycles`) for the result's output view.  `audit_claims`
+checks a result's parity vector with `dividing.assemble_dividing_system`
+and runs it through `_certify` again.
 """
 
 from __future__ import annotations
@@ -42,10 +44,10 @@ from .dividing import (
     RegionDecomposition,
     SystemArrays,
     assemble_dividing_system,
+    build_division_tree,
     kernel_tables,
     region_decomposition,
     region_kernel,
-    tree_adjacency,
 )
 from .errors import (
     BoundViolated,
@@ -106,8 +108,8 @@ def _check_structural_claims(
     """Region independence plus the two tree laws; raises ClaimViolated.
 
     region_of_cell starts with the base vertices; adjacent and degrees are
-    the division tree's, as dividing.tree_adjacency returns them: one int
-    a * k + b per tree edge and order, where k is the region count, and
+    the division tree's, as dividing.build_division_tree returns them: one
+    int a * k + b per tree edge and order, where k is the region count, and
     one degree per region.
     """
     k = len(degrees)
@@ -140,7 +142,7 @@ def _check_system(g: PlaneGraph, s: SystemArrays, idx: int) -> list[int]:
     be proper and half-monochromatic with one color per region.  Raises on
     a violated law; returns the division tree's node degrees.
     """
-    adjacent, degrees = tree_adjacency(s.curve_sides, s.num_regions)
+    adjacent, degrees = build_division_tree(s.curve_sides, s.num_regions)
     _check_structural_claims(g, s.region_of_cell, adjacent, degrees)
     labels = s.region_of_cell[: g.n]  # one color per region
     if len(set(labels)) != s.num_regions or not (
@@ -273,9 +275,7 @@ def _certify(
     )
 
 
-def exact_chi_f(
-    g: PlaneGraph, face_cap: int = DEFAULT_FACE_CAP, jobs: int = 1
-) -> SearchResult:
+def exact_chi_f(g: PlaneGraph, face_cap: int = DEFAULT_FACE_CAP) -> SearchResult:
     """Maximize the region count over all 2^F dividing systems.
 
     A pruned depth-first search (`_best_index`) finds the lexicographically
@@ -287,8 +287,6 @@ def exact_chi_f(
             graph is then built without checking them again.
         face_cap: refuse instances with more faces than this (the search
             is still exponential in the worst case).
-        jobs: accepted for compatibility and ignored; the search runs on
-            the calling thread.
 
     Raises:
         FaceStructureError: a face is not an even simple cycle.
@@ -316,7 +314,7 @@ def audit_claims(g: PlaneGraph, result: SearchResult) -> AuditReport:
     bit other than 0 or 1.
     """
     m = build_medial_graph(g)
-    bits = assemble_dividing_system(m, result.witness_parities).parities
+    bits = assemble_dividing_system(m, result.witness_parities)
     index = int("".join(map(str, bits)), 2)  # face 0 most significant
     return _certify(g, m, kernel_tables(m), index).audit
 

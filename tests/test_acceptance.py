@@ -20,6 +20,8 @@ from halfmono.dividing import (
     build_division_tree,
     decompose_regions,
     extract_cycles,
+    kernel_tables,
+    region_kernel,
 )
 from halfmono.errors import BoundViolated, ClaimViolated, HalfmonoError
 from halfmono.independence import alpha_bruteforce, alpha_via_konig
@@ -69,35 +71,38 @@ def exhaustive_sweep():
         if g.num_faces > 16 or name in facts:
             continue
         m = build_medial_graph(g)
+        t = kernel_tables(m)
         nf = g.num_faces
         systems = region_fail = tree_fail = claim_fail = 0
         for idx in range(1 << nf):
             systems += 1
             parities = tuple((idx >> (nf - 1 - f)) & 1 for f in range(nf))
             try:
-                d = assemble_dividing_system(m, parities)
-                cycles = extract_cycles(d)
-                r = decompose_regions(m, d)
+                bits = assemble_dividing_system(m, parities)
+                cycles = extract_cycles(m, bits)
+                r = decompose_regions(m, bits)
             except HalfmonoError:
                 region_fail += 1
                 continue
             if r.num_regions != len(cycles) + 1:
                 region_fail += 1
                 continue
+            s = region_kernel(t, bits)
             try:
-                t = build_division_tree(r)
+                adjacent, degrees = build_division_tree(s.curve_sides, s.num_regions)
             except HalfmonoError:
                 tree_fail += 1
                 continue
-            if t.num_nodes != r.num_regions or len(t.edges) != r.num_regions - 1:
+            k = r.num_regions
+            if len(degrees) != k or len(s.curve_sides) != k - 1:
                 tree_fail += 1
                 continue
             ok = True
             for u, v in g.edges:
                 ru, rv = r.region_of_cell[u], r.region_of_cell[v]
-                if ru == rv or not t.has_edge(ru, rv):
+                if ru == rv or ru * k + rv not in adjacent:
                     ok = False
-            for node, deg in enumerate(t.degrees):
+            for node, deg in enumerate(degrees):
                 if deg >= 2 and len(r.regions[node]) < 2:
                     ok = False
             if not ok:

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from corpus import corpus_graphs, cycle_graph, grid_graph, prism_graph
@@ -104,14 +104,14 @@ def _alternation_class_check(g, labels):
 
 @given(data=st.data(), g=st.sampled_from([g for _, g in CORPUS if g.n <= 12]))
 def test_half_monochromatic_equals_alternation_form_when_proper(data, g):
-    labels = data.draw(
-        st.lists(
-            st.integers(min_value=0, max_value=g.n - 1),
-            min_size=g.n,
-            max_size=g.n,
-        )
-    )
-    assume(proper_labels(g, labels))
+    # a proper labeling drawn vertex by vertex: each label avoids those of
+    # the neighbours labelled before it, which leave at least one of 0..n-1
+    labels: list[int] = []
+    for v in range(g.n):
+        taken = {labels[u] for u in g.rotations[v] if u < v}
+        free = [c for c in range(g.n) if c not in taken]
+        labels.append(data.draw(st.sampled_from(free)))
+    assert proper_labels(g, labels)
     assert half_monochromatic_labels(g, labels) == _alternation_class_check(
         g, labels
     )

@@ -18,7 +18,6 @@ from halfmono.dividing import (
     assemble_dividing_system,
     build_division_tree,
     decompose_regions,
-    division_tree,
     extract_cycles,
     kernel_tables,
     region_kernel,
@@ -31,53 +30,62 @@ SMALL = [cycle_graph(4), cycle_graph(6), grid_graph(2, 3), prism_graph(4)]
 
 def _decompose(g, parities):
     m = build_medial_graph(g)
-    d = assemble_dividing_system(m, parities)
-    return d, decompose_regions(m, d)
+    return decompose_regions(m, assemble_dividing_system(m, parities))
+
+
+def _tree(g, parities):
+    """The division tree of one system: its edges, aligned with the curves,
+    its adjacency and its node degrees."""
+    s = region_kernel(kernel_tables(build_medial_graph(g)), parities)
+    adjacent, degrees = build_division_tree(s.curve_sides, s.num_regions)
+    return _aligned_edges(s), adjacent, degrees
+
+
+def _aligned_edges(s):
+    return [(a, b) if a < b else (b, a) for a, b, _ in s.curve_sides]
 
 
 def test_c4_double_digon_system():
-    d, r = _decompose(cycle_graph(4), (0, 0))
+    r = _decompose(cycle_graph(4), (0, 0))
     assert [c.vertices for c in r.cycles] == [(0, 2), (1, 3)]
-    assert all(c.length == 2 for c in r.cycles)
+    assert all(len(c.edges) == 2 for c in r.cycles)
     assert r.num_regions == 3
     assert r.regions == ((0, 2), (1,), (3,))
-    assert sorted(e.corner for e in d.edges) == [1, 1, 3, 3]  # cut vertices
+    cut = sorted(e.corner for c in r.cycles for e in c.edges)
+    assert cut == [1, 1, 3, 3]  # cut vertices
 
 
 def test_c4_single_curve_system():
-    d, r = _decompose(cycle_graph(4), (0, 1))
+    r = _decompose(cycle_graph(4), (0, 1))
     assert len(r.cycles) == 1
-    assert r.cycles[0].length == 4
+    assert len(r.cycles[0].edges) == 4
     assert r.num_regions == 2
     assert r.regions == ((0, 2), (1, 3))
 
 
 def test_c6_triple_digon_system():
-    d, r = _decompose(cycle_graph(6), (0, 0))
+    r = _decompose(cycle_graph(6), (0, 0))
     assert [c.vertices for c in r.cycles] == [(0, 2), (1, 5), (3, 4)]
     assert r.num_regions == 4
     assert r.regions == ((0, 2, 4), (1,), (3,), (5,))
 
 
 def test_c4_trees():
-    _, r = _decompose(cycle_graph(4), (0, 0))
-    t = build_division_tree(r)
-    assert t.edges == ((0, 1), (0, 2))
-    assert t.degrees == (2, 1, 1)
-    assert t.degree_classes() == {1: (1, 2), 2: (0,)}
+    edges, adjacent, degrees = _tree(cycle_graph(4), (0, 0))
+    assert edges == [(0, 1), (0, 2)]
+    assert adjacent == {0 * 3 + 1, 1 * 3 + 0, 0 * 3 + 2, 2 * 3 + 0}
+    assert degrees == [2, 1, 1]  # leaves 1 and 2, node 0 of degree 2
 
-    _, r2 = _decompose(cycle_graph(4), (0, 1))
-    t2 = build_division_tree(r2)
-    assert t2.edges == ((0, 1),)
-    assert t2.degrees == (1, 1)
+    edges, adjacent, degrees = _tree(cycle_graph(4), (0, 1))
+    assert edges == [(0, 1)]
+    assert adjacent == {0 * 2 + 1, 1 * 2 + 0}
+    assert degrees == [1, 1]
 
 
 def test_c6_star_tree():
-    _, r = _decompose(cycle_graph(6), (0, 0))
-    t = build_division_tree(r)
-    assert sorted(t.edges) == [(0, 1), (0, 2), (0, 3)]
-    assert t.degrees == (3, 1, 1, 1)
-    assert t.degree_classes() == {1: (1, 2, 3), 3: (0,)}
+    edges, _, degrees = _tree(cycle_graph(6), (0, 0))
+    assert sorted(edges) == [(0, 1), (0, 2), (0, 3)]
+    assert degrees == [3, 1, 1, 1]  # leaves 1, 2 and 3, node 0 of degree 3
 
 
 def test_bad_parity_vectors_rejected():
@@ -91,21 +99,23 @@ def test_bad_parity_vectors_rejected():
 @pytest.mark.parametrize("g", SMALL, ids=lambda g: f"n{g.n}f{g.num_faces}")
 def test_all_systems_obey_the_laws(g):
     m = build_medial_graph(g)
+    t = kernel_tables(m)
     nf = g.num_faces
     for idx in range(1 << nf):
         parities = tuple((idx >> (nf - 1 - f)) & 1 for f in range(nf))
-        d = assemble_dividing_system(m, parities)
-        cycles = extract_cycles(d)  # verifies degree-2 law
-        r = decompose_regions(m, d)  # verifies regions == cycles + 1
+        bits = assemble_dividing_system(m, parities)
+        cycles = extract_cycles(m, bits)  # verifies degree-2 law
+        r = decompose_regions(m, bits)  # verifies regions == cycles + 1
         assert r.cycles == cycles
-        t = build_division_tree(r)  # verifies tree laws
-        assert t.num_nodes == r.num_regions
-        assert len(t.edges) == r.num_regions - 1
+        s = region_kernel(t, bits)
+        _, degrees = build_division_tree(s.curve_sides, s.num_regions)  # tree laws
+        assert len(degrees) == r.num_regions
+        assert len(s.curve_sides) == len(cycles) == r.num_regions - 1
         # the region vertex sets partition the base vertices
         everything = [v for region in r.regions for v in region]
         assert sorted(everything) == list(range(g.n))
         # each vertex is cut at most once per incident face
-        cuts = Counter(e.corner for e in d.edges)
+        cuts = Counter(e.corner for c in cycles for e in c.edges)
         assert all(cuts[v] <= g.degree(v) for v in range(g.n))
 
 
@@ -118,18 +128,18 @@ def test_random_system_laws(g, data):
     idx = data.draw(st.integers(min_value=0, max_value=(1 << nf) - 1))
     parities = tuple((idx >> (nf - 1 - f)) & 1 for f in range(nf))
     m = build_medial_graph(g)
-    d = assemble_dividing_system(m, parities)
-    r = decompose_regions(m, d)
-    t = build_division_tree(r)
+    r = decompose_regions(m, assemble_dividing_system(m, parities))
+    _, adjacent, degrees = _tree(g, parities)
     assert r.num_regions == len(r.cycles) + 1
     assert all(len(region) >= 1 for region in r.regions)
     # structural claims: base edges only join adjacent regions; busy nodes
     # hold at least two vertices
+    k = r.num_regions
     for u, v in g.edges:
         ru, rv = r.region_of_cell[u], r.region_of_cell[v]
         assert ru != rv
-        assert t.has_edge(ru, rv)
-    for node, deg in enumerate(t.degrees):
+        assert ru * k + rv in adjacent
+    for node, deg in enumerate(degrees):
         if deg >= 2:
             assert len(r.regions[node]) >= 2
 
@@ -137,8 +147,8 @@ def test_random_system_laws(g, data):
 @given(g=st.sampled_from(SMALL))
 def test_cycle_walks_are_consistent(g):
     m = build_medial_graph(g)
-    d = assemble_dividing_system(m, tuple([0] * g.num_faces))
-    for cyc in extract_cycles(d):
+    bits = assemble_dividing_system(m, tuple([0] * g.num_faces))
+    for cyc in extract_cycles(m, bits):
         k = len(cyc.vertices)
         assert len(cyc.edges) == k
         for i, e in enumerate(cyc.edges):
@@ -282,6 +292,7 @@ def test_kernel_matches_object_pipeline_on_every_system(name, g):
     t = kernel_tables(m)
     for bits in itertools.product((0, 1), repeat=g.num_faces):
         s = region_kernel(t, bits)
-        tree_edges, _ = division_tree(s.curve_sides, s.num_regions)
+        build_division_tree(s.curve_sides, s.num_regions)  # verifies tree laws
+        tree_edges = _aligned_edges(s)
         kernel = (s.region_of_cell, s.num_regions, len(s.curve_sides), tree_edges)
         assert kernel == _reference_system(m, bits), bits

@@ -208,8 +208,7 @@ PARSE_DEFECT_GOLDEN = {
     ),
     "out-of-range-rotation": (
         "vertices 4\n" + C4_ROTATIONS + "rotation 4 0\nrotation -1 0\nrotation 100 2\n",
-        [(0, "missing rotation for 0 of 4 vertices: "),
-         (6, "rotation for out-of-range vertex 4"),
+        [(6, "rotation for out-of-range vertex 4"),
          (7, "rotation for out-of-range vertex -1"),
          (8, "rotation for out-of-range vertex 100")],
     ),
@@ -223,8 +222,7 @@ PARSE_DEFECT_GOLDEN = {
     "out-of-range-coord": (
         "vertices 4\n" + C4_ROTATIONS + "coord 0 0 0\ncoord 1 1 0\ncoord 2 1 1\n"
         "coord 3 0 1\ncoord 4 5 5\ncoord -2 5 5\n",
-        [(0, "missing coord for 0 of 4 vertices: "),
-         (10, "coord for out-of-range vertex 4"),
+        [(10, "coord for out-of-range vertex 4"),
          (11, "coord for out-of-range vertex -2")],
     ),
     "unknown-directive": (

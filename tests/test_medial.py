@@ -1,10 +1,20 @@
 import pytest
 
 from corpus import corpus_graphs, cycle_graph, grid_graph, prism_graph
-from halfmono.medial import MedialEdge, build_medial_graph, face_matchings
+from halfmono.medial import MedialEdge, build_medial_graph
 from halfmono.plane_graph import compute_bipartition
 
 CORPUS = corpus_graphs()
+
+
+def _midpoint_walk(g, f):
+    """The midpoints (= base edge ids) around face f, in walk order."""
+    return [g.dart_edge[d] for d in f.darts]
+
+
+def _matchings(m, face_id):
+    """The edges at even and at odd positions of a face's medial cycle."""
+    return m.face_edges[face_id][0::2], m.face_edges[face_id][1::2]
 
 
 def test_c4_counts_and_tags():
@@ -31,12 +41,13 @@ def test_grid_and_prism_counts():
     assert (m.num_vertices, len(m.edges)) == (7, 14)
     cube = build_medial_graph(prism_graph(4))
     assert (cube.num_vertices, len(cube.edges)) == (12, 24)
-    assert all(len(cyc) == 4 for cyc in cube.face_cycles)
+    assert all(len(_midpoint_walk(cube.graph, f)) == 4 for f in cube.graph.faces)
+    assert all(len(edges) == 4 for edges in cube.face_edges)
 
 
 def test_c4_matchings():
     m = build_medial_graph(cycle_graph(4))
-    m0, m1 = face_matchings(m, 0)
+    m0, m1 = _matchings(m, 0)
     assert [e.position for e in m0] == [0, 2]
     assert {e.corner for e in m0} == {1, 3}
     assert [e.position for e in m1] == [1, 3]
@@ -48,7 +59,7 @@ def test_hexagon_matchings_cut_one_side():
     m = build_medial_graph(g)
     b = compute_bipartition(g)
     hexagon = next(f.id for f in g.faces if f.degree == 6)
-    m0, m1 = face_matchings(m, hexagon)
+    m0, m1 = _matchings(m, hexagon)
     assert len(m0) == len(m1) == 3
     assert len({b.side[e.corner] for e in m0}) == 1
     assert len({b.side[e.corner] for e in m1}) == 1
@@ -65,8 +76,13 @@ def test_edge_count_law(name, g):
 def test_matchings_are_perfect_and_exhaustive(name, g):
     m = build_medial_graph(g)
     for f in g.faces:
-        m0, m1 = face_matchings(m, f.id)
-        cycle_vertices = set(m.face_cycles[f.id])
+        walk = _midpoint_walk(g, f)
+        # the medial cycle runs along the walk: edge i joins walk[i], walk[i + 1]
+        assert [(e.a, e.b) for e in m.face_edges[f.id]] == list(
+            zip(walk, walk[1:] + walk[:1])
+        )
+        m0, m1 = _matchings(m, f.id)
+        cycle_vertices = set(walk)
         for matching in (m0, m1):
             touched = [x for e in matching for x in (e.a, e.b)]
             assert sorted(touched) == sorted(cycle_vertices)
@@ -79,8 +95,8 @@ def test_matchings_are_perfect_and_exhaustive(name, g):
 def test_every_midpoint_on_two_faces_with_degree_four(name, g):
     m = build_medial_graph(g)
     appearances = [0] * m.num_vertices
-    for cyc in m.face_cycles:
-        for x in set(cyc):
+    for f in g.faces:
+        for x in set(_midpoint_walk(g, f)):
             appearances[x] += 1
     assert appearances == [2] * m.num_vertices
     degree = [0] * m.num_vertices
