@@ -32,7 +32,7 @@ from .instance_io import (
     subdivide_edge,
     tutte_embedding,
 )
-from .medial import MedialEdge, MedialGraph, build_medial_graph
+from .medial import MedialGraph, build_medial_graph
 from .oracle import OracleResult, chi_f_bruteforce
 from .plane_graph import (
     Bipartition,
@@ -63,7 +63,6 @@ __all__ = [
     "Face",
     "InstanceFile",
     "MatchingResult",
-    "MedialEdge",
     "MedialGraph",
     "OracleResult",
     "PlaneGraph",

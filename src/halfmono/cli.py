@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from .coloring import coloring_from_regions
-from .dividing import assemble_dividing_system, decompose_regions
+from .dividing import assemble_dividing_system, decompose_regions, extract_cycles
 from .errors import (
     BadParameter,
     CapExceeded,
@@ -210,19 +210,21 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     inst, g = _load_valid(args.file)
-    parities = None
+    cycles = ()
+    coloring = None
     if args.parities is not None:
         if any(ch not in "01" for ch in args.parities):
             raise BadParameter("parities must be a string of 0s and 1s")
-        parities = tuple(int(ch) for ch in args.parities)
-    coloring = None
-    if args.color and parities is None:
-        coloring = exact_chi_f(g, face_cap=args.face_cap).witness_coloring
-    elif args.color:
         m = build_medial_graph(g)
-        r = decompose_regions(m, assemble_dividing_system(m, parities))
-        coloring = coloring_from_regions(r)
-    svg = render_svg(RenderSpec(graph=g, parities=parities, coloring=coloring))
+        bits = assemble_dividing_system(m, map(int, args.parities))
+        if args.color:
+            r = decompose_regions(m, bits)
+            cycles, coloring = r.cycles, coloring_from_regions(r)
+        else:
+            cycles = extract_cycles(m, bits)
+    elif args.color:
+        coloring = exact_chi_f(g, face_cap=args.face_cap).witness_coloring
+    svg = render_svg(RenderSpec(graph=g, cycles=cycles, coloring=coloring))
     Path(args.out).write_text(svg, encoding="utf-8")
     print(f"wrote {args.out}")
     return EXIT_OK

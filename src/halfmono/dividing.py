@@ -14,17 +14,17 @@ the graph joining each face cell to that side.  The classical fact
 "k closed curves cut the sphere into k + 1 regions" becomes a verified law
 rather than an assumption.
 
-`region_kernel` does all of this for one parity vector on int tables that
-`kernel_tables` builds once per medial graph.  It computes only what the
-laws read: the region of every cell, the region count, and per curve the
-two regions on its sides, taken at its smallest-keyed edge.  It walks the
-curves to count them and find those edges but records no walk.
-`build_division_tree` checks the tree laws on those sides.  Every system
-that the search, the law sweep, the renderer or the public API evaluates
-takes this one path.  Curve walks are recorded for the output alone:
-`extract_cycles` walks a system's selected edges, and `region_decomposition`
-adds them to the kernel arrays in the dataclasses below.
-`assemble_dividing_system` checks parity vectors that come from outside.
+`region_kernel` does all of this for one parity vector on the int tables
+of the medial graph.  It computes only what the laws read: the region of
+every cell, the region count, and per curve the two regions on its sides,
+taken at its smallest-keyed edge.  It walks the curves to count them and
+find those edges but records no walk.  `build_division_tree` checks the
+tree laws on those sides.  Every system that the search, the law sweep,
+the renderer or the public API evaluates takes this one path.  Curve walks
+are recorded for the output alone: `extract_cycles` walks a system's
+selected edges, and `region_decomposition` adds them to the kernel arrays
+in the dataclasses below.  `assemble_dividing_system` checks parity vectors
+that come from outside.
 """
 
 from __future__ import annotations
@@ -39,15 +39,20 @@ from .errors import (
     NotATree,
     RegionCycleMismatch,
 )
-from .medial import MedialEdge, MedialGraph
+from .medial import MedialGraph
 
 
 @dataclass(frozen=True)
 class Cycle:
-    """One closed curve; edges[i] joins vertices[i] to vertices[(i+1) % len]."""
+    """One closed curve; edges[i] joins vertices[i] to vertices[(i+1) % len].
+
+    vertices are midpoints (base edge ids) and edges are the medial edges
+    as base darts: dart d joins the midpoints of d and of the dart after it
+    in its face walk, cutting off the head of d.
+    """
 
     vertices: tuple[int, ...]
-    edges: tuple[MedialEdge, ...]
+    edges: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -57,23 +62,6 @@ class RegionDecomposition:
     region_of_cell: tuple[int, ...]
     regions: tuple[tuple[int, ...], ...]  # base vertices per region, sorted
     cycles: tuple[Cycle, ...]
-
-
-@dataclass(frozen=True)
-class KernelTables:
-    """Int tables of one medial graph, shared by every system of an op.
-
-    Medial edge i is m.edges[i].  m.edges is in (face, position) order, so
-    comparing two indices compares the two keys.
-    """
-
-    n: int  # base vertex count
-    num_midpoints: int
-    selected: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # [face][bit]
-    sides: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # [face][bit]
-    ends: tuple[tuple[int, int], ...]  # the two midpoints of each medial edge
-    corner: tuple[int, ...]
-    face: tuple[int, ...]
 
 
 class SystemArrays(NamedTuple):
@@ -87,28 +75,6 @@ class SystemArrays(NamedTuple):
     region_of_cell: list[int]
     num_regions: int
     curve_sides: list[tuple[int, int, int]]  # (region, region, midpoint)
-
-
-def kernel_tables(m: MedialGraph) -> KernelTables:
-    """The int tables region_kernel reads, built in one pass over m."""
-    g = m.graph
-    selected = []
-    start = 0
-    for f in g.faces:
-        stop = start + f.degree
-        selected.append(
-            (tuple(range(start, stop, 2)), tuple(range(start + 1, stop, 2)))
-        )
-        start = stop
-    return KernelTables(
-        n=g.n,
-        num_midpoints=m.num_vertices,
-        selected=tuple(selected),
-        sides=tuple((f.vertices[0::2], f.vertices[1::2]) for f in g.faces),
-        ends=tuple((e.a, e.b) for e in m.edges),
-        corner=tuple(e.corner for e in m.edges),
-        face=tuple(e.face for e in m.edges),
-    )
 
 
 def _incidences(
@@ -150,18 +116,16 @@ def _degree_violation(num_midpoints: int, ends, selected) -> InternalDegreeViola
     )
 
 
-def _walk_curves(edges) -> tuple[Cycle, ...]:
+def _walk_curves(m: MedialGraph, selected) -> tuple[Cycle, ...]:
     """Split selected medial edges into closed curves, ordered by smallest midpoint.
 
-    `edges` must be in key order: then each midpoint's first incidence is
-    its smaller-keyed edge, by which a curve leaves its smallest midpoint.
+    `selected` must be in index order: then each midpoint's first incidence
+    is its smaller-keyed edge, by which a curve leaves its smallest midpoint.
     """
-    # Midpoints have degree two, so they are as many as the edges.
-    k = len(edges)
-    ends = [(e.a, e.b) for e in edges]
-    first, second = _incidences(k, ends, range(k))
+    ends, dart = m.ends, m.dart
+    first, second = _incidences(m.num_vertices, ends, selected)
     cycles = []
-    for start in range(k):
+    for start in range(m.num_vertices):
         i = first[start]
         if i < 0:  # walked as part of an earlier curve
             continue
@@ -171,7 +135,7 @@ def _walk_curves(edges) -> tuple[Cycle, ...]:
         walk_midpoints: list[int] = []
         while True:
             walk_midpoints.append(v)
-            walk.append(i)
+            walk.append(dart[i])
             a, b = ends[i]
             v = b if a == v else a
             if v == start:
@@ -180,22 +144,22 @@ def _walk_curves(edges) -> tuple[Cycle, ...]:
             first[v] = -1
             i = second[v] if nxt == i else nxt  # leave by the other edge
         cycles.append(
-            Cycle(vertices=tuple(walk_midpoints), edges=tuple(edges[j] for j in walk))
+            Cycle(vertices=tuple(walk_midpoints), edges=tuple(walk))
         )
     return tuple(cycles)
 
 
-def region_kernel(t: KernelTables, bits) -> SystemArrays:
+def region_kernel(m: MedialGraph, bits) -> SystemArrays:
     """Regions and curve sides of the dividing system with these parity bits.
 
-    Joins face cell n + f to t.sides[f][bit] (see the module docstring) by
+    Joins face cell n + f to m.sides[f][bit] (see the module docstring) by
     union-find, numbers regions by smallest cell and walks the curves,
     keeping only each curve's smallest-keyed edge.  Verifies the degree-two
     law, that every region holds a base vertex and that regions outnumber
     curves by exactly one.  `bits` must be one 0 or 1 per face;
     assemble_dividing_system checks parity vectors from outside.
     """
-    n, sides, selected_by_face = t.n, t.sides, t.selected
+    n, sides, selected_by_face = m.graph.n, m.sides, m.selected
     parent = list(range(n + len(bits)))
     selected: list[int] = []
     for f, bit in enumerate(bits):
@@ -224,7 +188,7 @@ def region_kernel(t: KernelTables, bits) -> SystemArrays:
     # The walk of _walk_curves, recording only each curve's smallest edge.
     # Every edge of one curve separates the same two regions, so the edge
     # with the smallest (face, position) key is the deterministic witness.
-    num_midpoints, ends, corner, face = t.num_midpoints, t.ends, t.corner, t.face
+    num_midpoints, ends, corner, face = m.num_vertices, m.ends, m.corner, m.face
     first, second = _incidences(num_midpoints, ends, selected)
     curve_sides = []
     for start in range(num_midpoints):
@@ -298,13 +262,13 @@ def assemble_dividing_system(m: MedialGraph, parities) -> tuple[int, ...]:
     """Check a parity vector from outside; return it as a tuple of bits.
 
     Raises BadParameter unless parities holds one 0 or 1 per face.  Bit b
-    of face f selects the medial edges m.face_edges[f][b::2], one of the
-    two perfect matchings of the face's medial cycle.
+    of face f selects the medial edges m.selected[f][b], one of the two
+    perfect matchings of the face's medial cycle.
     """
     bits = tuple(parities)
-    if len(bits) != len(m.face_edges):
+    if len(bits) != len(m.selected):
         raise BadParameter(
-            f"expected {len(m.face_edges)} parity bits, got {len(bits)}"
+            f"expected {len(m.selected)} parity bits, got {len(bits)}"
         )
     if any(b not in (0, 1) for b in bits):
         raise BadParameter("parity bits must be 0 or 1")
@@ -317,10 +281,10 @@ def extract_cycles(m: MedialGraph, bits) -> tuple[Cycle, ...]:
     Every midpoint lies on two face cycles and receives one matching edge
     from each, so the selected edges form vertex-disjoint closed curves;
     _walk_curves verifies that degree-two law.  Faces in order, each
-    face's edges in position order: the key order _walk_curves needs.
+    face's edges in position order: the index order _walk_curves needs.
     """
     return _walk_curves(
-        [e for f, bit in enumerate(bits) for e in m.face_edges[f][bit::2]]
+        m, [e for f, bit in enumerate(bits) for e in m.selected[f][bit]]
     )
 
 
@@ -347,4 +311,4 @@ def region_decomposition(
 
 def decompose_regions(m: MedialGraph, bits) -> RegionDecomposition:
     """The regions and curves of one system, as region_kernel checks them."""
-    return region_decomposition(m, bits, region_kernel(kernel_tables(m), bits))
+    return region_decomposition(m, bits, region_kernel(m, bits))

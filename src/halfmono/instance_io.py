@@ -20,9 +20,8 @@ from collections.abc import Collection
 from dataclasses import dataclass
 
 from .coloring import Coloring
-from .dividing import Cycle, assemble_dividing_system, extract_cycles
+from .dividing import Cycle
 from .errors import BadParameter, DegenerateLayout, ParseError, SizeCapExceeded
-from .medial import build_medial_graph
 from .plane_graph import PlaneGraph, build_plane_graph, require_even_polygonal
 
 
@@ -405,7 +404,7 @@ CORNER_PULL = 0.45  # how far a curve bends into the corner it cuts off
 @dataclass(frozen=True)
 class RenderSpec:
     graph: PlaneGraph
-    parities: tuple[int, ...] | None = None
+    cycles: tuple[Cycle, ...] = ()  # the curves of one system of graph
     coloring: Coloring | None = None
 
 
@@ -426,13 +425,12 @@ def _fmt(x: float) -> str:
 def _corner_control(
     g: PlaneGraph,
     coords: tuple[tuple[float, float], ...],
-    me,
+    d_in: int,
     pull: float,
 ) -> tuple[float, float]:
-    """Quadratic control point: into the face wedge at the cut-off corner."""
-    darts = g.faces[me.face].darts
-    d_in = darts[me.position]
-    d_out = darts[(me.position + 1) % len(darts)]
+    """Quadratic control point: into the face wedge at the corner that the
+    medial edge of dart d_in cuts off."""
+    d_out = g.dart_next[d_in]
     a, v, b = g.dart_tail[d_in], g.dart_head[d_in], g.dart_head[d_out]
     pa, pv, pb = coords[a], coords[v], coords[b]
     theta_a = math.atan2(pa[1] - pv[1], pa[0] - pv[0])
@@ -447,10 +445,6 @@ def render_svg(spec: RenderSpec) -> str:
     """Deterministic SVG: base edges, one colored path per closed curve,
     vertices filled by the coloring when given."""
     g = spec.graph
-    if spec.parities is not None and len(spec.parities) != g.num_faces:
-        raise BadParameter(
-            f"expected {g.num_faces} parity bits, got {len(spec.parities)}"
-        )
     if spec.coloring is not None and len(spec.coloring.colors) != g.n:
         raise BadParameter("coloring does not cover every vertex")
 
@@ -470,10 +464,7 @@ def render_svg(spec: RenderSpec) -> str:
     width = 2 * MARGIN + span_x * SCALE
     height = 2 * MARGIN + span_y * SCALE
 
-    cycles: tuple[Cycle, ...] = ()
-    if spec.parities is not None:
-        m = build_medial_graph(g)
-        cycles = extract_cycles(m, assemble_dividing_system(m, spec.parities))
+    cycles = spec.cycles
 
     def midpoint(edge_id: int) -> tuple[float, float]:
         u, v = g.edges[edge_id]
@@ -503,8 +494,8 @@ def render_svg(spec: RenderSpec) -> str:
         for j, cyc in enumerate(cycles):
             x0, y0 = tx(midpoint(cyc.vertices[0]))
             path = [f"M {_fmt(x0)} {_fmt(y0)}"]
-            for i, me in enumerate(cyc.edges):
-                cx, cy = tx(_corner_control(g, coords, me, CORNER_PULL))
+            for i, d in enumerate(cyc.edges):
+                cx, cy = tx(_corner_control(g, coords, d, CORNER_PULL))
                 nx_, ny_ = tx(midpoint(cyc.vertices[(i + 1) % len(cyc.vertices)]))
                 path.append(
                     f"Q {_fmt(cx)} {_fmt(cy)} {_fmt(nx_)} {_fmt(ny_)}"

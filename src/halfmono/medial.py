@@ -1,12 +1,14 @@
-"""Medial graph of an embedded graph, tagged for matching selection.
+"""Medial graph of an embedded graph, as int tables over the face walks.
 
 Every edge of the base graph contributes one vertex (its midpoint).  Inside
-each face, midpoints of consecutive boundary edges are joined; each join is
-tagged with the face it lies in, its position along the face walk, and the
-corner vertex it cuts off.  Joins coming from different faces are kept as
-distinct parallel edges.  face_edges[f] is face f's medial cycle in walk
-order; as the cycle is even, its two perfect matchings are exactly the
-edges at even positions, face_edges[f][0::2], and those at odd ones.
+each face, midpoints of consecutive boundary edges are joined.  The join at
+walk position p of face f is the boundary dart d = f.darts[p]: it joins the
+midpoints dart_edge[d] and dart_edge[dart_next[d]] and cuts off the corner
+dart_head[d].  Medial edges are numbered in (face, position) order, so
+comparing two indices compares their (face, position) keys, and joins from
+different faces stay distinct parallel edges.  As each face's medial cycle
+is even, its two perfect matchings are exactly its edges at even positions
+and those at odd ones: selected[f][0] and selected[f][1].
 """
 
 from __future__ import annotations
@@ -17,58 +19,44 @@ from .plane_graph import PlaneGraph, require_even_polygonal
 
 
 @dataclass(frozen=True)
-class MedialEdge:
-    face: int
-    position: int
-    a: int  # midpoint vertex ids (= base edge ids)
-    b: int
-    corner: int  # base vertex cut off by this edge
-
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.face, self.position)
-
-
-@dataclass(frozen=True)
 class MedialGraph:
+    """Medial edge i is the dart dart[i], in (face, position) order."""
+
     graph: PlaneGraph
     num_vertices: int  # one midpoint per base edge
-    edges: tuple[MedialEdge, ...]
-    face_edges: tuple[tuple[MedialEdge, ...], ...]
+    dart: tuple[int, ...]
+    ends: tuple[tuple[int, int], ...]  # the two midpoints of each medial edge
+    corner: tuple[int, ...]  # base vertex cut off by each medial edge
+    face: tuple[int, ...]
+    selected: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # [face][bit]
+    # [face][bit]: the corners that bit's unselected edges cut off, one
+    # bipartition side of the face's boundary (see dividing)
+    sides: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
 def build_medial_graph(g: PlaneGraph) -> MedialGraph:
-    """Construct the medial graph with face/position/corner tags.
+    """Construct the medial graph's tables in one pass over the face walks.
 
     Raises FaceStructureError unless every face is an even simple cycle.
     """
     require_even_polygonal(g)
-    return build_medial_graph_unchecked(g)
-
-
-def build_medial_graph_unchecked(g: PlaneGraph) -> MedialGraph:
-    """build_medial_graph for a g whose faces the caller has validated."""
-    face_edges: list[tuple[MedialEdge, ...]] = []
-    all_edges: list[MedialEdge] = []
+    darts = [d for f in g.faces for d in f.darts]
+    dart_edge, dart_next = g.dart_edge, g.dart_next
+    selected = []
+    start = 0
     for f in g.faces:
-        deg = f.degree
-        cyc = tuple(g.dart_edge[d] for d in f.darts)
-        per_face = tuple(
-            MedialEdge(
-                face=f.id,
-                position=i,
-                a=cyc[i],
-                b=cyc[(i + 1) % deg],
-                corner=g.dart_head[f.darts[i]],
-            )
-            for i in range(deg)
+        stop = start + f.degree
+        selected.append(
+            (tuple(range(start, stop, 2)), tuple(range(start + 1, stop, 2)))
         )
-        face_edges.append(per_face)
-        all_edges.extend(per_face)
+        start = stop
     return MedialGraph(
         graph=g,
         num_vertices=g.num_edges,
-        edges=tuple(all_edges),
-        face_edges=tuple(face_edges),
+        dart=tuple(darts),
+        ends=tuple((dart_edge[d], dart_edge[dart_next[d]]) for d in darts),
+        corner=tuple(map(g.dart_head.__getitem__, darts)),
+        face=tuple(map(g.dart_face.__getitem__, darts)),
+        selected=tuple(selected),
+        sides=tuple((f.vertices[0::2], f.vertices[1::2]) for f in g.faces),
     )
-

@@ -7,9 +7,9 @@ with a rollback union-find and cuts off every prefix whose count is no
 better than the best so far; it keeps the lexicographically smallest
 maximizer as witness.  Every system is visited or bounded, so
 systems_explored still reports 2^F.  The law sweep keeps `_scan`, the one
-loop over all 2^F per-face parity vectors.  Both read the int tables that
-`dividing.kernel_tables` builds once per op, from a medial graph built
-once, after the faces were validated once.  Per system,
+loop over all 2^F per-face parity vectors.  Both read the int tables of
+the medial graph, which `medial.build_medial_graph` builds once per op,
+after validating the faces.  Per system,
 `dividing.region_kernel` computes the region of every cell and the two
 regions beside each curve, checking the degree, base vertex and
 region-count laws on the way; it records no curve walk.
@@ -40,12 +40,10 @@ from .coloring import (
     proper_labels,
 )
 from .dividing import (
-    KernelTables,
     RegionDecomposition,
     SystemArrays,
     assemble_dividing_system,
     build_division_tree,
-    kernel_tables,
     region_decomposition,
     region_kernel,
 )
@@ -56,11 +54,14 @@ from .errors import (
     InternalInvariantError,
 )
 from .independence import alpha_via_konig
-from .medial import MedialGraph, build_medial_graph, build_medial_graph_unchecked
-from .plane_graph import PlaneGraph, compute_bipartition, require_even_polygonal
+from .medial import MedialGraph, build_medial_graph
+from .plane_graph import PlaneGraph, compute_bipartition
 
 DEFAULT_FACE_CAP = 24
 DEFAULT_SWEEP_CAP = 16
+# systems_explored is 2^F, and CPython refuses to print an int of more than
+# 4,300 digits, which 2^F passes at about 14,300 faces.
+MAX_FACES = 10_000
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,7 @@ def _check_system(g: PlaneGraph, s: SystemArrays, idx: int) -> list[int]:
     return degrees
 
 
-def _scan(t: KernelTables, g: PlaneGraph | None = None) -> int:
+def _scan(m: MedialGraph, g: PlaneGraph | None = None) -> int:
     """Index of the lexicographically smallest region-count maximizer.
 
     Runs region_kernel on all 2^F dividing systems, in index order (the
@@ -163,9 +164,9 @@ def _scan(t: KernelTables, g: PlaneGraph | None = None) -> int:
     _check_system on every system, which raises on a violated law.
     """
     best_lam, best_idx = -1, -1
-    systems = itertools.product((0, 1), repeat=len(t.sides))
+    systems = itertools.product((0, 1), repeat=len(m.sides))
     for idx, bits in enumerate(systems):
-        s = region_kernel(t, bits)
+        s = region_kernel(m, bits)
         if g is not None:
             _check_system(g, s, idx)
         if s.num_regions > best_lam:
@@ -173,18 +174,18 @@ def _scan(t: KernelTables, g: PlaneGraph | None = None) -> int:
     return best_idx
 
 
-def _best_index(t: KernelTables) -> int:
+def _best_index(m: MedialGraph) -> int:
     """Index of the lexicographically smallest region-count maximizer.
 
     Same answer as _scan, found by a depth-first search over the faces in
     index order, bit 0 first.  The regions are the components of the V + F
-    cells with face cell n + f joined to t.sides[f][bit] (see
+    cells with face cell n + f joined to m.sides[f][bit] (see
     dividing.region_kernel).  Adding a face adds one cell and merges
     c >= 1 components, so the count of a prefix bounds every completion and
     a prefix whose count is <= the best so far is pruned.  Union-by-size
     without path compression lets each step be undone on backtrack.
     """
-    n, nf, sides = t.n, len(t.sides), t.sides
+    n, nf, sides = m.graph.n, len(m.sides), m.sides
     parent = list(range(n + nf))
     size = [1] * (n + nf)
     # Each face adds one cell and each union removes one component, so
@@ -228,9 +229,7 @@ def _best_index(t: KernelTables) -> int:
     return best_idx
 
 
-def _certify(
-    g: PlaneGraph, m: MedialGraph, t: KernelTables, index: int
-) -> SearchResult:
+def _certify(g: PlaneGraph, m: MedialGraph, index: int) -> SearchResult:
     """Check every law on the witness at `index`, audit it, certify the bound.
 
     The witness runs through region_kernel and _check_system like every
@@ -238,7 +237,7 @@ def _certify(
     checked on top.  Its RegionDecomposition is built last, as output view.
     """
     parities = _decode(index, g.num_faces)
-    s = region_kernel(t, parities)
+    s = region_kernel(m, parities)
     census = Counter(_check_system(g, s, index))
     colors = s.region_of_cell
     for f in g.faces:
@@ -283,23 +282,22 @@ def exact_chi_f(g: PlaneGraph, face_cap: int = DEFAULT_FACE_CAP) -> SearchResult
     systems_explored is 2^F: every system is either visited or bounded.
 
     Args:
-        g: a plane graph.  Its faces are validated here, once; the medial
-            graph is then built without checking them again.
+        g: a plane graph.  build_medial_graph validates its faces.
         face_cap: refuse instances with more faces than this (the search
-            is still exponential in the worst case).
+            is still exponential in the worst case).  A face_cap above
+            MAX_FACES counts as MAX_FACES.
 
     Raises:
         FaceStructureError: a face is not an even simple cycle.
         FaceCapExceeded: too many faces for exhaustive enumeration.
         BoundViolated, ClaimViolated: a certified law failed, meaning a bug.
     """
-    require_even_polygonal(g)
+    m = build_medial_graph(g)
     nf = g.num_faces
-    if nf > face_cap:
-        raise FaceCapExceeded(f"{nf} faces exceeds cap {face_cap}")
-    m = build_medial_graph_unchecked(g)
-    t = kernel_tables(m)
-    return _certify(g, m, t, _best_index(t))
+    cap = min(face_cap, MAX_FACES)
+    if nf > cap:
+        raise FaceCapExceeded(f"{nf} faces exceeds cap {cap}")
+    return _certify(g, m, _best_index(m))
 
 
 def verify_theorem_bound(result: SearchResult) -> bool:
@@ -316,7 +314,7 @@ def audit_claims(g: PlaneGraph, result: SearchResult) -> AuditReport:
     m = build_medial_graph(g)
     bits = assemble_dividing_system(m, result.witness_parities)
     index = int("".join(map(str, bits)), 2)  # face 0 most significant
-    return _certify(g, m, kernel_tables(m), index).audit
+    return _certify(g, m, index).audit
 
 
 def sweep_dividing_systems(
@@ -330,13 +328,11 @@ def sweep_dividing_systems(
     violation raises.  The same pass finds the optimum, certified exactly
     as by exact_chi_f.
     """
-    require_even_polygonal(g)
+    m = build_medial_graph(g)
     nf = g.num_faces
     if nf > face_cap:
         raise FaceCapExceeded(f"{nf} faces exceeds sweep cap {face_cap}")
-    m = build_medial_graph_unchecked(g)
-    t = kernel_tables(m)
-    result = _certify(g, m, t, _scan(t, g))
+    result = _certify(g, m, _scan(m, g))
     return SweepReport(
         num_faces=nf,
         systems_explored=result.systems_explored,

@@ -20,7 +20,6 @@ from halfmono.dividing import (
     build_division_tree,
     decompose_regions,
     extract_cycles,
-    kernel_tables,
     region_kernel,
 )
 from halfmono.errors import BoundViolated, ClaimViolated, HalfmonoError
@@ -71,7 +70,6 @@ def exhaustive_sweep():
         if g.num_faces > 16 or name in facts:
             continue
         m = build_medial_graph(g)
-        t = kernel_tables(m)
         nf = g.num_faces
         systems = region_fail = tree_fail = claim_fail = 0
         for idx in range(1 << nf):
@@ -87,7 +85,7 @@ def exhaustive_sweep():
             if r.num_regions != len(cycles) + 1:
                 region_fail += 1
                 continue
-            s = region_kernel(t, bits)
+            s = region_kernel(m, bits)
             try:
                 adjacent, degrees = build_division_tree(s.curve_sides, s.num_regions)
             except HalfmonoError:

@@ -340,20 +340,35 @@ def test_one_enumeration_and_one_medial_build_per_op(
     path = tmp_path / "grid.hmg"  # grid3x4 has F = 7 faces
     assert cli.main(["gen", "grid", "3x4", "-o", str(path)]) == 0
     kernel = _count_calls(monkeypatch, "halfmono.dividing", "region_kernel")
-    # build_medial_graph validates, then calls the unchecked builder
-    medial = _count_calls(monkeypatch, "halfmono.medial", "build_medial_graph_unchecked")
-    # once by the CLI, for its message, and once by the solver entry point
+    medial = _count_calls(monkeypatch, "halfmono.medial", "build_medial_graph")
+    # once by the CLI, for its message, and once by build_medial_graph
     validate = _count_calls(monkeypatch, "halfmono.plane_graph", "validate_even_polygonal")
-    tables = _count_calls(monkeypatch, "halfmono.dividing", "kernel_tables")
     # the witness is checked on the kernel's arrays, not rebuilt as objects
     assemble = _count_calls(monkeypatch, "halfmono.dividing", "assemble_dividing_system")
     tree = _count_calls(monkeypatch, "halfmono.dividing", "build_division_tree")
     assert cli.main([command[0], str(path), *command[1:]]) == 0
     assert len(kernel) == KERNEL_RUNS_PER_OP[command[0]]
-    assert len(medial) == len(tables) == 1
+    assert len(medial) == 1
     assert len(validate) == 2
     assert assemble == []
     assert len(tree) == len(kernel)  # one tree check per system
+
+
+@pytest.mark.parametrize("color", [[], ["--color"]])
+def test_render_builds_and_walks_the_system_once(color, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "grid.hmg"  # grid3x4 has F = 7 faces
+    assert cli.main(["gen", "grid", "3x4", "-o", str(path)]) == 0
+    medial = _count_calls(monkeypatch, "halfmono.medial", "build_medial_graph")
+    walks = _count_calls(monkeypatch, "halfmono.dividing", "extract_cycles")
+    validate = _count_calls(monkeypatch, "halfmono.plane_graph", "validate_even_polygonal")
+    search = _count_calls(monkeypatch, "halfmono.search", "exact_chi_f")
+    out = tmp_path / "g34.svg"
+    argv = ["render", str(path), "-o", str(out), "--parities", "0110010", *color]
+    assert cli.main(argv) == 0
+    assert len(medial) == len(walks) == 1
+    assert len(validate) == 2
+    assert search == []
+    assert out.read_text().count("<path ") > 0
 
 
 def test_alpha_computes_one_matching(c4_file, monkeypatch, capsys):
@@ -361,6 +376,17 @@ def test_alpha_computes_one_matching(c4_file, monkeypatch, capsys):
     assert cli.main(["alpha", str(c4_file)]) == 0
     assert len(matching) == 1
     assert "alpha = 2" in capsys.readouterr().out
+
+
+def test_chif_refuses_more_faces_than_it_can_print(tmp_path):
+    # systems explored is 2^F, which CPython refuses to print as a decimal
+    # past about 14,300 faces; the cap of 10^4 faces holds for any --face-cap
+    path = tmp_path / "ladder.hmg"  # a 2x10001 grid has F = 10,001 faces
+    assert cli.main(["gen", "grid", "2x10001", "-o", str(path)]) == 0
+    proc = _run_cli("chif", str(path), "--face-cap", "1000000", timeout=60)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "error: 10001 faces exceeds cap 10000\n"
 
 
 def test_alpha_long_ladder_needs_no_recursion(tmp_path):

@@ -19,7 +19,6 @@ from halfmono.dividing import (
     build_division_tree,
     decompose_regions,
     extract_cycles,
-    kernel_tables,
     region_kernel,
 )
 from halfmono.errors import BadParameter
@@ -36,7 +35,7 @@ def _decompose(g, parities):
 def _tree(g, parities):
     """The division tree of one system: its edges, aligned with the curves,
     its adjacency and its node degrees."""
-    s = region_kernel(kernel_tables(build_medial_graph(g)), parities)
+    s = region_kernel(build_medial_graph(g), parities)
     adjacent, degrees = build_division_tree(s.curve_sides, s.num_regions)
     return _aligned_edges(s), adjacent, degrees
 
@@ -46,12 +45,13 @@ def _aligned_edges(s):
 
 
 def test_c4_double_digon_system():
-    r = _decompose(cycle_graph(4), (0, 0))
+    g = cycle_graph(4)
+    r = _decompose(g, (0, 0))
     assert [c.vertices for c in r.cycles] == [(0, 2), (1, 3)]
     assert all(len(c.edges) == 2 for c in r.cycles)
     assert r.num_regions == 3
     assert r.regions == ((0, 2), (1,), (3,))
-    cut = sorted(e.corner for c in r.cycles for e in c.edges)
+    cut = sorted(g.dart_head[d] for c in r.cycles for d in c.edges)
     assert cut == [1, 1, 3, 3]  # cut vertices
 
 
@@ -99,7 +99,6 @@ def test_bad_parity_vectors_rejected():
 @pytest.mark.parametrize("g", SMALL, ids=lambda g: f"n{g.n}f{g.num_faces}")
 def test_all_systems_obey_the_laws(g):
     m = build_medial_graph(g)
-    t = kernel_tables(m)
     nf = g.num_faces
     for idx in range(1 << nf):
         parities = tuple((idx >> (nf - 1 - f)) & 1 for f in range(nf))
@@ -107,7 +106,7 @@ def test_all_systems_obey_the_laws(g):
         cycles = extract_cycles(m, bits)  # verifies degree-2 law
         r = decompose_regions(m, bits)  # verifies regions == cycles + 1
         assert r.cycles == cycles
-        s = region_kernel(t, bits)
+        s = region_kernel(m, bits)
         _, degrees = build_division_tree(s.curve_sides, s.num_regions)  # tree laws
         assert len(degrees) == r.num_regions
         assert len(s.curve_sides) == len(cycles) == r.num_regions - 1
@@ -115,7 +114,7 @@ def test_all_systems_obey_the_laws(g):
         everything = [v for region in r.regions for v in region]
         assert sorted(everything) == list(range(g.n))
         # each vertex is cut at most once per incident face
-        cuts = Counter(e.corner for c in cycles for e in c.edges)
+        cuts = Counter(g.dart_head[d] for c in cycles for d in c.edges)
         assert all(cuts[v] <= g.degree(v) for v in range(g.n))
 
 
@@ -151,8 +150,9 @@ def test_cycle_walks_are_consistent(g):
     for cyc in extract_cycles(m, bits):
         k = len(cyc.vertices)
         assert len(cyc.edges) == k
-        for i, e in enumerate(cyc.edges):
-            assert {cyc.vertices[i], cyc.vertices[(i + 1) % k]} == {e.a, e.b}
+        for i, d in enumerate(cyc.edges):
+            ends = {g.dart_edge[d], g.dart_edge[g.dart_next[d]]}
+            assert {cyc.vertices[i], cyc.vertices[(i + 1) % k]} == ends
 
 
 def _reference_region_of_cell(m, parities):
@@ -167,8 +167,8 @@ def _reference_region_of_cell(m, parities):
         return x
 
     for f, bit in enumerate(parities):
-        for e in m.face_edges[f][1 - bit :: 2]:
-            parent[find(e.corner)] = find(g.n + e.face)
+        for i in m.selected[f][1 - bit]:
+            parent[find(m.corner[i])] = find(g.n + m.face[i])
     ids: dict[int, int] = {}
     return tuple(ids.setdefault(find(cell), len(ids)) for cell in range(len(parent)))
 
@@ -188,7 +188,8 @@ def test_regions_match_medial_edge_union_find(g, data):
 
 
 # sha256 over every system's regions, curves and curve edge keys, in
-# parity-vector order; captured before regions were read off the face walks
+# parity-vector order; captured before regions were read off the face walks.
+# A curve edge's key is (face, position) of its dart in the face walks.
 SYSTEM_DIGESTS = {
     "cycle6": (
         cycle_graph(6),
@@ -205,6 +206,10 @@ SYSTEM_DIGESTS = {
 }
 
 
+def _dart_key(g):
+    return lambda d: (g.dart_face[d], g.faces[g.dart_face[d]].darts.index(d))
+
+
 @pytest.mark.parametrize("name", sorted(SYSTEM_DIGESTS))
 def test_every_system_golden_digest(name):
     g, expected = SYSTEM_DIGESTS[name]
@@ -217,7 +222,7 @@ def test_every_system_golden_digest(name):
             r.region_of_cell,
             r.regions,
             tuple(c.vertices for c in r.cycles),
-            tuple(tuple(e.key for e in c.edges) for c in r.cycles),
+            tuple(tuple(map(_dart_key(g), c.edges)) for c in r.cycles),
         )
         h.update(repr(record).encode())
     assert h.hexdigest() == expected
@@ -228,17 +233,17 @@ def _reference_system(m, bits):
     (region_of_cell, region count, curve count, division tree edges)."""
     g = m.graph
     n = g.n
-    selected = [e for f, bit in enumerate(bits) for e in m.face_edges[f][bit::2]]
+    selected = [e for f, bit in enumerate(bits) for e in m.selected[f][bit]]
     degree = [0] * m.num_vertices
     for e in selected:
-        degree[e.a] += 1
-        degree[e.b] += 1
+        for v in m.ends[e]:
+            degree[v] += 1
     assert all(d == 2 for d in degree)
 
     incident = {v: [] for v in reversed(range(len(selected)))}
     for e in selected:
-        incident[e.a].append(e)
-        incident[e.b].append(e)
+        for v in m.ends[e]:
+            incident[v].append(e)
     cycles = []
     while incident:
         start, (edge, _) = incident.popitem()
@@ -246,11 +251,12 @@ def _reference_system(m, bits):
         current = start
         while True:
             edges.append(edge)
-            current = edge.b if edge.a == current else edge.a
+            a, b = m.ends[edge]
+            current = b if a == current else a
             if current == start:
                 break
             pair = incident.pop(current)
-            edge = pair[pair[0] is edge]
+            edge = pair[pair[0] == edge]
         cycles.append(edges)
 
     parent = list(range(n + g.num_faces))
@@ -278,8 +284,8 @@ def _reference_system(m, bits):
 
     tree = []
     for edges in cycles:
-        e = min(edges, key=lambda me: me.key)
-        a, b = region_of_cell[e.corner], region_of_cell[n + e.face]
+        e = min(edges)  # indices run in (face, position) order
+        a, b = region_of_cell[m.corner[e]], region_of_cell[n + m.face[e]]
         tree.append((min(a, b), max(a, b)))
     return region_of_cell, num_regions, len(cycles), tree
 
@@ -289,9 +295,8 @@ def _reference_system(m, bits):
 )
 def test_kernel_matches_object_pipeline_on_every_system(name, g):
     m = build_medial_graph(g)
-    t = kernel_tables(m)
     for bits in itertools.product((0, 1), repeat=g.num_faces):
-        s = region_kernel(t, bits)
+        s = region_kernel(m, bits)
         build_division_tree(s.curve_sides, s.num_regions)  # verifies tree laws
         tree_edges = _aligned_edges(s)
         kernel = (s.region_of_cell, s.num_regions, len(s.curve_sides), tree_edges)

@@ -10,7 +10,7 @@ import pytest
 from corpus import corpus_instances, random_subdivided_instance
 from halfmono import cli, instance_io
 from halfmono.coloring import Coloring, coloring_from_regions
-from halfmono.dividing import assemble_dividing_system, decompose_regions
+from halfmono.dividing import assemble_dividing_system, decompose_regions, extract_cycles
 from halfmono.medial import build_medial_graph
 from halfmono.errors import (
     BadParameter,
@@ -378,17 +378,21 @@ def test_tutte_grid_layout():
     assert _count_crossings(g, coords) == 0
 
 
+def _cycles(g, bits):
+    m = build_medial_graph(g)
+    return extract_cycles(m, assemble_dividing_system(m, bits))
+
+
 def test_render_is_deterministic():
     g = build(cycle_instance(4))
-    spec = RenderSpec(graph=g, parities=(0, 0), coloring=Coloring((0, 1, 0, 2), 3))
+    coloring = Coloring((0, 1, 0, 2), 3)
+    spec = RenderSpec(graph=g, cycles=_cycles(g, (0, 0)), coloring=coloring)
     first = render_svg(spec)
     assert render_svg(spec) == first
     rebuilt = build(parse_instance_text(serialize_instance(cycle_instance(4))))
     assert (
         render_svg(
-            RenderSpec(
-                graph=rebuilt, parities=(0, 0), coloring=Coloring((0, 1, 0, 2), 3)
-            )
+            RenderSpec(graph=rebuilt, cycles=_cycles(rebuilt, (0, 0)), coloring=coloring)
         )
         == first
     )
@@ -396,17 +400,20 @@ def test_render_is_deterministic():
 
 def test_render_structure():
     g = build(cycle_instance(4))
-    svg = render_svg(RenderSpec(graph=g, parities=(0, 0)))
+    svg = render_svg(RenderSpec(graph=g, cycles=_cycles(g, (0, 0))))
     assert svg.count("<path ") == 2  # one closed curve per digon
     assert svg.count("<circle ") == 4
     plain = render_svg(RenderSpec(graph=g))
     assert "<path " not in plain
 
 
-def test_render_rejects_wrong_parity_length():
+def test_render_rejects_wrong_parity_length(tmp_path, capsys):
+    path, out = tmp_path / "c4.hmg", tmp_path / "c4.svg"
+    path.write_text(serialize_instance(cycle_instance(4)), encoding="utf-8")
+    assert cli.main(["render", str(path), "-o", str(out), "--parities", "0"]) == 1
+    assert capsys.readouterr().err == "error: expected 2 parity bits, got 1\n"
+    assert not out.exists()
     g = build(cycle_instance(4))
-    with pytest.raises(BadParameter):
-        render_svg(RenderSpec(graph=g, parities=(0,)))
     with pytest.raises(BadParameter):
         render_svg(RenderSpec(graph=g, coloring=Coloring((0, 1, 0), 2)))
 
@@ -490,10 +497,10 @@ def test_colored_render_with_coords_golden_digest():
     assert g.coords is not None
     bits = (0, 1, 1, 0, 0, 1, 0)
     m = build_medial_graph(g)
-    coloring = coloring_from_regions(
-        decompose_regions(m, assemble_dividing_system(m, bits))
+    r = decompose_regions(m, assemble_dividing_system(m, bits))
+    svg = render_svg(
+        RenderSpec(graph=g, cycles=r.cycles, coloring=coloring_from_regions(r))
     )
-    svg = render_svg(RenderSpec(graph=g, parities=bits, coloring=coloring))
     assert hashlib.sha256(svg.encode()).hexdigest() == COLORED_RENDER_SHA256
 
 

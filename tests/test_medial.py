@@ -1,7 +1,7 @@
 import pytest
 
-from corpus import corpus_graphs, cycle_graph, grid_graph, prism_graph
-from halfmono.medial import MedialEdge, build_medial_graph
+from corpus import corpus_graphs, cycle_graph, grid_graph, prism_graph, random_split_graphs
+from halfmono.medial import build_medial_graph
 from halfmono.plane_graph import compute_bipartition
 
 CORPUS = corpus_graphs()
@@ -12,46 +12,59 @@ def _midpoint_walk(g, f):
     return [g.dart_edge[d] for d in f.darts]
 
 
-def _matchings(m, face_id):
-    """The edges at even and at odd positions of a face's medial cycle."""
-    return m.face_edges[face_id][0::2], m.face_edges[face_id][1::2]
+def _position(m, i):
+    """Walk position of medial edge i: its dart's place in its face walk."""
+    return m.graph.faces[m.face[i]].darts.index(m.dart[i])
+
+
+def _face_edges(m, face_id):
+    """Face face_id's medial edges as (face, position, a, b, corner)."""
+    return [
+        (m.face[i], _position(m, i), *m.ends[i], m.corner[i])
+        for i in range(len(m.dart))
+        if m.face[i] == face_id
+    ]
 
 
 def test_c4_counts_and_tags():
     m = build_medial_graph(cycle_graph(4))
     assert m.num_vertices == 4
-    assert len(m.edges) == 8
+    assert len(m.dart) == 8
     # base edge ids: 0={0,1}, 1={0,3}, 2={1,2}, 3={2,3}
-    assert m.face_edges[0] == (
-        MedialEdge(0, 0, 0, 2, 1),
-        MedialEdge(0, 1, 2, 3, 2),
-        MedialEdge(0, 2, 3, 1, 3),
-        MedialEdge(0, 3, 1, 0, 0),
-    )
-    assert m.face_edges[1] == (
-        MedialEdge(1, 0, 1, 3, 3),
-        MedialEdge(1, 1, 3, 2, 2),
-        MedialEdge(1, 2, 2, 0, 1),
-        MedialEdge(1, 3, 0, 1, 0),
+    assert _face_edges(m, 0) == [
+        (0, 0, 0, 2, 1),
+        (0, 1, 2, 3, 2),
+        (0, 2, 3, 1, 3),
+        (0, 3, 1, 0, 0),
+    ]
+    assert _face_edges(m, 1) == [
+        (1, 0, 1, 3, 3),
+        (1, 1, 3, 2, 2),
+        (1, 2, 2, 0, 1),
+        (1, 3, 0, 1, 0),
+    ]
+    # indices run in (face, position) order
+    assert [(m.face[i], _position(m, i)) for i in range(8)] == sorted(
+        (f, p) for f in range(2) for p in range(4)
     )
 
 
 def test_grid_and_prism_counts():
     m = build_medial_graph(grid_graph(2, 3))
-    assert (m.num_vertices, len(m.edges)) == (7, 14)
+    assert (m.num_vertices, len(m.dart)) == (7, 14)
     cube = build_medial_graph(prism_graph(4))
-    assert (cube.num_vertices, len(cube.edges)) == (12, 24)
+    assert (cube.num_vertices, len(cube.dart)) == (12, 24)
     assert all(len(_midpoint_walk(cube.graph, f)) == 4 for f in cube.graph.faces)
-    assert all(len(edges) == 4 for edges in cube.face_edges)
+    assert all(len(m0) == len(m1) == 2 for m0, m1 in cube.selected)
 
 
 def test_c4_matchings():
     m = build_medial_graph(cycle_graph(4))
-    m0, m1 = _matchings(m, 0)
-    assert [e.position for e in m0] == [0, 2]
-    assert {e.corner for e in m0} == {1, 3}
-    assert [e.position for e in m1] == [1, 3]
-    assert {e.corner for e in m1} == {0, 2}
+    m0, m1 = m.selected[0]
+    assert [_position(m, i) for i in m0] == [0, 2]
+    assert {m.corner[i] for i in m0} == {1, 3}
+    assert [_position(m, i) for i in m1] == [1, 3]
+    assert {m.corner[i] for i in m1} == {0, 2}
 
 
 def test_hexagon_matchings_cut_one_side():
@@ -59,17 +72,19 @@ def test_hexagon_matchings_cut_one_side():
     m = build_medial_graph(g)
     b = compute_bipartition(g)
     hexagon = next(f.id for f in g.faces if f.degree == 6)
-    m0, m1 = _matchings(m, hexagon)
+    m0, m1 = m.selected[hexagon]
     assert len(m0) == len(m1) == 3
-    assert len({b.side[e.corner] for e in m0}) == 1
-    assert len({b.side[e.corner] for e in m1}) == 1
-    assert {b.side[e.corner] for e in m0} != {b.side[e.corner] for e in m1}
+    assert len({b.side[m.corner[i]] for i in m0}) == 1
+    assert len({b.side[m.corner[i]] for i in m1}) == 1
+    assert {b.side[m.corner[i]] for i in m0} != {b.side[m.corner[i]] for i in m1}
 
 
 @pytest.mark.parametrize("name,g", CORPUS)
 def test_edge_count_law(name, g):
     m = build_medial_graph(g)
-    assert len(m.edges) == sum(f.degree for f in g.faces) == 2 * g.num_edges
+    tables = (m.dart, m.ends, m.corner, m.face)
+    assert {len(t) for t in tables} == {sum(f.degree for f in g.faces)}
+    assert len(m.dart) == 2 * g.num_edges
 
 
 @pytest.mark.parametrize("name,g", CORPUS)
@@ -78,17 +93,16 @@ def test_matchings_are_perfect_and_exhaustive(name, g):
     for f in g.faces:
         walk = _midpoint_walk(g, f)
         # the medial cycle runs along the walk: edge i joins walk[i], walk[i + 1]
-        assert [(e.a, e.b) for e in m.face_edges[f.id]] == list(
+        assert [m.ends[i] for i in range(len(m.dart)) if m.face[i] == f.id] == list(
             zip(walk, walk[1:] + walk[:1])
         )
-        m0, m1 = _matchings(m, f.id)
+        m0, m1 = m.selected[f.id]
         cycle_vertices = set(walk)
         for matching in (m0, m1):
-            touched = [x for e in matching for x in (e.a, e.b)]
+            touched = [x for i in matching for x in m.ends[i]]
             assert sorted(touched) == sorted(cycle_vertices)
-        assert {e.position for e in m0} | {e.position for e in m1} == set(
-            range(f.degree)
-        )
+        positions = [_position(m, i) for i in m0 + m1]
+        assert sorted(positions) == list(range(f.degree))
 
 
 @pytest.mark.parametrize("name,g", CORPUS)
@@ -100,9 +114,9 @@ def test_every_midpoint_on_two_faces_with_degree_four(name, g):
             appearances[x] += 1
     assert appearances == [2] * m.num_vertices
     degree = [0] * m.num_vertices
-    for e in m.edges:
-        degree[e.a] += 1
-        degree[e.b] += 1
+    for a, b in m.ends:
+        degree[a] += 1
+        degree[b] += 1
     assert degree == [4] * m.num_vertices
 
 
@@ -111,8 +125,28 @@ def test_corners_alternate_bipartition_classes(name, g):
     m = build_medial_graph(g)
     b = compute_bipartition(g)
     for f in g.faces:
-        corners = [e.corner for e in m.face_edges[f.id]]
+        corners = [m.corner[i] for i in range(len(m.dart)) if m.face[i] == f.id]
         sides = [b.side[v] for v in corners]
         assert all(
             sides[i] != sides[(i + 1) % len(sides)] for i in range(len(sides))
         )
+
+
+@pytest.mark.parametrize("name,g", CORPUS + random_split_graphs())
+def test_tables_follow_the_darts(name, g):
+    m = build_medial_graph(g)
+    assert m.dart == tuple(d for f in g.faces for d in f.darts)
+    for i, d in enumerate(m.dart):
+        assert m.ends[i] == (g.dart_edge[d], g.dart_edge[g.dart_next[d]])
+        assert m.corner[i] == g.dart_head[d]
+        assert m.face[i] == g.dart_face[d]
+    b = compute_bipartition(g)
+    for f in g.faces:
+        selected = m.selected[f.id]
+        assert [m.dart[i] for i in selected[0]] == list(f.darts[0::2])
+        assert [m.dart[i] for i in selected[1]] == list(f.darts[1::2])
+        sides = [{b.side[m.corner[i]] for i in s} for s in selected]
+        assert len(sides[0]) == len(sides[1]) == 1 and sides[0] != sides[1]
+        for bit in (0, 1):  # the corners cut off by the unselected edges
+            cut = sorted(m.corner[i] for i in selected[1 - bit])
+            assert sorted(m.sides[f.id][bit]) == cut

@@ -21,7 +21,7 @@ from corpus import (
 )
 from halfmono import search
 from halfmono.coloring import baseline_coloring, check_half_monochromatic, check_proper
-from halfmono.dividing import build_division_tree, kernel_tables, region_kernel
+from halfmono.dividing import build_division_tree, region_kernel
 from halfmono.errors import (
     BadParameter,
     ClaimViolated,
@@ -178,8 +178,8 @@ def test_sweep_maximum_agrees_with_search():
     + random_split_graphs(),
 )
 def test_pruned_search_matches_exhaustive_scan(name, g):
-    t = kernel_tables(build_medial_graph(g))
-    assert _best_index(t) == _scan(t)
+    m = build_medial_graph(g)
+    assert _best_index(m) == _scan(m)
 
 
 @pytest.mark.parametrize("name,g", corpus_graphs() + random_split_graphs())
@@ -187,9 +187,9 @@ def test_search_result_matches_sweep(name, g):
     assert exact_chi_f(g) == sweep_dividing_systems(g).result
 
 
-def _c4_tables():
+def _c4_medial():
     g = cycle_graph(4)
-    return g, kernel_tables(build_medial_graph(g))
+    return g, build_medial_graph(g)
 
 
 def _raises(exc, message):
@@ -197,19 +197,19 @@ def _raises(exc, message):
 
 
 def test_kernel_laws_raise_their_errors():
-    _, t = _c4_tables()
+    _, m = _c4_medial()
     # face 1's odd matching also takes face 0's odd positions
-    doubled = (t.selected[0], ((4, 6), (1, 3, 5, 7)))
+    doubled = (m.selected[0], ((4, 6), (1, 3, 5, 7)))
     with _raises(InternalDegreeViolation, "midpoint 0 has degree 3, expected 2"):
-        region_kernel(dataclasses.replace(t, selected=doubled), (0, 1))
-    emptied = (t.selected[0], ((), ()))
+        region_kernel(dataclasses.replace(m, selected=doubled), (0, 1))
+    emptied = (m.selected[0], ((), ()))
     with _raises(InternalDegreeViolation, "midpoint 0 has degree 1, expected 2"):
-        region_kernel(dataclasses.replace(t, selected=emptied), (0, 0))
+        region_kernel(dataclasses.replace(m, selected=emptied), (0, 0))
     with _raises(InternalInvariantError, "region without any base vertex"):
-        region_kernel(dataclasses.replace(t, sides=(t.sides[0], ((), ()))), (0, 0))
-    flipped = (t.sides[0][::-1], t.sides[1])
+        region_kernel(dataclasses.replace(m, sides=(m.sides[0], ((), ()))), (0, 0))
+    flipped = (m.sides[0][::-1], m.sides[1])
     with _raises(RegionCycleMismatch, "2 regions but 2 curves"):
-        region_kernel(dataclasses.replace(t, sides=flipped), (0, 0))
+        region_kernel(dataclasses.replace(m, sides=flipped), (0, 0))
 
 
 def test_tree_laws_raise_their_errors():
@@ -222,8 +222,8 @@ def test_tree_laws_raise_their_errors():
 
 
 def test_claims_raise_their_errors():
-    g, t = _c4_tables()
-    s = region_kernel(t, (0, 0))  # regions {0, 2}, {1}, {3}: a star on region 0
+    g, m = _c4_medial()
+    s = region_kernel(m, (0, 0))  # regions {0, 2}, {1}, {3}: a star on region 0
     assert [(min(a, b), max(a, b)) for a, b, _ in s.curve_sides] == [(0, 1), (0, 2)]
     adjacent, degrees = build_division_tree(s.curve_sides, s.num_regions)
     assert degrees == [2, 1, 1]
@@ -247,9 +247,9 @@ def test_witness_claim1_is_checked_on_the_kernel_arrays(monkeypatch):
     # Hand the certificate the arrays of C4's one-curve system (0, 1): two
     # regions {0, 2} and {1, 3}, a valid system whose region coloring puts
     # exactly two colors on each face, which no optimum does.
-    g, t = _c4_tables()
-    doctored = region_kernel(t, (0, 1))
-    monkeypatch.setattr(search, "region_kernel", lambda tables, bits: doctored)
+    g, m = _c4_medial()
+    doctored = region_kernel(m, (0, 1))
+    monkeypatch.setattr(search, "region_kernel", lambda medial, bits: doctored)
     with _raises(
         ClaimViolated, "claim 'claim1' violated: face 0 carries exactly two colors"
     ):
