@@ -46,7 +46,6 @@ from .plane_graph import (
 from .search import (
     AuditReport,
     SearchResult,
-    SweepReport,
     audit_claims,
     exact_chi_f,
     sweep_dividing_systems,
@@ -69,7 +68,6 @@ __all__ = [
     "RegionDecomposition",
     "RenderSpec",
     "SearchResult",
-    "SweepReport",
     "ValidationReport",
     "alpha_bruteforce",
     "alpha_via_konig",

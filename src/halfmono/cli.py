@@ -88,7 +88,7 @@ def _result_payload(inst: InstanceFile, res: SearchResult) -> dict:
         "name": inst.name,
         "chiF": res.chi_f,
         "alpha": res.alpha,
-        "boundSatisfied": res.bound_satisfied,
+        "boundSatisfied": True,  # a violated bound raises
         "witnessParities": "".join(str(b) for b in res.witness_parities),
         "regions": [list(region) for region in r.regions],
         "cycles": [list(c.vertices) for c in r.cycles],
@@ -155,9 +155,8 @@ def _check_one(path: Path, face_cap: int, sweep_cap: int) -> str:
     # both calls certify the bound and audit the claims, raising the
     # exit-code-2 family on any violation; exact_chi_f raises the face cap
     if g.num_faces <= min(face_cap, sweep_cap):
-        sweep = sweep_dividing_systems(g, face_cap=sweep_cap)
-        res = sweep.result
-        sweep_note = f"sweep={sweep.systems_explored} systems ok"
+        res = sweep_dividing_systems(g, face_cap=sweep_cap)
+        sweep_note = f"sweep={res.systems_explored} systems ok"
     else:
         res = exact_chi_f(g, face_cap=face_cap)
         sweep_note = f"sweep=skipped ({g.num_faces} faces > {sweep_cap})"
@@ -223,7 +222,8 @@ def cmd_render(args: argparse.Namespace) -> int:
         else:
             cycles = extract_cycles(m, bits)
     elif args.color:
-        coloring = exact_chi_f(g, face_cap=args.face_cap).witness_coloring
+        res = exact_chi_f(g, face_cap=args.face_cap)
+        coloring = coloring_from_regions(res.witness_regions)
     svg = render_svg(RenderSpec(graph=g, cycles=cycles, coloring=coloring))
     Path(args.out).write_text(svg, encoding="utf-8")
     print(f"wrote {args.out}")

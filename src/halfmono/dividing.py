@@ -17,14 +17,14 @@ rather than an assumption.
 `region_kernel` does all of this for one parity vector on the int tables
 of the medial graph.  It computes only what the laws read: the region of
 every cell, the region count, and per curve the two regions on its sides,
-taken at its smallest-keyed edge.  It walks the curves to count them and
-find those edges but records no walk.  `build_division_tree` checks the
-tree laws on those sides.  Every system that the search, the law sweep,
-the renderer or the public API evaluates takes this one path.  Curve walks
-are recorded for the output alone: `extract_cycles` walks a system's
-selected edges, and `region_decomposition` adds them to the kernel arrays
-in the dataclasses below.  `assemble_dividing_system` checks parity vectors
-that come from outside.
+taken at its smallest-keyed edge.  `build_division_tree` checks the tree
+laws on those sides.  Every system that the search, the law sweep, the
+renderer or the public API evaluates takes this one path.  `_walks` is the
+one curve walker: it lists each curve's medial-edge indices.
+`region_kernel` keeps only the smallest of each list; `extract_cycles`
+maps the lists to `Cycle`s for output, and `region_decomposition` adds
+them to the kernel arrays in the dataclasses below.
+`assemble_dividing_system` checks parity vectors that come from outside.
 """
 
 from __future__ import annotations
@@ -116,47 +116,44 @@ def _degree_violation(num_midpoints: int, ends, selected) -> InternalDegreeViola
     )
 
 
-def _walk_curves(m: MedialGraph, selected) -> tuple[Cycle, ...]:
+def _walks(num_midpoints: int, ends, selected) -> list[list[int]]:
     """Split selected medial edges into closed curves, ordered by smallest midpoint.
 
-    `selected` must be in index order: then each midpoint's first incidence
-    is its smaller-keyed edge, by which a curve leaves its smallest midpoint.
+    Each curve is the list of its edge indices in walk order, leaving its
+    smallest midpoint first.  `selected` must be in index order: then each
+    midpoint's first incidence is its smaller-keyed edge, by which a curve
+    leaves its smallest midpoint.
     """
-    ends, dart = m.ends, m.dart
-    first, second = _incidences(m.num_vertices, ends, selected)
-    cycles = []
-    for start in range(m.num_vertices):
-        i = first[start]
-        if i < 0:  # walked as part of an earlier curve
+    first, second = _incidences(num_midpoints, ends, selected)
+    walks = []
+    for start in range(num_midpoints):
+        e = first[start]
+        if e < 0:  # walked as part of an earlier curve
             continue
         first[start] = -1
         v = start
-        walk: list[int] = []
-        walk_midpoints: list[int] = []
+        walk = [e]
         while True:
-            walk_midpoints.append(v)
-            walk.append(dart[i])
-            a, b = ends[i]
+            a, b = ends[e]
             v = b if a == v else a
             if v == start:
                 break
             nxt = first[v]
             first[v] = -1
-            i = second[v] if nxt == i else nxt  # leave by the other edge
-        cycles.append(
-            Cycle(vertices=tuple(walk_midpoints), edges=tuple(walk))
-        )
-    return tuple(cycles)
+            e = second[v] if nxt == e else nxt  # leave by the other edge
+            walk.append(e)
+        walks.append(walk)
+    return walks
 
 
 def region_kernel(m: MedialGraph, bits) -> SystemArrays:
     """Regions and curve sides of the dividing system with these parity bits.
 
     Joins face cell n + f to m.sides[f][bit] (see the module docstring) by
-    union-find, numbers regions by smallest cell and walks the curves,
-    keeping only each curve's smallest-keyed edge.  Verifies the degree-two
-    law, that every region holds a base vertex and that regions outnumber
-    curves by exactly one.  `bits` must be one 0 or 1 per face;
+    union-find, numbers regions by smallest cell and walks the curves
+    (_walks), keeping only each curve's smallest-keyed edge.  Verifies the
+    degree-two law, that every region holds a base vertex and that regions
+    outnumber curves by exactly one.  `bits` must be one 0 or 1 per face;
     assemble_dividing_system checks parity vectors from outside.
     """
     n, sides, selected_by_face = m.graph.n, m.sides, m.selected
@@ -185,29 +182,12 @@ def region_kernel(m: MedialGraph, bits) -> SystemArrays:
     except KeyError:
         raise InternalInvariantError("region without any base vertex") from None
 
-    # The walk of _walk_curves, recording only each curve's smallest edge.
     # Every edge of one curve separates the same two regions, so the edge
     # with the smallest (face, position) key is the deterministic witness.
-    num_midpoints, ends, corner, face = m.num_vertices, m.ends, m.corner, m.face
-    first, second = _incidences(num_midpoints, ends, selected)
+    corner, face, ends = m.corner, m.face, m.ends
     curve_sides = []
-    for start in range(num_midpoints):
-        e = first[start]
-        if e < 0:  # walked as part of an earlier curve
-            continue
-        first[start] = -1
-        v = start
-        low = e
-        while True:
-            a, b = ends[e]
-            v = b if a == v else a
-            if v == start:
-                break
-            nxt = first[v]
-            first[v] = -1
-            e = second[v] if nxt == e else nxt  # leave by the other edge
-            if e < low:
-                low = e
+    for walk in _walks(m.num_vertices, ends, selected):
+        low = min(walk)
         curve_sides.append(
             (region_of_cell[corner[low]], region_of_cell[n + face[low]], ends[low][0])
         )
@@ -259,11 +239,12 @@ def build_division_tree(
 
 
 def assemble_dividing_system(m: MedialGraph, parities) -> tuple[int, ...]:
-    """Check a parity vector from outside; return it as a tuple of bits.
+    """Check a parity vector from outside; return it as a tuple of int bits.
 
-    Raises BadParameter unless parities holds one 0 or 1 per face.  Bit b
-    of face f selects the medial edges m.selected[f][b], one of the two
-    perfect matchings of the face's medial cycle.
+    Raises BadParameter unless parities holds one 0 or 1 per face; equal
+    values such as 1.0 and True come back as the int 1.  Bit b of face f
+    selects the medial edges m.selected[f][b], one of the two perfect
+    matchings of the face's medial cycle.
     """
     bits = tuple(parities)
     if len(bits) != len(m.selected):
@@ -272,7 +253,7 @@ def assemble_dividing_system(m: MedialGraph, parities) -> tuple[int, ...]:
         )
     if any(b not in (0, 1) for b in bits):
         raise BadParameter("parity bits must be 0 or 1")
-    return bits
+    return tuple(map(int, bits))
 
 
 def extract_cycles(m: MedialGraph, bits) -> tuple[Cycle, ...]:
@@ -280,12 +261,21 @@ def extract_cycles(m: MedialGraph, bits) -> tuple[Cycle, ...]:
 
     Every midpoint lies on two face cycles and receives one matching edge
     from each, so the selected edges form vertex-disjoint closed curves;
-    _walk_curves verifies that degree-two law.  Faces in order, each
-    face's edges in position order: the index order _walk_curves needs.
+    _walks verifies that degree-two law.  Faces in order, each face's edges
+    in position order: the index order _walks needs.
     """
-    return _walk_curves(
-        m, [e for f, bit in enumerate(bits) for e in m.selected[f][bit]]
-    )
+    ends, dart = m.ends, m.dart
+    selected = [e for f, bit in enumerate(bits) for e in m.selected[f][bit]]
+    cycles = []
+    for walk in _walks(m.num_vertices, ends, selected):
+        v = min(ends[walk[0]])  # the curve's smallest midpoint, where it starts
+        vertices = []
+        for e in walk:
+            vertices.append(v)
+            a, b = ends[e]
+            v = b if a == v else a
+        cycles.append(Cycle(tuple(vertices), tuple(dart[e] for e in walk)))
+    return tuple(cycles)
 
 
 def region_decomposition(

@@ -12,18 +12,22 @@ the medial graph, which `medial.build_medial_graph` builds once per op,
 after validating the faces.  Per system,
 `dividing.region_kernel` computes the region of every cell and the two
 regions beside each curve, checking the degree, base vertex and
-region-count laws on the way; it records no curve walk.
+region-count laws on the way; it keeps no curve walk.
 `_check_system` then builds the division tree's adjacency as int-keyed
 region pairs (`dividing.build_division_tree`, which checks the tree laws),
 checks region independence and claims 2 and 3 against it in one pass over
-the base edges, and runs the region coloring through `proper_labels` and
-`half_monochromatic_labels`.  The sweep runs both on every system.
-`_certify` runs the witness through the same two checks, adds claim 1, and
-certifies 2 * chiF <= 3 * alpha in exact integer arithmetic; only then
-does `dividing.region_decomposition` walk the witness's curves
-(`dividing.extract_cycles`) for the result's output view.  `audit_claims`
-checks a result's parity vector with `dividing.assemble_dividing_system`
-and runs it through `_certify` again.
+the base edges, and runs the region coloring through
+`half_monochromatic_labels`.  Each law is checked once: region
+independence is exactly properness of the region coloring, and the
+base vertex law already gives it one color per region.  The sweep runs
+both on every system.  `_certify` runs the witness through the same two
+checks, adds claim 1, and certifies 2 * chiF <= 3 * alpha in exact
+integer arithmetic; only then does `dividing.region_decomposition` walk
+the witness's curves (`dividing.extract_cycles`) for the result's output
+view.  Both `exact_chi_f` and the sweep return that `SearchResult`; its
+witness coloring is `coloring.coloring_from_regions(witness_regions)`.
+`audit_claims` checks a result's parity vector with
+`dividing.assemble_dividing_system` and runs it through `_certify` again.
 """
 
 from __future__ import annotations
@@ -32,13 +36,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .coloring import (
-    Coloring,
-    baseline_coloring,
-    coloring_from_regions,
-    half_monochromatic_labels,
-    proper_labels,
-)
+from .coloring import baseline_coloring, half_monochromatic_labels
 from .dividing import (
     RegionDecomposition,
     SystemArrays,
@@ -83,19 +81,9 @@ class SearchResult:
     chi_f: int
     witness_parities: tuple[int, ...]
     witness_regions: RegionDecomposition
-    witness_coloring: Coloring
     alpha: int
-    bound_satisfied: bool
     audit: AuditReport
     systems_explored: int
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    num_faces: int
-    systems_explored: int
-    max_regions: int
-    result: SearchResult  # the optimum found by the same pass, certified
 
 
 def _decode(index: int, num_faces: int) -> tuple[int, ...]:
@@ -139,16 +127,15 @@ def _check_system(g: PlaneGraph, s: SystemArrays, idx: int) -> list[int]:
     """The tree, claim and region-coloring laws of the system at index idx.
 
     s is the system's region_kernel arrays, which already passed the
-    degree, base vertex and region-count laws.  The coloring by region must
-    be proper and half-monochromatic with one color per region.  Raises on
-    a violated law; returns the division tree's node degrees.
+    degree, base vertex and region-count laws; the base vertex law gives
+    the coloring by region one color per region, and the
+    independent_regions claim makes it proper.  It must also be
+    half-monochromatic.  Raises on a violated law; returns the division
+    tree's node degrees.
     """
     adjacent, degrees = build_division_tree(s.curve_sides, s.num_regions)
     _check_structural_claims(g, s.region_of_cell, adjacent, degrees)
-    labels = s.region_of_cell[: g.n]  # one color per region
-    if len(set(labels)) != s.num_regions or not (
-        proper_labels(g, labels) and half_monochromatic_labels(g, labels)
-    ):
+    if not half_monochromatic_labels(g, s.region_of_cell[: g.n]):
         raise InternalInvariantError(
             f"region coloring failed for parity index {idx}"
         )
@@ -258,14 +245,11 @@ def _certify(g: PlaneGraph, m: MedialGraph, index: int) -> SearchResult:
             f"optimum {chi_f} below the guaranteed lower bound"
         )
 
-    r = region_decomposition(m, parities, s)
     return SearchResult(
         chi_f=chi_f,
         witness_parities=parities,
-        witness_regions=r,
-        witness_coloring=coloring_from_regions(r),
+        witness_regions=region_decomposition(m, parities, s),
         alpha=alpha,
-        bound_satisfied=True,
         audit=AuditReport(
             degree_census=tuple(sorted(census.items())),
             case="i" if 3 * census[1] >= 2 * chi_f else "ii",
@@ -319,23 +303,17 @@ def audit_claims(g: PlaneGraph, result: SearchResult) -> AuditReport:
 
 def sweep_dividing_systems(
     g: PlaneGraph, face_cap: int = DEFAULT_SWEEP_CAP
-) -> SweepReport:
+) -> SearchResult:
     """Verify the region, tree, claim and coloring laws on every dividing system.
 
     Exhaustive over all 2^F parity vectors: region_kernel checks the
     degree, base vertex and region-count laws of each system and
     _check_system its tree, claim 2 and 3 and region-coloring laws; every
-    violation raises.  The same pass finds the optimum, certified exactly
-    as by exact_chi_f.
+    violation raises.  The same pass finds the optimum and returns it,
+    certified exactly as by exact_chi_f.
     """
     m = build_medial_graph(g)
     nf = g.num_faces
     if nf > face_cap:
         raise FaceCapExceeded(f"{nf} faces exceeds sweep cap {face_cap}")
-    result = _certify(g, m, _scan(m, g))
-    return SweepReport(
-        num_faces=nf,
-        systems_explored=result.systems_explored,
-        max_regions=result.chi_f,
-        result=result,
-    )
+    return _certify(g, m, _scan(m, g))

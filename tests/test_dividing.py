@@ -12,6 +12,7 @@ from corpus import (
     grid_graph,
     oracle_corpus_graphs,
     prism_graph,
+    random_split_graphs,
     random_subdivided_graphs,
 )
 from halfmono.dividing import (
@@ -96,6 +97,14 @@ def test_bad_parity_vectors_rejected():
         assemble_dividing_system(m, (0, 2))
 
 
+@pytest.mark.parametrize("parities", [(1.0, 0.0), (True, False)])
+def test_equal_float_and_bool_bits_assemble_as_ints(parities):
+    m = build_medial_graph(cycle_graph(4))
+    bits = assemble_dividing_system(m, parities)
+    assert bits == (1, 0) and all(type(b) is int for b in bits)
+    assert decompose_regions(m, bits) == decompose_regions(m, (1, 0))
+
+
 @pytest.mark.parametrize("g", SMALL, ids=lambda g: f"n{g.n}f{g.num_faces}")
 def test_all_systems_obey_the_laws(g):
     m = build_medial_graph(g)
@@ -153,6 +162,26 @@ def test_cycle_walks_are_consistent(g):
         for i, d in enumerate(cyc.edges):
             ends = {g.dart_edge[d], g.dart_edge[g.dart_next[d]]}
             assert {cyc.vertices[i], cyc.vertices[(i + 1) % k]} == ends
+
+
+@pytest.mark.parametrize(
+    "name,g",
+    [
+        (name, g)
+        for name, g in corpus_graphs() + random_split_graphs()
+        if g.num_faces <= 10
+    ],
+)
+def test_kernel_curve_sides_follow_the_extracted_curves(name, g):
+    # region_kernel and extract_cycles share one walker: the same curves in
+    # the same order, each side entry taken at a midpoint of its curve.
+    m = build_medial_graph(g)
+    for bits in itertools.product((0, 1), repeat=g.num_faces):
+        sides = region_kernel(m, bits).curve_sides
+        cycles = extract_cycles(m, bits)
+        assert len(sides) == len(cycles), bits
+        for (_, _, midpoint), cyc in zip(sides, cycles):
+            assert midpoint in cyc.vertices, bits
 
 
 def _reference_region_of_cell(m, parities):

@@ -20,7 +20,12 @@ from corpus import (
     split_base_instance,
 )
 from halfmono import search
-from halfmono.coloring import baseline_coloring, check_half_monochromatic, check_proper
+from halfmono.coloring import (
+    baseline_coloring,
+    check_half_monochromatic,
+    check_proper,
+    coloring_from_regions,
+)
 from halfmono.dividing import build_division_tree, region_kernel
 from halfmono.errors import (
     BadParameter,
@@ -68,18 +73,18 @@ def test_expected_optima(name):
     g, chi, alpha = EXPECTED[name]
     res = exact_chi_f(g)
     assert (res.chi_f, res.alpha) == (chi, alpha)
-    assert res.bound_satisfied
     assert verify_theorem_bound(res)
-    assert res.witness_coloring.num_colors == chi
-    assert check_proper(g, res.witness_coloring)
-    assert check_half_monochromatic(g, res.witness_coloring)
+    coloring = coloring_from_regions(res.witness_regions)
+    assert coloring.num_colors == chi
+    assert check_proper(g, coloring)
+    assert check_half_monochromatic(g, coloring)
 
 
 def test_c4_witness_details():
     res = exact_chi_f(cycle_graph(4))
     assert res.witness_parities == (0, 0)  # the smallest of the two maximizers
     assert res.systems_explored == 4
-    assert res.witness_coloring.colors == (0, 1, 0, 2)
+    assert coloring_from_regions(res.witness_regions).colors == (0, 1, 0, 2)
     assert 2 * res.chi_f == 3 * res.alpha  # bound met with equality
     assert res.audit.degree_census == ((1, 2), (2, 1))
     assert res.audit.case == "i"
@@ -111,8 +116,7 @@ def test_claim_checks_stay_linear_in_the_region_count(run):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    chi_f = res.chi_f if run is exact_chi_f else res.max_regions
-    assert chi_f == 10001
+    assert res.chi_f == 10001
     assert peak < 60_000_000
 
 
@@ -158,6 +162,25 @@ def test_audit_claims_rejects_malformed_parity_vectors():
         audit_claims(g, dataclasses.replace(res, witness_parities=(0, 2)))
 
 
+def _audit_outcome(g, res, parities):
+    try:
+        return audit_claims(g, dataclasses.replace(res, witness_parities=parities))
+    except ClaimViolated as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("bits", [(1, 0), (1, 1)])
+def test_audit_claims_takes_equal_float_and_bool_bits(bits):
+    # (1, 1) is C4's other maximizer and audits; (1, 0) is a one-curve
+    # system whose region coloring puts exactly two colors on each face.
+    g = cycle_graph(4)
+    res = exact_chi_f(g)
+    expected = _audit_outcome(g, res, bits)
+    assert (expected == res.audit) == (bits == (1, 1))
+    for parities in (tuple(map(float, bits)), tuple(map(bool, bits))):
+        assert _audit_outcome(g, res, parities) == expected
+
+
 def test_verify_theorem_bound_on_doctored_result():
     res = exact_chi_f(cycle_graph(4))
     assert verify_theorem_bound(res)
@@ -167,7 +190,7 @@ def test_verify_theorem_bound_on_doctored_result():
 
 def test_sweep_maximum_agrees_with_search():
     for g in (cycle_graph(4), cycle_graph(6), grid_graph(2, 3), prism_graph(4)):
-        assert sweep_dividing_systems(g).max_regions == exact_chi_f(g).chi_f
+        assert sweep_dividing_systems(g).chi_f == exact_chi_f(g).chi_f
 
 
 @pytest.mark.parametrize(
@@ -184,7 +207,7 @@ def test_pruned_search_matches_exhaustive_scan(name, g):
 
 @pytest.mark.parametrize("name,g", corpus_graphs() + random_split_graphs())
 def test_search_result_matches_sweep(name, g):
-    assert exact_chi_f(g) == sweep_dividing_systems(g).result
+    assert exact_chi_f(g) == sweep_dividing_systems(g)
 
 
 def _c4_medial():
@@ -257,7 +280,9 @@ def test_witness_claim1_is_checked_on_the_kernel_arrays(monkeypatch):
 
 
 def test_witness_region_coloring_is_checked(monkeypatch):
-    monkeypatch.setattr(search, "proper_labels", lambda graph, labels: False)
+    monkeypatch.setattr(
+        search, "half_monochromatic_labels", lambda graph, labels: False
+    )
     with _raises(InternalInvariantError, "region coloring failed for parity index 0"):
         exact_chi_f(cycle_graph(4))
 
@@ -267,11 +292,13 @@ def test_sweep_checks_the_region_coloring_of_every_system(monkeypatch):
     sweep_dividing_systems(g)
     calls = []
 
-    def proper_until_the_last(graph, labels):
+    def half_monochromatic_until_the_last(graph, labels):
         calls.append(labels)
         return len(calls) < 4
 
-    monkeypatch.setattr(search, "proper_labels", proper_until_the_last)
+    monkeypatch.setattr(
+        search, "half_monochromatic_labels", half_monochromatic_until_the_last
+    )
     with _raises(InternalInvariantError, "region coloring failed for parity index 3"):
         sweep_dividing_systems(g)
     assert [list(labels) for labels in calls[:2]] == [[0, 1, 0, 2], [0, 1, 0, 1]]
@@ -330,4 +357,4 @@ def test_mirror_and_relabel_keep_chif_alpha_and_the_laws(inst, mirror, data):
     res = exact_chi_f(g)
     assert (res.chi_f, res.alpha) == (expected.chi_f, expected.alpha)
     # what `check` runs: every law on every system, region colorings included
-    assert sweep_dividing_systems(g).max_regions == res.chi_f
+    assert sweep_dividing_systems(g).chi_f == res.chi_f
