@@ -1,13 +1,15 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from corpus import corpus_instances, random_subdivided_instance
+from corpus import corpus_instances, random_split_instance, random_subdivided_instance
 from halfmono import cli, instance_io
 from halfmono.coloring import Coloring, coloring_from_regions
 from halfmono.dividing import assemble_dividing_system, decompose_regions, extract_cycles
@@ -429,17 +431,27 @@ def _bare(inst: InstanceFile) -> InstanceFile:
     return InstanceFile(inst.name, inst.n, inst.rotations, None)
 
 
-# sha256 of the coordinate-less render, recorded before the layout cap existed
+# sha256 of the coordinate-less render: the first three recorded before the
+# layout cap existed, grid20x20 and prism1000 while the layout was still a
+# dense direct solve
 BARE_RENDER_SHA256 = {
     "prism4": "484461dab936230593fedb840002e3760ffbfe2089e9f6e2d4593b3e27ae439c",
     "grid3x4": "6706e8fc06bd4bf92dacd656057d116581e5341772b7d38cfc68b17f283cb332",
     "grid6x6": "dd6f3138b687749745730b9e60c80289a69ded95089c4deefd24ef7a8acdc012",
+    "grid20x20": "47381d81f6a1d5b3d613566d81b4eba222a3890e5c532fde99da1aef44b6a25c",
+    "prism1000": "43b6b986bc92542d3f3281dbb16fb360945a9e398ac08f7229aaf8fe77fdba72",
 }
 
 
 @pytest.mark.parametrize(
     "inst",
-    [prism_instance(4), grid_instance(3, 4), grid_instance(6, 6)],
+    [
+        prism_instance(4),
+        grid_instance(3, 4),
+        grid_instance(6, 6),
+        grid_instance(20, 20),
+        prism_instance(1000),
+    ],
     ids=lambda i: i.name,
 )
 def test_bare_render_golden_digest(inst):
@@ -456,13 +468,85 @@ def test_layout_cap_spares_instances_with_coords(monkeypatch):
         render_svg(RenderSpec(graph=build(_bare(inst))))
 
 
-def test_cli_import_does_not_load_numpy():
-    # numpy is imported only when a layout is computed
+def test_bare_render_runs_without_numpy(tmp_path):
+    # a None entry in sys.modules makes `import numpy` raise ImportError
+    path, out = tmp_path / "grid6x6.hmg", tmp_path / "grid6x6.svg"
+    path.write_text(serialize_instance(_bare(grid_instance(6, 6))), encoding="utf-8")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import halfmono.cli, sys; assert 'numpy' not in sys.modules"
+    code = (
+        "import sys; sys.modules['numpy'] = None; from halfmono import cli; "
+        f"sys.exit(cli.main(['render', {str(path)!r}, '-o', {str(out)!r}]))"
+    )
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == BARE_RENDER_SHA256["grid6x6"]
+
+
+def test_tutte_layout_memory_is_linear():
+    # 784 interior vertices: a dense 784 x 784 system alone takes 4.9 MB
+    g = build(_bare(grid_instance(30, 30)))
+    tutte_embedding(g)  # leaves no import or cache to the measured call
+    tracemalloc.start()
+    try:
+        tutte_embedding(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def _dense_barycentric(g):
+    """The layout by numpy.linalg.solve of the dense barycentric system,
+    with the same pinned face as tutte_embedding."""
+    import numpy as np
+
+    boundary = max(g.faces, key=lambda f: (f.degree, -f.id)).vertices
+    pos = np.zeros((g.n, 2))
+    for k, v in enumerate(boundary):
+        ang = math.pi / 2 - 2 * math.pi * k / len(boundary)
+        pos[v] = (math.cos(ang), math.sin(ang))
+    interior = [v for v in range(g.n) if v not in boundary]
+    idx = {v: i for i, v in enumerate(interior)}
+    a = np.zeros((len(interior), len(interior)))
+    rhs = np.zeros((len(interior), 2))
+    for v, i in idx.items():
+        a[i, i] = g.degree(v)
+        for u in g.rotations[v]:
+            if u in idx:
+                a[i, idx[u]] -= 1.0
+            else:
+                rhs[i] += pos[u]
+    if interior:
+        pos[interior] = np.linalg.solve(a, rhs)
+    return pos
+
+
+LAYOUT_REFERENCE_INSTANCES = [
+    *corpus_instances(),
+    grid_instance(20, 20),
+    grid_instance(12, 31),
+    prism_instance(100),
+    *(random_subdivided_instance(seed, max_vertices=16) for seed in range(20)),
+    *(random_split_instance(seed) for seed in range(60)),
+]
+
+
+@pytest.mark.parametrize("inst", LAYOUT_REFERENCE_INSTANCES, ids=lambda i: i.name)
+def test_tutte_matches_dense_solve(inst):
+    g = build(_bare(inst))
+    expected = _dense_barycentric(g)
+    try:
+        coords = tutte_embedding(g)
+    except DegenerateLayout as exc:
+        # the dense layout must put the reported pair together as well
+        pair = re.fullmatch(r"vertices (\d+) and (\d+) coincide", str(exc))
+        v, w = map(int, pair.groups())
+        assert math.dist(expected[v], expected[w]) < instance_io.COINCIDE
+        return
+    gap = max(abs(c - e) for p, q in zip(coords, expected) for c, e in zip(p, q))
+    assert gap <= 1e-12
 
 
 def test_render_extremes_are_computed_once(monkeypatch):
