@@ -167,33 +167,21 @@ def _check_one(path: Path, face_cap: int, sweep_cap: int) -> str:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    paths: list[Path] = []
+    paths: set[Path] = set()  # a file named twice is checked once
     for target in args.paths:
         p = Path(target)
-        if p.is_dir():
-            paths.extend(sorted(p.glob("*.hmg")))
-        else:
-            paths.append(p)
-    results: dict[str, tuple[str | None, BaseException | None]] = {}
-    for p in paths:
-        try:
-            results[str(p)] = _check_one(p, args.face_cap, args.sweep_cap), None
-        except Exception as exc:  # report per file, keep batch going
-            results[str(p)] = None, exc
-
+        paths.update(p.glob("*.hmg") if p.is_dir() else (p,))
+    # violations dominate, then invalid input, then caps
+    precedence = (EXIT_OK, EXIT_CAP, EXIT_INVALID, EXIT_VIOLATION)
     worst = EXIT_OK
-    for key in sorted(results):
-        line, exc = results[key]
-        if line is not None:
-            print(line)
+    for p in sorted(paths, key=str):
+        try:
+            line = _check_one(p, args.face_cap, args.sweep_cap)
+        except Exception as exc:  # report per file, keep batch going
+            print(f"{p.name}: ERROR {exc}", file=sys.stderr)
+            worst = max(worst, exit_code_for_exception(exc), key=precedence.index)
         else:
-            assert exc is not None
-            print(f"{Path(key).name}: ERROR {exc}", file=sys.stderr)
-            code = exit_code_for_exception(exc)
-            # violations dominate, then invalid input, then caps
-            rank = {EXIT_VIOLATION: 3, EXIT_INVALID: 2, EXIT_CAP: 1, EXIT_OK: 0}
-            if rank[code] > rank[worst]:
-                worst = code
+            print(line)
     return worst
 
 

@@ -210,18 +210,12 @@ def build_division_tree(
     k = num_regions
     adjacent: set[int] = set()
     degrees = [0] * k
+    parent = list(range(k))
     for a, b, midpoint in curve_sides:
         if a == b:
             raise NotATree(
                 f"curve through midpoint {midpoint} borders a single region"
             )
-        adjacent.add(a * k + b)
-        adjacent.add(b * k + a)
-        degrees[a] += 1
-        degrees[b] += 1
-
-    parent = list(range(k))
-    for a, b, _ in curve_sides:
         ra, rb = a, b
         while parent[ra] != ra:  # find both roots, halving the paths
             parent[ra] = ra = parent[parent[ra]]
@@ -232,6 +226,10 @@ def build_division_tree(
                 f"regions {min(a, b)} and {max(a, b)} are joined by two curve paths"
             )
         parent[ra] = rb
+        adjacent.add(a * k + b)
+        adjacent.add(b * k + a)
+        degrees[a] += 1
+        degrees[b] += 1
     # k nodes with k - 1 acyclic edges are connected.
     if len(curve_sides) != k - 1:
         raise NotATree(f"{len(curve_sides)} edges on {k} regions")

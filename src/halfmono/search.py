@@ -1,15 +1,16 @@
 """Exact maximum color count via search over dividing systems.
 
 The maximum number of colors of an admissible coloring equals the maximum
-number of regions over all dividing systems.  exact_chi_f finds it with
-`_best_index`, a depth-first search over the faces that counts components
-with a rollback union-find and cuts off every prefix whose count is no
-better than the best so far; it keeps the lexicographically smallest
-maximizer as witness.  Every system is visited or bounded, so
-systems_explored still reports 2^F.  The law sweep keeps `_scan`, the one
-loop over all 2^F per-face parity vectors.  Both read the int tables of
-the medial graph, which `medial.build_medial_graph` builds once per op,
-after validating the faces.  Per system,
+number of regions over all dividing systems.  A system is one parity bit
+per face, and it passes from search to certificate as that tuple of bits.
+exact_chi_f finds the maximum with `_best_bits`, a depth-first search over
+the faces that counts components with a rollback union-find and cuts off
+every prefix whose count is no better than the best so far; it keeps the
+lexicographically smallest maximizer as witness.  Every system is visited
+or bounded, so systems_explored still reports 2^F.  The law sweep keeps
+`_scan`, the one loop over all 2^F parity vectors.  Both read the int
+tables of the medial graph, which `medial.build_medial_graph` builds once
+per op, after validating the faces.  Per system,
 `dividing.region_kernel` computes the region of every cell and the two
 regions beside each curve, checking the degree, base vertex and
 region-count laws on the way; it keeps no curve walk.
@@ -26,8 +27,8 @@ integer arithmetic; only then does `dividing.region_decomposition` walk
 the witness's curves (`dividing.extract_cycles`) for the result's output
 view.  Both `exact_chi_f` and the sweep return that `SearchResult`; its
 witness coloring is `coloring.coloring_from_regions(witness_regions)`.
-`audit_claims` checks a result's parity vector with
-`dividing.assemble_dividing_system` and runs it through `_certify` again.
+`audit_claims` checks a result's witness bits with
+`dividing.assemble_dividing_system` and runs them through `_certify` again.
 """
 
 from __future__ import annotations
@@ -86,11 +87,6 @@ class SearchResult:
     systems_explored: int
 
 
-def _decode(index: int, num_faces: int) -> tuple[int, ...]:
-    # Face 0 in the most significant bit: integer order == vector order.
-    return tuple((index >> (num_faces - 1 - f)) & 1 for f in range(num_faces))
-
-
 def _check_structural_claims(
     g: PlaneGraph, region_of_cell, adjacent, degrees
 ) -> None:
@@ -123,8 +119,8 @@ def _check_structural_claims(
             )
 
 
-def _check_system(g: PlaneGraph, s: SystemArrays, idx: int) -> list[int]:
-    """The tree, claim and region-coloring laws of the system at index idx.
+def _check_system(g: PlaneGraph, s: SystemArrays, bits) -> list[int]:
+    """The tree, claim and region-coloring laws of the system with these bits.
 
     s is the system's region_kernel arrays, which already passed the
     degree, base vertex and region-count laws; the base vertex law gives
@@ -136,36 +132,36 @@ def _check_system(g: PlaneGraph, s: SystemArrays, idx: int) -> list[int]:
     adjacent, degrees = build_division_tree(s.curve_sides, s.num_regions)
     _check_structural_claims(g, s.region_of_cell, adjacent, degrees)
     if not half_monochromatic_labels(g, s.region_of_cell[: g.n]):
+        index = int("".join(map(str, bits)), 2)  # face 0 most significant
         raise InternalInvariantError(
-            f"region coloring failed for parity index {idx}"
+            f"region coloring failed for parity index {index}"
         )
     return degrees
 
 
-def _scan(m: MedialGraph, g: PlaneGraph | None = None) -> int:
-    """Index of the lexicographically smallest region-count maximizer.
+def _scan(m: MedialGraph, g: PlaneGraph | None = None) -> tuple[int, ...]:
+    """Bits of the lexicographically smallest region-count maximizer.
 
-    Runs region_kernel on all 2^F dividing systems, in index order (the
-    product below yields face 0's bit most significant); the law sweep's
-    search and the reference for _best_index.  Given g, also runs
-    _check_system on every system, which raises on a violated law.
+    Runs region_kernel on all 2^F parity vectors in lexicographic order,
+    face 0's bit first; the law sweep's search and the reference for
+    _best_bits.  Given g, also runs _check_system on every system, which
+    raises on a violated law.
     """
-    best_lam, best_idx = -1, -1
-    systems = itertools.product((0, 1), repeat=len(m.sides))
-    for idx, bits in enumerate(systems):
+    best_lam, best_bits = -1, ()
+    for bits in itertools.product((0, 1), repeat=len(m.sides)):
         s = region_kernel(m, bits)
         if g is not None:
-            _check_system(g, s, idx)
+            _check_system(g, s, bits)
         if s.num_regions > best_lam:
-            best_lam, best_idx = s.num_regions, idx
-    return best_idx
+            best_lam, best_bits = s.num_regions, bits
+    return best_bits
 
 
-def _best_index(m: MedialGraph) -> int:
-    """Index of the lexicographically smallest region-count maximizer.
+def _best_bits(m: MedialGraph) -> tuple[int, ...]:
+    """Bits of the lexicographically smallest region-count maximizer.
 
     Same answer as _scan, found by a depth-first search over the faces in
-    index order, bit 0 first.  The regions are the components of the V + F
+    order, bit 0 first.  The regions are the components of the V + F
     cells with face cell n + f joined to m.sides[f][bit] (see
     dividing.region_kernel).  Adding a face adds one cell and merges
     c >= 1 components, so the count of a prefix bounds every completion and
@@ -180,12 +176,12 @@ def _best_index(m: MedialGraph) -> int:
     merged: list[int] = []  # absorbed roots, in union order
     mark = [0] * nf  # len(merged) before face f was joined
     bit = [-1] * nf  # bit tried last at face f; -1 before the first
-    best, best_idx = 0, -1
+    best, best_bits = 0, ()
     f = 0
     while f >= 0:
         if f == nf:  # a completion that beat every earlier one
             best = n + nf - len(merged)
-            best_idx = sum(b << (nf - 1 - i) for i, b in enumerate(bit))
+            best_bits = tuple(bit)
             f -= 1
             continue
         if bit[f] < 0:
@@ -213,19 +209,18 @@ def _best_index(m: MedialGraph) -> int:
             root = b
         if n + f + 1 - len(merged) > best:
             f += 1
-    return best_idx
+    return best_bits
 
 
-def _certify(g: PlaneGraph, m: MedialGraph, index: int) -> SearchResult:
-    """Check every law on the witness at `index`, audit it, certify the bound.
+def _certify(g: PlaneGraph, m: MedialGraph, parities) -> SearchResult:
+    """Check every law on the witness bits, audit them, certify the bound.
 
     The witness runs through region_kernel and _check_system like every
     swept system; claim 1, the degree census, alpha and the bounds are
     checked on top.  Its RegionDecomposition is built last, as output view.
     """
-    parities = _decode(index, g.num_faces)
     s = region_kernel(m, parities)
-    census = Counter(_check_system(g, s, index))
+    census = Counter(_check_system(g, s, parities))
     colors = s.region_of_cell
     for f in g.faces:
         if len({colors[v] for v in f.vertices}) == 2:
@@ -261,7 +256,7 @@ def _certify(g: PlaneGraph, m: MedialGraph, index: int) -> SearchResult:
 def exact_chi_f(g: PlaneGraph, face_cap: int = DEFAULT_FACE_CAP) -> SearchResult:
     """Maximize the region count over all 2^F dividing systems.
 
-    A pruned depth-first search (`_best_index`) finds the lexicographically
+    A pruned depth-first search (`_best_bits`) finds the lexicographically
     smallest maximizer; only that witness is law-checked and certified.
     systems_explored is 2^F: every system is either visited or bounded.
 
@@ -281,7 +276,7 @@ def exact_chi_f(g: PlaneGraph, face_cap: int = DEFAULT_FACE_CAP) -> SearchResult
     cap = min(face_cap, MAX_FACES)
     if nf > cap:
         raise FaceCapExceeded(f"{nf} faces exceeds cap {cap}")
-    return _certify(g, m, _best_index(m))
+    return _certify(g, m, _best_bits(m))
 
 
 def verify_theorem_bound(result: SearchResult) -> bool:
@@ -290,15 +285,13 @@ def verify_theorem_bound(result: SearchResult) -> bool:
 
 
 def audit_claims(g: PlaneGraph, result: SearchResult) -> AuditReport:
-    """Re-run every check on a result's witness from scratch.
+    """Re-run every check on a result's witness bits from scratch.
 
     Raises BadParameter on a parity vector of the wrong length or with a
     bit other than 0 or 1.
     """
     m = build_medial_graph(g)
-    bits = assemble_dividing_system(m, result.witness_parities)
-    index = int("".join(map(str, bits)), 2)  # face 0 most significant
-    return _certify(g, m, index).audit
+    return _certify(g, m, assemble_dividing_system(m, result.witness_parities)).audit
 
 
 def sweep_dividing_systems(

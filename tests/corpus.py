@@ -67,8 +67,8 @@ def split_base_instance(seed: int) -> InstanceFile:
     return inst
 
 
-def random_split_instance(seed: int) -> InstanceFile:
-    """split_base_instance(seed) with one face split by a fresh path.
+def split_face(inst: InstanceFile, rng: random.Random) -> InstanceFile:
+    """inst with one random face split by a fresh path.
 
     The path has l >= 1 edges and joins two boundary vertices at walk
     distance d of one face, with d + l even: the face of degree D becomes
@@ -76,8 +76,6 @@ def random_split_instance(seed: int) -> InstanceFile:
     sharing several vertices and vertices of degree up to 5 arise.
     Coordinates are dropped, as the new path has no natural drawing.
     """
-    inst = split_base_instance(seed)
-    rng = random.Random(f"split{seed}")
     faces = build(inst).faces
     while True:
         walk = rng.choice(faces).vertices
@@ -97,11 +95,43 @@ def random_split_instance(seed: int) -> InstanceFile:
         rot = rotations[walk[k]]
         rot.insert(rot.index(walk[k - 1]) + 1, nxt)
     rotations += [[path[k - 1], path[k + 1]] for k in range(1, length)]
-    return InstanceFile(
-        f"split-{inst.name}-s{seed}",
-        inst.n + length - 1,
-        tuple(map(tuple, rotations)),
+    return InstanceFile(inst.name, inst.n + length - 1, tuple(map(tuple, rotations)))
+
+
+def random_split_instance(seed: int) -> InstanceFile:
+    """split_base_instance(seed) with one face split (split_face)."""
+    inst = split_base_instance(seed)
+    split = split_face(inst, random.Random(f"split{seed}"))
+    return replace(split, name=f"split-{inst.name}-s{seed}")
+
+
+def k2m_instance(m: int) -> InstanceFile:
+    """K_{2,m} for m >= 2: poles 0 and 1 joined by m paths through 2..m+1.
+
+    Its m faces are quadrangles, each with both poles on its boundary.
+    """
+    rotations = [tuple(range(2, m + 2)), tuple(range(m + 1, 1, -1))]
+    rotations += [(0, 1)] * m
+    return InstanceFile(f"k2_{m}", m + 2, tuple(rotations))
+
+
+def random_rich_instance(seed: int) -> InstanceFile:
+    """A seeded instance beyond grids: a grid up to 3 x 4 or 2 x 5, prism 4
+    or 6, or K_{2,m} with m <= 7; then 0-4 random edges each subdivided 2 or
+    4 times, then 0-3 face splits (split_face)."""
+    rng = random.Random(f"rich{seed}")
+    make, params = rng.choice(
+        [(grid_instance, rc) for rc in ((2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4))]
+        + [(prism_instance, (m,)) for m in (4, 6)]
+        + [(k2m_instance, (m,)) for m in range(2, 8)]
     )
+    inst = make(*params)
+    for _ in range(rng.randint(0, 4)):
+        u, v = rng.choice(instance_edges(inst))
+        inst = subdivide_edge(inst, u, v, times=rng.choice((2, 4)))
+    for _ in range(rng.randint(0, 3)):
+        inst = split_face(inst, rng)
+    return replace(inst, name=f"rich-{inst.name}-s{seed}")
 
 
 def corpus_instances() -> list[InstanceFile]:
@@ -142,4 +172,13 @@ def random_split_graphs() -> list[tuple[str, PlaneGraph]]:
     """Thirty seeded split instances (F <= 14)."""
     graphs = [(f"split{seed}", build(random_split_instance(seed))) for seed in range(30)]
     assert all(g.num_faces <= 14 for _, g in graphs)
+    return graphs
+
+
+def random_rich_graphs() -> list[tuple[str, PlaneGraph]]:
+    """A hundred seeded rich instances (F <= 12)."""
+    graphs = [
+        (f"rich{seed}", build(random_rich_instance(seed))) for seed in range(100)
+    ]
+    assert all(g.num_faces <= 12 for _, g in graphs)
     return graphs

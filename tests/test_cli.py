@@ -9,6 +9,7 @@ import pytest
 
 from corpus import random_subdivided_instance
 from halfmono import cli
+from halfmono.coloring import half_monochromatic_labels
 from halfmono.instance_io import (
     LAYOUT_VERTEX_CAP,
     InstanceFile,
@@ -286,6 +287,18 @@ def test_check_golden_lines(inst, tmp_path, capsys):
     assert captured.out == (GOLDEN / f"check-{inst.name}.txt").read_text()
 
 
+@pytest.mark.parametrize(
+    "family,params,name",
+    [("cycle", "6", "cycle6"), ("grid", "3x4", "grid3x4"), ("prism", "6", "prism6")],
+)
+def test_chif_witness_golden_lines(family, params, name, tmp_path, capsys):
+    path = tmp_path / f"{name}.hmg"
+    assert cli.main(["gen", family, params, "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["chif", str(path), "--witness"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"witness-{name}.txt").read_text()
+
+
 def test_chif_long_ladder_needs_no_recursion(tmp_path):
     # F = 1200 faces, one search level each: far past the recursion limit
     path = tmp_path / "ladder.hmg"
@@ -326,6 +339,55 @@ def _count_calls(monkeypatch, module_name: str, attr: str) -> list:
                 if value is original:
                     monkeypatch.setattr(module, key, counting)
     return calls
+
+
+def test_check_mixed_batch_streams_each_file_once(tmp_path, monkeypatch, capsys):
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    for family, params, name in (("cycle", "6", "cycle6"), ("grid", "3x4", "grid3x4")):
+        assert cli.main(["gen", family, params, "-o", str(batch / f"{name}.hmg")]) == 0
+    (batch / "k4.hmg").write_text(K4_TEXT)
+    capsys.readouterr()
+    golden = "".join(
+        (GOLDEN / f"check-{name}.txt").read_text() for name in ("cycle6", "grid3x4")
+    )
+    runs = _count_calls(monkeypatch, "halfmono.cli", "_check_one")
+
+    def errors(err: str) -> list[str]:
+        return [line for line in err.splitlines() if ": ERROR " in line]
+
+    # cycle6 is named twice, directly and through its directory
+    argv = ["check", str(batch), str(batch / "cycle6.hmg")]
+    assert cli.main(argv) == 1  # invalid beside ok
+    assert len(runs) == 3
+    captured = capsys.readouterr()
+    assert captured.out == golden
+    assert errors(captured.err) == ["k4.hmg: ERROR k4: invalid instance"]
+
+    # caps alone exit 3; invalid input outranks a cap
+    cycle6, grid = str(batch / "cycle6.hmg"), str(batch / "grid3x4.hmg")
+    assert cli.main(["check", grid, cycle6, "--face-cap", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == (GOLDEN / "check-cycle6.txt").read_text()
+    assert errors(captured.err) == ["grid3x4.hmg: ERROR 7 faces exceeds cap 3"]
+    assert cli.main([*argv, "--face-cap", "3"]) == 1
+    assert errors(capsys.readouterr().err) == [
+        "grid3x4.hmg: ERROR 7 faces exceeds cap 3",
+        "k4.hmg: ERROR k4: invalid instance",
+    ]
+
+    # a violated law outranks both
+    monkeypatch.setattr(
+        "halfmono.search.half_monochromatic_labels",
+        lambda graph, labels: len(labels) != 6
+        and half_monochromatic_labels(graph, labels),
+    )
+    assert cli.main([*argv, "--face-cap", "3"]) == 2
+    assert errors(capsys.readouterr().err) == [
+        "cycle6.hmg: ERROR region coloring failed for parity index 0",
+        "grid3x4.hmg: ERROR 7 faces exceeds cap 3",
+        "k4.hmg: ERROR k4: invalid instance",
+    ]
 
 
 # The sweep runs the region kernel once per system, then once more to

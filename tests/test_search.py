@@ -13,6 +13,8 @@ from corpus import (
     grid_graph,
     oracle_corpus_graphs,
     prism_graph,
+    random_rich_graphs,
+    random_rich_instance,
     random_split_graphs,
     random_split_instance,
     random_subdivided_graphs,
@@ -41,7 +43,7 @@ from halfmono.medial import build_medial_graph
 from halfmono.oracle import chi_f_bruteforce
 from halfmono.plane_graph import compute_bipartition, validate_even_polygonal
 from halfmono.search import (
-    _best_index,
+    _best_bits,
     _check_structural_claims,
     _scan,
     audit_claims,
@@ -198,11 +200,12 @@ def test_sweep_maximum_agrees_with_search():
     corpus_graphs()
     + oracle_corpus_graphs()
     + random_subdivided_graphs()
-    + random_split_graphs(),
+    + random_split_graphs()
+    + random_rich_graphs(),
 )
 def test_pruned_search_matches_exhaustive_scan(name, g):
     m = build_medial_graph(g)
-    assert _best_index(m) == _scan(m)
+    assert _best_bits(m) == _scan(m)
 
 
 @pytest.mark.parametrize("name,g", corpus_graphs() + random_split_graphs())
@@ -341,6 +344,7 @@ METAMORPHIC_INSTANCES = (
     [inst for inst in corpus_instances() if build(inst).num_faces <= 12]
     + [random_subdivided_instance(seed, 16) for seed in range(60)]
     + [random_split_instance(seed) for seed in range(30)]
+    + [random_rich_instance(seed) for seed in range(100)]
 )
 
 
