@@ -19,10 +19,11 @@ from pathlib import Path
 from typing import NoReturn
 
 from .coloring import coloring_from_regions
-from .dividing import assemble_dividing_system, decompose_regions, extract_cycles
+from .dividing import assemble_dividing_system, decompose_regions
 from .errors import (
     BadParameter,
     CapExceeded,
+    FaceStructureError,
     HalfmonoError,
     InternalInvariantError,
     InvalidInstanceError,
@@ -39,7 +40,7 @@ from .instance_io import (
 )
 from .medial import build_medial_graph
 from .oracle import chi_f_bruteforce
-from .plane_graph import PlaneGraph, compute_bipartition, validate_even_polygonal
+from .plane_graph import PlaneGraph, ValidationReport, compute_bipartition
 from .search import (
     DEFAULT_FACE_CAP,
     DEFAULT_SWEEP_CAP,
@@ -70,16 +71,17 @@ def _read_instance(path: str) -> InstanceFile:
         raise InvalidInstanceError(
             f"{path}: not UTF-8 text (bad byte at offset {exc.start})"
         ) from None
-    return parse_instance_text(text)
+    # Drop one leading byte-order mark after decoding, so that a bad byte's
+    # offset above stays its offset in the file.
+    return parse_instance_text(text.removeprefix("\ufeff"))
 
 
 def _load_valid(path: str) -> tuple[InstanceFile, PlaneGraph]:
     inst = _read_instance(path)
-    g = build(inst)
-    report = validate_even_polygonal(g)
-    if not report.ok:
-        raise HalfmonoError(f"{inst.name}: invalid instance\n{report}")
-    return inst, g
+    try:
+        return inst, build(inst)
+    except FaceStructureError as exc:
+        raise HalfmonoError(f"{inst.name}: invalid instance\n{exc.report}") from None
 
 
 def _result_payload(inst: InstanceFile, res: SearchResult) -> dict:
@@ -105,8 +107,12 @@ def _result_payload(inst: InstanceFile, res: SearchResult) -> dict:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     inst = _read_instance(args.file)
-    g = build(inst)
-    report = validate_even_polygonal(g)
+    try:
+        build(inst)  # validates the faces it traces
+    except FaceStructureError as exc:
+        report = exc.report
+    else:
+        report = ValidationReport(ok=True, defects=())
     print(f"{inst.name}: {report}")
     return EXIT_OK if report.ok else EXIT_INVALID
 
@@ -140,11 +146,8 @@ def cmd_chif(args: argparse.Namespace) -> int:
 def cmd_alpha(args: argparse.Namespace) -> int:
     inst, g = _load_valid(args.file)
     matching = maximum_matching(g, compute_bipartition(g))
-    alpha = g.n - matching.size  # Konig: alpha = n - maximum matching size
-    # Bipartite inputs always satisfy alpha >= n / 2.
-    assert 2 * alpha >= g.n
     print(f"name: {inst.name}")
-    print(f"alpha = {alpha}")
+    print(f"alpha = {matching.alpha}")
     print(f"matching size = {matching.size}")
     print(f"cover = {list(matching.cover)}")
     return EXIT_OK
@@ -167,13 +170,17 @@ def _check_one(path: Path, face_cap: int, sweep_cap: int) -> str:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    paths: set[Path] = set()  # a file named twice is checked once
-    for target in args.paths:
-        p = Path(target)
-        paths.update(p.glob("*.hmg") if p.is_dir() else (p,))
     # violations dominate, then invalid input, then caps
     precedence = (EXIT_OK, EXIT_CAP, EXIT_INVALID, EXIT_VIOLATION)
     worst = EXIT_OK
+    paths: set[Path] = set()  # a file named twice is checked once
+    for target in args.paths:
+        p = Path(target)
+        found = set(p.glob("*.hmg")) if p.is_dir() else {p}
+        if not found:
+            print(f"{target}: ERROR no *.hmg files", file=sys.stderr)
+            worst = max(worst, EXIT_INVALID, key=precedence.index)
+        paths |= found
     for p in sorted(paths, key=str):
         try:
             line = _check_one(p, args.face_cap, args.sweep_cap)
@@ -204,11 +211,10 @@ def cmd_render(args: argparse.Namespace) -> int:
             raise BadParameter("parities must be a string of 0s and 1s")
         m = build_medial_graph(g)
         bits = assemble_dividing_system(m, map(int, args.parities))
+        r = decompose_regions(m, bits)
+        cycles = r.cycles
         if args.color:
-            r = decompose_regions(m, bits)
-            cycles, coloring = r.cycles, coloring_from_regions(r)
-        else:
-            cycles = extract_cycles(m, bits)
+            coloring = coloring_from_regions(r)
     elif args.color:
         res = exact_chi_f(g, face_cap=args.face_cap)
         coloring = coloring_from_regions(res.witness_regions)

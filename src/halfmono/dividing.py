@@ -15,15 +15,14 @@ the graph joining each face cell to that side.  The classical fact
 rather than an assumption.
 
 `region_kernel` does all of this for one parity vector on the int tables
-of the medial graph.  It computes only what the laws read: the region of
-every cell, the region count, and per curve the two regions on its sides,
-taken at its smallest-keyed edge.  `build_division_tree` checks the tree
-laws on those sides.  Every system that the search, the law sweep, the
-renderer or the public API evaluates takes this one path.  `_walks` is the
-one curve walker: it lists each curve's medial-edge indices.
-`region_kernel` keeps only the smallest of each list; `extract_cycles`
-maps the lists to `Cycle`s for output, and `region_decomposition` adds
-them to the kernel arrays in the dataclasses below.
+of the medial graph.  It computes the region of every cell, the region
+count, each curve's walk and per curve the two regions on its sides, taken
+at its smallest-keyed edge.  `build_division_tree` checks the tree laws on
+those sides.  Every system that the search, the law sweep, the renderer or
+the public API evaluates takes this one path.  `_walks` is the one curve
+walker: it lists each curve's medial-edge indices, once per system.
+`region_decomposition` maps the kernel's walks to `Cycle`s for output, so
+the curves printed are the curves whose laws were checked.
 `assemble_dividing_system` checks parity vectors that come from outside.
 """
 
@@ -67,14 +66,14 @@ class RegionDecomposition:
 class SystemArrays(NamedTuple):
     """What region_kernel computes for one parity vector.
 
-    Only what the laws read: the regions, and per curve the two regions on
-    its sides.  The curve walks themselves are built for the witness
-    output alone, by region_decomposition.
+    The regions, the curves as _walks lists them, and per curve the two
+    regions on its sides.  region_decomposition maps the walks to Cycles.
     """
 
     region_of_cell: list[int]
     num_regions: int
     curve_sides: list[tuple[int, int, int]]  # (region, region, midpoint)
+    walks: list[list[int]]  # medial-edge indices per curve, in walk order
 
 
 def _incidences(
@@ -147,14 +146,14 @@ def _walks(num_midpoints: int, ends, selected) -> list[list[int]]:
 
 
 def region_kernel(m: MedialGraph, bits) -> SystemArrays:
-    """Regions and curve sides of the dividing system with these parity bits.
+    """Regions and curves of the dividing system with these parity bits.
 
     Joins face cell n + f to m.sides[f][bit] (see the module docstring) by
     union-find, numbers regions by smallest cell and walks the curves
-    (_walks), keeping only each curve's smallest-keyed edge.  Verifies the
-    degree-two law, that every region holds a base vertex and that regions
-    outnumber curves by exactly one.  `bits` must be one 0 or 1 per face;
-    assemble_dividing_system checks parity vectors from outside.
+    (_walks), taking each curve's sides at its smallest-keyed edge.
+    Verifies the degree-two law, that every region holds a base vertex and
+    that regions outnumber curves by exactly one.  `bits` must be one 0 or
+    1 per face; assemble_dividing_system checks parity vectors from outside.
     """
     n, sides, selected_by_face = m.graph.n, m.sides, m.selected
     parent = list(range(n + len(bits)))
@@ -185,8 +184,11 @@ def region_kernel(m: MedialGraph, bits) -> SystemArrays:
     # Every edge of one curve separates the same two regions, so the edge
     # with the smallest (face, position) key is the deterministic witness.
     corner, face, ends = m.corner, m.face, m.ends
+    # selected lists faces in order, each face's edges in position order:
+    # the index order _walks needs
+    walks = _walks(m.num_vertices, ends, selected)
     curve_sides = []
-    for walk in _walks(m.num_vertices, ends, selected):
+    for walk in walks:
         low = min(walk)
         curve_sides.append(
             (region_of_cell[corner[low]], region_of_cell[n + face[low]], ends[low][0])
@@ -195,7 +197,7 @@ def region_kernel(m: MedialGraph, bits) -> SystemArrays:
         raise RegionCycleMismatch(
             f"{len(label)} regions but {len(curve_sides)} curves"
         )
-    return SystemArrays(region_of_cell, len(label), curve_sides)
+    return SystemArrays(region_of_cell, len(label), curve_sides, walks)
 
 
 def build_division_tree(
@@ -254,49 +256,39 @@ def assemble_dividing_system(m: MedialGraph, parities) -> tuple[int, ...]:
     return tuple(map(int, bits))
 
 
-def extract_cycles(m: MedialGraph, bits) -> tuple[Cycle, ...]:
-    """The closed curves of the system with these bits, by smallest midpoint.
+def region_decomposition(m: MedialGraph, s: SystemArrays) -> RegionDecomposition:
+    """The dataclass view of one system of m and its region_kernel arrays s.
 
-    Every midpoint lies on two face cycles and receives one matching edge
-    from each, so the selected edges form vertex-disjoint closed curves;
-    _walks verifies that degree-two law.  Faces in order, each face's edges
-    in position order: the index order _walks needs.
+    Regions are numbered by smallest cell; each lists its base vertices.
+    Each kernel walk becomes a Cycle that starts at its smallest midpoint.
     """
-    ends, dart = m.ends, m.dart
-    selected = [e for f, bit in enumerate(bits) for e in m.selected[f][bit]]
+    n, ends, dart = m.graph.n, m.ends, m.dart
+    regions: list[list[int]] = [[] for _ in range(s.num_regions)]
+    for v in range(n):
+        regions[s.region_of_cell[v]].append(v)
     cycles = []
-    for walk in _walks(m.num_vertices, ends, selected):
-        v = min(ends[walk[0]])  # the curve's smallest midpoint, where it starts
+    for walk in s.walks:
+        v = min(ends[walk[0]])
         vertices = []
         for e in walk:
             vertices.append(v)
             a, b = ends[e]
             v = b if a == v else a
         cycles.append(Cycle(tuple(vertices), tuple(dart[e] for e in walk)))
-    return tuple(cycles)
-
-
-def region_decomposition(
-    m: MedialGraph, bits, s: SystemArrays
-) -> RegionDecomposition:
-    """The dataclass view of one system of m and its region_kernel arrays s.
-
-    Regions are numbered by smallest cell; each lists its base vertices.
-    extract_cycles walks the curves, as region_kernel keeps no walk.
-    """
-    n = m.graph.n
-    regions: list[list[int]] = [[] for _ in range(s.num_regions)]
-    for v in range(n):
-        regions[s.region_of_cell[v]].append(v)
     return RegionDecomposition(
         n=n,
         num_regions=s.num_regions,
         region_of_cell=tuple(s.region_of_cell),
         regions=tuple(map(tuple, regions)),
-        cycles=extract_cycles(m, bits),
+        cycles=tuple(cycles),
     )
 
 
 def decompose_regions(m: MedialGraph, bits) -> RegionDecomposition:
     """The regions and curves of one system, as region_kernel checks them."""
-    return region_decomposition(m, bits, region_kernel(m, bits))
+    return region_decomposition(m, region_kernel(m, bits))
+
+
+def extract_cycles(m: MedialGraph, bits) -> tuple[Cycle, ...]:
+    """The closed curves of the system with these bits, by smallest midpoint."""
+    return decompose_regions(m, bits).cycles

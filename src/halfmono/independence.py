@@ -21,6 +21,11 @@ class MatchingResult:
     cover: tuple[int, ...]  # minimum vertex cover, |cover| == size
 
     @property
+    def alpha(self) -> int:
+        """Konig: in a bipartite graph, alpha is n minus the matching size."""
+        return self.n - self.size
+
+    @property
     def independent_set(self) -> tuple[int, ...]:
         covered = set(self.cover)
         return tuple(v for v in range(self.n) if v not in covered)
@@ -99,6 +104,7 @@ def maximum_matching(g: PlaneGraph, b: Bipartition) -> MatchingResult:
         if u not in cover_set and v not in cover_set:
             raise InternalInvariantError(f"edge {u}-{v} not covered")
     matched_vertices = [x for uv in pairs for x in uv]
+    # 2 * size distinct matched vertices also give 2 * alpha >= n.
     if len(set(matched_vertices)) != 2 * size:
         raise InternalInvariantError("matching edges are not disjoint")
     return MatchingResult(n=g.n, edges=pairs, size=size, cover=tuple(cover))
@@ -106,11 +112,7 @@ def maximum_matching(g: PlaneGraph, b: Bipartition) -> MatchingResult:
 
 def alpha_via_konig(g: PlaneGraph, b: Bipartition) -> int:
     """Independence number as n minus the maximum matching size."""
-    result = maximum_matching(g, b)
-    alpha = g.n - result.size
-    # Bipartite inputs always satisfy alpha >= n / 2.
-    assert 2 * alpha >= g.n
-    return alpha
+    return maximum_matching(g, b).alpha
 
 
 def alpha_bruteforce(g: PlaneGraph, vertex_cap: int = 24) -> int:

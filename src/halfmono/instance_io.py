@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .coloring import Coloring
 from .dividing import Cycle
 from .errors import BadParameter, DegenerateLayout, ParseError, SizeCapExceeded
-from .plane_graph import PlaneGraph, build_plane_graph, require_even_polygonal
+from .plane_graph import PlaneGraph, build_plane_graph
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class InstanceFile:
 
 
 def build(inst: InstanceFile) -> PlaneGraph:
-    """Build the plane graph an instance describes (without face validation)."""
+    """Build the plane graph an instance describes."""
     return build_plane_graph(inst.n, inst.rotations, inst.coords)
 
 
@@ -167,10 +167,8 @@ def parse_instance_text(text: str) -> InstanceFile:
 
 
 def parse_instance(text: str) -> PlaneGraph:
-    """Parse, build and validate; any face defect is raised with face ids."""
-    g = build(parse_instance_text(text))
-    require_even_polygonal(g)
-    return g
+    """Parse and build; any face defect is raised with face ids."""
+    return build(parse_instance_text(text))
 
 
 def serialize_instance(inst: InstanceFile) -> str:

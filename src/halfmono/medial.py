@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .plane_graph import PlaneGraph, require_even_polygonal
+from .plane_graph import PlaneGraph
 
 
 @dataclass(frozen=True)
@@ -35,11 +35,7 @@ class MedialGraph:
 
 
 def build_medial_graph(g: PlaneGraph) -> MedialGraph:
-    """Construct the medial graph's tables in one pass over the face walks.
-
-    Raises FaceStructureError unless every face is an even simple cycle.
-    """
-    require_even_polygonal(g)
+    """Construct the medial graph's tables in one pass over the face walks."""
     darts = [d for f in g.faces for d in f.darts]
     dart_edge, dart_next = g.dart_edge, g.dart_next
     selected = []

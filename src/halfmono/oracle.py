@@ -20,7 +20,7 @@ from .coloring import (
     proper_labels,
 )
 from .errors import InternalInvariantError, SizeCapExceeded
-from .plane_graph import PlaneGraph, require_even_polygonal
+from .plane_graph import PlaneGraph
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,6 @@ def chi_f_bruteforce(g: PlaneGraph, vertex_cap: int = 12) -> OracleResult:
     enumerating them instead of raw colorings.  The witness is the first
     maximizer in restricted-growth order.
     """
-    require_even_polygonal(g)
     if g.n > vertex_cap:
         raise SizeCapExceeded(f"{g.n} vertices exceeds oracle cap {vertex_cap}")
 

@@ -4,7 +4,9 @@ A graph drawn in the plane is encoded combinatorially: every vertex carries
 the counterclockwise cyclic order of its neighbours.  Faces are the orbits
 of the next-dart rule ``next(u -> v) = (v -> w)`` where ``w`` immediately
 follows ``u`` in the rotation at ``v``.  Euler's formula then certifies
-that the rotation system really describes a sphere embedding.
+that the rotation system really describes a sphere embedding, and
+`build_plane_graph` validates the faces it has just traced: every
+`PlaneGraph` has even polygonal faces, each a simple cycle of even length.
 """
 
 from __future__ import annotations
@@ -142,7 +144,7 @@ def build_plane_graph(
     rotations,
     coords=None,
 ) -> PlaneGraph:
-    """Build the dart structure and trace all faces of a rotation system.
+    """Build the dart structure, trace all faces and validate them.
 
     Args:
         n: number of vertices, labelled 0..n-1.
@@ -154,6 +156,8 @@ def build_plane_graph(
         NotConnected: the underlying graph is not connected.
         EulerViolation: the traced embedding does not satisfy V - E + F = 2,
             which signals a non-planar or multiply-embedded input.
+        FaceStructureError: some face is not a simple cycle of even length;
+            carries the validate_even_polygonal report.
     """
     rot = tuple(tuple(r) for r in rotations)
     # Dart d is tails[d] -> heads[d]; start[u] + i is u -> rot[u][i].  The
@@ -215,7 +219,7 @@ def build_plane_graph(
             f"V - E + F = {n} - {len(edges)} + {len(faces)} != 2"
         )
 
-    return PlaneGraph(
+    g = PlaneGraph(
         n=n,
         rotations=rot,
         edges=tuple(edges),
@@ -227,6 +231,10 @@ def build_plane_graph(
         dart_edge=tuple(dart_edge),
         coords=tuple((float(x), float(y)) for x, y in coords) if coords else None,
     )
+    report = validate_even_polygonal(g)
+    if not report.ok:
+        raise FaceStructureError(report)
+    return g
 
 
 def validate_even_polygonal(g: PlaneGraph) -> ValidationReport:
@@ -243,13 +251,6 @@ def validate_even_polygonal(g: PlaneGraph) -> ValidationReport:
         elif f.degree % 2 != 0:
             defects.append(FaceDefect(f.id, ODD_FACE, f"degree {f.degree} is odd"))
     return ValidationReport(ok=not defects, defects=tuple(defects))
-
-
-def require_even_polygonal(g: PlaneGraph) -> None:
-    """Raise FaceStructureError unless validate_even_polygonal passes."""
-    report = validate_even_polygonal(g)
-    if not report.ok:
-        raise FaceStructureError(report)
 
 
 @dataclass(frozen=True)
@@ -270,8 +271,9 @@ class Bipartition:
 def compute_bipartition(g: PlaneGraph) -> Bipartition:
     """Two-color the graph by BFS with vertex 0 black.
 
-    Only valid after validate_even_polygonal: a graph whose faces are all
-    even cycles is bipartite, so OddCycleFound here means a broken caller.
+    A graph whose faces are all even cycles is bipartite, and
+    build_plane_graph builds no other, so OddCycleFound here means a broken
+    caller.
     """
     side = [-1] * g.n
     side[0] = BLACK

@@ -10,10 +10,9 @@ lexicographically smallest maximizer as witness.  Every system is visited
 or bounded, so systems_explored still reports 2^F.  The law sweep keeps
 `_scan`, the one loop over all 2^F parity vectors.  Both read the int
 tables of the medial graph, which `medial.build_medial_graph` builds once
-per op, after validating the faces.  Per system,
-`dividing.region_kernel` computes the region of every cell and the two
-regions beside each curve, checking the degree, base vertex and
-region-count laws on the way; it keeps no curve walk.
+per op.  Per system, `dividing.region_kernel` computes the region of
+every cell, walks the curves and takes the two regions beside each,
+checking the degree, base vertex and region-count laws on the way.
 `_check_system` then builds the division tree's adjacency as int-keyed
 region pairs (`dividing.build_division_tree`, which checks the tree laws),
 checks region independence and claims 2 and 3 against it in one pass over
@@ -23,10 +22,11 @@ independence is exactly properness of the region coloring, and the
 base vertex law already gives it one color per region.  The sweep runs
 both on every system.  `_certify` runs the witness through the same two
 checks, adds claim 1, and certifies 2 * chiF <= 3 * alpha in exact
-integer arithmetic; only then does `dividing.region_decomposition` walk
-the witness's curves (`dividing.extract_cycles`) for the result's output
-view.  Both `exact_chi_f` and the sweep return that `SearchResult`; its
-witness coloring is `coloring.coloring_from_regions(witness_regions)`.
+integer arithmetic; only then does `dividing.region_decomposition` turn
+the witness's kernel arrays, its checked curve walks included, into the
+result's output view.  Both `exact_chi_f` and the sweep return that
+`SearchResult`; its witness coloring is
+`coloring.coloring_from_regions(witness_regions)`.
 `audit_claims` checks a result's witness bits with
 `dividing.assemble_dividing_system` and runs them through `_certify` again.
 """
@@ -217,7 +217,8 @@ def _certify(g: PlaneGraph, m: MedialGraph, parities) -> SearchResult:
 
     The witness runs through region_kernel and _check_system like every
     swept system; claim 1, the degree census, alpha and the bounds are
-    checked on top.  Its RegionDecomposition is built last, as output view.
+    checked on top.  Its RegionDecomposition is built last, as output view,
+    from the same arrays.
     """
     s = region_kernel(m, parities)
     census = Counter(_check_system(g, s, parities))
@@ -243,7 +244,7 @@ def _certify(g: PlaneGraph, m: MedialGraph, parities) -> SearchResult:
     return SearchResult(
         chi_f=chi_f,
         witness_parities=parities,
-        witness_regions=region_decomposition(m, parities, s),
+        witness_regions=region_decomposition(m, s),
         alpha=alpha,
         audit=AuditReport(
             degree_census=tuple(sorted(census.items())),
@@ -261,13 +262,12 @@ def exact_chi_f(g: PlaneGraph, face_cap: int = DEFAULT_FACE_CAP) -> SearchResult
     systems_explored is 2^F: every system is either visited or bounded.
 
     Args:
-        g: a plane graph.  build_medial_graph validates its faces.
+        g: a plane graph, whose faces build_plane_graph has validated.
         face_cap: refuse instances with more faces than this (the search
             is still exponential in the worst case).  A face_cap above
             MAX_FACES counts as MAX_FACES.
 
     Raises:
-        FaceStructureError: a face is not an even simple cycle.
         FaceCapExceeded: too many faces for exhaustive enumeration.
         BoundViolated, ClaimViolated: a certified law failed, meaning a bug.
     """

@@ -35,6 +35,14 @@ rotation 2 3 0 1
 rotation 3 1 0 2
 """
 
+P3_TEXT = """\
+name p3
+vertices 3
+rotation 0 1
+rotation 1 0 2
+rotation 2 1
+"""
+
 
 @pytest.fixture()
 def c4_file(tmp_path):
@@ -50,6 +58,13 @@ def k4_file(tmp_path):
     return path
 
 
+@pytest.fixture()
+def p3_file(tmp_path):
+    path = tmp_path / "p3.hmg"
+    path.write_text(P3_TEXT)
+    return path
+
+
 def test_exit_code_mapping():
     assert cli.exit_code_for_exception(ParseError([(1, "x")])) == 1
     assert cli.exit_code_for_exception(ClaimViolated("claim2")) == 2
@@ -59,11 +74,35 @@ def test_exit_code_mapping():
     assert cli.exit_code_for_exception(SizeCapExceeded("x")) == 3
 
 
-def test_validate(c4_file, k4_file, capsys):
+def test_validate(c4_file, k4_file, monkeypatch, capsys):
+    # build_plane_graph validates, and the command does not again
+    validate = _count_calls(monkeypatch, "halfmono.plane_graph", "validate_even_polygonal")
     assert cli.main(["validate", str(c4_file)]) == 0
     assert "valid" in capsys.readouterr().out
+    assert len(validate) == 1
     assert cli.main(["validate", str(k4_file)]) == 1
     assert "odd_face" in capsys.readouterr().out
+    assert len(validate) == 2
+
+
+@pytest.mark.parametrize("name,code", [("c4", 0), ("k4", 1), ("p3", 1)])
+def test_validate_golden_stdout(name, code, request, capsys):
+    path = request.getfixturevalue(f"{name}_file")
+    capsys.readouterr()
+    assert cli.main(["validate", str(path)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (GOLDEN / f"validate-{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("name", ["k4", "p3"])
+@pytest.mark.parametrize("command", ["chif", "check"])
+def test_invalid_instance_golden_stderr(command, name, request, capsys):
+    path = request.getfixturevalue(f"{name}_file")
+    assert cli.main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (GOLDEN / f"{command}-stderr-{name}.txt").read_text()
 
 
 def test_chif_human(c4_file, capsys):
@@ -147,6 +186,41 @@ def test_check_directory(tmp_path, capsys):
 def test_check_invalid_instance(k4_file, capsys):
     assert cli.main(["check", str(k4_file)]) == 1
     assert "ERROR" in capsys.readouterr().err
+
+
+def test_check_directory_without_instances_is_an_error(tmp_path, c4_file, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "notes.txt").write_text("no instance here\n")
+    capsys.readouterr()
+    assert cli.main(["check", str(empty), str(c4_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("c4.hmg: chiF=3 alpha=2 bound=ok")
+    assert captured.err == f"{empty}: ERROR no *.hmg files\n"
+    # the empty directory's invalid input outranks c4's cap
+    assert cli.main(["check", str(empty), str(c4_file), "--face-cap", "1"]) == 1
+    assert cli.main(["check", str(empty)]) == 1
+
+
+def test_byte_order_mark_is_skipped(tmp_path, c4_file, capsys):
+    bom = tmp_path / "bom.hmg"
+    bom.write_bytes(b"\xef\xbb\xbf" + c4_file.read_bytes())
+    capsys.readouterr()
+    assert cli.main(["chif", str(c4_file), "--json"]) == 0
+    plain = capsys.readouterr()
+    assert cli.main(["chif", str(bom), "--json"]) == 0
+    assert capsys.readouterr() == plain
+
+
+def test_bad_byte_after_byte_order_mark_keeps_its_file_offset(tmp_path, c4_file, capsys):
+    text = b"\xef\xbb\xbf" + c4_file.read_bytes()
+    k = text.index(b"vertices")
+    bad = tmp_path / "bad.hmg"
+    bad.write_bytes(text[:k] + b"\xff" + text[k + 1 :])
+    assert cli.main(["chif", str(bad)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: not UTF-8 text (bad byte at offset {k})\n"
+    )
 
 
 def test_render(tmp_path, c4_file, capsys):
@@ -391,7 +465,9 @@ def test_check_mixed_batch_streams_each_file_once(tmp_path, monkeypatch, capsys)
 
 
 # The sweep runs the region kernel once per system, then once more to
-# certify the witness; the pruned search runs it only for the witness.
+# certify the witness; the pruned search runs it only for the witness.  The
+# kernel walks each system's curves once, and the witness's output curves
+# are those walks.
 KERNEL_RUNS_PER_OP = {"check": 2**7 + 1, "chif": 1}
 
 
@@ -402,16 +478,17 @@ def test_one_enumeration_and_one_medial_build_per_op(
     path = tmp_path / "grid.hmg"  # grid3x4 has F = 7 faces
     assert cli.main(["gen", "grid", "3x4", "-o", str(path)]) == 0
     kernel = _count_calls(monkeypatch, "halfmono.dividing", "region_kernel")
+    walks = _count_calls(monkeypatch, "halfmono.dividing", "_walks")
     medial = _count_calls(monkeypatch, "halfmono.medial", "build_medial_graph")
-    # once by the CLI, for its message, and once by build_medial_graph
+    # once, by build_plane_graph
     validate = _count_calls(monkeypatch, "halfmono.plane_graph", "validate_even_polygonal")
     # the witness is checked on the kernel's arrays, not rebuilt as objects
     assemble = _count_calls(monkeypatch, "halfmono.dividing", "assemble_dividing_system")
     tree = _count_calls(monkeypatch, "halfmono.dividing", "build_division_tree")
     assert cli.main([command[0], str(path), *command[1:]]) == 0
-    assert len(kernel) == KERNEL_RUNS_PER_OP[command[0]]
+    assert len(kernel) == len(walks) == KERNEL_RUNS_PER_OP[command[0]]
     assert len(medial) == 1
-    assert len(validate) == 2
+    assert len(validate) == 1
     assert assemble == []
     assert len(tree) == len(kernel)  # one tree check per system
 
@@ -421,14 +498,13 @@ def test_render_builds_and_walks_the_system_once(color, tmp_path, monkeypatch, c
     path = tmp_path / "grid.hmg"  # grid3x4 has F = 7 faces
     assert cli.main(["gen", "grid", "3x4", "-o", str(path)]) == 0
     medial = _count_calls(monkeypatch, "halfmono.medial", "build_medial_graph")
-    walks = _count_calls(monkeypatch, "halfmono.dividing", "extract_cycles")
+    walks = _count_calls(monkeypatch, "halfmono.dividing", "_walks")
     validate = _count_calls(monkeypatch, "halfmono.plane_graph", "validate_even_polygonal")
     search = _count_calls(monkeypatch, "halfmono.search", "exact_chi_f")
     out = tmp_path / "g34.svg"
     argv = ["render", str(path), "-o", str(out), "--parities", "0110010", *color]
     assert cli.main(argv) == 0
-    assert len(medial) == len(walks) == 1
-    assert len(validate) == 2
+    assert len(medial) == len(walks) == len(validate) == 1
     assert search == []
     assert out.read_text().count("<path ") > 0
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from dataclasses import fields
@@ -16,6 +17,7 @@ from corpus import (
 )
 from halfmono.errors import (
     EulerViolation,
+    FaceStructureError,
     InconsistentRotation,
     NotConnected,
     OddCycleFound,
@@ -35,6 +37,7 @@ from halfmono.plane_graph import (
 C4_ROTATIONS = [[1, 3], [2, 0], [3, 1], [0, 2]]
 # K4 drawn with vertex 0 in the middle of triangle 1-2-3
 K4_ROTATIONS = [[1, 2, 3], [2, 0, 3], [3, 0, 1], [1, 0, 2]]
+P3_ROTATIONS = [[1], [0, 2], [1]]
 
 CORPUS = corpus_graphs()
 
@@ -50,15 +53,6 @@ def test_build_grid_2x3():
     assert (g.n, g.num_edges, g.num_faces) == (6, 7, 3)
     assert sorted(f.degree for f in g.faces) == [4, 4, 6]
     assert g.n - g.num_edges + g.num_faces == 2
-
-
-def test_path_builds_with_one_degenerate_face():
-    g = build_plane_graph(3, [[1], [0, 2], [1]])
-    assert g.num_faces == 1
-    assert g.faces[0].degree == 4
-    report = validate_even_polygonal(g)
-    assert not report.ok
-    assert report.defects[0].kind == FACE_NOT_CYCLE
 
 
 @pytest.mark.parametrize(
@@ -93,18 +87,28 @@ def test_validate_c4_ok():
     assert validate_even_polygonal(build_plane_graph(4, C4_ROTATIONS)).ok
 
 
-def test_validate_k4_odd_faces():
-    g = build_plane_graph(4, K4_ROTATIONS)
-    report = validate_even_polygonal(g)
+def _face_defects(n, rotations):
+    """The defects of the report that build_plane_graph raises."""
+    with pytest.raises(FaceStructureError) as info:
+        build_plane_graph(n, rotations)
+    report = info.value.report
     assert not report.ok
-    assert {d.face for d in report.defects} == {0, 1, 2, 3}
-    assert all(d.kind == ODD_FACE for d in report.defects)
+    assert str(info.value) == str(report)
+    return report.defects
+
+
+def test_validate_k4_odd_faces():
+    defects = _face_defects(4, K4_ROTATIONS)
+    assert {d.face for d in defects} == {0, 1, 2, 3}
+    assert all(d.kind == ODD_FACE for d in defects)
+    assert {d.detail for d in defects} == {"degree 3 is odd"}
 
 
 def test_validate_p3_face_not_cycle():
-    g = build_plane_graph(3, [[1], [0, 2], [1]])
-    report = validate_even_polygonal(g)
-    assert [d.kind for d in report.defects] == [FACE_NOT_CYCLE]
+    # the path's one face walks 0 1 2 1: four darts, vertex 1 twice
+    assert [(d.face, d.kind, d.detail) for d in _face_defects(3, P3_ROTATIONS)] == [
+        (0, FACE_NOT_CYCLE, "vertex 1 appears more than once")
+    ]
 
 
 def test_bipartition_c4():
@@ -123,7 +127,12 @@ def test_bipartition_sizes():
 
 
 def test_bipartition_on_odd_faces_raises():
-    g = build_plane_graph(4, K4_ROTATIONS)  # deliberately skips validation
+    # build_plane_graph refuses K4, so K4's rotations replace C4's in a
+    # built graph; compute_bipartition reads only n and the rotations
+    g = dataclasses.replace(
+        build_plane_graph(4, C4_ROTATIONS),
+        rotations=tuple(map(tuple, K4_ROTATIONS)),
+    )
     with pytest.raises(OddCycleFound):
         compute_bipartition(g)
 
@@ -171,29 +180,27 @@ def test_bipartition_alternates_around_faces(g):
         assert all(sides[i] != sides[(i + 1) % len(sides)] for i in range(len(sides)))
 
 
-# the tracer's golden inputs: both corpora, 60 random subdivided grids, and
-# two graphs whose faces are not even cycles (K4 and a path)
+# the tracer's golden inputs: both corpora and 60 random subdivided grids
 GOLDEN_GRAPHS = (
     [g for _, g in CORPUS]
     + [g for _, g in oracle_corpus_graphs()]
     + [build(random_subdivided_instance(seed, 16)) for seed in range(60)]
-    + [build_plane_graph(4, K4_ROTATIONS), build_plane_graph(3, [[1], [0, 2], [1]])]
 )
 
 
 # sha256 over repr(field) of every golden graph, one line each, recorded
 # from the tracer that built a dart-index dict and sorted all darts
 PLANE_GRAPH_DIGESTS = {
-    "n": "293092b3ade1b9687464a48d2c6448ca9d22e3b7766ea668425235cdf7e697dd",
-    "rotations": "129499e411095576835e58fd292086be2e3dfbba2a1c2856ee1b95692d659d6b",
-    "edges": "056f8ec0034f1db6fd06985b809f81e7398ee6a63dcc17db7910aa8a50337dac",
-    "faces": "58e35236824aaab8ef8693c6e6517014d79b8874c5a834ff977992bb970c0f1e",
-    "dart_tail": "7308f0c9c7f883f7d0d99c1ddb6b74f438b91c7b8539137c167d87fb8c353b82",
-    "dart_head": "4b1c82d7c259ec8349835f18757953b1da64021df098003b5b02f3badd868d1d",
-    "dart_next": "548acce2a80712aab4fb149309956becf8edf80073a53ddaed831c011252be80",
-    "dart_face": "07d36cbe81d7b5d5b25b6b7079f376c4e812831977abd165bf95641c71afb35f",
-    "dart_edge": "4e529ca3b015c3dfa5b7ffd223a2758c9bc0c2bf6f12b6852d577ba1f61a871e",
-    "coords": "498d00c12dc7ad0168f85aa2509d926758eaf8af350a957d750f353bc222f7fc",
+    "n": "a0522fb9eeafb4b423a81bd9d7dcfdc6b773123fb16bab2dcfbc4cb8e203c524",
+    "rotations": "59cfaaeb0fccc19b332e1c59173659961889568346f00e944a7e5d85d97e8bb6",
+    "edges": "deb2353848480fe44372bfa1a9a9790d700142eb721f47980855c86ae9ada682",
+    "faces": "f923a786ccdaa1bbed77b7c4690d761f3498a5f6d57819df2b65993f016f74b9",
+    "dart_tail": "60890484d4bbad78289f3c857b5e2d1df27b093490b54a30839ad8f0916f7cac",
+    "dart_head": "85c0ef9672bae98e49554a97a6c6390a8e3b085d3d9dd4f2e0ad115ef6804159",
+    "dart_next": "c8193afb77944080cb432bb0b40a9bb46b17b3a19bd9daafd4b297e03ca3f796",
+    "dart_face": "62fa5ee927ac859dc2b64dfa5862fd0f2a303ffd8caa37820693b3be8c1662bc",
+    "dart_edge": "89c3d3e6a5cb90b17c936ced597d9c7fcd170f03405c3bc93a2f4b64704f500f",
+    "coords": "f127823699e650eab8354e9d9d46515135776bb43f75f426dcb50bcaad3713b2",
 }
 
 
