@@ -104,6 +104,15 @@ def test_validate_k4_odd_faces():
     assert {d.detail for d in defects} == {"degree 3 is odd"}
 
 
+def test_path_builds_with_one_degenerate_face():
+    # the path passes the rotation, connectivity and Euler checks
+    # (3 - 2 + 1 == 2): the tracer builds its one face, and only the face
+    # validation at the end of build_plane_graph refuses it
+    defects = _face_defects(3, P3_ROTATIONS)
+    assert [d.face for d in defects] == [0]
+    assert defects[0].kind == FACE_NOT_CYCLE
+
+
 def test_validate_p3_face_not_cycle():
     # the path's one face walks 0 1 2 1: four darts, vertex 1 twice
     assert [(d.face, d.kind, d.detail) for d in _face_defects(3, P3_ROTATIONS)] == [
