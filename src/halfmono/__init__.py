@@ -16,15 +16,13 @@ from .dividing import (
     decompose_regions,
     extract_cycles,
 )
-from .independence import MatchingResult, alpha_bruteforce, alpha_via_konig, maximum_matching
+from .independence import MatchingResult, alpha_bruteforce, maximum_matching
 from .instance_io import (
     InstanceFile,
-    RenderSpec,
     build,
     cycle_instance,
     generate_instance,
     grid_instance,
-    parse_instance,
     parse_instance_text,
     prism_instance,
     render_svg,
@@ -49,7 +47,6 @@ from .search import (
     audit_claims,
     exact_chi_f,
     sweep_dividing_systems,
-    verify_theorem_bound,
 )
 
 __version__ = "0.1.0"
@@ -66,11 +63,9 @@ __all__ = [
     "OracleResult",
     "PlaneGraph",
     "RegionDecomposition",
-    "RenderSpec",
     "SearchResult",
     "ValidationReport",
     "alpha_bruteforce",
-    "alpha_via_konig",
     "assemble_dividing_system",
     "audit_claims",
     "baseline_coloring",
@@ -90,7 +85,6 @@ __all__ = [
     "generate_instance",
     "grid_instance",
     "maximum_matching",
-    "parse_instance",
     "parse_instance_text",
     "prism_instance",
     "render_svg",
@@ -99,5 +93,4 @@ __all__ = [
     "sweep_dividing_systems",
     "tutte_embedding",
     "validate_even_polygonal",
-    "verify_theorem_bound",
 ]

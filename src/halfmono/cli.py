@@ -31,7 +31,6 @@ from .errors import (
 from .instance_io import (
     _INTEGER,
     InstanceFile,
-    RenderSpec,
     build,
     generate_instance,
     parse_instance_text,
@@ -218,7 +217,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     elif args.color:
         res = exact_chi_f(g, face_cap=args.face_cap)
         coloring = coloring_from_regions(res.witness_regions)
-    svg = render_svg(RenderSpec(graph=g, cycles=cycles, coloring=coloring))
+    svg = render_svg(g, cycles, coloring)
     Path(args.out).write_text(svg, encoding="utf-8")
     print(f"wrote {args.out}")
     return EXIT_OK

@@ -4,7 +4,8 @@ A coloring is admissible when it is proper and, on every face of degree 2k,
 some color class covers at least k of the boundary vertices.  Under a
 proper coloring a class on an even cycle reaches half only as one of the
 two alternation classes, so the count-based check below is equivalent to
-"one alternation class of each face is monochromatic".
+"one alternation class of each face is monochromatic".  Both checks take
+one label per vertex; a caller holding a Coloring passes its colors.
 """
 
 from __future__ import annotations
@@ -27,12 +28,8 @@ class Coloring:
         if set(self.colors) != set(range(self.num_colors)):
             raise ValueError("colors must be exactly 0..num_colors-1, all used")
 
-    @classmethod
-    def from_labels(cls, labels: Sequence[int]) -> "Coloring":
-        return cls(colors=tuple(labels), num_colors=max(labels) + 1)
 
-
-def proper_labels(g: PlaneGraph, labels: Sequence[int]) -> bool:
+def check_proper(g: PlaneGraph, labels: Sequence[int]) -> bool:
     """True iff no edge joins two equal labels."""
     for u, v in g.edges:
         if labels[u] == labels[v]:
@@ -40,7 +37,7 @@ def proper_labels(g: PlaneGraph, labels: Sequence[int]) -> bool:
     return True
 
 
-def half_monochromatic_labels(g: PlaneGraph, labels: Sequence[int]) -> bool:
+def check_half_monochromatic(g: PlaneGraph, labels: Sequence[int]) -> bool:
     """True iff on every face some label covers at least half the boundary."""
     for f in g.faces:
         counts: dict[int, int] = {}
@@ -54,14 +51,6 @@ def half_monochromatic_labels(g: PlaneGraph, labels: Sequence[int]) -> bool:
         if 2 * best < f.degree:
             return False
     return True
-
-
-def check_proper(g: PlaneGraph, c: Coloring) -> bool:
-    return proper_labels(g, c.colors)
-
-
-def check_half_monochromatic(g: PlaneGraph, c: Coloring) -> bool:
-    return half_monochromatic_labels(g, c.colors)
 
 
 def coloring_from_regions(r: RegionDecomposition) -> Coloring:

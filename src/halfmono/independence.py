@@ -25,11 +25,6 @@ class MatchingResult:
         """Konig: in a bipartite graph, alpha is n minus the matching size."""
         return self.n - self.size
 
-    @property
-    def independent_set(self) -> tuple[int, ...]:
-        covered = set(self.cover)
-        return tuple(v for v in range(self.n) if v not in covered)
-
 
 def _augment(
     rotations: tuple[tuple[int, ...], ...], match: list[int], root: int
@@ -108,11 +103,6 @@ def maximum_matching(g: PlaneGraph, b: Bipartition) -> MatchingResult:
     if len(set(matched_vertices)) != 2 * size:
         raise InternalInvariantError("matching edges are not disjoint")
     return MatchingResult(n=g.n, edges=pairs, size=size, cover=tuple(cover))
-
-
-def alpha_via_konig(g: PlaneGraph, b: Bipartition) -> int:
-    """Independence number as n minus the maximum matching size."""
-    return maximum_matching(g, b).alpha
 
 
 def alpha_bruteforce(g: PlaneGraph, vertex_cap: int = 24) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import colorsys
 import math
 import re
-from collections.abc import Collection
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
 from .coloring import Coloring
@@ -164,11 +164,6 @@ def parse_instance_text(text: str) -> InstanceFile:
         rotations=tuple(rotations[v][1] for v in range(n)),
         coords=tuple(coords[v][1] for v in range(n)) if coords else None,
     )
-
-
-def parse_instance(text: str) -> PlaneGraph:
-    """Parse and build; any face defect is raised with face ids."""
-    return build(parse_instance_text(text))
 
 
 def serialize_instance(inst: InstanceFile) -> str:
@@ -422,13 +417,6 @@ CURVE_WIDTH = 2.4
 CORNER_PULL = 0.45  # how far a curve bends into the corner it cuts off
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    graph: PlaneGraph
-    cycles: tuple[Cycle, ...] = ()  # the curves of one system of graph
-    coloring: Coloring | None = None
-
-
 def _hex_color(h: float, s: float, v: float) -> str:
     r, g, b = colorsys.hsv_to_rgb(h % 1.0, s, v)
     return f"#{round(r * 255):02x}{round(g * 255):02x}{round(b * 255):02x}"
@@ -462,11 +450,12 @@ def _corner_control(
     return (pv[0] + reach * math.cos(bis), pv[1] + reach * math.sin(bis))
 
 
-def render_svg(spec: RenderSpec) -> str:
-    """Deterministic SVG: base edges, one colored path per closed curve,
-    vertices filled by the coloring when given."""
-    g = spec.graph
-    if spec.coloring is not None and len(spec.coloring.colors) != g.n:
+def render_svg(
+    g: PlaneGraph, cycles: Sequence[Cycle] = (), coloring: Coloring | None = None
+) -> str:
+    """Deterministic SVG: base edges, one colored path per closed curve of
+    one dividing system of g, vertices filled by the coloring when given."""
+    if coloring is not None and len(coloring.colors) != g.n:
         raise BadParameter("coloring does not cover every vertex")
 
     coords = g.coords if g.coords is not None else tutte_embedding(g)
@@ -484,8 +473,6 @@ def render_svg(spec: RenderSpec) -> str:
 
     width = 2 * MARGIN + span_x * SCALE
     height = 2 * MARGIN + span_y * SCALE
-
-    cycles = spec.cycles
 
     def midpoint(edge_id: int) -> tuple[float, float]:
         u, v = g.edges[edge_id]
@@ -529,9 +516,9 @@ def render_svg(spec: RenderSpec) -> str:
     out.append('<g stroke="#000000" stroke-width="1.000000">')
     for v in range(g.n):
         x, y = tx(coords[v])
-        if spec.coloring is not None:
-            k = spec.coloring.num_colors
-            fill = _hex_color(spec.coloring.colors[v] / max(k, 1), 0.45, 0.95)
+        if coloring is not None:
+            k = coloring.num_colors
+            fill = _hex_color(coloring.colors[v] / max(k, 1), 0.45, 0.95)
         else:
             fill = "#ffffff"
         out.append(

@@ -1,7 +1,8 @@
 """Brute-force maximum color count by scanning all vertex partitions.
 
 This is the anti-circularity instrument of the test suite: it shares the
-admissibility checks with the coloring module but deliberately never
+admissibility checks `coloring.check_proper` and
+`coloring.check_half_monochromatic` with the solver but deliberately never
 touches the medial/region machinery, so agreeing answers from here and
 from the region-based solver confirm each other through independent
 search paths.
@@ -12,13 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .coloring import (
-    Coloring,
-    check_half_monochromatic,
-    check_proper,
-    half_monochromatic_labels,
-    proper_labels,
-)
+from .coloring import Coloring, check_half_monochromatic, check_proper
 from .errors import InternalInvariantError, SizeCapExceeded
 from .plane_graph import PlaneGraph
 
@@ -67,9 +62,9 @@ def chi_f_bruteforce(g: PlaneGraph, vertex_cap: int = 12) -> OracleResult:
     scanned = 0
     for labels in _set_partitions(g.n):
         scanned += 1
-        if not proper_labels(g, labels):
+        if not check_proper(g, labels):
             continue
-        if not half_monochromatic_labels(g, labels):
+        if not check_half_monochromatic(g, labels):
             continue
         k = max(labels) + 1
         if k > best_k:
@@ -80,11 +75,7 @@ def chi_f_bruteforce(g: PlaneGraph, vertex_cap: int = 12) -> OracleResult:
         raise InternalInvariantError(
             "no admissible partition found on a validated instance"
         )
-    witness = Coloring.from_labels(best)
-    if not (
-        witness.num_colors == best_k
-        and check_proper(g, witness)
-        and check_half_monochromatic(g, witness)
-    ):
+    witness = Coloring(tuple(best), best_k)
+    if not (check_proper(g, best) and check_half_monochromatic(g, best)):
         raise InternalInvariantError("oracle witness failed its own checks")
     return OracleResult(chi_f=best_k, witness=witness, partitions_scanned=scanned)

@@ -67,10 +67,6 @@ class PlaneGraph:
     def num_faces(self) -> int:
         return len(self.faces)
 
-    @property
-    def num_darts(self) -> int:
-        return len(self.dart_tail)
-
     def degree(self, v: int) -> int:
         return len(self.rotations[v])
 

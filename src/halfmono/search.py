@@ -17,7 +17,7 @@ checking the degree, base vertex and region-count laws on the way.
 region pairs (`dividing.build_division_tree`, which checks the tree laws),
 checks region independence and claims 2 and 3 against it in one pass over
 the base edges, and runs the region coloring through
-`half_monochromatic_labels`.  Each law is checked once: region
+`coloring.check_half_monochromatic`.  Each law is checked once: region
 independence is exactly properness of the region coloring, and the
 base vertex law already gives it one color per region.  The sweep runs
 both on every system.  `_certify` runs the witness through the same two
@@ -37,7 +37,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .coloring import baseline_coloring, half_monochromatic_labels
+from .coloring import baseline_coloring, check_half_monochromatic
 from .dividing import (
     RegionDecomposition,
     SystemArrays,
@@ -52,7 +52,7 @@ from .errors import (
     FaceCapExceeded,
     InternalInvariantError,
 )
-from .independence import alpha_via_konig
+from .independence import maximum_matching
 from .medial import MedialGraph, build_medial_graph
 from .plane_graph import PlaneGraph, compute_bipartition
 
@@ -131,7 +131,7 @@ def _check_system(g: PlaneGraph, s: SystemArrays, bits) -> list[int]:
     """
     adjacent, degrees = build_division_tree(s.curve_sides, s.num_regions)
     _check_structural_claims(g, s.region_of_cell, adjacent, degrees)
-    if not half_monochromatic_labels(g, s.region_of_cell[: g.n]):
+    if not check_half_monochromatic(g, s.region_of_cell[: g.n]):
         index = int("".join(map(str, bits)), 2)  # face 0 most significant
         raise InternalInvariantError(
             f"region coloring failed for parity index {index}"
@@ -231,7 +231,7 @@ def _certify(g: PlaneGraph, m: MedialGraph, parities) -> SearchResult:
     chi_f = s.num_regions
 
     b = compute_bipartition(g)
-    alpha = alpha_via_konig(g, b)
+    alpha = maximum_matching(g, b).alpha
     if 2 * chi_f > 3 * alpha:
         raise BoundViolated(f"2*{chi_f} > 3*{alpha}")
 
@@ -271,17 +271,12 @@ def exact_chi_f(g: PlaneGraph, face_cap: int = DEFAULT_FACE_CAP) -> SearchResult
         FaceCapExceeded: too many faces for exhaustive enumeration.
         BoundViolated, ClaimViolated: a certified law failed, meaning a bug.
     """
-    m = build_medial_graph(g)
     nf = g.num_faces
     cap = min(face_cap, MAX_FACES)
     if nf > cap:
         raise FaceCapExceeded(f"{nf} faces exceeds cap {cap}")
+    m = build_medial_graph(g)
     return _certify(g, m, _best_bits(m))
-
-
-def verify_theorem_bound(result: SearchResult) -> bool:
-    """Exact integer check of 2 * chiF <= 3 * alpha."""
-    return 2 * result.chi_f <= 3 * result.alpha
 
 
 def audit_claims(g: PlaneGraph, result: SearchResult) -> AuditReport:
@@ -305,8 +300,8 @@ def sweep_dividing_systems(
     violation raises.  The same pass finds the optimum and returns it,
     certified exactly as by exact_chi_f.
     """
-    m = build_medial_graph(g)
     nf = g.num_faces
     if nf > face_cap:
         raise FaceCapExceeded(f"{nf} faces exceeds sweep cap {face_cap}")
+    m = build_medial_graph(g)
     return _certify(g, m, _scan(m, g))

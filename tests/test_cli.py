@@ -9,7 +9,7 @@ import pytest
 
 from corpus import random_subdivided_instance
 from halfmono import cli
-from halfmono.coloring import half_monochromatic_labels
+from halfmono.coloring import check_half_monochromatic
 from halfmono.instance_io import (
     LAYOUT_VERTEX_CAP,
     InstanceFile,
@@ -452,9 +452,9 @@ def test_check_mixed_batch_streams_each_file_once(tmp_path, monkeypatch, capsys)
 
     # a violated law outranks both
     monkeypatch.setattr(
-        "halfmono.search.half_monochromatic_labels",
+        "halfmono.search.check_half_monochromatic",
         lambda graph, labels: len(labels) != 6
-        and half_monochromatic_labels(graph, labels),
+        and check_half_monochromatic(graph, labels),
     )
     assert cli.main([*argv, "--face-cap", "3"]) == 2
     assert errors(capsys.readouterr().err) == [
@@ -509,6 +509,30 @@ def test_render_builds_and_walks_the_system_once(color, tmp_path, monkeypatch, c
     assert out.read_text().count("<path ") > 0
 
 
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (["chif", "--face-cap", "2"], "error: 7 faces exceeds cap 2\n"),
+        (["check", "--face-cap", "3"], "grid.hmg: ERROR 7 faces exceeds cap 3\n"),
+        (["render", "--color", "--face-cap", "2"], "error: 7 faces exceeds cap 2\n"),
+    ],
+    ids=["chif", "check", "render"],
+)
+def test_face_cap_refuses_before_the_medial_build(
+    argv, err, tmp_path, monkeypatch, capsys
+):
+    path = tmp_path / "grid.hmg"  # grid3x4 has F = 7 faces
+    assert cli.main(["gen", "grid", "3x4", "-o", str(path)]) == 0
+    capsys.readouterr()
+    medial = _count_calls(monkeypatch, "halfmono.medial", "build_medial_graph")
+    out = tmp_path / "g34.svg"
+    extra = ["-o", str(out)] if argv[0] == "render" else []
+    assert cli.main([argv[0], str(path), *argv[1:], *extra]) == 3
+    assert medial == []
+    assert capsys.readouterr() == ("", err)
+    assert not out.exists()
+
+
 def test_alpha_computes_one_matching(c4_file, monkeypatch, capsys):
     matching = _count_calls(monkeypatch, "halfmono.independence", "maximum_matching")
     assert cli.main(["alpha", str(c4_file)]) == 0
@@ -525,6 +549,23 @@ def test_chif_refuses_more_faces_than_it_can_print(tmp_path):
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr == "error: 10001 faces exceeds cap 10000\n"
+
+
+def test_hundred_thousand_vertex_cycle(tmp_path):
+    # F = 2 faces, so the search and the sweep are tiny; parsing, face
+    # tracing, the medial build, the kernel and matching all run at n = 10^5
+    path = tmp_path / "c5.hmg"
+    assert cli.main(["gen", "cycle", "100000", "-o", str(path)]) == 0
+    expected = {
+        "chif": "chiF = 50001\nalpha = 50000\n",
+        "check": "c5.hmg: chiF=50001 alpha=50000 bound=ok claims=ok",
+        "alpha": "alpha = 50000\nmatching size = 50000\n",
+    }
+    for command, text in expected.items():
+        proc = _run_cli(command, str(path), timeout=120)
+        assert proc.returncode == 0, command
+        assert proc.stderr == "", command
+        assert text in proc.stdout, command
 
 
 def test_alpha_long_ladder_needs_no_recursion(tmp_path):

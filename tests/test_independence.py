@@ -10,7 +10,7 @@ from corpus import (
     random_subdivided_instance,
 )
 from halfmono.errors import SizeCapExceeded
-from halfmono.independence import alpha_bruteforce, alpha_via_konig, maximum_matching
+from halfmono.independence import alpha_bruteforce, maximum_matching
 from halfmono.instance_io import build
 from halfmono.plane_graph import BLACK, compute_bipartition
 
@@ -43,7 +43,7 @@ def test_matching_sizes(g, expected):
     ids=["c4", "c6", "c8", "grid2x3", "cube"],
 )
 def test_alpha_values(g, expected):
-    assert alpha_via_konig(g, compute_bipartition(g)) == expected
+    assert maximum_matching(g, compute_bipartition(g)).alpha == expected
     assert alpha_bruteforce(g) == expected
 
 
@@ -57,7 +57,7 @@ def test_certificates(name, g):
     matched = [x for uv in result.edges for x in uv]
     assert len(set(matched)) == 2 * result.size
     # complement of the cover is an independent witness of size alpha
-    independent = set(result.independent_set)
+    independent = set(range(g.n)) - cover
     assert len(independent) == g.n - result.size
     assert all(not (u in independent and v in independent) for u, v in g.edges)
 
@@ -66,7 +66,7 @@ def test_certificates(name, g):
     "name,g", CORPUS + random_subdivided_graphs() + random_split_graphs()
 )
 def test_konig_matches_bruteforce_and_half_bound(name, g):
-    alpha = alpha_via_konig(g, compute_bipartition(g))
+    alpha = maximum_matching(g, compute_bipartition(g)).alpha
     assert alpha == alpha_bruteforce(g)
     assert 2 * alpha >= g.n
 

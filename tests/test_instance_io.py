@@ -23,12 +23,10 @@ from halfmono.errors import (
 )
 from halfmono.instance_io import (
     InstanceFile,
-    RenderSpec,
     build,
     cycle_instance,
     generate_instance,
     grid_instance,
-    parse_instance,
     parse_instance_text,
     prism_instance,
     render_svg,
@@ -279,7 +277,7 @@ def test_render_rejects_overflowing_span(tmp_path, capsys):
 
 def test_parse_instance_surfaces_face_defects():
     with pytest.raises(FaceStructureError) as err:
-        parse_instance(K4_TEXT)
+        build(parse_instance_text(K4_TEXT))
     assert {d.face for d in err.value.report.defects} == {0, 1, 2, 3}
 
 
@@ -388,24 +386,18 @@ def _cycles(g, bits):
 def test_render_is_deterministic():
     g = build(cycle_instance(4))
     coloring = Coloring((0, 1, 0, 2), 3)
-    spec = RenderSpec(graph=g, cycles=_cycles(g, (0, 0)), coloring=coloring)
-    first = render_svg(spec)
-    assert render_svg(spec) == first
+    first = render_svg(g, _cycles(g, (0, 0)), coloring)
+    assert render_svg(g, _cycles(g, (0, 0)), coloring) == first
     rebuilt = build(parse_instance_text(serialize_instance(cycle_instance(4))))
-    assert (
-        render_svg(
-            RenderSpec(graph=rebuilt, cycles=_cycles(rebuilt, (0, 0)), coloring=coloring)
-        )
-        == first
-    )
+    assert render_svg(rebuilt, _cycles(rebuilt, (0, 0)), coloring) == first
 
 
 def test_render_structure():
     g = build(cycle_instance(4))
-    svg = render_svg(RenderSpec(graph=g, cycles=_cycles(g, (0, 0))))
+    svg = render_svg(g, _cycles(g, (0, 0)))
     assert svg.count("<path ") == 2  # one closed curve per digon
     assert svg.count("<circle ") == 4
-    plain = render_svg(RenderSpec(graph=g))
+    plain = render_svg(g)
     assert "<path " not in plain
 
 
@@ -417,13 +409,13 @@ def test_render_rejects_wrong_parity_length(tmp_path, capsys):
     assert not out.exists()
     g = build(cycle_instance(4))
     with pytest.raises(BadParameter):
-        render_svg(RenderSpec(graph=g, coloring=Coloring((0, 1, 0), 2)))
+        render_svg(g, coloring=Coloring((0, 1, 0), 2))
 
 
 def test_render_uses_tutte_when_no_coords():
     inst = prism_instance(4)
     bare = InstanceFile(inst.name, inst.n, inst.rotations, None)
-    svg = render_svg(RenderSpec(graph=build(bare)))
+    svg = render_svg(build(bare))
     assert svg.count("<circle ") == 8
 
 
@@ -455,17 +447,17 @@ BARE_RENDER_SHA256 = {
     ids=lambda i: i.name,
 )
 def test_bare_render_golden_digest(inst):
-    svg = render_svg(RenderSpec(graph=build(_bare(inst))))
+    svg = render_svg(build(_bare(inst)))
     assert hashlib.sha256(svg.encode()).hexdigest() == BARE_RENDER_SHA256[inst.name]
 
 
 def test_layout_cap_spares_instances_with_coords(monkeypatch):
     inst = grid_instance(3, 4)
-    expected = render_svg(RenderSpec(graph=build(inst)))
+    expected = render_svg(build(inst))
     monkeypatch.setattr(instance_io, "LAYOUT_VERTEX_CAP", inst.n - 1)
-    assert render_svg(RenderSpec(graph=build(inst))) == expected
+    assert render_svg(build(inst)) == expected
     with pytest.raises(SizeCapExceeded, match="coord"):
-        render_svg(RenderSpec(graph=build(_bare(inst))))
+        render_svg(build(_bare(inst)))
 
 
 def test_bare_render_runs_without_numpy(tmp_path):
@@ -565,7 +557,7 @@ def test_render_extremes_are_computed_once(monkeypatch):
     counts = []
     for length in (100, 200):
         calls.clear()
-        render_svg(RenderSpec(graph=build(cycle_instance(length))))
+        render_svg(build(cycle_instance(length)))
         counts.append(len(calls))
     assert counts[0] == counts[1]
 
@@ -582,9 +574,7 @@ def test_colored_render_with_coords_golden_digest():
     bits = (0, 1, 1, 0, 0, 1, 0)
     m = build_medial_graph(g)
     r = decompose_regions(m, assemble_dividing_system(m, bits))
-    svg = render_svg(
-        RenderSpec(graph=g, cycles=r.cycles, coloring=coloring_from_regions(r))
-    )
+    svg = render_svg(g, r.cycles, coloring_from_regions(r))
     assert hashlib.sha256(svg.encode()).hexdigest() == COLORED_RENDER_SHA256
 
 

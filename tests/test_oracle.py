@@ -1,7 +1,7 @@
 import pytest
 
 from corpus import bell, cycle_graph, grid_graph, prism_graph
-from halfmono.coloring import check_half_monochromatic, check_proper, proper_labels
+from halfmono.coloring import check_half_monochromatic, check_proper
 from halfmono.errors import SizeCapExceeded
 from halfmono.oracle import _set_partitions, chi_f_bruteforce
 
@@ -32,7 +32,7 @@ def test_partition_enumeration_is_complete(n):
 
 def test_single_block_partition_is_improper():
     g = cycle_graph(4)
-    assert not proper_labels(g, [0, 0, 0, 0])
+    assert not check_proper(g, [0, 0, 0, 0])
     assert chi_f_bruteforce(g).chi_f >= 2
 
 
@@ -40,8 +40,8 @@ def test_witness_is_admissible():
     g = prism_graph(4)
     res = chi_f_bruteforce(g)
     assert res.witness.num_colors == res.chi_f == 5
-    assert check_proper(g, res.witness)
-    assert check_half_monochromatic(g, res.witness)
+    assert check_proper(g, res.witness.colors)
+    assert check_half_monochromatic(g, res.witness.colors)
     assert res.partitions_scanned == bell(8)
 
 

@@ -155,12 +155,12 @@ def test_corpus_valid_and_euler(name, g):
 
 @pytest.mark.parametrize("name,g", CORPUS)
 def test_every_dart_in_exactly_one_face(name, g):
-    seen = [0] * g.num_darts
+    seen = [0] * len(g.dart_tail)
     for f in g.faces:
         for d in f.darts:
             seen[d] += 1
             assert g.dart_face[d] == f.id
-    assert seen == [1] * g.num_darts
+    assert seen == [1] * len(g.dart_tail)
 
 
 @pytest.mark.parametrize("name,g", CORPUS)

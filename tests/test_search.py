@@ -31,6 +31,7 @@ from halfmono.coloring import (
 from halfmono.dividing import build_division_tree, region_kernel
 from halfmono.errors import (
     BadParameter,
+    BoundViolated,
     ClaimViolated,
     FaceCapExceeded,
     InternalDegreeViolation,
@@ -49,7 +50,6 @@ from halfmono.search import (
     audit_claims,
     exact_chi_f,
     sweep_dividing_systems,
-    verify_theorem_bound,
 )
 
 # (builder args, chiF, alpha); region maxima confirmed by the partition
@@ -75,11 +75,11 @@ def test_expected_optima(name):
     g, chi, alpha = EXPECTED[name]
     res = exact_chi_f(g)
     assert (res.chi_f, res.alpha) == (chi, alpha)
-    assert verify_theorem_bound(res)
+    assert 2 * res.chi_f <= 3 * res.alpha
     coloring = coloring_from_regions(res.witness_regions)
     assert coloring.num_colors == chi
-    assert check_proper(g, coloring)
-    assert check_half_monochromatic(g, coloring)
+    assert check_proper(g, coloring.colors)
+    assert check_half_monochromatic(g, coloring.colors)
 
 
 def test_c4_witness_details():
@@ -133,7 +133,9 @@ def test_schedule_independent():
     assert exact_chi_f(g) == exact_chi_f(g)
 
 
-def test_face_cap():
+def test_face_cap(monkeypatch):
+    # the cap is checked first: a refused op builds no medial graph
+    monkeypatch.setattr(search, "build_medial_graph", None)
     with pytest.raises(FaceCapExceeded):
         exact_chi_f(grid_graph(3, 4), face_cap=3)
     with pytest.raises(FaceCapExceeded):
@@ -181,13 +183,6 @@ def test_audit_claims_takes_equal_float_and_bool_bits(bits):
     assert (expected == res.audit) == (bits == (1, 1))
     for parities in (tuple(map(float, bits)), tuple(map(bool, bits))):
         assert _audit_outcome(g, res, parities) == expected
-
-
-def test_verify_theorem_bound_on_doctored_result():
-    res = exact_chi_f(cycle_graph(4))
-    assert verify_theorem_bound(res)
-    impossible = dataclasses.replace(res, chi_f=4, alpha=2)
-    assert not verify_theorem_bound(impossible)
 
 
 def test_sweep_maximum_agrees_with_search():
@@ -282,9 +277,22 @@ def test_witness_claim1_is_checked_on_the_kernel_arrays(monkeypatch):
         exact_chi_f(g)
 
 
+def test_witness_bound_is_certified(monkeypatch):
+    # a matching one edge too large gives the 4-cycle alpha 1: 2*3 > 3*1
+    matching = search.maximum_matching
+    monkeypatch.setattr(
+        search,
+        "maximum_matching",
+        lambda g, b: dataclasses.replace(matching(g, b), size=3),
+    )
+    for run in (exact_chi_f, sweep_dividing_systems):
+        with _raises(BoundViolated, "2*3 > 3*1"):
+            run(cycle_graph(4))
+
+
 def test_witness_region_coloring_is_checked(monkeypatch):
     monkeypatch.setattr(
-        search, "half_monochromatic_labels", lambda graph, labels: False
+        search, "check_half_monochromatic", lambda graph, labels: False
     )
     with _raises(InternalInvariantError, "region coloring failed for parity index 0"):
         exact_chi_f(cycle_graph(4))
@@ -300,7 +308,7 @@ def test_sweep_checks_the_region_coloring_of_every_system(monkeypatch):
         return len(calls) < 4
 
     monkeypatch.setattr(
-        search, "half_monochromatic_labels", half_monochromatic_until_the_last
+        search, "check_half_monochromatic", half_monochromatic_until_the_last
     )
     with _raises(InternalInvariantError, "region coloring failed for parity index 3"):
         sweep_dividing_systems(g)
