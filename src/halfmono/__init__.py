@@ -33,7 +33,6 @@ from .instance_io import (
 from .medial import MedialGraph, build_medial_graph
 from .oracle import OracleResult, chi_f_bruteforce
 from .plane_graph import (
-    Bipartition,
     Face,
     PlaneGraph,
     ValidationReport,
@@ -53,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuditReport",
-    "Bipartition",
     "Coloring",
     "Cycle",
     "Face",

@@ -29,6 +29,7 @@ from .errors import (
     InvalidInstanceError,
 )
 from .instance_io import (
+    _FAMILIES,
     _INTEGER,
     InstanceFile,
     build,
@@ -267,9 +268,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", action="store_true")
     p.add_argument("--json", action="store_true")
     p.add_argument("--face-cap", type=int, default=DEFAULT_FACE_CAP)
-    p.add_argument(
-        "--jobs", type=int, default=1, help="accepted for compatibility; no effect"
-    )
     p.set_defaults(func=cmd_chif)
 
     p = sub.add_parser("alpha", help="independence number with certificate")
@@ -282,9 +280,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("paths", nargs="+", metavar="FILE_OR_DIR")
     p.add_argument("--face-cap", type=int, default=DEFAULT_FACE_CAP)
     p.add_argument("--sweep-cap", type=int, default=DEFAULT_SWEEP_CAP)
-    p.add_argument(
-        "--jobs", type=int, default=1, help="accepted for compatibility; no effect"
-    )
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("oracle", help="brute-force maximum over all partitions")
@@ -301,7 +296,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("gen", help="write a corpus instance")
-    p.add_argument("family", choices=["cycle", "grid", "prism"])
+    p.add_argument("family", choices=sorted(_FAMILIES))
     p.add_argument("params", nargs="+", help="cycle LEN | grid RxC | prism LEN")
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_gen)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .dividing import RegionDecomposition
-from .plane_graph import BLACK, Bipartition, PlaneGraph
+from .plane_graph import PlaneGraph
 
 
 @dataclass(frozen=True)
@@ -67,21 +67,18 @@ def coloring_from_regions(r: RegionDecomposition) -> Coloring:
     )
 
 
-def baseline_coloring(g: PlaneGraph, b: Bipartition) -> Coloring:
+def baseline_coloring(g: PlaneGraph, side: tuple[int, ...]) -> Coloring:
     """Give each vertex of the larger side its own color, one shared color
     for the rest.
 
     Boundary vertices of every face alternate sides, so the shared side is
     monochromatic on half of each face.  Uses max(|sides|) + 1 colors, at
-    least ceil(n/2) + 1; ties go to the side of vertex 0.
+    least ceil(n/2) + 1; ties go to the side of vertex 0.  side holds one
+    side per vertex (compute_bipartition).
     """
-    black, white = b.black, b.white
-    if len(white) > len(black):
-        fresh = white
-    elif len(black) > len(white):
-        fresh = black
-    else:
-        fresh = black if b.side[0] == BLACK else white
+    own = [v for v, s in enumerate(side) if s == side[0]]
+    other = [v for v, s in enumerate(side) if s != side[0]]
+    fresh = other if len(other) > len(own) else own
     shared_color = len(fresh)
     colors = [shared_color] * g.n
     for i, v in enumerate(fresh):

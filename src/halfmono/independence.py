@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError, SizeCapExceeded
-from .plane_graph import BLACK, Bipartition, PlaneGraph
+from .plane_graph import BLACK, PlaneGraph
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,13 @@ def _augment(
     return False
 
 
-def maximum_matching(g: PlaneGraph, b: Bipartition) -> MatchingResult:
-    """Maximum matching by augmenting paths, with a minimum-cover witness."""
-    left = [v for v in range(g.n) if b.side[v] == BLACK]
+def maximum_matching(g: PlaneGraph, side: tuple[int, ...]) -> MatchingResult:
+    """Maximum matching by augmenting paths, with a minimum-cover witness.
+
+    side holds one side per vertex (compute_bipartition); paths start at
+    the BLACK vertices.
+    """
+    left = [v for v, s in enumerate(side) if s == BLACK]
     match = [-1] * g.n
     size = 0
     for u in left:

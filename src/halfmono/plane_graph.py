@@ -11,7 +11,7 @@ that the rotation system really describes a sphere embedding, and
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import eq
@@ -119,20 +119,24 @@ def _check_rotations(n: int, rotations: tuple[tuple[int, ...], ...]) -> None:
                 )
 
 
-def _check_connected(n: int, rotations: tuple[tuple[int, ...], ...]) -> None:
-    seen = [False] * n
-    seen[0] = True
-    queue = deque([0])
-    reached = 1
-    while queue:
-        u = queue.popleft()
+def _two_colour(n: int, rotations: tuple[tuple[int, ...], ...]) -> list[int]:
+    """Colour every vertex opposite the one that discovers it, by BFS from
+    vertex 0, which is black.
+
+    Raises NotConnected when the BFS does not reach every vertex.
+    """
+    side = [-1] * n
+    side[0] = BLACK
+    order = [0]  # BFS order; the loop also visits the vertices it appends
+    for u in order:
+        other = WHITE if side[u] == BLACK else BLACK
         for v in rotations[u]:
-            if not seen[v]:
-                seen[v] = True
-                reached += 1
-                queue.append(v)
-    if reached != n:
-        raise NotConnected(f"only {reached} of {n} vertices reachable from 0")
+            if side[v] == -1:
+                side[v] = other
+                order.append(v)
+    if len(order) != n:
+        raise NotConnected(f"only {len(order)} of {n} vertices reachable from 0")
+    return side
 
 
 def build_plane_graph(
@@ -175,7 +179,7 @@ def build_plane_graph(
         or None in twin
     ):
         _check_rotations(n, rot)
-    _check_connected(n, rot)
+    _two_colour(n, rot)  # the connectivity check
 
     # The dart after u -> v is v -> w, w following u in rot[v]: the slot
     # after twin[d] among v's slots, wrapping round at the last one.
@@ -249,37 +253,16 @@ def validate_even_polygonal(g: PlaneGraph) -> ValidationReport:
     return ValidationReport(ok=not defects, defects=tuple(defects))
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    """Per-vertex side labels; every edge joins a black and a white vertex."""
-
-    side: tuple[int, ...]
-
-    @property
-    def black(self) -> tuple[int, ...]:
-        return tuple(v for v, s in enumerate(self.side) if s == BLACK)
-
-    @property
-    def white(self) -> tuple[int, ...]:
-        return tuple(v for v, s in enumerate(self.side) if s == WHITE)
-
-
-def compute_bipartition(g: PlaneGraph) -> Bipartition:
-    """Two-color the graph by BFS with vertex 0 black.
+def compute_bipartition(g: PlaneGraph) -> tuple[int, ...]:
+    """One side, BLACK or WHITE, per vertex, with vertex 0 black.
 
     A graph whose faces are all even cycles is bipartite, and
     build_plane_graph builds no other, so OddCycleFound here means a broken
-    caller.
+    caller.  Reads only g.n and g.rotations.
     """
-    side = [-1] * g.n
-    side[0] = BLACK
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in g.rotations[u]:
-            if side[v] == -1:
-                side[v] = BLACK if side[u] == WHITE else WHITE
-                queue.append(v)
-            elif side[v] == side[u]:
+    side = _two_colour(g.n, g.rotations)
+    for u, neighbours in enumerate(g.rotations):
+        for v in neighbours:
+            if side[v] == side[u]:
                 raise OddCycleFound(f"edge {u}-{v} joins two same-side vertices")
-    return Bipartition(side=tuple(side))
+    return tuple(side)

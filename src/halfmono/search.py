@@ -217,7 +217,8 @@ def _certify(g: PlaneGraph, m: MedialGraph, parities) -> SearchResult:
 
     The witness runs through region_kernel and _check_system like every
     swept system; claim 1, the degree census, alpha and the bounds are
-    checked on top.  Its RegionDecomposition is built last, as output view,
+    checked on top, the matching and the baseline reading one
+    compute_bipartition.  Its RegionDecomposition is built last, as output view,
     from the same arrays.
     """
     s = region_kernel(m, parities)
@@ -230,12 +231,12 @@ def _certify(g: PlaneGraph, m: MedialGraph, parities) -> SearchResult:
             )
     chi_f = s.num_regions
 
-    b = compute_bipartition(g)
-    alpha = maximum_matching(g, b).alpha
+    side = compute_bipartition(g)
+    alpha = maximum_matching(g, side).alpha
     if 2 * chi_f > 3 * alpha:
         raise BoundViolated(f"2*{chi_f} > 3*{alpha}")
 
-    baseline = baseline_coloring(g, b)
+    baseline = baseline_coloring(g, side)
     if chi_f < baseline.num_colors or 2 * chi_f < g.n:
         raise InternalInvariantError(
             f"optimum {chi_f} below the guaranteed lower bound"

@@ -85,6 +85,16 @@ def test_validate(c4_file, k4_file, monkeypatch, capsys):
     assert len(validate) == 2
 
 
+def test_validate_single_edge(tmp_path, capsys):
+    # 2 - 1 + 1 == 2, so only the face validation refuses the edge
+    path = tmp_path / "edge.hmg"
+    path.write_text("name edge\nvertices 2\nrotation 0 1\nrotation 1 0\n")
+    assert cli.main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "edge: face 0: face_not_cycle (walk of length 2 is not a cycle)\n"
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("name,code", [("c4", 0), ("k4", 1), ("p3", 1)])
 def test_validate_golden_stdout(name, code, request, capsys):
     path = request.getfixturevalue(f"{name}_file")
@@ -132,7 +142,7 @@ def test_chif_json(c4_file, capsys):
     assert payload["systemsExplored"] == 4
 
 
-def test_chif_json_deterministic_and_parallel(tmp_path, capsys):
+def test_chif_json_deterministic(tmp_path, capsys):
     path = tmp_path / "g.hmg"
     assert cli.main(["gen", "grid", "3x4", "-o", str(path)]) == 0
     capsys.readouterr()
@@ -140,7 +150,7 @@ def test_chif_json_deterministic_and_parallel(tmp_path, capsys):
     for argv in (
         ["chif", str(path), "--json"],
         ["chif", str(path), "--json"],
-        ["chif", str(path), "--json", "--jobs", "4"],
+        ["chif", str(path), "--json"],
     ):
         assert cli.main(argv) == 0
         runs.append(capsys.readouterr().out)
@@ -174,13 +184,13 @@ def test_check_directory(tmp_path, capsys):
         assert cli.main([*args, "-o", str(tmp_path / name)]) == 0
     capsys.readouterr()
     assert cli.main(["check", str(tmp_path)]) == 0
-    sequential = capsys.readouterr().out
-    lines = sequential.strip().splitlines()
+    first = capsys.readouterr().out
+    lines = first.strip().splitlines()
     assert len(lines) == 3
     assert lines == sorted(lines)
     assert all("bound=ok" in line and "claims=ok" in line for line in lines)
-    assert cli.main(["check", str(tmp_path), "--jobs", "3"]) == 0
-    assert capsys.readouterr().out == sequential
+    assert cli.main(["check", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == first
 
 
 def test_check_invalid_instance(k4_file, capsys):
@@ -233,6 +243,13 @@ def test_render(tmp_path, c4_file, capsys):
     assert svg.startswith("<?xml")
     assert svg.count("<path ") == 2
     assert cli.main(["render", str(c4_file), "-o", str(out), "--parities", "0"]) == 1
+
+
+def test_render_rejects_non_binary_parities(tmp_path, c4_file, capsys):
+    out = tmp_path / "c4.svg"
+    assert cli.main(["render", str(c4_file), "-o", str(out), "--parities", "01a"]) == 1
+    assert capsys.readouterr().err == "error: parities must be a string of 0s and 1s\n"
+    assert not out.exists()
 
 
 def test_render_with_parities_runs_no_search(tmp_path, c4_file):

@@ -12,7 +12,7 @@ from halfmono.coloring import (
 )
 from halfmono.dividing import assemble_dividing_system, decompose_regions
 from halfmono.medial import build_medial_graph
-from halfmono.plane_graph import compute_bipartition
+from halfmono.plane_graph import BLACK, WHITE, compute_bipartition
 from halfmono.search import sweep_dividing_systems
 
 CORPUS = corpus_graphs()
@@ -74,7 +74,7 @@ def test_baseline_is_admissible_and_large(name, g):
     c = baseline_coloring(g, b)
     assert check_proper(g, c.colors)
     assert check_half_monochromatic(g, c.colors)
-    assert c.num_colors == max(len(b.black), len(b.white)) + 1
+    assert c.num_colors == max(b.count(BLACK), b.count(WHITE)) + 1
     assert 2 * c.num_colors >= g.n + 2  # at least ceil(n/2) + 1 colors
 
 

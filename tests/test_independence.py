@@ -9,7 +9,8 @@ from corpus import (
     random_subdivided_graphs,
     random_subdivided_instance,
 )
-from halfmono.errors import SizeCapExceeded
+from halfmono import independence
+from halfmono.errors import InternalInvariantError, SizeCapExceeded
 from halfmono.independence import alpha_bruteforce, maximum_matching
 from halfmono.instance_io import build
 from halfmono.plane_graph import BLACK, compute_bipartition
@@ -92,7 +93,7 @@ def _recursive_matching(g, b) -> list[int]:
         return False
 
     for u in range(g.n):
-        if b.side[u] == BLACK:
+        if b[u] == BLACK:
             augment(u, set())
     return match
 
@@ -106,6 +107,29 @@ def test_matching_equals_recursive_search():
     for g in MATCHING_GRAPHS:
         b = compute_bipartition(g)
         match = _recursive_matching(g, b)
-        left = [u for u in range(g.n) if b.side[u] == BLACK]
+        left = [u for u in range(g.n) if b[u] == BLACK]
         expected = tuple((u, match[u]) for u in left if match[u] != -1)
         assert maximum_matching(g, b).edges == expected
+
+
+def test_cover_size_is_certified(monkeypatch):
+    # the first root is matched to the vertex opposite it on the 6-cycle,
+    # a non-neighbour; the alternating search then reaches every vertex
+    def augment(rotations, match, root):
+        if root != 0:
+            return False
+        match[0], match[3] = 3, 0
+        return True
+
+    monkeypatch.setattr(independence, "_augment", augment)
+    g = cycle_graph(6)
+    with pytest.raises(InternalInvariantError, match="^cover size 3 != matching size 1$"):
+        maximum_matching(g, compute_bipartition(g))
+
+
+def test_matching_disjointness_is_certified(monkeypatch):
+    # every search reports an augmenting path but flips none
+    monkeypatch.setattr(independence, "_augment", lambda rotations, match, root: True)
+    g = cycle_graph(4)
+    with pytest.raises(InternalInvariantError, match="^matching edges are not disjoint$"):
+        maximum_matching(g, compute_bipartition(g))

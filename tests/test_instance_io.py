@@ -330,6 +330,14 @@ def test_subdivide_keeps_faces_even():
     assert sub.coords is not None and len(sub.coords) == 6
 
 
+def test_subdivide_rejects_bad_parameters():
+    inst = grid_instance(2, 2)
+    with pytest.raises(BadParameter, match="^times must be >= 1$"):
+        subdivide_edge(inst, 0, 1, times=0)
+    with pytest.raises(BadParameter, match="^no edge 0-3 to subdivide$"):
+        subdivide_edge(inst, 0, 3)
+
+
 def test_random_subdivided_corpus_is_valid():
     for seed in range(25):
         inst = random_subdivided_instance(seed)

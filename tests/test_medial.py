@@ -74,9 +74,9 @@ def test_hexagon_matchings_cut_one_side():
     hexagon = next(f.id for f in g.faces if f.degree == 6)
     m0, m1 = m.selected[hexagon]
     assert len(m0) == len(m1) == 3
-    assert len({b.side[m.corner[i]] for i in m0}) == 1
-    assert len({b.side[m.corner[i]] for i in m1}) == 1
-    assert {b.side[m.corner[i]] for i in m0} != {b.side[m.corner[i]] for i in m1}
+    assert len({b[m.corner[i]] for i in m0}) == 1
+    assert len({b[m.corner[i]] for i in m1}) == 1
+    assert {b[m.corner[i]] for i in m0} != {b[m.corner[i]] for i in m1}
 
 
 @pytest.mark.parametrize("name,g", CORPUS)
@@ -126,7 +126,7 @@ def test_corners_alternate_bipartition_classes(name, g):
     b = compute_bipartition(g)
     for f in g.faces:
         corners = [m.corner[i] for i in range(len(m.dart)) if m.face[i] == f.id]
-        sides = [b.side[v] for v in corners]
+        sides = [b[v] for v in corners]
         assert all(
             sides[i] != sides[(i + 1) % len(sides)] for i in range(len(sides))
         )
@@ -145,7 +145,7 @@ def test_tables_follow_the_darts(name, g):
         selected = m.selected[f.id]
         assert [m.dart[i] for i in selected[0]] == list(f.darts[0::2])
         assert [m.dart[i] for i in selected[1]] == list(f.darts[1::2])
-        sides = [{b.side[m.corner[i]] for i in s} for s in selected]
+        sides = [{b[m.corner[i]] for i in s} for s in selected]
         assert len(sides[0]) == len(sides[1]) == 1 and sides[0] != sides[1]
         for bit in (0, 1):  # the corners cut off by the unselected edges
             cut = sorted(m.corner[i] for i in selected[1 - bit])

@@ -122,17 +122,13 @@ def test_validate_p3_face_not_cycle():
 
 def test_bipartition_c4():
     g = build_plane_graph(4, C4_ROTATIONS)
-    b = compute_bipartition(g)
-    assert b.side == (BLACK, WHITE, BLACK, WHITE)
-    assert b.black == (0, 2)
-    assert b.white == (1, 3)
+    assert compute_bipartition(g) == (BLACK, WHITE, BLACK, WHITE)
 
 
 def test_bipartition_sizes():
-    assert len(compute_bipartition(grid_graph(2, 3)).black) == 3
-    cube = prism_graph(4)
-    b = compute_bipartition(cube)
-    assert len(b.black) == len(b.white) == 4
+    assert compute_bipartition(grid_graph(2, 3)).count(BLACK) == 3
+    side = compute_bipartition(prism_graph(4))
+    assert side.count(BLACK) == side.count(WHITE) == 4
 
 
 def test_bipartition_on_odd_faces_raises():
@@ -183,9 +179,9 @@ def test_rebuild_is_deterministic(g):
 
 @given(g=st.sampled_from([g for _, g in CORPUS]))
 def test_bipartition_alternates_around_faces(g):
-    b = compute_bipartition(g)
+    side = compute_bipartition(g)
     for f in g.faces:
-        sides = [b.side[v] for v in f.vertices]
+        sides = [side[v] for v in f.vertices]
         assert all(sides[i] != sides[(i + 1) % len(sides)] for i in range(len(sides)))
 
 

@@ -23,6 +23,7 @@ from corpus import (
 )
 from halfmono import search
 from halfmono.coloring import (
+    Coloring,
     baseline_coloring,
     check_half_monochromatic,
     check_proper,
@@ -128,7 +129,7 @@ def test_matches_oracle_on_small_instances():
 
 
 def test_schedule_independent():
-    # repeated runs agree; the CLI's --jobs runs are compared in test_cli
+    # repeated runs agree; repeated CLI runs are compared in test_cli
     g = grid_graph(3, 4)
     assert exact_chi_f(g) == exact_chi_f(g)
 
@@ -223,6 +224,11 @@ def test_kernel_laws_raise_their_errors():
     doubled = (m.selected[0], ((4, 6), (1, 3, 5, 7)))
     with _raises(InternalDegreeViolation, "midpoint 0 has degree 3, expected 2"):
         region_kernel(dataclasses.replace(m, selected=doubled), (0, 1))
+    # edge 5 joins midpoints 3 and 2, and its second end meets midpoint 2
+    # a third time
+    overfull = (((0, 1), (1, 3)), ((5,), (5, 7)))
+    with _raises(InternalDegreeViolation, "midpoint 0 has degree 1, expected 2"):
+        region_kernel(dataclasses.replace(m, selected=overfull), (0, 0))
     emptied = (m.selected[0], ((), ()))
     with _raises(InternalDegreeViolation, "midpoint 0 has degree 1, expected 2"):
         region_kernel(dataclasses.replace(m, selected=emptied), (0, 0))
@@ -287,6 +293,16 @@ def test_witness_bound_is_certified(monkeypatch):
     )
     for run in (exact_chi_f, sweep_dividing_systems):
         with _raises(BoundViolated, "2*3 > 3*1"):
+            run(cycle_graph(4))
+
+
+def test_witness_lower_bound_is_certified(monkeypatch):
+    # a baseline of 4 colours on the 4-cycle outnumbers its optimum, 3
+    monkeypatch.setattr(
+        search, "baseline_coloring", lambda g, side: Coloring((0, 1, 2, 3), 4)
+    )
+    for run in (exact_chi_f, sweep_dividing_systems):
+        with _raises(InternalInvariantError, "optimum 3 below the guaranteed lower bound"):
             run(cycle_graph(4))
 
 
