@@ -16,17 +16,20 @@ checking the degree, base vertex and region-count laws on the way.
 `_check_system` then builds the division tree's adjacency as int-keyed
 region pairs (`dividing.build_division_tree`, which checks the tree laws),
 checks region independence and claims 2 and 3 against it in one pass over
-the base edges, and runs the region coloring through
-`coloring.check_half_monochromatic`.  Each law is checked once: region
-independence is exactly properness of the region coloring, and the
-base vertex law already gives it one color per region.  The sweep runs
-both on every system.  `_certify` runs the witness through the same two
-checks, adds claim 1, and certifies 2 * chiF <= 3 * alpha in exact
-integer arithmetic; only then does `dividing.region_decomposition` turn
-the witness's kernel arrays, its checked curve walks included, into the
-result's output view.  Both `exact_chi_f` and the sweep return that
-`SearchResult`; its witness coloring is
-`coloring.coloring_from_regions(witness_regions)`.
+the base edges, and checks the half-monochromatic law on the same arrays
+(`_check_region_coloring`): every vertex of each face's uncut side,
+`m.sides[f][bit]`, lies in the face cell's region.  That alternation-class
+form reads half of each boundary and is stronger than the count form of
+`coloring.check_half_monochromatic`, which stays the check for arbitrary
+labels.  Each law is checked once: region independence is exactly
+properness of the region coloring, and the base vertex law already gives
+it one color per region.  The sweep runs both on every system.
+`_certify` runs the witness through the same two checks, adds claim 1,
+and certifies 2 * chiF <= 3 * alpha in exact integer arithmetic; only
+then does `dividing.region_decomposition` turn the witness's kernel
+arrays, its checked curve walks included, into the result's output view.
+Both `exact_chi_f` and the sweep return that `SearchResult`; its witness
+coloring is `coloring.coloring_from_regions(witness_regions)`.
 `audit_claims` checks a result's witness bits with
 `dividing.assemble_dividing_system` and runs them through `_certify` again.
 """
@@ -37,7 +40,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .coloring import baseline_coloring, check_half_monochromatic
+from .coloring import baseline_coloring
 from .dividing import (
     RegionDecomposition,
     SystemArrays,
@@ -119,23 +122,41 @@ def _check_structural_claims(
             )
 
 
-def _check_system(g: PlaneGraph, s: SystemArrays, bits) -> list[int]:
+def _check_region_coloring(n: int, sides, region_of_cell, bits) -> None:
+    """The half-monochromatic law, in its alternation-class form.
+
+    Every vertex of face f's uncut side sides[f][bits[f]] (see
+    medial.MedialGraph.sides) must lie in the region of face cell n + f.
+    A class of k vertices in one region covers half of a face of degree
+    2k, so this is stronger than coloring.check_half_monochromatic's count
+    and reads half the labels.  Raises InternalInvariantError otherwise.
+    """
+    cell = n
+    for side, bit in zip(sides, bits):
+        r = region_of_cell[cell]
+        for v in side[bit]:
+            if region_of_cell[v] != r:
+                index = int("".join(map(str, bits)), 2)  # face 0 most significant
+                raise InternalInvariantError(
+                    f"region coloring failed for parity index {index}"
+                )
+        cell += 1
+
+
+def _check_system(g: PlaneGraph, sides, s: SystemArrays, bits) -> list[int]:
     """The tree, claim and region-coloring laws of the system with these bits.
 
     s is the system's region_kernel arrays, which already passed the
     degree, base vertex and region-count laws; the base vertex law gives
     the coloring by region one color per region, and the
     independent_regions claim makes it proper.  It must also be
-    half-monochromatic.  Raises on a violated law; returns the division
-    tree's node degrees.
+    half-monochromatic (_check_region_coloring, on the faces' uncut
+    sides).  Raises on a violated law; returns the division tree's node
+    degrees.
     """
     adjacent, degrees = build_division_tree(s.curve_sides, s.num_regions)
     _check_structural_claims(g, s.region_of_cell, adjacent, degrees)
-    if not check_half_monochromatic(g, s.region_of_cell[: g.n]):
-        index = int("".join(map(str, bits)), 2)  # face 0 most significant
-        raise InternalInvariantError(
-            f"region coloring failed for parity index {index}"
-        )
+    _check_region_coloring(g.n, sides, s.region_of_cell, bits)
     return degrees
 
 
@@ -151,7 +172,7 @@ def _scan(m: MedialGraph, g: PlaneGraph | None = None) -> tuple[int, ...]:
     for bits in itertools.product((0, 1), repeat=len(m.sides)):
         s = region_kernel(m, bits)
         if g is not None:
-            _check_system(g, s, bits)
+            _check_system(g, m.sides, s, bits)
         if s.num_regions > best_lam:
             best_lam, best_bits = s.num_regions, bits
     return best_bits
@@ -222,7 +243,7 @@ def _certify(g: PlaneGraph, m: MedialGraph, parities) -> SearchResult:
     from the same arrays.
     """
     s = region_kernel(m, parities)
-    census = Counter(_check_system(g, s, parities))
+    census = Counter(_check_system(g, m.sides, s, parities))
     colors = s.region_of_cell
     for f in g.faces:
         if len({colors[v] for v in f.vertices}) == 2:

@@ -9,7 +9,7 @@ import pytest
 
 from corpus import random_subdivided_instance
 from halfmono import cli
-from halfmono.coloring import check_half_monochromatic
+from halfmono.dividing import region_kernel
 from halfmono.instance_io import (
     LAYOUT_VERTEX_CAP,
     InstanceFile,
@@ -467,11 +467,13 @@ def test_check_mixed_batch_streams_each_file_once(tmp_path, monkeypatch, capsys)
         "k4.hmg: ERROR k4: invalid instance",
     ]
 
-    # a violated law outranks both
+    # a violated law outranks both: cycle6's systems get the arrays of the
+    # flipped bits, so system 0's face cells hold the wrong side of each face
     monkeypatch.setattr(
-        "halfmono.search.check_half_monochromatic",
-        lambda graph, labels: len(labels) != 6
-        and check_half_monochromatic(graph, labels),
+        "halfmono.search.region_kernel",
+        lambda m, bits: region_kernel(
+            m, tuple(1 - b for b in bits) if m.graph.n == 6 else bits
+        ),
     )
     assert cli.main([*argv, "--face-cap", "3"]) == 2
     assert errors(capsys.readouterr().err) == [
@@ -502,12 +504,16 @@ def test_one_enumeration_and_one_medial_build_per_op(
     # the witness is checked on the kernel's arrays, not rebuilt as objects
     assemble = _count_calls(monkeypatch, "halfmono.dividing", "assemble_dividing_system")
     tree = _count_calls(monkeypatch, "halfmono.dividing", "build_division_tree")
+    # the half-monochromatic law is checked on the kernel's arrays, not
+    # by counting labels
+    half = _count_calls(monkeypatch, "halfmono.coloring", "check_half_monochromatic")
     assert cli.main([command[0], str(path), *command[1:]]) == 0
     assert len(kernel) == len(walks) == KERNEL_RUNS_PER_OP[command[0]]
     assert len(medial) == 1
     assert len(validate) == 1
     assert assemble == []
     assert len(tree) == len(kernel)  # one tree check per system
+    assert half == []
 
 
 @pytest.mark.parametrize("color", [[], ["--color"]])

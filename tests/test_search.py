@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import re
 import tracemalloc
 
@@ -11,6 +12,7 @@ from corpus import (
     corpus_instances,
     cycle_graph,
     grid_graph,
+    k2m_instance,
     oracle_corpus_graphs,
     prism_graph,
     random_rich_graphs,
@@ -46,6 +48,7 @@ from halfmono.oracle import chi_f_bruteforce
 from halfmono.plane_graph import compute_bipartition, validate_even_polygonal
 from halfmono.search import (
     _best_bits,
+    _check_region_coloring,
     _check_structural_claims,
     _scan,
     audit_claims,
@@ -271,16 +274,14 @@ def test_claims_raise_their_errors():
 
 
 def test_witness_claim1_is_checked_on_the_kernel_arrays(monkeypatch):
-    # Hand the certificate the arrays of C4's one-curve system (0, 1): two
+    # Hand the certificate C4's one-curve system (0, 1) as witness: two
     # regions {0, 2} and {1, 3}, a valid system whose region coloring puts
     # exactly two colors on each face, which no optimum does.
-    g, m = _c4_medial()
-    doctored = region_kernel(m, (0, 1))
-    monkeypatch.setattr(search, "region_kernel", lambda medial, bits: doctored)
+    monkeypatch.setattr(search, "_best_bits", lambda medial: (0, 1))
     with _raises(
         ClaimViolated, "claim 'claim1' violated: face 0 carries exactly two colors"
     ):
-        exact_chi_f(g)
+        exact_chi_f(cycle_graph(4))
 
 
 def test_witness_bound_is_certified(monkeypatch):
@@ -307,9 +308,11 @@ def test_witness_lower_bound_is_certified(monkeypatch):
 
 
 def test_witness_region_coloring_is_checked(monkeypatch):
-    monkeypatch.setattr(
-        search, "check_half_monochromatic", lambda graph, labels: False
-    )
+    # Hand the witness (0, 0) the arrays of C4's other maximizer (1, 1): a
+    # valid system, but its face cells hold the other side of each face,
+    # so the uncut side {0, 2} of face 0 under bit 0 is split.
+    kernel = search.region_kernel
+    monkeypatch.setattr(search, "region_kernel", lambda m, bits: kernel(m, (1, 1)))
     with _raises(InternalInvariantError, "region coloring failed for parity index 0"):
         exact_chi_f(cycle_graph(4))
 
@@ -317,18 +320,77 @@ def test_witness_region_coloring_is_checked(monkeypatch):
 def test_sweep_checks_the_region_coloring_of_every_system(monkeypatch):
     g = cycle_graph(4)
     sweep_dividing_systems(g)
+    kernel, check = search.region_kernel, search._check_region_coloring
     calls = []
 
-    def half_monochromatic_until_the_last(graph, labels):
-        calls.append(labels)
-        return len(calls) < 4
+    def checked(n, sides, region_of_cell, bits):
+        calls.append((bits, region_of_cell[:n]))
+        check(n, sides, region_of_cell, bits)
 
+    # the last system, (1, 1), gets the arrays of (0, 0), whose face cells
+    # hold the other side of each face
     monkeypatch.setattr(
-        search, "check_half_monochromatic", half_monochromatic_until_the_last
+        search,
+        "region_kernel",
+        lambda m, bits: kernel(m, (0, 0) if bits == (1, 1) else bits),
     )
+    monkeypatch.setattr(search, "_check_region_coloring", checked)
     with _raises(InternalInvariantError, "region coloring failed for parity index 3"):
         sweep_dividing_systems(g)
-    assert [list(labels) for labels in calls[:2]] == [[0, 1, 0, 2], [0, 1, 0, 1]]
+    assert calls == [
+        ((0, 0), [0, 1, 0, 2]),
+        ((0, 1), [0, 1, 0, 1]),
+        ((1, 0), [0, 1, 0, 1]),
+        ((1, 1), [0, 1, 0, 2]),
+    ]
+
+
+@pytest.mark.parametrize(
+    "name,g",
+    corpus_graphs()
+    + oracle_corpus_graphs()
+    + random_subdivided_graphs()
+    + random_split_graphs()
+    + random_rich_graphs()
+    + [(f"k2_{m}", build(k2m_instance(m))) for m in range(2, 7)],
+)
+def test_region_coloring_check_agrees_with_the_count_form(name, g):
+    # The sweep's check reads each face's uncut side; the count form it
+    # replaced reads every boundary label.  Both pass on every system.
+    m = build_medial_graph(g)
+    for bits in itertools.product((0, 1), repeat=g.num_faces):
+        s = region_kernel(m, bits)
+        _check_region_coloring(g.n, m.sides, s.region_of_cell, bits)
+        assert check_half_monochromatic(g, s.region_of_cell[: g.n])
+
+
+@pytest.mark.parametrize("degree", [4, 10])
+def test_region_coloring_check_rejects_a_moved_uncut_vertex(degree):
+    # On grid3x4, an inner face of degree 4 and the outer face of degree
+    # 10: in every system, moving one vertex of the face's uncut side to
+    # any other region, or to a new one, raises with that system's index.
+    # The count form rejects only some of these arrays; the check rejects
+    # all of them, so it rejects every array the count form rejects.
+    g = grid_graph(3, 4)
+    m = build_medial_graph(g)
+    f = next(face.id for face in g.faces if face.degree == degree)
+    moves = count_rejected = 0
+    for index, bits in enumerate(itertools.product((0, 1), repeat=g.num_faces)):
+        s = region_kernel(m, bits)
+        for v in m.sides[f][bits[f]]:
+            for region in range(s.num_regions + 1):
+                if region == s.region_of_cell[v]:
+                    continue
+                moved = list(s.region_of_cell)
+                moved[v] = region
+                moves += 1
+                count_rejected += not check_half_monochromatic(g, moved[: g.n])
+                with _raises(
+                    InternalInvariantError,
+                    f"region coloring failed for parity index {index}",
+                ):
+                    _check_region_coloring(g.n, m.sides, moved, bits)
+    assert 0 < count_rejected < moves
 
 
 @pytest.mark.parametrize("seed", range(30))
