@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 invalid instance, input or usage, 2 violated
 internal law (a result that would contradict the certified bound or
 claims), 3 search or size cap exceeded.
 
+`chif --json` writes the certified result as text directly, in the layout
+of json.dumps(indent=2, sort_keys=True), whose pure-Python encoder it avoids.
+
 The argument parser is built once per process, on the first `main()` call,
 and reused by every later call; each call still parses into a fresh
 namespace, so `main(argv)` can be called repeatedly in one process.
@@ -84,25 +87,43 @@ def _load_valid(path: str) -> tuple[InstanceFile, PlaneGraph]:
         raise HalfmonoError(f"{inst.name}: invalid instance\n{exc.report}") from None
 
 
-def _result_payload(inst: InstanceFile, res: SearchResult) -> dict:
+def _int_rows(rows) -> str:
+    """Non-empty int lists, as json.dumps(indent=2) lays out a key's value."""
+    return "[\n    " + ",\n    ".join(
+        "[\n      " + ",\n      ".join(map(str, row)) + "\n    ]" for row in rows
+    ) + "\n  ]"
+
+
+def _result_json(name: str, res: SearchResult) -> str:
+    """The result as json.dumps(payload, indent=2, sort_keys=True) writes it.
+
+    With indent set, json runs its pure-Python encoder, so the text is laid
+    out here: keys in sorted order, ints through str, and the two free
+    strings through json.dumps, whose C string encoder the generic encoder
+    also uses.  Every region holds a base vertex and every curve a
+    midpoint, so no list is empty.  The claims and the bound are true,
+    since a violation raises before any output.
+    """
     r = res.witness_regions
-    return {
-        "name": inst.name,
-        "chiF": res.chi_f,
-        "alpha": res.alpha,
-        "boundSatisfied": True,  # a violated bound raises
-        "witnessParities": "".join(str(b) for b in res.witness_parities),
-        "regions": [list(region) for region in r.regions],
-        "cycles": [list(c.vertices) for c in r.cycles],
-        # a violated claim raises, so every returned result has all three
-        "audit": {
-            "claim1": True,
-            "claim2": True,
-            "claim3": True,
-            "case": res.audit.case,
-        },
-        "systemsExplored": res.systems_explored,
-    }
+    parities = "".join(map(str, res.witness_parities))
+    return (
+        "{\n"
+        f'  "alpha": {res.alpha},\n'
+        '  "audit": {\n'
+        f'    "case": {json.dumps(res.audit.case)},\n'
+        '    "claim1": true,\n'
+        '    "claim2": true,\n'
+        '    "claim3": true\n'
+        "  },\n"
+        '  "boundSatisfied": true,\n'
+        f'  "chiF": {res.chi_f},\n'
+        f'  "cycles": {_int_rows(c.vertices for c in r.cycles)},\n'
+        f'  "name": {json.dumps(name)},\n'
+        f'  "regions": {_int_rows(r.regions)},\n'
+        f'  "systemsExplored": {res.systems_explored},\n'
+        f'  "witnessParities": "{parities}"\n'
+        "}"
+    )
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -121,8 +142,7 @@ def cmd_chif(args: argparse.Namespace) -> int:
     inst, g = _load_valid(args.file)
     res = exact_chi_f(g, face_cap=args.face_cap)
     if args.json:
-        payload = _result_payload(inst, res)
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_result_json(inst.name, res))
         return EXIT_OK
     print(f"name: {inst.name}")
     print(f"chiF = {res.chi_f}")
@@ -134,12 +154,12 @@ def cmd_chif(args: argparse.Namespace) -> int:
     )
     print(f"systems explored: {res.systems_explored}")
     if args.witness:
-        payload = _result_payload(inst, res)
-        print(f"witness parities: {payload['witnessParities']}")
-        for i, region in enumerate(payload["regions"]):
-            print(f"region {i} (color {i}): vertices {region}")
-        for i, cyc in enumerate(payload["cycles"]):
-            print(f"curve {i}: midpoints of edges {cyc}")
+        r = res.witness_regions
+        print(f"witness parities: {''.join(map(str, res.witness_parities))}")
+        for i, region in enumerate(r.regions):
+            print(f"region {i} (color {i}): vertices {list(region)}")
+        for i, c in enumerate(r.cycles):
+            print(f"curve {i}: midpoints of edges {list(c.vertices)}")
     return EXIT_OK
 
 

@@ -1,22 +1,39 @@
 import argparse
+import dataclasses
+import io
 import json
+import json.encoder
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from corpus import random_subdivided_instance
+from corpus import (
+    corpus_graphs,
+    k2m_instance,
+    oracle_corpus_graphs,
+    random_rich_graphs,
+    random_split_graphs,
+    random_subdivided_graphs,
+    random_subdivided_instance,
+)
 from halfmono import cli
 from halfmono.dividing import region_kernel
 from halfmono.instance_io import (
     LAYOUT_VERTEX_CAP,
     InstanceFile,
+    build,
     cycle_instance,
     generate_instance,
+    grid_instance,
     serialize_instance,
 )
+from halfmono.search import exact_chi_f
 from halfmono.errors import (
     BoundViolated,
     ClaimViolated,
@@ -360,6 +377,93 @@ def test_chif_json_golden_bytes(family, params, name, tmp_path, capsys):
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
 
 
+def _reference_payload(name: str, res) -> dict:
+    """The `chif --json` object that cli._result_json writes as text."""
+    r = res.witness_regions
+    return {
+        "name": name,
+        "chiF": res.chi_f,
+        "alpha": res.alpha,
+        "boundSatisfied": True,  # a violated bound raises
+        "witnessParities": "".join(str(b) for b in res.witness_parities),
+        "regions": [list(region) for region in r.regions],
+        "cycles": [list(c.vertices) for c in r.cycles],
+        # a violated claim raises, so every returned result has all three
+        "audit": {
+            "claim1": True,
+            "claim2": True,
+            "claim3": True,
+            "case": res.audit.case,
+        },
+        "systemsExplored": res.systems_explored,
+    }
+
+
+def _reference_json(name: str, res) -> str:
+    return json.dumps(_reference_payload(name, res), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "name,g",
+    corpus_graphs()
+    + oracle_corpus_graphs()
+    + random_subdivided_graphs()
+    + random_split_graphs()
+    + random_rich_graphs()
+    + [(f"k2_{m}", build(k2m_instance(m))) for m in range(2, 7)],
+)
+def test_result_json_equals_the_generic_encoder(name, g):
+    res = exact_chi_f(g)
+    assert cli._result_json(name, res) == _reference_json(name, res)
+
+
+# Instance names are the space-joined tokens of their name line, so a token
+# holds no whitespace and no comment sign; everything else is drawn,
+# including the characters that json escapes.
+_NAME_CHARS = st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\x01", "\x1b", "\x7f", "/", "\u00fc", "\U0001f600"]),
+    st.characters(blacklist_categories=("Cs",)).filter(
+        lambda ch: not ch.isspace() and ch != "#"
+    ),
+)
+_NAMED_INSTANCES = [cycle_instance(4), grid_instance(2, 3), k2m_instance(3)]
+
+
+@given(
+    tokens=st.lists(st.text(_NAME_CHARS, min_size=1, max_size=6), min_size=1, max_size=4),
+    inst=st.sampled_from(_NAMED_INSTANCES),
+)
+def test_chif_json_escapes_drawn_names_as_json_does(tokens, inst, tmp_path_factory):
+    name = " ".join(tokens)
+    path = tmp_path_factory.mktemp("named") / "named.hmg"
+    path.write_text(serialize_instance(dataclasses.replace(inst, name=name)), encoding="utf-8")
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(["chif", str(path), "--json"]) == 0
+    assert out.getvalue() == _reference_json(name, exact_chi_f(build(inst))) + "\n"
+    assert json.loads(out.getvalue())["name"] == name
+
+
+def test_chif_json_runs_no_pure_python_encoder(tmp_path, monkeypatch, capsys):
+    # json.dumps with indent set encodes through json.encoder._make_iterencode,
+    # the pure-Python encoder; the writer lays the text out itself
+    path = tmp_path / "grid.hmg"  # grid3x4 has F = 7 faces
+    assert cli.main(["gen", "grid", "3x4", "-o", str(path)]) == 0
+    capsys.readouterr()
+    expected = _reference_json("grid3x4", exact_chi_f(build(grid_instance(3, 4))))
+    original = json.encoder._make_iterencode
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", counting)
+    assert cli.main(["chif", str(path), "--json"]) == 0
+    assert calls == []
+    assert capsys.readouterr() == (expected + "\n", "")
+
+
 CHECK_GOLDEN_INSTANCES = [
     generate_instance("cycle", [6]),
     generate_instance("grid", [3, 4]),
@@ -589,6 +693,14 @@ def test_hundred_thousand_vertex_cycle(tmp_path):
         assert proc.returncode == 0, command
         assert proc.stderr == "", command
         assert text in proc.stdout, command
+    # the directly written JSON, 3.8 MB of it, is the generic encoder's text
+    proc = _run_cli("chif", str(path), "--json", timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    payload = json.loads(proc.stdout)
+    assert (payload["chiF"], payload["alpha"]) == (50001, 50000)
+    assert len(payload["regions"]) == 50001
+    assert proc.stdout == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_alpha_long_ladder_needs_no_recursion(tmp_path):
