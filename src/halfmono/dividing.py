@@ -18,12 +18,17 @@ rather than an assumption.
 of the medial graph.  It computes the region of every cell, the region
 count, each curve's walk and per curve the two regions on its sides, taken
 at its smallest-keyed edge.  `build_division_tree` checks the tree laws on
-those sides.  Every system that the search, the law sweep, the renderer or
-the public API evaluates takes this one path.  `_walks` is the one curve
-walker: it lists each curve's medial-edge indices, once per system.
-`region_decomposition` maps the kernel's walks to `Cycle`s for output, so
-the curves printed are the curves whose laws were checked.
-`assemble_dividing_system` checks parity vectors that come from outside.
+those sides.  The kernel is the single-system path: the search's witness,
+the renderer and the public API take it.  The law sweep
+(`search._sweep`) builds its systems depth-first instead, sharing each
+prefix of faces, but it numbers regions and reads curve sides with the
+kernel's own `label_regions` and `sides_of_curves`; the kernel is the
+reference it is tested against and re-evaluates any system on which it
+finds a law violated.  `_walks` is the one curve walker: it lists each
+curve's medial-edge indices, once per kernel call.  `region_decomposition`
+maps the kernel's walks to `Cycle`s for output, so the curves printed are
+the curves whose laws were checked.  `assemble_dividing_system` checks
+parity vectors that come from outside.
 """
 
 from __future__ import annotations
@@ -168,6 +173,23 @@ def region_kernel(m: MedialGraph, bits) -> SystemArrays:
                 parent[v] = cell
         selected += selected_by_face[f][bit]
 
+    region_of_cell, num_regions = label_regions(parent, n)
+    # selected lists faces in order, each face's edges in position order:
+    # the index order _walks needs
+    walks = _walks(m.num_vertices, m.ends, selected)
+    curve_sides = sides_of_curves(m, region_of_cell, num_regions, map(min, walks))
+    return SystemArrays(region_of_cell, num_regions, curve_sides, walks)
+
+
+def label_regions(parent: list[int], n: int) -> tuple[list[int], int]:
+    """Resolve the cell union-find of a system; number and count its regions.
+
+    parent is a union-find over the V + F cells whose unions point roots
+    at later face cells, as region_kernel and the law sweep join them; this
+    resolves it in place.  Regions are numbered in order of their smallest
+    vertex cell.  Raises InternalInvariantError if a region holds no base
+    vertex.
+    """
     # A union points a root at a later face cell and path halving only
     # skips ahead, so parent[c] > c unless c is a root: resolving the cells
     # from the last one down leaves every cell pointing at its root.
@@ -177,27 +199,29 @@ def region_kernel(m: MedialGraph, bits) -> SystemArrays:
     # cell is a face cell has no vertex cell at all.
     label = {root: i for i, root in enumerate(dict.fromkeys(parent[:n]))}
     try:
-        region_of_cell = list(map(label.__getitem__, parent))
+        return list(map(label.__getitem__, parent)), len(label)
     except KeyError:
         raise InternalInvariantError("region without any base vertex") from None
 
-    # Every edge of one curve separates the same two regions, so the edge
-    # with the smallest (face, position) key is the deterministic witness.
-    corner, face, ends = m.corner, m.face, m.ends
-    # selected lists faces in order, each face's edges in position order:
-    # the index order _walks needs
-    walks = _walks(m.num_vertices, ends, selected)
-    curve_sides = []
-    for walk in walks:
-        low = min(walk)
-        curve_sides.append(
-            (region_of_cell[corner[low]], region_of_cell[n + face[low]], ends[low][0])
-        )
-    if len(label) != len(curve_sides) + 1:
-        raise RegionCycleMismatch(
-            f"{len(label)} regions but {len(curve_sides)} curves"
-        )
-    return SystemArrays(region_of_cell, len(label), curve_sides, walks)
+
+def sides_of_curves(
+    m: MedialGraph, region_of_cell, num_regions: int, lows
+) -> list[tuple[int, int, int]]:
+    """The two regions beside each curve, read at its smallest medial edge.
+
+    lows holds each curve's smallest-keyed edge; every edge of one curve
+    separates the same two regions, so that edge is a deterministic
+    witness.  Returns (corner's region, face cell's region, first
+    midpoint) per curve.  Verifies that regions outnumber curves by one.
+    """
+    n, corner, face, ends = m.graph.n, m.corner, m.face, m.ends
+    sides = [
+        (region_of_cell[corner[e]], region_of_cell[n + face[e]], ends[e][0])
+        for e in lows
+    ]
+    if num_regions != len(sides) + 1:
+        raise RegionCycleMismatch(f"{num_regions} regions but {len(sides)} curves")
+    return sides
 
 
 def build_division_tree(

@@ -7,38 +7,48 @@ exact_chi_f finds the maximum with `_best_bits`, a depth-first search over
 the faces that counts components with a rollback union-find and cuts off
 every prefix whose count is no better than the best so far; it keeps the
 lexicographically smallest maximizer as witness.  Every system is visited
-or bounded, so systems_explored still reports 2^F.  The law sweep keeps
-`_scan`, the one loop over all 2^F parity vectors.  Both read the int
+or bounded, so systems_explored still reports 2^F.  Both read the int
 tables of the medial graph, which `medial.build_medial_graph` builds once
-per op.  Per system, `dividing.region_kernel` computes the region of
-every cell, walks the curves and takes the two regions beside each,
-checking the degree, base vertex and region-count laws on the way.
-`_check_system` then builds the division tree's adjacency as int-keyed
-region pairs (`dividing.build_division_tree`, which checks the tree laws),
-checks region independence and claims 2 and 3 against it in one pass over
-the base edges, and checks the half-monochromatic law on the same arrays
+per op.
+
+The law sweep, `_sweep`, visits all 2^F systems depth-first in the same
+order, keeping per prefix of faces the cell union-find, the open curve
+paths and the smallest edge of each closed curve, so a system pays only
+for its last face.  At each leaf it checks the degree, base vertex and
+region-count laws, labels the regions and takes each curve's two sides
+at its smallest edge as `dividing.region_kernel` does, and runs the
+checks of `_check_system` on those arrays: the division tree's adjacency
+as int-keyed region pairs (`dividing.build_division_tree`, which checks
+the tree laws), region independence and claims 2 and 3 against it in one
+pass over the base edges, and the half-monochromatic law
 (`_check_region_coloring`): every vertex of each face's uncut side,
 `m.sides[f][bit]`, lies in the face cell's region.  That alternation-class
 form reads half of each boundary and is stronger than the count form of
 `coloring.check_half_monochromatic`, which stays the check for arbitrary
 labels.  Each law is checked once: region independence is exactly
 properness of the region coloring, and the base vertex law already gives
-it one color per region.  The sweep runs both on every system.
-`_certify` runs the witness through the same two checks, adds claim 1,
-and certifies 2 * chiF <= 3 * alpha in exact integer arithmetic; only
-then does `dividing.region_decomposition` turn the witness's kernel
-arrays, its checked curve walks included, into the result's output view.
-Both `exact_chi_f` and the sweep return that `SearchResult`; its witness
-coloring is `coloring.coloring_from_regions(witness_regions)`.
-`audit_claims` checks a result's witness bits with
-`dividing.assemble_dividing_system` and runs them through `_certify` again.
+it one color per region.  A law that fails at a leaf is reported by the
+single-system path: `dividing.region_kernel`, which also walks the
+curves, and `_check_system` evaluate that system again (`_recheck`), so
+its error reads as theirs.  The sweep's witness must equal `_best_bits`'s
+and its count the witness kernel's.
+
+`_certify` runs the witness through region_kernel and `_check_system`,
+adds claim 1, and certifies 2 * chiF <= 3 * alpha in exact integer
+arithmetic; only then does `dividing.region_decomposition` turn the
+witness's kernel arrays, its checked curve walks included, into the
+result's output view.  Both `exact_chi_f` and the sweep return that
+`SearchResult`; its witness coloring is
+`coloring.coloring_from_regions(witness_regions)`.  `audit_claims` checks
+a result's witness bits with `dividing.assemble_dividing_system` and runs
+them through `_certify` again.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .coloring import baseline_coloring
 from .dividing import (
@@ -46,13 +56,16 @@ from .dividing import (
     SystemArrays,
     assemble_dividing_system,
     build_division_tree,
+    label_regions,
     region_decomposition,
     region_kernel,
+    sides_of_curves,
 )
 from .errors import (
     BoundViolated,
     ClaimViolated,
     FaceCapExceeded,
+    InternalDegreeViolation,
     InternalInvariantError,
 )
 from .independence import maximum_matching
@@ -136,9 +149,8 @@ def _check_region_coloring(n: int, sides, region_of_cell, bits) -> None:
         r = region_of_cell[cell]
         for v in side[bit]:
             if region_of_cell[v] != r:
-                index = int("".join(map(str, bits)), 2)  # face 0 most significant
                 raise InternalInvariantError(
-                    f"region coloring failed for parity index {index}"
+                    f"region coloring failed for parity index {_parity_index(bits)}"
                 )
         cell += 1
 
@@ -160,30 +172,135 @@ def _check_system(g: PlaneGraph, sides, s: SystemArrays, bits) -> list[int]:
     return degrees
 
 
-def _scan(m: MedialGraph, g: PlaneGraph | None = None) -> tuple[int, ...]:
-    """Bits of the lexicographically smallest region-count maximizer.
+def _parity_index(bits) -> int:
+    """The system's index in the sweep's order: face 0's bit most significant."""
+    return int("".join(map(str, bits)), 2)
 
-    Runs region_kernel on all 2^F parity vectors in lexicographic order,
-    face 0's bit first; the law sweep's search and the reference for
-    _best_bits.  Given g, also runs _check_system on every system, which
-    raises on a violated law.
+
+def _recheck(
+    g: PlaneGraph, m: MedialGraph, bits, found: InternalInvariantError
+) -> NoReturn:
+    """Report a law that the sweep found violated as the single-system path does.
+
+    region_kernel and _check_system re-evaluate the system with these bits,
+    so the error's type and message are theirs; the sweep's finding is its
+    cause.  If they pass, the two paths disagree, which is itself a bug.
     """
-    best_lam, best_bits = -1, ()
-    for bits in itertools.product((0, 1), repeat=len(m.sides)):
-        s = region_kernel(m, bits)
-        if g is not None:
-            _check_system(g, m.sides, s, bits)
-        if s.num_regions > best_lam:
-            best_lam, best_bits = s.num_regions, bits
-    return best_bits
+    try:
+        _check_system(g, m.sides, region_kernel(m, bits), bits)
+    except InternalInvariantError as exc:
+        raise exc from found
+    raise InternalInvariantError(
+        f"law sweep and region kernel disagree on parity index {_parity_index(bits)}"
+    ) from found
+
+
+def _sweep(g: PlaneGraph, m: MedialGraph) -> tuple[tuple[int, ...], int]:
+    """Check every law on all 2^F systems; return the witness bits and its count.
+
+    A depth-first sweep over the faces in order, bit 0 first, so the
+    systems come in the lexicographic order of itertools.product and the
+    first strict maximizer is the one _best_bits finds.  state[f] holds
+    what the faces < f build, so each system pays only for its last face:
+    - the cell union-find of dividing.region_kernel, face cell n + f joined
+      to m.sides[f][bit];
+    - the open curve paths over the midpoints: other[x] is the far end of
+      the path that ends at x, or -1 once x has degree two, and low[x] the
+      path's smallest medial edge;
+    - the smallest edge of every closed curve, and the selected edge count.
+    At a leaf the regions are labelled as region_kernel labels them and
+    each curve's sides are taken at its smallest edge, so the tree, claim
+    and region-coloring laws read the arrays _check_system would; no curve
+    walk is listed.  A violated law is reported by _recheck on the first
+    system, in that order, that violates one.
+    """
+    n, nf, num_midpoints = g.n, len(m.sides), m.num_vertices
+    sides, selected, ends = m.sides, m.selected, m.ends
+    # (parent, other, low, closed, count) of the faces < f
+    state: list = [None] * (nf + 1)
+    state[0] = (
+        list(range(n + nf)),
+        list(range(num_midpoints)),
+        [len(ends)] * num_midpoints,
+        [],
+        0,
+    )
+    bit = [-1] * nf  # bit tried last at face f; -1 before the first
+    best, best_bits = -1, ()
+    f = 0
+    while f >= 0:
+        if f == nf:
+            parent, _, _, closed, count = state[nf]
+            bits = tuple(bit)
+            try:
+                # every degree is at most 2, so all are 2 iff they sum to 2E
+                if count != num_midpoints:
+                    raise InternalDegreeViolation(
+                        f"{count} medial edges selected, expected {num_midpoints}"
+                    )
+                region_of_cell, k = label_regions(parent, n)
+                curve_sides = sides_of_curves(m, region_of_cell, k, closed)
+                adjacent, degrees = build_division_tree(curve_sides, k)
+                _check_structural_claims(g, region_of_cell, adjacent, degrees)
+                _check_region_coloring(n, sides, region_of_cell, bits)
+            except InternalInvariantError as exc:
+                _recheck(g, m, bits, exc)
+            if k > best:
+                best, best_bits = k, bits
+            f -= 1
+            continue
+        b = bit[f] + 1
+        if b == 2:
+            bit[f] = -1
+            f -= 1
+            continue
+        bit[f] = b
+        parent, other, low, closed, count = state[f]
+        if b == 0:  # bit 1 is the last use of state[f], so it may take the lists
+            parent, other, low, closed = parent[:], other[:], low[:], closed[:]
+        cell = n + f
+        for v in sides[f][b]:
+            while parent[v] != v:  # find v's root, halving the path
+                parent[v] = v = parent[parent[v]]
+            if v != cell:
+                parent[v] = cell
+        for e in selected[f][b]:
+            x, y = ends[e]
+            ox, oy = other[x], other[y]
+            if ox < 0 or oy < 0 or (x == y and ox != x):
+                # every system below this prefix breaks the degree law
+                bits = (*bit[:f + 1], *[0] * (nf - f - 1))
+                bad = x if ox < 0 or x == y else y
+                found = InternalDegreeViolation(
+                    f"midpoint {bad} meets a third selected edge"
+                )
+                _recheck(g, m, bits, found)
+            if ox == y:  # e closes the path from x to y, or is a loop at x
+                lo = low[x]
+                closed.append(e if e < lo else lo)
+                other[x] = other[y] = -1
+            else:  # splice the paths ox..x and y..oy into one from ox to oy
+                lo = low[x] if low[x] < low[y] else low[y]
+                if e < lo:
+                    lo = e
+                other[ox] = oy
+                other[oy] = ox
+                low[ox] = low[oy] = lo
+                if ox != x:
+                    other[x] = -1
+                if oy != y:
+                    other[y] = -1
+        state[f + 1] = (parent, other, low, closed, count + len(selected[f][b]))
+        f += 1
+    return best_bits, best
 
 
 def _best_bits(m: MedialGraph) -> tuple[int, ...]:
     """Bits of the lexicographically smallest region-count maximizer.
 
-    Same answer as _scan, found by a depth-first search over the faces in
-    order, bit 0 first.  The regions are the components of the V + F
-    cells with face cell n + f joined to m.sides[f][bit] (see
+    The sweep's answer, found by a pruned depth-first search over the
+    faces in order, bit 0 first.  The regions are the components of the
+    V + F cells with face cell n + f joined to m.sides[f][bit] (see
     dividing.region_kernel).  Adding a face adds one cell and merges
     c >= 1 components, so the count of a prefix bounds every completion and
     a prefix whose count is <= the best so far is pruned.  Union-by-size
@@ -236,11 +353,11 @@ def _best_bits(m: MedialGraph) -> tuple[int, ...]:
 def _certify(g: PlaneGraph, m: MedialGraph, parities) -> SearchResult:
     """Check every law on the witness bits, audit them, certify the bound.
 
-    The witness runs through region_kernel and _check_system like every
-    swept system; claim 1, the degree census, alpha and the bounds are
-    checked on top, the matching and the baseline reading one
-    compute_bipartition.  Its RegionDecomposition is built last, as output view,
-    from the same arrays.
+    The witness runs through region_kernel and _check_system, the
+    single-system path the sweep is checked against; claim 1, the degree
+    census, alpha and the bounds are checked on top, the matching and the
+    baseline reading one compute_bipartition.  Its RegionDecomposition is
+    built last, as output view, from the same arrays.
     """
     s = region_kernel(m, parities)
     census = Counter(_check_system(g, m.sides, s, parities))
@@ -316,14 +433,26 @@ def sweep_dividing_systems(
 ) -> SearchResult:
     """Verify the region, tree, claim and coloring laws on every dividing system.
 
-    Exhaustive over all 2^F parity vectors: region_kernel checks the
-    degree, base vertex and region-count laws of each system and
-    _check_system its tree, claim 2 and 3 and region-coloring laws; every
-    violation raises.  The same pass finds the optimum and returns it,
-    certified exactly as by exact_chi_f.
+    Exhaustive over all 2^F parity vectors (_sweep): the degree, base
+    vertex, region-count, tree, claim 2 and 3 and region-coloring laws of
+    each system; every violation raises as region_kernel and _check_system
+    raise it.  The same pass finds the optimum, which must be the pruned
+    search's, and returns it, certified exactly as by exact_chi_f.
     """
     nf = g.num_faces
     if nf > face_cap:
         raise FaceCapExceeded(f"{nf} faces exceeds sweep cap {face_cap}")
     m = build_medial_graph(g)
-    return _certify(g, m, _scan(m, g))
+    bits, most = _sweep(g, m)
+    pruned = _best_bits(m)
+    if bits != pruned:
+        raise InternalInvariantError(
+            f"sweep witness {_parity_index(bits)} differs from the pruned"
+            f" search's {_parity_index(pruned)}"
+        )
+    res = _certify(g, m, bits)
+    if res.chi_f != most:
+        raise InternalInvariantError(
+            f"sweep counted {most} regions but the witness has {res.chi_f}"
+        )
+    return res

@@ -23,7 +23,6 @@ from corpus import (
     random_subdivided_instance,
 )
 from halfmono import cli
-from halfmono.dividing import region_kernel
 from halfmono.instance_io import (
     LAYOUT_VERTEX_CAP,
     InstanceFile,
@@ -33,7 +32,7 @@ from halfmono.instance_io import (
     grid_instance,
     serialize_instance,
 )
-from halfmono.search import exact_chi_f
+from halfmono.search import _check_region_coloring, exact_chi_f
 from halfmono.errors import (
     BoundViolated,
     ClaimViolated,
@@ -571,12 +570,12 @@ def test_check_mixed_batch_streams_each_file_once(tmp_path, monkeypatch, capsys)
         "k4.hmg: ERROR k4: invalid instance",
     ]
 
-    # a violated law outranks both: cycle6's systems get the arrays of the
-    # flipped bits, so system 0's face cells hold the wrong side of each face
+    # a violated law outranks both: on cycle6 the sweep's region-coloring
+    # law reads the other side of each face, so system 0 breaks it
     monkeypatch.setattr(
-        "halfmono.search.region_kernel",
-        lambda m, bits: region_kernel(
-            m, tuple(1 - b for b in bits) if m.graph.n == 6 else bits
+        "halfmono.search._check_region_coloring",
+        lambda n, sides, region_of_cell, bits: _check_region_coloring(
+            n, [s[::-1] for s in sides] if n == 6 else sides, region_of_cell, bits
         ),
     )
     assert cli.main([*argv, "--face-cap", "3"]) == 2
@@ -587,11 +586,11 @@ def test_check_mixed_batch_streams_each_file_once(tmp_path, monkeypatch, capsys)
     ]
 
 
-# The sweep runs the region kernel once per system, then once more to
-# certify the witness; the pruned search runs it only for the witness.  The
-# kernel walks each system's curves once, and the witness's output curves
-# are those walks.
-KERNEL_RUNS_PER_OP = {"check": 2**7 + 1, "chif": 1}
+# The sweep checks the division tree of every system, then once more to
+# certify the witness; the pruned search checks only the witness.  Either
+# way only the witness runs the region kernel, which walks its curves once,
+# and its output curves are those walks.
+TREE_CHECKS_PER_OP = {"check": 2**7 + 1, "chif": 1}
 
 
 @pytest.mark.parametrize("command", [["check"], ["chif", "--json"]])
@@ -612,11 +611,11 @@ def test_one_enumeration_and_one_medial_build_per_op(
     # by counting labels
     half = _count_calls(monkeypatch, "halfmono.coloring", "check_half_monochromatic")
     assert cli.main([command[0], str(path), *command[1:]]) == 0
-    assert len(kernel) == len(walks) == KERNEL_RUNS_PER_OP[command[0]]
+    assert len(kernel) == len(walks) == 1
     assert len(medial) == 1
     assert len(validate) == 1
     assert assemble == []
-    assert len(tree) == len(kernel)  # one tree check per system
+    assert len(tree) == TREE_CHECKS_PER_OP[command[0]]  # one tree check per system
     assert half == []
 
 

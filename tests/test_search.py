@@ -50,7 +50,7 @@ from halfmono.search import (
     _best_bits,
     _check_region_coloring,
     _check_structural_claims,
-    _scan,
+    _check_system,
     audit_claims,
     exact_chi_f,
     sweep_dividing_systems,
@@ -72,6 +72,24 @@ EXPECTED = {
     "prism6": (prism_graph(6), 7, 6),
     "prism8": (prism_graph(8), 9, 8),
 }
+
+
+def _scan(m, g=None):
+    """Bits of the lexicographically smallest region-count maximizer.
+
+    The exhaustive reference for the pruned search and the law sweep:
+    region_kernel on all 2^F parity vectors in lexicographic order, face
+    0's bit first.  Given g, also runs _check_system on every system,
+    which raises on a violated law.
+    """
+    best_lam, best_bits = -1, ()
+    for bits in itertools.product((0, 1), repeat=len(m.sides)):
+        s = region_kernel(m, bits)
+        if g is not None:
+            _check_system(g, m.sides, s, bits)
+        if s.num_regions > best_lam:
+            best_lam, best_bits = s.num_regions, bits
+    return best_bits
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
@@ -320,29 +338,200 @@ def test_witness_region_coloring_is_checked(monkeypatch):
 def test_sweep_checks_the_region_coloring_of_every_system(monkeypatch):
     g = cycle_graph(4)
     sweep_dividing_systems(g)
-    kernel, check = search.region_kernel, search._check_region_coloring
+    check = search._check_region_coloring
+    # the arrays of (0, 0), whose face cells hold the other side of each
+    # face under bits (1, 1)
+    swapped = region_kernel(build_medial_graph(g), (0, 0)).region_of_cell
     calls = []
 
     def checked(n, sides, region_of_cell, bits):
+        if bits == (1, 1):
+            region_of_cell = swapped
         calls.append((bits, region_of_cell[:n]))
         check(n, sides, region_of_cell, bits)
 
-    # the last system, (1, 1), gets the arrays of (0, 0), whose face cells
-    # hold the other side of each face
-    monkeypatch.setattr(
-        search,
-        "region_kernel",
-        lambda m, bits: kernel(m, (0, 0) if bits == (1, 1) else bits),
-    )
     monkeypatch.setattr(search, "_check_region_coloring", checked)
-    with _raises(InternalInvariantError, "region coloring failed for parity index 3"):
+    with _raises(
+        InternalInvariantError, "region coloring failed for parity index 3"
+    ) as info:
         sweep_dividing_systems(g)
+    # the sweep checks all four systems; the failure is then reported by
+    # re-checking the last one on region_kernel's arrays
     assert calls == [
         ((0, 0), [0, 1, 0, 2]),
         ((0, 1), [0, 1, 0, 1]),
         ((1, 0), [0, 1, 0, 1]),
         ((1, 1), [0, 1, 0, 2]),
+        ((1, 1), [0, 1, 0, 2]),
     ]
+    cause = info.value.__cause__
+    assert (type(cause), str(cause)) == (
+        InternalInvariantError,
+        "region coloring failed for parity index 3",
+    )
+
+
+def _third_edge(g, m):
+    # face 1's odd matching also takes face 0's odd positions
+    return g, dataclasses.replace(m, selected=(m.selected[0], ((4, 6), (1, 3, 5, 7))))
+
+
+def _no_edges(g, m):
+    return g, dataclasses.replace(m, selected=(m.selected[0], ((), ())))
+
+
+def _no_side(g, m):
+    return g, dataclasses.replace(m, sides=(m.sides[0], ((), ())))
+
+
+def _flipped_side(g, m):
+    return g, dataclasses.replace(m, sides=(m.sides[0][::-1], m.sides[1]))
+
+
+def _corners_in_face_cells(g, m):
+    # each curve's two sides are both read from its face cell's region
+    return g, dataclasses.replace(m, corner=tuple(g.n + f for f in m.face))
+
+
+def _chord(g, m):
+    # base edge 1-2 becomes 0-2, which joins the two vertices of face 0's
+    # uncut side under bit 0
+    edges = tuple((0, 2) if e == (1, 2) else e for e in g.edges)
+    return dataclasses.replace(g, edges=edges), m
+
+
+# doctoring of C4, the error the single-system path raises on the first
+# failing system, and the sweep's own finding, which is its cause
+LAW_MUTATIONS = {
+    "degree, a third edge": (
+        _third_edge,
+        (InternalDegreeViolation, "midpoint 0 has degree 3, expected 2"),
+        (InternalDegreeViolation, "midpoint 3 meets a third selected edge"),
+    ),
+    "degree, a missing edge": (
+        _no_edges,
+        (InternalDegreeViolation, "midpoint 0 has degree 1, expected 2"),
+        (InternalDegreeViolation, "2 medial edges selected, expected 4"),
+    ),
+    "base vertex": (
+        _no_side,
+        (InternalInvariantError, "region without any base vertex"),
+        (InternalInvariantError, "region without any base vertex"),
+    ),
+    "regions == curves + 1": (
+        _flipped_side,
+        (RegionCycleMismatch, "2 regions but 2 curves"),
+        (RegionCycleMismatch, "2 regions but 2 curves"),
+    ),
+    "tree": (
+        _corners_in_face_cells,
+        (NotATree, "curve through midpoint 0 borders a single region"),
+        (NotATree, "curve through midpoint 3 borders a single region"),
+    ),
+    "claims": (
+        _chord,
+        (ClaimViolated, "claim 'independent_regions' violated: edge 0-2 inside region 0"),
+        (ClaimViolated, "claim 'independent_regions' violated: edge 0-2 inside region 0"),
+    ),
+}
+
+
+@pytest.mark.parametrize("law", sorted(LAW_MUTATIONS))
+def test_sweep_reports_each_violated_law_as_the_kernel_does(law, monkeypatch):
+    doctor, (error, message), found = LAW_MUTATIONS[law]
+    g, m = doctor(*_c4_medial())
+    with _raises(error, message):
+        _scan(m, g)  # the single-system path, on every system in order
+    monkeypatch.setattr(search, "build_medial_graph", lambda graph: m)
+    with _raises(error, message) as info:
+        sweep_dividing_systems(g)
+    # the sweep's own check for this law found it
+    assert (type(info.value.__cause__), str(info.value.__cause__)) == found
+
+
+def test_sweep_reports_a_law_the_kernel_passes(monkeypatch):
+    # the sweep sees a tree law fail that the single-system path passes
+    tree = search.build_division_tree
+    first = []
+
+    def failing_once(curve_sides, k):
+        if not first:
+            first.append(curve_sides)
+            raise NotATree("doctored")
+        return tree(curve_sides, k)
+
+    monkeypatch.setattr(search, "build_division_tree", failing_once)
+    with _raises(
+        InternalInvariantError, "law sweep and region kernel disagree on parity index 0"
+    ) as info:
+        sweep_dividing_systems(cycle_graph(4))
+    assert str(info.value.__cause__) == "doctored"
+
+
+def test_sweep_maximizer_is_cross_checked_with_the_pruned_search(monkeypatch):
+    # (1, 1) is C4's other maximizer; the sweep keeps the first, (0, 0)
+    monkeypatch.setattr(search, "_best_bits", lambda m: (1, 1))
+    with _raises(
+        InternalInvariantError, "sweep witness 0 differs from the pruned search's 3"
+    ):
+        sweep_dividing_systems(cycle_graph(4))
+
+
+def test_sweep_count_is_cross_checked_with_the_witness_kernel(monkeypatch):
+    sweep = search._sweep
+
+    def miscounted(g, m):
+        bits, most = sweep(g, m)
+        return bits, most + 1
+
+    monkeypatch.setattr(search, "_sweep", miscounted)
+    with _raises(
+        InternalInvariantError, "sweep counted 4 regions but the witness has 3"
+    ):
+        sweep_dividing_systems(cycle_graph(4))
+
+
+SWEEP_REFERENCE_GRAPHS = [
+    (name, g)
+    for name, g in corpus_graphs()
+    + oracle_corpus_graphs()
+    + random_subdivided_graphs()
+    + random_split_graphs()
+    + random_rich_graphs()
+    + [(f"k2_{m}", build(k2m_instance(m))) for m in range(2, 13)]
+    if g.num_faces <= 12
+]
+
+
+@pytest.mark.parametrize("name,g", SWEEP_REFERENCE_GRAPHS)
+def test_sweep_leaves_equal_region_kernel(name, g, monkeypatch):
+    # Each leaf hands its curve sides and region count to the tree check,
+    # then its bits and regions to the region-coloring check.
+    leaves = []
+    tree, color = search.build_division_tree, search._check_region_coloring
+
+    def tree_spy(curve_sides, k):
+        leaves.append([sorted(curve_sides), k])
+        return tree(curve_sides, k)
+
+    def color_spy(n, sides, region_of_cell, bits):
+        leaves[-1] += [bits, region_of_cell]
+        color(n, sides, region_of_cell, bits)
+
+    monkeypatch.setattr(search, "build_division_tree", tree_spy)
+    monkeypatch.setattr(search, "_check_region_coloring", color_spy)
+    m = build_medial_graph(g)
+    bits, most = search._sweep(g, m)
+    monkeypatch.undo()
+    expected = []
+    for system in itertools.product((0, 1), repeat=g.num_faces):
+        s = region_kernel(m, system)
+        expected.append(
+            [sorted(s.curve_sides), s.num_regions, system, s.region_of_cell]
+        )
+    assert leaves == expected
+    assert bits == _scan(m)
+    assert most == region_kernel(m, bits).num_regions
 
 
 @pytest.mark.parametrize(
