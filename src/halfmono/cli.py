@@ -43,7 +43,7 @@ from .instance_io import (
 )
 from .medial import build_medial_graph
 from .oracle import chi_f_bruteforce
-from .plane_graph import PlaneGraph, ValidationReport, compute_bipartition
+from .plane_graph import PlaneGraph, ValidationReport
 from .search import (
     DEFAULT_FACE_CAP,
     DEFAULT_SWEEP_CAP,
@@ -165,7 +165,7 @@ def cmd_chif(args: argparse.Namespace) -> int:
 
 def cmd_alpha(args: argparse.Namespace) -> int:
     inst, g = _load_valid(args.file)
-    matching = maximum_matching(g, compute_bipartition(g))
+    matching = maximum_matching(g)
     print(f"name: {inst.name}")
     print(f"alpha = {matching.alpha}")
     print(f"matching size = {matching.size}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .dividing import RegionDecomposition
-from .plane_graph import PlaneGraph
+from .plane_graph import BLACK, PlaneGraph
 
 
 @dataclass(frozen=True)
@@ -70,18 +70,18 @@ def coloring_from_regions(r: RegionDecomposition) -> Coloring:
     )
 
 
-def baseline_coloring(g: PlaneGraph, side: tuple[int, ...]) -> Coloring:
+def baseline_coloring(g: PlaneGraph) -> Coloring:
     """Give each vertex of the larger side its own color, one shared color
     for the rest.
 
     Boundary vertices of every face alternate sides, so the shared side is
     monochromatic on half of each face.  Uses max(|sides|) + 1 colors, at
-    least ceil(n/2) + 1; ties go to the side of vertex 0.  side holds one
-    side per vertex (compute_bipartition).
+    least ceil(n/2) + 1; ties go to BLACK, the side of vertex 0.  The sides
+    are g.side, the 2-colouring that build_plane_graph stored.
     """
-    own = [v for v, s in enumerate(side) if s == side[0]]
-    other = [v for v, s in enumerate(side) if s != side[0]]
-    fresh = other if len(other) > len(own) else own
+    black = [v for v, s in enumerate(g.side) if s == BLACK]
+    white = [v for v, s in enumerate(g.side) if s != BLACK]
+    fresh = white if len(white) > len(black) else black
     shared_color = len(fresh)
     colors = [shared_color] * g.n
     for i, v in enumerate(fresh):

@@ -57,13 +57,13 @@ def _augment(
     return False
 
 
-def maximum_matching(g: PlaneGraph, side: tuple[int, ...]) -> MatchingResult:
+def maximum_matching(g: PlaneGraph) -> MatchingResult:
     """Maximum matching by augmenting paths, with a minimum-cover witness.
 
-    side holds one side per vertex (compute_bipartition); paths start at
-    the BLACK vertices.
+    Paths start at the BLACK vertices of g.side, the 2-colouring that
+    build_plane_graph stored.
     """
-    left = [v for v, s in enumerate(side) if s == BLACK]
+    left = [v for v, s in enumerate(g.side) if s == BLACK]
     match = [-1] * g.n
     size = 0
     for u in left:

@@ -46,7 +46,10 @@ class Face:
 
 @dataclass(frozen=True)
 class PlaneGraph:
-    """Immutable embedded graph; all derived links are precomputed tuples."""
+    """Immutable embedded graph; all derived links are precomputed tuples.
+
+    Its fields agree with one another only as build_plane_graph makes them.
+    """
 
     n: int
     rotations: tuple[tuple[int, ...], ...]
@@ -57,6 +60,7 @@ class PlaneGraph:
     dart_next: tuple[int, ...]
     dart_face: tuple[int, ...]
     dart_edge: tuple[int, ...]
+    side: tuple[int, ...]  # BLACK or WHITE per vertex, vertex 0 black
     coords: tuple[tuple[float, float], ...] | None = None
 
     @property
@@ -119,9 +123,11 @@ def _check_rotations(n: int, rotations: tuple[tuple[int, ...], ...]) -> None:
                 )
 
 
-def _two_colour(n: int, rotations: tuple[tuple[int, ...], ...]) -> list[int]:
-    """Colour every vertex opposite the one that discovers it, by BFS from
-    vertex 0, which is black.
+def compute_bipartition(
+    n: int, rotations: tuple[tuple[int, ...], ...]
+) -> tuple[int, ...]:
+    """One side, BLACK or WHITE, per vertex: BFS from vertex 0, which is
+    black, colours every vertex opposite the one that discovers it.
 
     Raises NotConnected when the BFS does not reach every vertex.
     """
@@ -136,7 +142,7 @@ def _two_colour(n: int, rotations: tuple[tuple[int, ...], ...]) -> list[int]:
                 order.append(v)
     if len(order) != n:
         raise NotConnected(f"only {len(order)} of {n} vertices reachable from 0")
-    return side
+    return tuple(side)
 
 
 def build_plane_graph(
@@ -158,6 +164,7 @@ def build_plane_graph(
             which signals a non-planar or multiply-embedded input.
         FaceStructureError: some face is not a simple cycle of even length;
             carries the validate_even_polygonal report.
+        OddCycleFound: an edge joins two same-side vertices; checked last.
     """
     rot = tuple(tuple(r) for r in rotations)
     # Dart d is tails[d] -> heads[d]; start[u] + i is u -> rot[u][i].  The
@@ -179,7 +186,7 @@ def build_plane_graph(
         or None in twin
     ):
         _check_rotations(n, rot)
-    _two_colour(n, rot)  # the connectivity check
+    side = compute_bipartition(n, rot)  # also the connectivity check
 
     # The dart after u -> v is v -> w, w following u in rot[v]: the slot
     # after twin[d] among v's slots, wrapping round at the last one.
@@ -229,11 +236,15 @@ def build_plane_graph(
         dart_next=tuple(nxt),
         dart_face=tuple(face_of),
         dart_edge=tuple(dart_edge),
+        side=side,
         coords=tuple((float(x), float(y)) for x, y in coords) if coords else None,
     )
     report = validate_even_polygonal(g)
     if not report.ok:
         raise FaceStructureError(report)
+    for u, v in g.edges:  # even faces imply this; checked, not assumed
+        if side[u] == side[v]:
+            raise OddCycleFound(f"edge {u}-{v} joins two same-side vertices")
     return g
 
 
@@ -251,18 +262,3 @@ def validate_even_polygonal(g: PlaneGraph) -> ValidationReport:
         elif f.degree % 2 != 0:
             defects.append(FaceDefect(f.id, ODD_FACE, f"degree {f.degree} is odd"))
     return ValidationReport(ok=not defects, defects=tuple(defects))
-
-
-def compute_bipartition(g: PlaneGraph) -> tuple[int, ...]:
-    """One side, BLACK or WHITE, per vertex, with vertex 0 black.
-
-    A graph whose faces are all even cycles is bipartite, and
-    build_plane_graph builds no other, so OddCycleFound here means a broken
-    caller.  Reads only g.n and g.rotations.
-    """
-    side = _two_colour(g.n, g.rotations)
-    for u, neighbours in enumerate(g.rotations):
-        for v in neighbours:
-            if side[v] == side[u]:
-                raise OddCycleFound(f"edge {u}-{v} joins two same-side vertices")
-    return tuple(side)

@@ -70,7 +70,7 @@ from .errors import (
 )
 from .independence import maximum_matching
 from .medial import MedialGraph, build_medial_graph
-from .plane_graph import PlaneGraph, compute_bipartition
+from .plane_graph import PlaneGraph
 
 DEFAULT_FACE_CAP = 24
 DEFAULT_SWEEP_CAP = 16
@@ -356,8 +356,8 @@ def _certify(g: PlaneGraph, m: MedialGraph, parities) -> SearchResult:
     The witness runs through region_kernel and _check_system, the
     single-system path the sweep is checked against; claim 1, the degree
     census, alpha and the bounds are checked on top, the matching and the
-    baseline reading one compute_bipartition.  Its RegionDecomposition is
-    built last, as output view, from the same arrays.
+    baseline both reading g.side, the graph's one 2-colouring.  Its
+    RegionDecomposition is built last, as output view, from the same arrays.
     """
     s = region_kernel(m, parities)
     census = Counter(_check_system(g, m.sides, s, parities))
@@ -369,12 +369,11 @@ def _certify(g: PlaneGraph, m: MedialGraph, parities) -> SearchResult:
             )
     chi_f = s.num_regions
 
-    side = compute_bipartition(g)
-    alpha = maximum_matching(g, side).alpha
+    alpha = maximum_matching(g).alpha
     if 2 * chi_f > 3 * alpha:
         raise BoundViolated(f"2*{chi_f} > 3*{alpha}")
 
-    baseline = baseline_coloring(g, side)
+    baseline = baseline_coloring(g)
     if chi_f < baseline.num_colors or 2 * chi_f < g.n:
         raise InternalInvariantError(
             f"optimum {chi_f} below the guaranteed lower bound"

@@ -31,7 +31,6 @@ from halfmono.errors import BoundViolated, ClaimViolated, HalfmonoError
 from halfmono.independence import alpha_bruteforce, maximum_matching
 from halfmono.medial import build_medial_graph
 from halfmono.oracle import chi_f_bruteforce
-from halfmono.plane_graph import compute_bipartition
 from halfmono.search import exact_chi_f
 
 FULL_CORPUS = corpus_graphs()  # cycles 4..12, grids up to 4x5, prisms 4..8
@@ -145,7 +144,7 @@ def test_criterion_3_tightness_witness(corpus_results):
     for half in range(2, 7):
         g, res = corpus_results[f"cycle{2 * half}"]
         assert (res.chi_f, res.alpha) == (half + 1, half)
-        baseline = baseline_coloring(g, compute_bipartition(g)).num_colors
+        baseline = baseline_coloring(g).num_colors
         assert baseline <= res.chi_f <= (3 * res.alpha) // 2
         if g.n <= 12:
             assert chi_f_bruteforce(g).chi_f == half + 1
@@ -180,7 +179,7 @@ def test_criterion_6_claim1_audit(corpus_results):
 @criterion(7, "baseline coloring is admissible and never beats the optimum")
 def test_criterion_7_baseline_bound(corpus_results):
     for name, (g, res) in corpus_results.items():
-        c = baseline_coloring(g, compute_bipartition(g))
+        c = baseline_coloring(g)
         assert check_proper(g, c.colors), name
         assert check_half_monochromatic(g, c.colors), name
         assert c.num_colors >= (g.n + 1) // 2, name
@@ -191,7 +190,7 @@ def test_criterion_7_baseline_bound(corpus_results):
 def test_criterion_8_independence_cross_check():
     for name, g in FULL_CORPUS + ORACLE_CORPUS:
         assert g.n <= 24
-        alpha = maximum_matching(g, compute_bipartition(g)).alpha
+        alpha = maximum_matching(g).alpha
         assert alpha == alpha_bruteforce(g), name
         assert 2 * alpha >= g.n, name
 

@@ -519,12 +519,13 @@ def test_check_cap_branches(tmp_path, capsys):
 
 
 def _count_calls(monkeypatch, module_name: str, attr: str) -> list:
-    """Count calls of a function through every halfmono module that binds it."""
+    """Record calls of a function through every halfmono module that binds
+    it: one entry per call, the calling function's name."""
     original = getattr(sys.modules[module_name], attr)
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(None)
+        calls.append(sys._getframe(1).f_code.co_name)
         return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -664,6 +665,20 @@ def test_alpha_computes_one_matching(c4_file, monkeypatch, capsys):
     assert cli.main(["alpha", str(c4_file)]) == 0
     assert len(matching) == 1
     assert "alpha = 2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv", [["chif", "--json"], ["check"], ["alpha"]], ids=["chif", "check", "alpha"]
+)
+def test_one_bipartition_per_op(argv, tmp_path, monkeypatch, capsys):
+    # build_plane_graph's connectivity BFS is the only 2-colouring; the
+    # matching and the baseline read the sides it stored
+    path = tmp_path / "grid.hmg"
+    assert cli.main(["gen", "grid", "3x4", "-o", str(path)]) == 0
+    bfs = _count_calls(monkeypatch, "halfmono.plane_graph", "compute_bipartition")
+    assert cli.main([argv[0], str(path), *argv[1:]]) == 0
+    assert bfs == ["build_plane_graph"]  # the callers' names
+    assert capsys.readouterr().err == ""
 
 
 def test_chif_refuses_more_faces_than_it_can_print(tmp_path):

@@ -12,7 +12,7 @@ from halfmono.coloring import (
 )
 from halfmono.dividing import assemble_dividing_system, decompose_regions
 from halfmono.medial import build_medial_graph
-from halfmono.plane_graph import BLACK, WHITE, compute_bipartition
+from halfmono.plane_graph import BLACK, WHITE
 from halfmono.search import sweep_dividing_systems
 
 CORPUS = corpus_graphs()
@@ -57,21 +57,21 @@ def test_coloring_from_regions_c6():
 
 def test_baseline_examples():
     g = cycle_graph(4)
-    c = baseline_coloring(g, compute_bipartition(g))
+    c = baseline_coloring(g)
     assert c.colors == (0, 2, 1, 2)
     assert c.num_colors == 3
 
     g23 = grid_graph(2, 3)
-    assert baseline_coloring(g23, compute_bipartition(g23)).num_colors == 4
+    assert baseline_coloring(g23).num_colors == 4
 
     cube = prism_graph(4)
-    assert baseline_coloring(cube, compute_bipartition(cube)).num_colors == 5
+    assert baseline_coloring(cube).num_colors == 5
 
 
 @pytest.mark.parametrize("name,g", CORPUS)
 def test_baseline_is_admissible_and_large(name, g):
-    b = compute_bipartition(g)
-    c = baseline_coloring(g, b)
+    b = g.side
+    c = baseline_coloring(g)
     assert check_proper(g, c.colors)
     assert check_half_monochromatic(g, c.colors)
     assert c.num_colors == max(b.count(BLACK), b.count(WHITE)) + 1

@@ -13,7 +13,7 @@ from halfmono import independence
 from halfmono.errors import InternalInvariantError, SizeCapExceeded
 from halfmono.independence import alpha_bruteforce, maximum_matching
 from halfmono.instance_io import build
-from halfmono.plane_graph import BLACK, compute_bipartition
+from halfmono.plane_graph import BLACK
 
 CORPUS = corpus_graphs()
 
@@ -28,7 +28,7 @@ CORPUS = corpus_graphs()
     ids=["c4", "grid2x3", "cube"],
 )
 def test_matching_sizes(g, expected):
-    result = maximum_matching(g, compute_bipartition(g))
+    result = maximum_matching(g)
     assert result.size == expected
 
 
@@ -44,14 +44,13 @@ def test_matching_sizes(g, expected):
     ids=["c4", "c6", "c8", "grid2x3", "cube"],
 )
 def test_alpha_values(g, expected):
-    assert maximum_matching(g, compute_bipartition(g)).alpha == expected
+    assert maximum_matching(g).alpha == expected
     assert alpha_bruteforce(g) == expected
 
 
 @pytest.mark.parametrize("name,g", CORPUS)
 def test_certificates(name, g):
-    b = compute_bipartition(g)
-    result = maximum_matching(g, b)
+    result = maximum_matching(g)
     cover = set(result.cover)
     assert len(cover) == result.size
     assert all(u in cover or v in cover for u, v in g.edges)
@@ -67,7 +66,7 @@ def test_certificates(name, g):
     "name,g", CORPUS + random_subdivided_graphs() + random_split_graphs()
 )
 def test_konig_matches_bruteforce_and_half_bound(name, g):
-    alpha = maximum_matching(g, compute_bipartition(g)).alpha
+    alpha = maximum_matching(g).alpha
     assert alpha == alpha_bruteforce(g)
     assert 2 * alpha >= g.n
 
@@ -105,11 +104,11 @@ MATCHING_GRAPHS = [g for _, g in CORPUS] + [
 
 def test_matching_equals_recursive_search():
     for g in MATCHING_GRAPHS:
-        b = compute_bipartition(g)
+        b = g.side
         match = _recursive_matching(g, b)
         left = [u for u in range(g.n) if b[u] == BLACK]
         expected = tuple((u, match[u]) for u in left if match[u] != -1)
-        assert maximum_matching(g, b).edges == expected
+        assert maximum_matching(g).edges == expected
 
 
 def test_cover_size_is_certified(monkeypatch):
@@ -124,7 +123,7 @@ def test_cover_size_is_certified(monkeypatch):
     monkeypatch.setattr(independence, "_augment", augment)
     g = cycle_graph(6)
     with pytest.raises(InternalInvariantError, match="^cover size 3 != matching size 1$"):
-        maximum_matching(g, compute_bipartition(g))
+        maximum_matching(g)
 
 
 def test_matching_disjointness_is_certified(monkeypatch):
@@ -132,4 +131,4 @@ def test_matching_disjointness_is_certified(monkeypatch):
     monkeypatch.setattr(independence, "_augment", lambda rotations, match, root: True)
     g = cycle_graph(4)
     with pytest.raises(InternalInvariantError, match="^matching edges are not disjoint$"):
-        maximum_matching(g, compute_bipartition(g))
+        maximum_matching(g)

@@ -2,7 +2,6 @@ import pytest
 
 from corpus import corpus_graphs, cycle_graph, grid_graph, prism_graph, random_split_graphs
 from halfmono.medial import build_medial_graph
-from halfmono.plane_graph import compute_bipartition
 
 CORPUS = corpus_graphs()
 
@@ -70,7 +69,7 @@ def test_c4_matchings():
 def test_hexagon_matchings_cut_one_side():
     g = grid_graph(2, 3)
     m = build_medial_graph(g)
-    b = compute_bipartition(g)
+    b = g.side
     hexagon = next(f.id for f in g.faces if f.degree == 6)
     m0, m1 = m.selected[hexagon]
     assert len(m0) == len(m1) == 3
@@ -123,7 +122,7 @@ def test_every_midpoint_on_two_faces_with_degree_four(name, g):
 @pytest.mark.parametrize("name,g", CORPUS)
 def test_corners_alternate_bipartition_classes(name, g):
     m = build_medial_graph(g)
-    b = compute_bipartition(g)
+    b = g.side
     for f in g.faces:
         corners = [m.corner[i] for i in range(len(m.dart)) if m.face[i] == f.id]
         sides = [b[v] for v in corners]
@@ -140,7 +139,7 @@ def test_tables_follow_the_darts(name, g):
         assert m.ends[i] == (g.dart_edge[d], g.dart_edge[g.dart_next[d]])
         assert m.corner[i] == g.dart_head[d]
         assert m.face[i] == g.dart_face[d]
-    b = compute_bipartition(g)
+    b = g.side
     for f in g.faces:
         selected = m.selected[f.id]
         assert [m.dart[i] for i in selected[0]] == list(f.darts[0::2])

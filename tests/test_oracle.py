@@ -60,9 +60,8 @@ def test_oracle_respects_the_frame_bounds(g):
     # region machinery, yet lands between the baseline and 3*alpha/2
     from halfmono.coloring import baseline_coloring
     from halfmono.independence import alpha_bruteforce
-    from halfmono.plane_graph import compute_bipartition
 
     res = chi_f_bruteforce(g)
-    baseline = baseline_coloring(g, compute_bipartition(g))
+    baseline = baseline_coloring(g)
     assert res.chi_f >= baseline.num_colors
     assert 2 * res.chi_f <= 3 * alpha_bruteforce(g)

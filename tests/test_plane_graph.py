@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import random
 from dataclasses import fields
@@ -22,7 +21,8 @@ from halfmono.errors import (
     NotConnected,
     OddCycleFound,
 )
-from halfmono.instance_io import build
+from halfmono import cli, plane_graph
+from halfmono.instance_io import InstanceFile, build, serialize_instance
 from halfmono.plane_graph import (
     BLACK,
     FACE_NOT_CYCLE,
@@ -121,25 +121,35 @@ def test_validate_p3_face_not_cycle():
 
 
 def test_bipartition_c4():
-    g = build_plane_graph(4, C4_ROTATIONS)
-    assert compute_bipartition(g) == (BLACK, WHITE, BLACK, WHITE)
+    assert compute_bipartition(4, C4_ROTATIONS) == (BLACK, WHITE, BLACK, WHITE)
+    assert build_plane_graph(4, C4_ROTATIONS).side == (BLACK, WHITE, BLACK, WHITE)
 
 
 def test_bipartition_sizes():
-    assert compute_bipartition(grid_graph(2, 3)).count(BLACK) == 3
-    side = compute_bipartition(prism_graph(4))
+    assert grid_graph(2, 3).side.count(BLACK) == 3
+    side = prism_graph(4).side
     assert side.count(BLACK) == side.count(WHITE) == 4
 
 
-def test_bipartition_on_odd_faces_raises():
-    # build_plane_graph refuses K4, so K4's rotations replace C4's in a
-    # built graph; compute_bipartition reads only n and the rotations
-    g = dataclasses.replace(
-        build_plane_graph(4, C4_ROTATIONS),
-        rotations=tuple(map(tuple, K4_ROTATIONS)),
+def test_bipartition_on_odd_faces_raises(tmp_path, monkeypatch, capsys):
+    # No valid input has a same-side edge, so the 2-colouring is made to put
+    # every vertex on BLACK.  On the mirrored 4-cycle, vertex 0 lists 3
+    # before 1, and the report names the first clash in edge order, 0-1.
+    monkeypatch.setattr(
+        plane_graph, "compute_bipartition", lambda n, rotations: (BLACK,) * n
     )
-    with pytest.raises(OddCycleFound):
-        compute_bipartition(g)
+    mirrored = [r[::-1] for r in C4_ROTATIONS]
+    with pytest.raises(OddCycleFound, match="^edge 0-1 joins two same-side vertices$"):
+        build_plane_graph(4, mirrored)
+    path = tmp_path / "c4.hmg"
+    path.write_text(serialize_instance(InstanceFile("c4", 4, mirrored)))
+    assert cli.main(["chif", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: edge 0-1 joins two same-side vertices\n")
+    # the faces are validated first: K4's odd faces still exit 1
+    path = tmp_path / "k4.hmg"
+    path.write_text(serialize_instance(InstanceFile("k4", 4, K4_ROTATIONS)))
+    assert cli.main(["chif", str(path)]) == 1
+    assert "odd_face" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name,g", CORPUS)
@@ -179,7 +189,7 @@ def test_rebuild_is_deterministic(g):
 
 @given(g=st.sampled_from([g for _, g in CORPUS]))
 def test_bipartition_alternates_around_faces(g):
-    side = compute_bipartition(g)
+    side = g.side
     for f in g.faces:
         sides = [side[v] for v in f.vertices]
         assert all(sides[i] != sides[(i + 1) % len(sides)] for i in range(len(sides)))
@@ -205,6 +215,7 @@ PLANE_GRAPH_DIGESTS = {
     "dart_next": "c8193afb77944080cb432bb0b40a9bb46b17b3a19bd9daafd4b297e03ca3f796",
     "dart_face": "62fa5ee927ac859dc2b64dfa5862fd0f2a303ffd8caa37820693b3be8c1662bc",
     "dart_edge": "89c3d3e6a5cb90b17c936ced597d9c7fcd170f03405c3bc93a2f4b64704f500f",
+    "side": "05e04c0ad8a84a6355dceda3e85f8e9ed62c8ee8b1a5f45c1a1a730828e32ef0",
     "coords": "f127823699e650eab8354e9d9d46515135776bb43f75f426dcb50bcaad3713b2",
 }
 

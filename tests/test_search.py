@@ -45,7 +45,7 @@ from halfmono.errors import (
 from halfmono.instance_io import InstanceFile, build
 from halfmono.medial import build_medial_graph
 from halfmono.oracle import chi_f_bruteforce
-from halfmono.plane_graph import compute_bipartition, validate_even_polygonal
+from halfmono.plane_graph import validate_even_polygonal
 from halfmono.search import (
     _best_bits,
     _check_region_coloring,
@@ -167,7 +167,7 @@ def test_face_cap(monkeypatch):
 @pytest.mark.parametrize("name,g", corpus_graphs())
 def test_at_least_baseline(name, g):
     res = exact_chi_f(g)
-    baseline = baseline_coloring(g, compute_bipartition(g))
+    baseline = baseline_coloring(g)
     assert res.chi_f >= baseline.num_colors
     assert 2 * res.chi_f >= g.n
 
@@ -308,7 +308,7 @@ def test_witness_bound_is_certified(monkeypatch):
     monkeypatch.setattr(
         search,
         "maximum_matching",
-        lambda g, b: dataclasses.replace(matching(g, b), size=3),
+        lambda g: dataclasses.replace(matching(g), size=3),
     )
     for run in (exact_chi_f, sweep_dividing_systems):
         with _raises(BoundViolated, "2*3 > 3*1"):
@@ -318,7 +318,7 @@ def test_witness_bound_is_certified(monkeypatch):
 def test_witness_lower_bound_is_certified(monkeypatch):
     # a baseline of 4 colours on the 4-cycle outnumbers its optimum, 3
     monkeypatch.setattr(
-        search, "baseline_coloring", lambda g, side: Coloring((0, 1, 2, 3), 4)
+        search, "baseline_coloring", lambda g: Coloring((0, 1, 2, 3), 4)
     )
     for run in (exact_chi_f, sweep_dividing_systems):
         with _raises(InternalInvariantError, "optimum 3 below the guaranteed lower bound"):
