@@ -270,6 +270,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
+def _cap(text: str) -> int:
+    """Type of the cap options: an int of at least 0, else a usage error."""
+    if (value := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"cap must be at least 0, got {value}")
+    return value
+
+
+_cap.__name__ = "int"  # a non-int still reads "invalid int value", as with int
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -287,7 +297,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--witness", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--face-cap", type=int, default=DEFAULT_FACE_CAP)
+    p.add_argument("--face-cap", type=_cap, default=DEFAULT_FACE_CAP)
     p.set_defaults(func=cmd_chif)
 
     p = sub.add_parser("alpha", help="independence number with certificate")
@@ -298,13 +308,13 @@ def _parser() -> argparse.ArgumentParser:
         "check", help="bound, claims audit and exhaustive region/tree laws"
     )
     p.add_argument("paths", nargs="+", metavar="FILE_OR_DIR")
-    p.add_argument("--face-cap", type=int, default=DEFAULT_FACE_CAP)
-    p.add_argument("--sweep-cap", type=int, default=DEFAULT_SWEEP_CAP)
+    p.add_argument("--face-cap", type=_cap, default=DEFAULT_FACE_CAP)
+    p.add_argument("--sweep-cap", type=_cap, default=DEFAULT_SWEEP_CAP)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("oracle", help="brute-force maximum over all partitions")
     p.add_argument("file")
-    p.add_argument("--vertex-cap", type=int, default=12)
+    p.add_argument("--vertex-cap", type=_cap, default=12)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("render", help="draw the instance as SVG")
@@ -312,7 +322,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", required=True)
     p.add_argument("--parities", help="bit string selecting a dividing system")
     p.add_argument("--color", action="store_true", help="fill vertices by coloring")
-    p.add_argument("--face-cap", type=int, default=DEFAULT_FACE_CAP)
+    p.add_argument("--face-cap", type=_cap, default=DEFAULT_FACE_CAP)
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("gen", help="write a corpus instance")

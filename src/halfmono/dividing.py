@@ -24,11 +24,12 @@ the renderer and the public API take it.  The law sweep
 prefix of faces, but it numbers regions and reads curve sides with the
 kernel's own `label_regions` and `sides_of_curves`; the kernel is the
 reference it is tested against and re-evaluates any system on which it
-finds a law violated.  `_walks` is the one curve walker: it lists each
-curve's medial-edge indices, once per kernel call.  `region_decomposition`
-maps the kernel's walks to `Cycle`s for output, so the curves printed are
-the curves whose laws were checked.  `assemble_dividing_system` checks
-parity vectors that come from outside.
+finds a law violated.  `_walks` is the one curve walker: one pass over the
+selected edges counts every midpoint's degree, and one walk per curve
+lists its edges and midpoints.  `region_decomposition` turns those lists
+into `Cycle`s as they stand, so the curves printed are the curves whose
+laws were checked.  `assemble_dividing_system` checks parity vectors that
+come from outside.
 """
 
 from __future__ import annotations
@@ -72,71 +73,45 @@ class SystemArrays(NamedTuple):
     """What region_kernel computes for one parity vector.
 
     The regions, the curves as _walks lists them, and per curve the two
-    regions on its sides.  region_decomposition maps the walks to Cycles.
+    regions on its sides.  region_decomposition turns the walks to Cycles.
     """
 
     region_of_cell: list[int]
     num_regions: int
     curve_sides: list[tuple[int, int, int]]  # (region, region, midpoint)
-    walks: list[list[int]]  # medial-edge indices per curve, in walk order
+    walks: list[tuple[list[int], list[int]]]  # (edges, midpoints) per curve
 
 
-def _incidences(
-    num_midpoints: int, ends, selected
-) -> tuple[list[int], list[int]]:
-    """Each midpoint's two selected edges, in the order of `selected`.
-
-    Verifies the degree-two law: every midpoint lies on exactly two.
-    """
-    first = [-1] * num_midpoints
-    second = [-1] * num_midpoints
-    for e in selected:
-        a, b = ends[e]
-        if first[a] < 0:
-            first[a] = e
-        elif second[a] < 0:
-            second[a] = e
-        else:
-            raise _degree_violation(num_midpoints, ends, selected)
-        if first[b] < 0:
-            first[b] = e
-        elif second[b] < 0:
-            second[b] = e
-        else:
-            raise _degree_violation(num_midpoints, ends, selected)
-    if -1 in second:
-        raise _degree_violation(num_midpoints, ends, selected)
-    return first, second
-
-
-def _degree_violation(num_midpoints: int, ends, selected) -> InternalDegreeViolation:
-    degree = [0] * num_midpoints
-    for e in selected:
-        for v in ends[e]:
-            degree[v] += 1
-    bad = next(v for v, d in enumerate(degree) if d != 2)
-    return InternalDegreeViolation(
-        f"midpoint {bad} has degree {degree[bad]}, expected 2"
-    )
-
-
-def _walks(num_midpoints: int, ends, selected) -> list[list[int]]:
+def _walks(num_midpoints: int, ends, selected) -> list[tuple[list[int], list[int]]]:
     """Split selected medial edges into closed curves, ordered by smallest midpoint.
 
-    Each curve is the list of its edge indices in walk order, leaving its
-    smallest midpoint first.  `selected` must be in index order: then each
+    Each curve is (edges, midpoints) in walk order, leaving its smallest
+    midpoint first; edges[i] leaves midpoints[i].  Verifies the degree-two
+    law before walking.  `selected` must be in index order: then each
     midpoint's first incidence is its smaller-keyed edge, by which a curve
     leaves its smallest midpoint.
     """
-    first, second = _incidences(num_midpoints, ends, selected)
+    first = [-1] * num_midpoints
+    second = [-1] * num_midpoints
+    degree = [0] * num_midpoints
+    for e in selected:
+        for v in ends[e]:  # a loop edge meets its midpoint twice
+            d = degree[v]
+            if d == 0:
+                first[v] = e
+            elif d == 1:
+                second[v] = e
+            degree[v] = d + 1
+    for v, d in enumerate(degree):
+        if d != 2:
+            raise InternalDegreeViolation(f"midpoint {v} has degree {d}, expected 2")
     walks = []
     for start in range(num_midpoints):
         e = first[start]
         if e < 0:  # walked as part of an earlier curve
             continue
-        first[start] = -1
         v = start
-        walk = [e]
+        edges, midpoints = [e], [start]
         while True:
             a, b = ends[e]
             v = b if a == v else a
@@ -145,8 +120,9 @@ def _walks(num_midpoints: int, ends, selected) -> list[list[int]]:
             nxt = first[v]
             first[v] = -1
             e = second[v] if nxt == e else nxt  # leave by the other edge
-            walk.append(e)
-        walks.append(walk)
+            edges.append(e)
+            midpoints.append(v)
+        walks.append((edges, midpoints))
     return walks
 
 
@@ -176,8 +152,9 @@ def region_kernel(m: MedialGraph, bits) -> SystemArrays:
     region_of_cell, num_regions = label_regions(parent, n)
     # selected lists faces in order, each face's edges in position order:
     # the index order _walks needs
-    walks = _walks(m.num_vertices, m.ends, selected)
-    curve_sides = sides_of_curves(m, region_of_cell, num_regions, map(min, walks))
+    walks = _walks(m.graph.num_edges, m.ends, selected)
+    lows = [min(edges) for edges, _ in walks]
+    curve_sides = sides_of_curves(m, region_of_cell, num_regions, lows)
     return SystemArrays(region_of_cell, num_regions, curve_sides, walks)
 
 
@@ -214,10 +191,11 @@ def sides_of_curves(
     witness.  Returns (corner's region, face cell's region, first
     midpoint) per curve.  Verifies that regions outnumber curves by one.
     """
-    n, corner, face, ends = m.graph.n, m.corner, m.face, m.ends
-    sides = [
-        (region_of_cell[corner[e]], region_of_cell[n + face[e]], ends[e][0])
-        for e in lows
+    g = m.graph
+    n, head, face, edge = g.n, g.dart_head, g.dart_face, g.dart_edge
+    sides = [  # the dart's own edge is the medial edge's first midpoint
+        (region_of_cell[head[d]], region_of_cell[n + face[d]], edge[d])
+        for d in map(m.dart.__getitem__, lows)
     ]
     if num_regions != len(sides) + 1:
         raise RegionCycleMismatch(f"{num_regions} regions but {len(sides)} curves")
@@ -286,25 +264,19 @@ def region_decomposition(m: MedialGraph, s: SystemArrays) -> RegionDecomposition
     Regions are numbered by smallest cell; each lists its base vertices.
     Each kernel walk becomes a Cycle that starts at its smallest midpoint.
     """
-    n, ends, dart = m.graph.n, m.ends, m.dart
+    n, dart = m.graph.n, m.dart
     regions: list[list[int]] = [[] for _ in range(s.num_regions)]
     for v in range(n):
         regions[s.region_of_cell[v]].append(v)
-    cycles = []
-    for walk in s.walks:
-        v = min(ends[walk[0]])
-        vertices = []
-        for e in walk:
-            vertices.append(v)
-            a, b = ends[e]
-            v = b if a == v else a
-        cycles.append(Cycle(tuple(vertices), tuple(dart[e] for e in walk)))
     return RegionDecomposition(
         n=n,
         num_regions=s.num_regions,
         region_of_cell=tuple(s.region_of_cell),
         regions=tuple(map(tuple, regions)),
-        cycles=tuple(cycles),
+        cycles=tuple(
+            Cycle(tuple(midpoints), tuple(map(dart.__getitem__, edges)))
+            for edges, midpoints in s.walks
+        ),
     )
 
 

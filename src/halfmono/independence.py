@@ -71,7 +71,7 @@ def maximum_matching(g: PlaneGraph) -> MatchingResult:
             size += 1
 
     # Alternating reachability from unmatched left vertices: the cover is
-    # (left not reached) plus (right reached).
+    # (left not reached) plus (right reached), listed in vertex order.
     reached: set[int] = set()
     stack = [u for u in left if match[u] == -1]
     reached.update(stack)
@@ -85,11 +85,7 @@ def maximum_matching(g: PlaneGraph) -> MatchingResult:
             if w != -1 and w not in reached:
                 reached.add(w)
                 stack.append(w)
-    left_set = set(left)
-    cover = sorted(
-        [u for u in left if u not in reached]
-        + [v for v in range(g.n) if v not in left_set and v in reached]
-    )
+    cover = [v for v in range(g.n) if (v in reached) != (g.side[v] == BLACK)]
 
     pairs = tuple(
         (u, match[u]) for u in left if match[u] != -1

@@ -79,7 +79,9 @@ def parse_instance_text(text: str) -> InstanceFile:
     coords: dict[int, tuple[int, tuple[float, float]]] = {}
     rejected_xy: set[int] = set()  # ids of coord lines with bad values
 
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    # Only \n, \r\n and \r end a line: str.splitlines also cuts at \f, U+0085 ...
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, line in enumerate(lines, start=1):
         if "#" in line:
             line = line.split("#", 1)[0]
         line = line.strip()

@@ -8,7 +8,8 @@ dart_head[d].  Medial edges are numbered in (face, position) order, so
 comparing two indices compares their (face, position) keys, and joins from
 different faces stay distinct parallel edges.  As each face's medial cycle
 is even, its two perfect matchings are exactly its edges at even positions
-and those at odd ones: selected[f][0] and selected[f][1].
+and those at odd ones: selected[f][0] and selected[f][1].  An edge's corner
+and face are not copied: they are g.dart_head and g.dart_face of its dart.
 """
 
 from __future__ import annotations
@@ -23,11 +24,8 @@ class MedialGraph:
     """Medial edge i is the dart dart[i], in (face, position) order."""
 
     graph: PlaneGraph
-    num_vertices: int  # one midpoint per base edge
     dart: tuple[int, ...]
     ends: tuple[tuple[int, int], ...]  # the two midpoints of each medial edge
-    corner: tuple[int, ...]  # base vertex cut off by each medial edge
-    face: tuple[int, ...]
     selected: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # [face][bit]
     # [face][bit]: the corners that bit's unselected edges cut off, one
     # bipartition side of the face's boundary (see dividing)
@@ -48,11 +46,8 @@ def build_medial_graph(g: PlaneGraph) -> MedialGraph:
         start = stop
     return MedialGraph(
         graph=g,
-        num_vertices=g.num_edges,
         dart=tuple(darts),
         ends=tuple((dart_edge[d], dart_edge[dart_next[d]]) for d in darts),
-        corner=tuple(map(g.dart_head.__getitem__, darts)),
-        face=tuple(map(g.dart_face.__getitem__, darts)),
         selected=tuple(selected),
         sides=tuple((f.vertices[0::2], f.vertices[1::2]) for f in g.faces),
     )

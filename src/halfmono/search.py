@@ -214,7 +214,7 @@ def _sweep(g: PlaneGraph, m: MedialGraph) -> tuple[tuple[int, ...], int]:
     walk is listed.  A violated law is reported by _recheck on the first
     system, in that order, that violates one.
     """
-    n, nf, num_midpoints = g.n, len(m.sides), m.num_vertices
+    n, nf, num_midpoints = g.n, len(m.sides), g.num_edges
     sides, selected, ends = m.sides, m.selected, m.ends
     # (parent, other, low, closed, count) of the faces < f
     state: list = [None] * (nf + 1)

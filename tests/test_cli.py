@@ -303,6 +303,30 @@ def test_usage_errors_exit_1(argv):
     assert "error: " in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chif", "x.hmg", "--face-cap", "-1"],
+        ["check", "x.hmg", "--sweep-cap", "-1"],
+        ["oracle", "x.hmg", "--vertex-cap", "-1"],
+    ],
+    ids=["face-cap", "sweep-cap", "vertex-cap"],
+)
+def test_negative_caps_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: halfmono")
+    assert f"error: argument {argv[2]}: cap must be at least 0, got -1" in captured.err
+
+
+def test_zero_cap_is_a_cap(c4_file, capsys):
+    assert cli.main(["chif", str(c4_file), "--face-cap", "0"]) == 3
+    assert capsys.readouterr().err == "error: 2 faces exceeds cap 0\n"
+
+
 def test_help_exits_0():
     proc = _run_cli("chif", "--help")
     assert proc.returncode == 0

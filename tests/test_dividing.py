@@ -156,7 +156,12 @@ def test_random_system_laws(g, data):
 def test_cycle_walks_are_consistent(g):
     m = build_medial_graph(g)
     bits = assemble_dividing_system(m, tuple([0] * g.num_faces))
-    for cyc in extract_cycles(m, bits):
+    cycles = extract_cycles(m, bits)
+    # each curve starts at its smallest midpoint, in order of that midpoint
+    assert all(cyc.vertices[0] == min(cyc.vertices) for cyc in cycles)
+    starts = [cyc.vertices[0] for cyc in cycles]
+    assert starts == sorted(starts)
+    for cyc in cycles:
         k = len(cyc.vertices)
         assert len(cyc.edges) == k
         for i, d in enumerate(cyc.edges):
@@ -197,7 +202,8 @@ def _reference_region_of_cell(m, parities):
 
     for f, bit in enumerate(parities):
         for i in m.selected[f][1 - bit]:
-            parent[find(m.corner[i])] = find(g.n + m.face[i])
+            d = m.dart[i]
+            parent[find(g.dart_head[d])] = find(g.n + g.dart_face[d])
     ids: dict[int, int] = {}
     return tuple(ids.setdefault(find(cell), len(ids)) for cell in range(len(parent)))
 
@@ -263,7 +269,7 @@ def _reference_system(m, bits):
     g = m.graph
     n = g.n
     selected = [e for f, bit in enumerate(bits) for e in m.selected[f][bit]]
-    degree = [0] * m.num_vertices
+    degree = [0] * g.num_edges
     for e in selected:
         for v in m.ends[e]:
             degree[v] += 1
@@ -313,8 +319,8 @@ def _reference_system(m, bits):
 
     tree = []
     for edges in cycles:
-        e = min(edges)  # indices run in (face, position) order
-        a, b = region_of_cell[m.corner[e]], region_of_cell[n + m.face[e]]
+        d = m.dart[min(edges)]  # indices run in (face, position) order
+        a, b = region_of_cell[g.dart_head[d]], region_of_cell[n + g.dart_face[d]]
         tree.append((min(a, b), max(a, b)))
     return region_of_cell, num_regions, len(cycles), tree
 

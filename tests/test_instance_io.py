@@ -260,6 +260,21 @@ def test_parse_defects_golden(case):
     assert err.value.defects == expected
 
 
+# str.splitlines breaks at these too, but a line ends only at \n, \r\n or \r
+NON_LINE_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("ch", NON_LINE_BREAKS, ids=ascii)
+def test_comment_keeps_characters_that_are_not_line_breaks(ch):
+    def c4(comment):
+        return f"name c4  # {comment}\nvertices 4 # four\n" + C4_ROTATIONS
+
+    assert parse_instance_text(c4(f"a{ch}b cycle")) == parse_instance_text(c4("ab cycle"))
+    with pytest.raises(ParseError) as err:
+        parse_instance_text(c4(f"a{ch}b cycle") + "wobble\n")
+    assert err.value.defects == [(7, "unknown directive 'wobble'")]
+
+
 def test_render_rejects_overflowing_span(tmp_path, capsys):
     # every coordinate is finite, but the drawing width is not
     text = C4_WITH_COORD.format("-1e308").replace("coord 0 1 0", "coord 0 1e308 0")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from corpus import corpus_graphs, cycle_graph, grid_graph, prism_graph, random_split_graphs
@@ -11,23 +13,33 @@ def _midpoint_walk(g, f):
     return [g.dart_edge[d] for d in f.darts]
 
 
+def _corner(m, i):
+    """The base vertex that medial edge i cuts off: its dart's head."""
+    return m.graph.dart_head[m.dart[i]]
+
+
+def _face(m, i):
+    """The face that medial edge i runs through: its dart's face."""
+    return m.graph.dart_face[m.dart[i]]
+
+
 def _position(m, i):
     """Walk position of medial edge i: its dart's place in its face walk."""
-    return m.graph.faces[m.face[i]].darts.index(m.dart[i])
+    return m.graph.faces[_face(m, i)].darts.index(m.dart[i])
 
 
 def _face_edges(m, face_id):
     """Face face_id's medial edges as (face, position, a, b, corner)."""
     return [
-        (m.face[i], _position(m, i), *m.ends[i], m.corner[i])
+        (_face(m, i), _position(m, i), *m.ends[i], _corner(m, i))
         for i in range(len(m.dart))
-        if m.face[i] == face_id
+        if _face(m, i) == face_id
     ]
 
 
 def test_c4_counts_and_tags():
     m = build_medial_graph(cycle_graph(4))
-    assert m.num_vertices == 4
+    assert m.graph.num_edges == 4
     assert len(m.dart) == 8
     # base edge ids: 0={0,1}, 1={0,3}, 2={1,2}, 3={2,3}
     assert _face_edges(m, 0) == [
@@ -43,16 +55,16 @@ def test_c4_counts_and_tags():
         (1, 3, 0, 1, 0),
     ]
     # indices run in (face, position) order
-    assert [(m.face[i], _position(m, i)) for i in range(8)] == sorted(
+    assert [(_face(m, i), _position(m, i)) for i in range(8)] == sorted(
         (f, p) for f in range(2) for p in range(4)
     )
 
 
 def test_grid_and_prism_counts():
     m = build_medial_graph(grid_graph(2, 3))
-    assert (m.num_vertices, len(m.dart)) == (7, 14)
+    assert (m.graph.num_edges, len(m.dart)) == (7, 14)
     cube = build_medial_graph(prism_graph(4))
-    assert (cube.num_vertices, len(cube.dart)) == (12, 24)
+    assert (cube.graph.num_edges, len(cube.dart)) == (12, 24)
     assert all(len(_midpoint_walk(cube.graph, f)) == 4 for f in cube.graph.faces)
     assert all(len(m0) == len(m1) == 2 for m0, m1 in cube.selected)
 
@@ -61,9 +73,9 @@ def test_c4_matchings():
     m = build_medial_graph(cycle_graph(4))
     m0, m1 = m.selected[0]
     assert [_position(m, i) for i in m0] == [0, 2]
-    assert {m.corner[i] for i in m0} == {1, 3}
+    assert {_corner(m, i) for i in m0} == {1, 3}
     assert [_position(m, i) for i in m1] == [1, 3]
-    assert {m.corner[i] for i in m1} == {0, 2}
+    assert {_corner(m, i) for i in m1} == {0, 2}
 
 
 def test_hexagon_matchings_cut_one_side():
@@ -73,15 +85,15 @@ def test_hexagon_matchings_cut_one_side():
     hexagon = next(f.id for f in g.faces if f.degree == 6)
     m0, m1 = m.selected[hexagon]
     assert len(m0) == len(m1) == 3
-    assert len({b[m.corner[i]] for i in m0}) == 1
-    assert len({b[m.corner[i]] for i in m1}) == 1
-    assert {b[m.corner[i]] for i in m0} != {b[m.corner[i]] for i in m1}
+    assert len({b[_corner(m, i)] for i in m0}) == 1
+    assert len({b[_corner(m, i)] for i in m1}) == 1
+    assert {b[_corner(m, i)] for i in m0} != {b[_corner(m, i)] for i in m1}
 
 
 @pytest.mark.parametrize("name,g", CORPUS)
 def test_edge_count_law(name, g):
     m = build_medial_graph(g)
-    tables = (m.dart, m.ends, m.corner, m.face)
+    tables = (m.dart, m.ends)
     assert {len(t) for t in tables} == {sum(f.degree for f in g.faces)}
     assert len(m.dart) == 2 * g.num_edges
 
@@ -92,7 +104,7 @@ def test_matchings_are_perfect_and_exhaustive(name, g):
     for f in g.faces:
         walk = _midpoint_walk(g, f)
         # the medial cycle runs along the walk: edge i joins walk[i], walk[i + 1]
-        assert [m.ends[i] for i in range(len(m.dart)) if m.face[i] == f.id] == list(
+        assert [m.ends[i] for i in range(len(m.dart)) if _face(m, i) == f.id] == list(
             zip(walk, walk[1:] + walk[:1])
         )
         m0, m1 = m.selected[f.id]
@@ -107,16 +119,16 @@ def test_matchings_are_perfect_and_exhaustive(name, g):
 @pytest.mark.parametrize("name,g", CORPUS)
 def test_every_midpoint_on_two_faces_with_degree_four(name, g):
     m = build_medial_graph(g)
-    appearances = [0] * m.num_vertices
+    appearances = [0] * g.num_edges
     for f in g.faces:
         for x in set(_midpoint_walk(g, f)):
             appearances[x] += 1
-    assert appearances == [2] * m.num_vertices
-    degree = [0] * m.num_vertices
+    assert appearances == [2] * g.num_edges
+    degree = [0] * g.num_edges
     for a, b in m.ends:
         degree[a] += 1
         degree[b] += 1
-    assert degree == [4] * m.num_vertices
+    assert degree == [4] * g.num_edges
 
 
 @pytest.mark.parametrize("name,g", CORPUS)
@@ -124,7 +136,7 @@ def test_corners_alternate_bipartition_classes(name, g):
     m = build_medial_graph(g)
     b = g.side
     for f in g.faces:
-        corners = [m.corner[i] for i in range(len(m.dart)) if m.face[i] == f.id]
+        corners = [_corner(m, i) for i in range(len(m.dart)) if _face(m, i) == f.id]
         sides = [b[v] for v in corners]
         assert all(
             sides[i] != sides[(i + 1) % len(sides)] for i in range(len(sides))
@@ -134,18 +146,19 @@ def test_corners_alternate_bipartition_classes(name, g):
 @pytest.mark.parametrize("name,g", CORPUS + random_split_graphs())
 def test_tables_follow_the_darts(name, g):
     m = build_medial_graph(g)
+    # corner, face and midpoint count are the plane graph's, through m.dart
+    fields = [field.name for field in dataclasses.fields(m)]
+    assert fields == ["graph", "dart", "ends", "selected", "sides"]
     assert m.dart == tuple(d for f in g.faces for d in f.darts)
     for i, d in enumerate(m.dart):
         assert m.ends[i] == (g.dart_edge[d], g.dart_edge[g.dart_next[d]])
-        assert m.corner[i] == g.dart_head[d]
-        assert m.face[i] == g.dart_face[d]
     b = g.side
     for f in g.faces:
         selected = m.selected[f.id]
         assert [m.dart[i] for i in selected[0]] == list(f.darts[0::2])
         assert [m.dart[i] for i in selected[1]] == list(f.darts[1::2])
-        sides = [{b[m.corner[i]] for i in s} for s in selected]
+        sides = [{b[_corner(m, i)] for i in s} for s in selected]
         assert len(sides[0]) == len(sides[1]) == 1 and sides[0] != sides[1]
         for bit in (0, 1):  # the corners cut off by the unselected edges
-            cut = sorted(m.corner[i] for i in selected[1 - bit])
+            cut = sorted(_corner(m, i) for i in selected[1 - bit])
             assert sorted(m.sides[f.id][bit]) == cut

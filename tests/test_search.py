@@ -389,8 +389,11 @@ def _flipped_side(g, m):
 
 
 def _corners_in_face_cells(g, m):
-    # each curve's two sides are both read from its face cell's region
-    return g, dataclasses.replace(m, corner=tuple(g.n + f for f in m.face))
+    # each curve's two sides are both read from its face cell's region:
+    # every dart's head becomes its face cell
+    heads = tuple(g.n + f for f in g.dart_face)
+    doctored = dataclasses.replace(g, dart_head=heads)
+    return doctored, dataclasses.replace(m, graph=doctored)
 
 
 def _chord(g, m):
