@@ -14,28 +14,27 @@ the graph joining each face cell to that side.  The classical fact
 "k closed curves cut the sphere into k + 1 regions" becomes a verified law
 rather than an assumption.
 
-`region_kernel` does all of this for one parity vector on the int tables
-of the medial graph.  It computes the region of every cell, the region
-count, each curve's walk and per curve the two regions on its sides, taken
-at its smallest-keyed edge.  `build_division_tree` checks the tree laws on
-those sides.  The kernel is the single-system path: the search's witness,
-the renderer and the public API take it.  The law sweep
-(`search._sweep`) builds its systems depth-first instead, sharing each
-prefix of faces, but it numbers regions and reads curve sides with the
-kernel's own `label_regions` and `sides_of_curves`; the kernel is the
-reference it is tested against and re-evaluates any system on which it
-finds a law violated.  `_walks` is the one curve walker: one pass over the
-selected edges counts every midpoint's degree, and one walk per curve
-lists its edges and midpoints.  `region_decomposition` turns those lists
-into `Cycle`s as they stand, so the curves printed are the curves whose
-laws were checked.  `assemble_dividing_system` checks parity vectors that
-come from outside.
+`decompose_regions` does all of this for one parity vector on the int
+tables of the medial graph.  It computes the region of every cell, the
+region count, each curve's walk and per curve the two regions on its
+sides, taken at its smallest-keyed edge, and returns them as one
+`RegionDecomposition`.  `build_division_tree` checks the tree laws on
+those sides.  It is the single-system path: the search's witness, the
+renderer and the public API take it.  The law sweep (`search._sweep`)
+builds its systems depth-first instead, sharing each prefix of faces, but
+it numbers regions and reads curve sides with the same `label_regions` and
+`sides_of_curves`; `decompose_regions` is the reference it is tested
+against and re-evaluates any system on which it finds a law violated.
+`_walks` is the one curve walker: one pass over the selected edges counts
+every midpoint's degree, and one walk per curve lists its edges and
+midpoints, which become `Cycle`s as they stand, so the curves printed are
+the curves whose laws were checked.  `assemble_dividing_system` checks
+parity vectors that come from outside.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import (
     BadParameter,
@@ -62,24 +61,18 @@ class Cycle:
 
 @dataclass(frozen=True)
 class RegionDecomposition:
+    """One system's regions and curves, as decompose_regions checked them.
+
+    curve_sides[i] is (corner's region, face cell's region, first midpoint)
+    at the smallest medial edge of cycles[i]: the division tree's edges.
+    """
+
     n: int  # base vertex count; cells 0..n-1 are vertex cells, then face cells
     num_regions: int
     region_of_cell: tuple[int, ...]
     regions: tuple[tuple[int, ...], ...]  # base vertices per region, sorted
     cycles: tuple[Cycle, ...]
-
-
-class SystemArrays(NamedTuple):
-    """What region_kernel computes for one parity vector.
-
-    The regions, the curves as _walks lists them, and per curve the two
-    regions on its sides.  region_decomposition turns the walks to Cycles.
-    """
-
-    region_of_cell: list[int]
-    num_regions: int
-    curve_sides: list[tuple[int, int, int]]  # (region, region, midpoint)
-    walks: list[tuple[list[int], list[int]]]  # (edges, midpoints) per curve
+    curve_sides: tuple[tuple[int, int, int], ...]
 
 
 def _walks(num_midpoints: int, ends, selected) -> list[tuple[list[int], list[int]]]:
@@ -126,15 +119,17 @@ def _walks(num_midpoints: int, ends, selected) -> list[tuple[list[int], list[int
     return walks
 
 
-def region_kernel(m: MedialGraph, bits) -> SystemArrays:
+def decompose_regions(m: MedialGraph, bits) -> RegionDecomposition:
     """Regions and curves of the dividing system with these parity bits.
 
     Joins face cell n + f to m.sides[f][bit] (see the module docstring) by
     union-find, numbers regions by smallest cell and walks the curves
     (_walks), taking each curve's sides at its smallest-keyed edge.
     Verifies the degree-two law, that every region holds a base vertex and
-    that regions outnumber curves by exactly one.  `bits` must be one 0 or
-    1 per face; assemble_dividing_system checks parity vectors from outside.
+    that regions outnumber curves by exactly one.  Each region lists its
+    base vertices; each walk becomes a Cycle that starts at its smallest
+    midpoint.  `bits` must be one 0 or 1 per face;
+    assemble_dividing_system checks parity vectors from outside.
     """
     n, sides, selected_by_face = m.graph.n, m.sides, m.selected
     parent = list(range(n + len(bits)))
@@ -155,17 +150,30 @@ def region_kernel(m: MedialGraph, bits) -> SystemArrays:
     walks = _walks(m.graph.num_edges, m.ends, selected)
     lows = [min(edges) for edges, _ in walks]
     curve_sides = sides_of_curves(m, region_of_cell, num_regions, lows)
-    return SystemArrays(region_of_cell, num_regions, curve_sides, walks)
+    regions: list[list[int]] = [[] for _ in range(num_regions)]
+    for v in range(n):
+        regions[region_of_cell[v]].append(v)
+    return RegionDecomposition(
+        n=n,
+        num_regions=num_regions,
+        region_of_cell=tuple(region_of_cell),
+        regions=tuple(map(tuple, regions)),
+        cycles=tuple(
+            Cycle(tuple(midpoints), tuple(map(m.dart.__getitem__, edges)))
+            for edges, midpoints in walks
+        ),
+        curve_sides=tuple(curve_sides),
+    )
 
 
 def label_regions(parent: list[int], n: int) -> tuple[list[int], int]:
     """Resolve the cell union-find of a system; number and count its regions.
 
     parent is a union-find over the V + F cells whose unions point roots
-    at later face cells, as region_kernel and the law sweep join them; this
-    resolves it in place.  Regions are numbered in order of their smallest
-    vertex cell.  Raises InternalInvariantError if a region holds no base
-    vertex.
+    at later face cells, as decompose_regions and the law sweep join them;
+    this resolves it in place.  Regions are numbered in order of their
+    smallest vertex cell.  Raises InternalInvariantError if a region holds
+    no base vertex.
     """
     # A union points a root at a later face cell and path halving only
     # skips ahead, so parent[c] > c unless c is a root: resolving the cells
@@ -256,33 +264,6 @@ def assemble_dividing_system(m: MedialGraph, parities) -> tuple[int, ...]:
     if any(b not in (0, 1) for b in bits):
         raise BadParameter("parity bits must be 0 or 1")
     return tuple(map(int, bits))
-
-
-def region_decomposition(m: MedialGraph, s: SystemArrays) -> RegionDecomposition:
-    """The dataclass view of one system of m and its region_kernel arrays s.
-
-    Regions are numbered by smallest cell; each lists its base vertices.
-    Each kernel walk becomes a Cycle that starts at its smallest midpoint.
-    """
-    n, dart = m.graph.n, m.dart
-    regions: list[list[int]] = [[] for _ in range(s.num_regions)]
-    for v in range(n):
-        regions[s.region_of_cell[v]].append(v)
-    return RegionDecomposition(
-        n=n,
-        num_regions=s.num_regions,
-        region_of_cell=tuple(s.region_of_cell),
-        regions=tuple(map(tuple, regions)),
-        cycles=tuple(
-            Cycle(tuple(midpoints), tuple(map(dart.__getitem__, edges)))
-            for edges, midpoints in s.walks
-        ),
-    )
-
-
-def decompose_regions(m: MedialGraph, bits) -> RegionDecomposition:
-    """The regions and curves of one system, as region_kernel checks them."""
-    return region_decomposition(m, region_kernel(m, bits))
 
 
 def extract_cycles(m: MedialGraph, bits) -> tuple[Cycle, ...]:

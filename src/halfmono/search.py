@@ -16,7 +16,7 @@ order, keeping per prefix of faces the cell union-find, the open curve
 paths and the smallest edge of each closed curve, so a system pays only
 for its last face.  At each leaf it checks the degree, base vertex and
 region-count laws, labels the regions and takes each curve's two sides
-at its smallest edge as `dividing.region_kernel` does, and runs the
+at its smallest edge as `dividing.decompose_regions` does, and runs the
 checks of `_check_system` on those arrays: the division tree's adjacency
 as int-keyed region pairs (`dividing.build_division_tree`, which checks
 the tree laws), region independence and claims 2 and 3 against it in one
@@ -28,20 +28,19 @@ form reads half of each boundary and is stronger than the count form of
 labels.  Each law is checked once: region independence is exactly
 properness of the region coloring, and the base vertex law already gives
 it one color per region.  A law that fails at a leaf is reported by the
-single-system path: `dividing.region_kernel`, which also walks the
+single-system path: `dividing.decompose_regions`, which also walks the
 curves, and `_check_system` evaluate that system again (`_recheck`), so
 its error reads as theirs.  The sweep's witness must equal `_best_bits`'s
-and its count the witness kernel's.
+and its count the witness's.
 
-`_certify` runs the witness through region_kernel and `_check_system`,
-adds claim 1, and certifies 2 * chiF <= 3 * alpha in exact integer
-arithmetic; only then does `dividing.region_decomposition` turn the
-witness's kernel arrays, its checked curve walks included, into the
-result's output view.  Both `exact_chi_f` and the sweep return that
-`SearchResult`; its witness coloring is
-`coloring.coloring_from_regions(witness_regions)`.  `audit_claims` checks
-a result's witness bits with `dividing.assemble_dividing_system` and runs
-them through `_certify` again.
+`_certify` runs the witness through `dividing.decompose_regions` and
+`_check_system`, adds claim 1, and certifies 2 * chiF <= 3 * alpha in
+exact integer arithmetic; the `RegionDecomposition` those laws were
+checked on, its curve walks included, is the result's witness_regions.
+Both `exact_chi_f` and the sweep return that `SearchResult`; its witness
+coloring is `coloring.coloring_from_regions(witness_regions)`.
+`audit_claims` checks a result's witness bits with
+`dividing.assemble_dividing_system` and runs them through `_certify` again.
 """
 
 from __future__ import annotations
@@ -53,12 +52,10 @@ from typing import NoReturn
 from .coloring import baseline_coloring
 from .dividing import (
     RegionDecomposition,
-    SystemArrays,
     assemble_dividing_system,
     build_division_tree,
+    decompose_regions,
     label_regions,
-    region_decomposition,
-    region_kernel,
     sides_of_curves,
 )
 from .errors import (
@@ -155,20 +152,20 @@ def _check_region_coloring(n: int, sides, region_of_cell, bits) -> None:
         cell += 1
 
 
-def _check_system(g: PlaneGraph, sides, s: SystemArrays, bits) -> list[int]:
+def _check_system(m: MedialGraph, r: RegionDecomposition, bits) -> list[int]:
     """The tree, claim and region-coloring laws of the system with these bits.
 
-    s is the system's region_kernel arrays, which already passed the
-    degree, base vertex and region-count laws; the base vertex law gives
-    the coloring by region one color per region, and the
+    r is the system of m as decompose_regions returns it, which already
+    passed the degree, base vertex and region-count laws; the base vertex
+    law gives the coloring by region one color per region, and the
     independent_regions claim makes it proper.  It must also be
     half-monochromatic (_check_region_coloring, on the faces' uncut
     sides).  Raises on a violated law; returns the division tree's node
     degrees.
     """
-    adjacent, degrees = build_division_tree(s.curve_sides, s.num_regions)
-    _check_structural_claims(g, s.region_of_cell, adjacent, degrees)
-    _check_region_coloring(g.n, sides, s.region_of_cell, bits)
+    adjacent, degrees = build_division_tree(r.curve_sides, r.num_regions)
+    _check_structural_claims(m.graph, r.region_of_cell, adjacent, degrees)
+    _check_region_coloring(r.n, m.sides, r.region_of_cell, bits)
     return degrees
 
 
@@ -177,17 +174,16 @@ def _parity_index(bits) -> int:
     return int("".join(map(str, bits)), 2)
 
 
-def _recheck(
-    g: PlaneGraph, m: MedialGraph, bits, found: InternalInvariantError
-) -> NoReturn:
+def _recheck(m: MedialGraph, bits, found: InternalInvariantError) -> NoReturn:
     """Report a law that the sweep found violated as the single-system path does.
 
-    region_kernel and _check_system re-evaluate the system with these bits,
-    so the error's type and message are theirs; the sweep's finding is its
-    cause.  If they pass, the two paths disagree, which is itself a bug.
+    decompose_regions and _check_system re-evaluate the system with these
+    bits, so the error's type and message are theirs; the sweep's finding
+    is its cause.  If they pass, the two paths disagree, which is itself a
+    bug.
     """
     try:
-        _check_system(g, m.sides, region_kernel(m, bits), bits)
+        _check_system(m, decompose_regions(m, bits), bits)
     except InternalInvariantError as exc:
         raise exc from found
     raise InternalInvariantError(
@@ -202,13 +198,13 @@ def _sweep(g: PlaneGraph, m: MedialGraph) -> tuple[tuple[int, ...], int]:
     systems come in the lexicographic order of itertools.product and the
     first strict maximizer is the one _best_bits finds.  state[f] holds
     what the faces < f build, so each system pays only for its last face:
-    - the cell union-find of dividing.region_kernel, face cell n + f joined
-      to m.sides[f][bit];
+    - the cell union-find of dividing.decompose_regions, face cell n + f
+      joined to m.sides[f][bit];
     - the open curve paths over the midpoints: other[x] is the far end of
       the path that ends at x, or -1 once x has degree two, and low[x] the
       path's smallest medial edge;
     - the smallest edge of every closed curve, and the selected edge count.
-    At a leaf the regions are labelled as region_kernel labels them and
+    At a leaf the regions are labelled as decompose_regions labels them and
     each curve's sides are taken at its smallest edge, so the tree, claim
     and region-coloring laws read the arrays _check_system would; no curve
     walk is listed.  A violated law is reported by _recheck on the first
@@ -244,7 +240,7 @@ def _sweep(g: PlaneGraph, m: MedialGraph) -> tuple[tuple[int, ...], int]:
                 _check_structural_claims(g, region_of_cell, adjacent, degrees)
                 _check_region_coloring(n, sides, region_of_cell, bits)
             except InternalInvariantError as exc:
-                _recheck(g, m, bits, exc)
+                _recheck(m, bits, exc)
             if k > best:
                 best, best_bits = k, bits
             f -= 1
@@ -274,7 +270,7 @@ def _sweep(g: PlaneGraph, m: MedialGraph) -> tuple[tuple[int, ...], int]:
                 found = InternalDegreeViolation(
                     f"midpoint {bad} meets a third selected edge"
                 )
-                _recheck(g, m, bits, found)
+                _recheck(m, bits, found)
             if ox == y:  # e closes the path from x to y, or is a loop at x
                 lo = low[x]
                 closed.append(e if e < lo else lo)
@@ -301,7 +297,7 @@ def _best_bits(m: MedialGraph) -> tuple[int, ...]:
     The sweep's answer, found by a pruned depth-first search over the
     faces in order, bit 0 first.  The regions are the components of the
     V + F cells with face cell n + f joined to m.sides[f][bit] (see
-    dividing.region_kernel).  Adding a face adds one cell and merges
+    dividing.decompose_regions).  Adding a face adds one cell and merges
     c >= 1 components, so the count of a prefix bounds every completion and
     a prefix whose count is <= the best so far is pruned.  Union-by-size
     without path compression lets each step be undone on backtrack.
@@ -353,21 +349,22 @@ def _best_bits(m: MedialGraph) -> tuple[int, ...]:
 def _certify(g: PlaneGraph, m: MedialGraph, parities) -> SearchResult:
     """Check every law on the witness bits, audit them, certify the bound.
 
-    The witness runs through region_kernel and _check_system, the
+    The witness runs through decompose_regions and _check_system, the
     single-system path the sweep is checked against; claim 1, the degree
     census, alpha and the bounds are checked on top, the matching and the
-    baseline both reading g.side, the graph's one 2-colouring.  Its
-    RegionDecomposition is built last, as output view, from the same arrays.
+    baseline both reading g.side, the graph's one 2-colouring.  The result
+    carries that same RegionDecomposition, so its curves are the ones
+    whose laws were checked.
     """
-    s = region_kernel(m, parities)
-    census = Counter(_check_system(g, m.sides, s, parities))
-    colors = s.region_of_cell
+    r = decompose_regions(m, parities)
+    census = Counter(_check_system(m, r, parities))
+    colors = r.region_of_cell
     for f in g.faces:
         if len({colors[v] for v in f.vertices}) == 2:
             raise ClaimViolated(
                 "claim1", f"face {f.id} carries exactly two colors"
             )
-    chi_f = s.num_regions
+    chi_f = r.num_regions
 
     alpha = maximum_matching(g).alpha
     if 2 * chi_f > 3 * alpha:
@@ -382,7 +379,7 @@ def _certify(g: PlaneGraph, m: MedialGraph, parities) -> SearchResult:
     return SearchResult(
         chi_f=chi_f,
         witness_parities=parities,
-        witness_regions=region_decomposition(m, s),
+        witness_regions=r,
         alpha=alpha,
         audit=AuditReport(
             degree_census=tuple(sorted(census.items())),
@@ -434,9 +431,10 @@ def sweep_dividing_systems(
 
     Exhaustive over all 2^F parity vectors (_sweep): the degree, base
     vertex, region-count, tree, claim 2 and 3 and region-coloring laws of
-    each system; every violation raises as region_kernel and _check_system
-    raise it.  The same pass finds the optimum, which must be the pruned
-    search's, and returns it, certified exactly as by exact_chi_f.
+    each system; every violation raises as decompose_regions and
+    _check_system raise it.  The same pass finds the optimum, which must be
+    the pruned search's, and returns it, certified exactly as by
+    exact_chi_f.
     """
     nf = g.num_faces
     if nf > face_cap:

@@ -25,7 +25,6 @@ from halfmono.dividing import (
     build_division_tree,
     decompose_regions,
     extract_cycles,
-    region_kernel,
 )
 from halfmono.errors import BoundViolated, ClaimViolated, HalfmonoError
 from halfmono.independence import alpha_bruteforce, maximum_matching
@@ -89,14 +88,13 @@ def exhaustive_sweep():
             if r.num_regions != len(cycles) + 1:
                 region_fail += 1
                 continue
-            s = region_kernel(m, bits)
             try:
-                adjacent, degrees = build_division_tree(s.curve_sides, s.num_regions)
+                adjacent, degrees = build_division_tree(r.curve_sides, r.num_regions)
             except HalfmonoError:
                 tree_fail += 1
                 continue
             k = r.num_regions
-            if len(degrees) != k or len(s.curve_sides) != k - 1:
+            if len(degrees) != k or len(r.curve_sides) != k - 1:
                 tree_fail += 1
                 continue
             ok = True

@@ -613,7 +613,7 @@ def test_check_mixed_batch_streams_each_file_once(tmp_path, monkeypatch, capsys)
 
 # The sweep checks the division tree of every system, then once more to
 # certify the witness; the pruned search checks only the witness.  Either
-# way only the witness runs the region kernel, which walks its curves once,
+# way only the witness runs decompose_regions, which walks its curves once,
 # and its output curves are those walks.
 TREE_CHECKS_PER_OP = {"check": 2**7 + 1, "chif": 1}
 
@@ -624,7 +624,7 @@ def test_one_enumeration_and_one_medial_build_per_op(
 ):
     path = tmp_path / "grid.hmg"  # grid3x4 has F = 7 faces
     assert cli.main(["gen", "grid", "3x4", "-o", str(path)]) == 0
-    kernel = _count_calls(monkeypatch, "halfmono.dividing", "region_kernel")
+    decompose = _count_calls(monkeypatch, "halfmono.dividing", "decompose_regions")
     walks = _count_calls(monkeypatch, "halfmono.dividing", "_walks")
     medial = _count_calls(monkeypatch, "halfmono.medial", "build_medial_graph")
     # once, by build_plane_graph
@@ -636,7 +636,9 @@ def test_one_enumeration_and_one_medial_build_per_op(
     # by counting labels
     half = _count_calls(monkeypatch, "halfmono.coloring", "check_half_monochromatic")
     assert cli.main([command[0], str(path), *command[1:]]) == 0
-    assert len(kernel) == len(walks) == 1
+    # the call the benchmark tracer times as dividing.decompose
+    assert decompose == ["_certify"]
+    assert len(walks) == 1
     assert len(medial) == 1
     assert len(validate) == 1
     assert assemble == []
@@ -650,12 +652,14 @@ def test_render_builds_and_walks_the_system_once(color, tmp_path, monkeypatch, c
     assert cli.main(["gen", "grid", "3x4", "-o", str(path)]) == 0
     medial = _count_calls(monkeypatch, "halfmono.medial", "build_medial_graph")
     walks = _count_calls(monkeypatch, "halfmono.dividing", "_walks")
+    decompose = _count_calls(monkeypatch, "halfmono.dividing", "decompose_regions")
     validate = _count_calls(monkeypatch, "halfmono.plane_graph", "validate_even_polygonal")
     search = _count_calls(monkeypatch, "halfmono.search", "exact_chi_f")
     out = tmp_path / "g34.svg"
     argv = ["render", str(path), "-o", str(out), "--parities", "0110010", *color]
     assert cli.main(argv) == 0
     assert len(medial) == len(walks) == len(validate) == 1
+    assert decompose == ["cmd_render"]
     assert search == []
     assert out.read_text().count("<path ") > 0
 

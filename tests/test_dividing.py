@@ -20,7 +20,6 @@ from halfmono.dividing import (
     build_division_tree,
     decompose_regions,
     extract_cycles,
-    region_kernel,
 )
 from halfmono.errors import BadParameter
 from halfmono.medial import build_medial_graph
@@ -36,7 +35,7 @@ def _decompose(g, parities):
 def _tree(g, parities):
     """The division tree of one system: its edges, aligned with the curves,
     its adjacency and its node degrees."""
-    s = region_kernel(build_medial_graph(g), parities)
+    s = decompose_regions(build_medial_graph(g), parities)
     adjacent, degrees = build_division_tree(s.curve_sides, s.num_regions)
     return _aligned_edges(s), adjacent, degrees
 
@@ -115,10 +114,9 @@ def test_all_systems_obey_the_laws(g):
         cycles = extract_cycles(m, bits)  # verifies degree-2 law
         r = decompose_regions(m, bits)  # verifies regions == cycles + 1
         assert r.cycles == cycles
-        s = region_kernel(m, bits)
-        _, degrees = build_division_tree(s.curve_sides, s.num_regions)  # tree laws
+        _, degrees = build_division_tree(r.curve_sides, r.num_regions)  # tree laws
         assert len(degrees) == r.num_regions
-        assert len(s.curve_sides) == len(cycles) == r.num_regions - 1
+        assert len(r.curve_sides) == len(cycles) == r.num_regions - 1
         # the region vertex sets partition the base vertices
         everything = [v for region in r.regions for v in region]
         assert sorted(everything) == list(range(g.n))
@@ -169,24 +167,39 @@ def test_cycle_walks_are_consistent(g):
             assert {cyc.vertices[i], cyc.vertices[(i + 1) % k]} == ends
 
 
-@pytest.mark.parametrize(
-    "name,g",
-    [
-        (name, g)
-        for name, g in corpus_graphs() + random_split_graphs()
-        if g.num_faces <= 10
-    ],
-)
+CURVE_GRAPHS = [
+    (name, g)
+    for name, g in corpus_graphs() + random_split_graphs()
+    if g.num_faces <= 10
+]
+
+
+@pytest.mark.parametrize("name,g", CURVE_GRAPHS)
 def test_kernel_curve_sides_follow_the_extracted_curves(name, g):
-    # region_kernel and extract_cycles share one walker: the same curves in
-    # the same order, each side entry taken at a midpoint of its curve.
+    # decompose_regions and extract_cycles share one walker: the same curves
+    # in the same order, each side entry taken at a midpoint of its curve.
     m = build_medial_graph(g)
     for bits in itertools.product((0, 1), repeat=g.num_faces):
-        sides = region_kernel(m, bits).curve_sides
+        sides = decompose_regions(m, bits).curve_sides
         cycles = extract_cycles(m, bits)
         assert len(sides) == len(cycles), bits
         for (_, _, midpoint), cyc in zip(sides, cycles):
             assert midpoint in cyc.vertices, bits
+
+
+@pytest.mark.parametrize("name,g", CURVE_GRAPHS)
+def test_every_edge_of_a_curve_separates_its_two_sides(name, g):
+    # curve_sides reads one edge per curve; every other edge of that curve
+    # must separate the same two regions: the corner its dart cuts off and
+    # the face cell it runs through.
+    m = build_medial_graph(g)
+    n, head, face = g.n, g.dart_head, g.dart_face
+    for bits in itertools.product((0, 1), repeat=g.num_faces):
+        r = decompose_regions(m, bits)
+        cell = r.region_of_cell
+        for (a, b, _), c in zip(r.curve_sides, r.cycles, strict=True):
+            for d in c.edges:
+                assert {cell[head[d]], cell[n + face[d]]} == {a, b}, (bits, d)
 
 
 def _reference_region_of_cell(m, parities):
@@ -243,6 +256,26 @@ SYSTEM_DIGESTS = {
 
 def _dart_key(g):
     return lambda d: (g.dart_face[d], g.faces[g.dart_face[d]].darts.index(d))
+
+
+# sha256 over every system's (bits, curve_sides): the division tree's edges
+# and the midpoint each NotATree message names.
+CURVE_SIDE_DIGESTS = {
+    "cycle6": "99de505e629dfeaa8bff1eb2e3d82dd7f6ed45ff52406c36ba872e8255c6ee49",
+    "grid3x4": "576ea848b69b279031facde3ae9473e562466fb219a4c76588ae5329b4eb7307",
+    "prism6": "da6e319c9851628c725a3f372e9fe1ef3a8c6dc3be7682a6740903c41c8f2b29",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CURVE_SIDE_DIGESTS))
+def test_every_system_curve_sides_golden_digest(name):
+    g = SYSTEM_DIGESTS[name][0]
+    m = build_medial_graph(g)
+    h = hashlib.sha256()
+    for bits in itertools.product((0, 1), repeat=g.num_faces):
+        sides = decompose_regions(m, bits).curve_sides
+        h.update(repr((bits, tuple(map(tuple, sides)))).encode())
+    assert h.hexdigest() == CURVE_SIDE_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEM_DIGESTS))
@@ -331,8 +364,8 @@ def _reference_system(m, bits):
 def test_kernel_matches_object_pipeline_on_every_system(name, g):
     m = build_medial_graph(g)
     for bits in itertools.product((0, 1), repeat=g.num_faces):
-        s = region_kernel(m, bits)
+        s = decompose_regions(m, bits)
         build_division_tree(s.curve_sides, s.num_regions)  # verifies tree laws
         tree_edges = _aligned_edges(s)
-        kernel = (s.region_of_cell, s.num_regions, len(s.curve_sides), tree_edges)
+        kernel = (list(s.region_of_cell), s.num_regions, len(s.curve_sides), tree_edges)
         assert kernel == _reference_system(m, bits), bits
