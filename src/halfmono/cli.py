@@ -133,7 +133,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     except FaceStructureError as exc:
         report = exc.report
     else:
-        report = ValidationReport(ok=True, defects=())
+        report = ValidationReport(defects=())
     print(f"{inst.name}: {report}")
     return EXIT_OK if report.ok else EXIT_INVALID
 

@@ -14,21 +14,21 @@ the graph joining each face cell to that side.  The classical fact
 "k closed curves cut the sphere into k + 1 regions" becomes a verified law
 rather than an assumption.
 
-`decompose_regions` does all of this for one parity vector on the int
-tables of the medial graph.  It computes the region of every cell, the
-region count, each curve's walk and per curve the two regions on its
-sides, taken at its smallest-keyed edge, and returns them as one
-`RegionDecomposition`.  `build_division_tree` checks the tree laws on
-those sides.  It is the single-system path: the search's witness, the
-renderer and the public API take it.  The law sweep (`search._sweep`)
-builds its systems depth-first instead, sharing each prefix of faces, but
-it numbers regions and reads curve sides with the same `label_regions` and
-`sides_of_curves`; `decompose_regions` is the reference it is tested
-against and re-evaluates any system on which it finds a law violated.
-`_walks` is the one curve walker: one pass over the selected edges counts
-every midpoint's degree, and one walk per curve lists its edges and
-midpoints, which become `Cycle`s as they stand, so the curves printed are
-the curves whose laws were checked.  `assemble_dividing_system` checks
+Every system takes the same steps: `join_face` joins each face cell to
+its uncut side in a union-find over the cells, and `label_regions`
+numbers the regions and reads each curve's two sides at its smallest
+edge.  `decompose_regions` takes them for one parity vector, walks the
+curves and returns it all as one `RegionDecomposition`;
+`build_division_tree` checks the tree laws on the sides.  It is the
+single-system path of the search's witness, the renderer and the public
+API.  The law sweep (`search._sweep`) builds its systems depth-first,
+sharing each prefix of faces, but takes the same two steps;
+`decompose_regions` is the reference it is tested against and
+re-evaluates any system on which it finds a law violated.  `_walks` is
+the one curve walker: one pass over the selected edges counts every
+midpoint's degree, and one walk per curve lists its edges and midpoints,
+which become `Cycle`s as they stand, so the curves printed are the
+curves whose laws were checked.  `assemble_dividing_system` checks
 parity vectors that come from outside.
 """
 
@@ -119,12 +119,27 @@ def _walks(num_midpoints: int, ends, selected) -> list[tuple[list[int], list[int
     return walks
 
 
+def join_face(parent: list[int], cell: int, side) -> None:
+    """Join face cell `cell` to every vertex of `side` in the cell union-find.
+
+    parent is a union-find over the V + F cells.  Faces are joined in
+    order, so cell is still a root and each root is only pointed at a
+    later face cell; path halving only skips ahead.  So parent[c] >= c,
+    with equality exactly at the roots, which label_regions relies on.
+    """
+    for v in side:
+        while parent[v] != v:  # find v's root, halving the path
+            parent[v] = v = parent[parent[v]]
+        if v != cell:
+            parent[v] = cell
+
+
 def decompose_regions(m: MedialGraph, bits) -> RegionDecomposition:
     """Regions and curves of the dividing system with these parity bits.
 
-    Joins face cell n + f to m.sides[f][bit] (see the module docstring) by
-    union-find, numbers regions by smallest cell and walks the curves
-    (_walks), taking each curve's sides at its smallest-keyed edge.
+    Joins face cell n + f to m.sides[f][bit] (see the module docstring)
+    with join_face, walks the curves (_walks) and labels the regions and
+    each curve's sides at its smallest-keyed edge (label_regions).
     Verifies the degree-two law, that every region holds a base vertex and
     that regions outnumber curves by exactly one.  Each region lists its
     base vertices; each walk becomes a Cycle that starts at its smallest
@@ -135,21 +150,14 @@ def decompose_regions(m: MedialGraph, bits) -> RegionDecomposition:
     parent = list(range(n + len(bits)))
     selected: list[int] = []
     for f, bit in enumerate(bits):
-        # No earlier face links cell n + f, so it is a root and stays one.
-        cell = n + f
-        for v in sides[f][bit]:
-            while parent[v] != v:  # find v's root, halving the path
-                parent[v] = v = parent[parent[v]]
-            if v != cell:
-                parent[v] = cell
+        join_face(parent, n + f, sides[f][bit])
         selected += selected_by_face[f][bit]
 
-    region_of_cell, num_regions = label_regions(parent, n)
     # selected lists faces in order, each face's edges in position order:
     # the index order _walks needs
     walks = _walks(m.graph.num_edges, m.ends, selected)
     lows = [min(edges) for edges, _ in walks]
-    curve_sides = sides_of_curves(m, region_of_cell, num_regions, lows)
+    region_of_cell, num_regions, curve_sides = label_regions(m, parent, lows)
     regions: list[list[int]] = [[] for _ in range(num_regions)]
     for v in range(n):
         regions[region_of_cell[v]].append(v)
@@ -166,48 +174,38 @@ def decompose_regions(m: MedialGraph, bits) -> RegionDecomposition:
     )
 
 
-def label_regions(parent: list[int], n: int) -> tuple[list[int], int]:
-    """Resolve the cell union-find of a system; number and count its regions.
+def label_regions(m: MedialGraph, parent: list[int], lows) -> tuple[list, int, list]:
+    """Number a system's regions; read each curve's sides at its smallest edge.
 
-    parent is a union-find over the V + F cells whose unions point roots
-    at later face cells, as decompose_regions and the law sweep join them;
-    this resolves it in place.  Regions are numbered in order of their
-    smallest vertex cell.  Raises InternalInvariantError if a region holds
-    no base vertex.
+    parent is the system's cell union-find, joined by join_face; this
+    resolves it in place and numbers regions by smallest vertex cell.
+    lows holds each curve's smallest-keyed edge, a deterministic witness,
+    as every edge of a curve separates the same two regions.  Returns the
+    region of every cell, the region count and per curve (corner's region,
+    face cell's region, first midpoint).  Raises InternalInvariantError if
+    a region holds no base vertex, then RegionCycleMismatch unless regions
+    outnumber curves by one.
     """
-    # A union points a root at a later face cell and path halving only
-    # skips ahead, so parent[c] > c unless c is a root: resolving the cells
-    # from the last one down leaves every cell pointing at its root.
+    g = m.graph
+    n, head, face, edge = g.n, g.dart_head, g.dart_face, g.dart_edge
+    # parent[c] > c unless c is a root (see join_face), so resolving the
+    # cells from the last one down leaves every cell pointing at its root.
     for c in range(len(parent) - 1, -1, -1):
         parent[c] = parent[parent[c]]
     # Roots in order of their smallest vertex cell; a region whose smallest
     # cell is a face cell has no vertex cell at all.
     label = {root: i for i, root in enumerate(dict.fromkeys(parent[:n]))}
     try:
-        return list(map(label.__getitem__, parent)), len(label)
+        region_of_cell = list(map(label.__getitem__, parent))
     except KeyError:
         raise InternalInvariantError("region without any base vertex") from None
-
-
-def sides_of_curves(
-    m: MedialGraph, region_of_cell, num_regions: int, lows
-) -> list[tuple[int, int, int]]:
-    """The two regions beside each curve, read at its smallest medial edge.
-
-    lows holds each curve's smallest-keyed edge; every edge of one curve
-    separates the same two regions, so that edge is a deterministic
-    witness.  Returns (corner's region, face cell's region, first
-    midpoint) per curve.  Verifies that regions outnumber curves by one.
-    """
-    g = m.graph
-    n, head, face, edge = g.n, g.dart_head, g.dart_face, g.dart_edge
     sides = [  # the dart's own edge is the medial edge's first midpoint
         (region_of_cell[head[d]], region_of_cell[n + face[d]], edge[d])
         for d in map(m.dart.__getitem__, lows)
     ]
-    if num_regions != len(sides) + 1:
-        raise RegionCycleMismatch(f"{num_regions} regions but {len(sides)} curves")
-    return sides
+    if len(label) != len(sides) + 1:
+        raise RegionCycleMismatch(f"{len(label)} regions but {len(sides)} curves")
+    return region_of_cell, len(label), sides
 
 
 def build_division_tree(

@@ -253,7 +253,11 @@ def prism_instance(cycle_len: int) -> InstanceFile:
     return InstanceFile(f"prism{m}", 2 * m, tuple(rotations), tuple(coords))
 
 
-_FAMILIES = {"cycle": 1, "grid": 2, "prism": 1}
+_FAMILIES = {  # family -> (parameter count, generator)
+    "cycle": (1, cycle_instance),
+    "grid": (2, grid_instance),
+    "prism": (1, prism_instance),
+}
 
 
 def generate_instance(family: str, params) -> InstanceFile:
@@ -261,15 +265,10 @@ def generate_instance(family: str, params) -> InstanceFile:
     params = tuple(params)
     if family not in _FAMILIES:
         raise BadParameter(f"unknown family {family!r}; know {sorted(_FAMILIES)}")
-    if len(params) != _FAMILIES[family]:
-        raise BadParameter(
-            f"family {family!r} takes {_FAMILIES[family]} parameter(s)"
-        )
-    if family == "cycle":
-        return cycle_instance(params[0])
-    if family == "grid":
-        return grid_instance(params[0], params[1])
-    return prism_instance(params[0])
+    arity, generator = _FAMILIES[family]
+    if len(params) != arity:
+        raise BadParameter(f"family {family!r} takes {arity} parameter(s)")
+    return generator(*params)
 
 
 def subdivide_edge(inst: InstanceFile, u: int, v: int, times: int = 2) -> InstanceFile:

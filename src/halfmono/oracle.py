@@ -1,11 +1,11 @@
 """Brute-force maximum color count by scanning all vertex partitions.
 
-This is the anti-circularity instrument of the test suite: it shares the
-admissibility checks `coloring.check_proper` and
-`coloring.check_half_monochromatic` with the solver but deliberately never
-touches the medial/region machinery, so agreeing answers from here and
-from the region-based solver confirm each other through independent
-search paths.
+This is the anti-circularity instrument of the test suite: it tests each
+partition with the admissibility checks `coloring.check_proper` and
+`coloring.check_half_monochromatic`, which the solver never calls (it
+checks its regions' laws instead), and never touches the medial/region
+machinery, so agreeing answers from here and from the region-based solver
+confirm each other through independent search paths.
 """
 
 from __future__ import annotations

@@ -84,8 +84,11 @@ class FaceDefect:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    ok: bool
     defects: tuple[FaceDefect, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.defects
 
     def __str__(self) -> str:
         if self.ok:
@@ -261,4 +264,4 @@ def validate_even_polygonal(g: PlaneGraph) -> ValidationReport:
             defects.append(FaceDefect(f.id, FACE_NOT_CYCLE, detail))
         elif f.degree % 2 != 0:
             defects.append(FaceDefect(f.id, ODD_FACE, f"degree {f.degree} is odd"))
-    return ValidationReport(ok=not defects, defects=tuple(defects))
+    return ValidationReport(defects=tuple(defects))

@@ -11,16 +11,18 @@ or bounded, so systems_explored still reports 2^F.  Both read the int
 tables of the medial graph, which `medial.build_medial_graph` builds once
 per op.
 
-The law sweep, `_sweep`, visits all 2^F systems depth-first in the same
-order, keeping per prefix of faces the cell union-find, the open curve
-paths and the smallest edge of each closed curve, so a system pays only
-for its last face.  At each leaf it checks the degree, base vertex and
-region-count laws, labels the regions and takes each curve's two sides
-at its smallest edge as `dividing.decompose_regions` does, and runs the
-checks of `_check_system` on those arrays: the division tree's adjacency
-as int-keyed region pairs (`dividing.build_division_tree`, which checks
-the tree laws), region independence and claims 2 and 3 against it in one
-pass over the base edges, and the half-monochromatic law
+Every system is evaluated by the same three steps: each face cell is
+joined to its uncut side (`dividing.join_face`), the regions and each
+curve's two sides are labelled (`dividing.label_regions`), and
+`_check_system` checks the laws on those arrays.  The law sweep,
+`_sweep`, visits all 2^F systems depth-first in the same order, keeping
+per prefix of faces the cell union-find, the open curve paths and the
+smallest edge of each closed curve, so a system pays only for its last
+face; at each leaf it checks the degree law and takes the last two
+steps.  `_check_system` builds the division tree's adjacency as
+int-keyed region pairs (`dividing.build_division_tree`, which checks the
+tree laws), checks region independence and claims 2 and 3 against it in
+one pass over the base edges, and the half-monochromatic law
 (`_check_region_coloring`): every vertex of each face's uncut side,
 `m.sides[f][bit]`, lies in the face cell's region.  That alternation-class
 form reads half of each boundary and is stronger than the count form of
@@ -55,8 +57,8 @@ from .dividing import (
     assemble_dividing_system,
     build_division_tree,
     decompose_regions,
+    join_face,
     label_regions,
-    sides_of_curves,
 )
 from .errors import (
     BoundViolated,
@@ -152,20 +154,21 @@ def _check_region_coloring(n: int, sides, region_of_cell, bits) -> None:
         cell += 1
 
 
-def _check_system(m: MedialGraph, r: RegionDecomposition, bits) -> list[int]:
+def _check_system(m: MedialGraph, region_of_cell, k, curve_sides, bits) -> list[int]:
     """The tree, claim and region-coloring laws of the system with these bits.
 
-    r is the system of m as decompose_regions returns it, which already
-    passed the degree, base vertex and region-count laws; the base vertex
-    law gives the coloring by region one color per region, and the
+    region_of_cell, the region count k and curve_sides are the system's
+    as dividing.label_regions returns them, which already passed the
+    degree, base vertex and region-count laws; the base vertex law gives
+    the coloring by region one color per region, and the
     independent_regions claim makes it proper.  It must also be
     half-monochromatic (_check_region_coloring, on the faces' uncut
     sides).  Raises on a violated law; returns the division tree's node
     degrees.
     """
-    adjacent, degrees = build_division_tree(r.curve_sides, r.num_regions)
-    _check_structural_claims(m.graph, r.region_of_cell, adjacent, degrees)
-    _check_region_coloring(r.n, m.sides, r.region_of_cell, bits)
+    adjacent, degrees = build_division_tree(curve_sides, k)
+    _check_structural_claims(m.graph, region_of_cell, adjacent, degrees)
+    _check_region_coloring(m.graph.n, m.sides, region_of_cell, bits)
     return degrees
 
 
@@ -183,7 +186,8 @@ def _recheck(m: MedialGraph, bits, found: InternalInvariantError) -> NoReturn:
     bug.
     """
     try:
-        _check_system(m, decompose_regions(m, bits), bits)
+        r = decompose_regions(m, bits)
+        _check_system(m, r.region_of_cell, r.num_regions, r.curve_sides, bits)
     except InternalInvariantError as exc:
         raise exc from found
     raise InternalInvariantError(
@@ -199,16 +203,17 @@ def _sweep(g: PlaneGraph, m: MedialGraph) -> tuple[tuple[int, ...], int]:
     first strict maximizer is the one _best_bits finds.  state[f] holds
     what the faces < f build, so each system pays only for its last face:
     - the cell union-find of dividing.decompose_regions, face cell n + f
-      joined to m.sides[f][bit];
+      joined to m.sides[f][bit] by dividing.join_face;
     - the open curve paths over the midpoints: other[x] is the far end of
       the path that ends at x, or -1 once x has degree two, and low[x] the
       path's smallest medial edge;
     - the smallest edge of every closed curve, and the selected edge count.
-    At a leaf the regions are labelled as decompose_regions labels them and
-    each curve's sides are taken at its smallest edge, so the tree, claim
-    and region-coloring laws read the arrays _check_system would; no curve
-    walk is listed.  A violated law is reported by _recheck on the first
-    system, in that order, that violates one.
+    A leaf checks the degree law on the selected edge count, then labels
+    the regions and takes each curve's sides at its smallest edge with
+    dividing.label_regions and checks the other laws with _check_system,
+    as the single-system path does; no curve walk is listed.  A violated
+    law is reported by _recheck on the first system, in that order, that
+    violates one.
     """
     n, nf, num_midpoints = g.n, len(m.sides), g.num_edges
     sides, selected, ends = m.sides, m.selected, m.ends
@@ -234,11 +239,8 @@ def _sweep(g: PlaneGraph, m: MedialGraph) -> tuple[tuple[int, ...], int]:
                     raise InternalDegreeViolation(
                         f"{count} medial edges selected, expected {num_midpoints}"
                     )
-                region_of_cell, k = label_regions(parent, n)
-                curve_sides = sides_of_curves(m, region_of_cell, k, closed)
-                adjacent, degrees = build_division_tree(curve_sides, k)
-                _check_structural_claims(g, region_of_cell, adjacent, degrees)
-                _check_region_coloring(n, sides, region_of_cell, bits)
+                region_of_cell, k, curve_sides = label_regions(m, parent, closed)
+                _check_system(m, region_of_cell, k, curve_sides, bits)
             except InternalInvariantError as exc:
                 _recheck(m, bits, exc)
             if k > best:
@@ -254,12 +256,7 @@ def _sweep(g: PlaneGraph, m: MedialGraph) -> tuple[tuple[int, ...], int]:
         parent, other, low, closed, count = state[f]
         if b == 0:  # bit 1 is the last use of state[f], so it may take the lists
             parent, other, low, closed = parent[:], other[:], low[:], closed[:]
-        cell = n + f
-        for v in sides[f][b]:
-            while parent[v] != v:  # find v's root, halving the path
-                parent[v] = v = parent[parent[v]]
-            if v != cell:
-                parent[v] = cell
+        join_face(parent, n + f, sides[f][b])
         for e in selected[f][b]:
             x, y = ends[e]
             ox, oy = other[x], other[y]
@@ -357,8 +354,8 @@ def _certify(g: PlaneGraph, m: MedialGraph, parities) -> SearchResult:
     whose laws were checked.
     """
     r = decompose_regions(m, parities)
-    census = Counter(_check_system(m, r, parities))
     colors = r.region_of_cell
+    census = Counter(_check_system(m, colors, r.num_regions, r.curve_sides, parities))
     for f in g.faces:
         if len({colors[v] for v in f.vertices}) == 2:
             raise ClaimViolated(

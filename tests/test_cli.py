@@ -616,6 +616,7 @@ def test_check_mixed_batch_streams_each_file_once(tmp_path, monkeypatch, capsys)
 # way only the witness runs decompose_regions, which walks its curves once,
 # and its output curves are those walks.
 TREE_CHECKS_PER_OP = {"check": 2**7 + 1, "chif": 1}
+LAW_CHECKS_PER_OP = {"check": ["_sweep"] * 2**7 + ["_certify"], "chif": ["_certify"]}
 
 
 @pytest.mark.parametrize("command", [["check"], ["chif", "--json"]])
@@ -632,6 +633,8 @@ def test_one_enumeration_and_one_medial_build_per_op(
     # the witness is checked on the kernel's arrays, not rebuilt as objects
     assemble = _count_calls(monkeypatch, "halfmono.dividing", "assemble_dividing_system")
     tree = _count_calls(monkeypatch, "halfmono.dividing", "build_division_tree")
+    # every system's laws go through the one law check, the sweep's leaves too
+    laws = _count_calls(monkeypatch, "halfmono.search", "_check_system")
     # the half-monochromatic law is checked on the kernel's arrays, not
     # by counting labels
     half = _count_calls(monkeypatch, "halfmono.coloring", "check_half_monochromatic")
@@ -643,6 +646,7 @@ def test_one_enumeration_and_one_medial_build_per_op(
     assert len(validate) == 1
     assert assemble == []
     assert len(tree) == TREE_CHECKS_PER_OP[command[0]]  # one tree check per system
+    assert laws == LAW_CHECKS_PER_OP[command[0]]
     assert half == []
 
 

@@ -20,6 +20,7 @@ from halfmono.dividing import (
     build_division_tree,
     decompose_regions,
     extract_cycles,
+    join_face,
 )
 from halfmono.errors import BadParameter
 from halfmono.medial import build_medial_graph
@@ -200,6 +201,21 @@ def test_every_edge_of_a_curve_separates_its_two_sides(name, g):
         for (a, b, _), c in zip(r.curve_sides, r.cycles, strict=True):
             for d in c.edges:
                 assert {cell[head[d]], cell[n + face[d]]} == {a, b}, (bits, d)
+
+
+@pytest.mark.parametrize("name,g", CURVE_GRAPHS)
+def test_joined_faces_point_every_cell_at_a_later_one(name, g):
+    # label_regions resolves the union-find from the last cell down, which
+    # is right only if every non-root points at a later cell
+    m = build_medial_graph(g)
+    n = g.n
+    for bits in itertools.product((0, 1), repeat=g.num_faces):
+        parent = list(range(n + len(bits)))
+        for f, bit in enumerate(bits):
+            join_face(parent, n + f, m.sides[f][bit])
+        assert all(p >= c for c, p in enumerate(parent)), bits
+        roots = sum(p == c for c, p in enumerate(parent))
+        assert roots == decompose_regions(m, bits).num_regions, bits
 
 
 def _reference_region_of_cell(m, parities):

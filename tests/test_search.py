@@ -86,7 +86,7 @@ def _scan(m, laws=False):
     for bits in itertools.product((0, 1), repeat=len(m.sides)):
         r = decompose_regions(m, bits)
         if laws:
-            _check_system(m, r, bits)
+            _check_system(m, r.region_of_cell, r.num_regions, r.curve_sides, bits)
         if r.num_regions > best_lam:
             best_lam, best_bits = r.num_regions, bits
     return best_bits
