@@ -1,8 +1,13 @@
 """Independence number of the (always bipartite) input graph.
 
-The fast path is augmenting-path matching plus the matching = cover duality
-of bipartite graphs, giving alpha = n - matching size together with a
-checkable cover certificate.  A subset brute force serves as cross-check.
+The fast path is a maximum matching plus the matching = cover duality of
+bipartite graphs, giving alpha = n - matching size together with a
+checkable cover certificate.  The matching is seeded greedily the
+Karp-Sipser way, which on grids, ladders, prisms and cycles already leaves
+it maximum, and augmenting paths finish it.  The cover is read off
+alternating paths from the unmatched black vertices; by Dulmage-Mendelsohn
+it is the same for every maximum matching, so the seeding changes no
+result.  A subset brute force serves as cross-check.
 """
 
 from __future__ import annotations
@@ -16,7 +21,9 @@ from .plane_graph import BLACK, PlaneGraph
 @dataclass(frozen=True)
 class MatchingResult:
     n: int
-    edges: tuple[tuple[int, int], ...]  # matched pairs, disjoint
+    # a maximum matching, one (black, white) pair per matched black vertex
+    # in vertex order; which one is found is not part of the result
+    edges: tuple[tuple[int, int], ...]
     size: int
     cover: tuple[int, ...]  # minimum vertex cover, |cover| == size
 
@@ -57,18 +64,58 @@ def _augment(
     return False
 
 
-def maximum_matching(g: PlaneGraph) -> MatchingResult:
-    """Maximum matching by augmenting paths, with a minimum-cover witness.
+def _greedy_matching(rotations: tuple[tuple[int, ...], ...]) -> list[int]:
+    """A maximal matching, as a partner (or -1) per vertex, by Karp-Sipser.
 
-    Paths start at the BLACK vertices of g.side, the 2-colouring that
-    build_plane_graph stored.
+    While some unmatched vertex has exactly one unmatched neighbour, match
+    the two: some maximum matching contains that edge.  Otherwise match the
+    lowest unmatched vertex that has an unmatched neighbour to the first
+    such neighbour in rotation order.  live[v] counts v's unmatched
+    neighbours; each match lowers it along both endpoints' rotations, so
+    the work is linear in the number of darts.
+    """
+    n = len(rotations)
+    match = [-1] * n
+    live = list(map(len, rotations))
+    ones = [v for v, d in enumerate(live) if d == 1]
+    low = 0
+    while True:
+        if ones:
+            v = ones.pop()
+            if match[v] != -1 or live[v] != 1:
+                continue
+        else:
+            while low < n and (match[low] != -1 or not live[low]):
+                low += 1
+            if low == n:
+                return match
+            v = low
+        for u in rotations[v]:
+            if match[u] == -1:
+                break
+        match[v] = u
+        match[u] = v
+        for x in v, u:
+            for w in rotations[x]:
+                if match[w] == -1:
+                    live[w] -= 1
+                    if live[w] == 1:
+                        ones.append(w)
+
+
+def maximum_matching(g: PlaneGraph) -> MatchingResult:
+    """Maximum matching with a minimum-cover witness.
+
+    _greedy_matching seeds the matching; augmenting paths then start at the
+    BLACK vertices of g.side (the 2-colouring build_plane_graph stored) that
+    the seeding left unmatched.  The cover, and so alpha, do not depend on
+    which maximum matching this finds; `edges` is one of them.
     """
     left = [v for v, s in enumerate(g.side) if s == BLACK]
-    match = [-1] * g.n
-    size = 0
+    match = _greedy_matching(g.rotations)
     for u in left:
-        if _augment(g.rotations, match, u):
-            size += 1
+        if match[u] == -1:
+            _augment(g.rotations, match, u)
 
     # Alternating reachability from unmatched left vertices: the cover is
     # (left not reached) plus (right reached), listed in vertex order.
@@ -87,9 +134,8 @@ def maximum_matching(g: PlaneGraph) -> MatchingResult:
                 stack.append(w)
     cover = [v for v in range(g.n) if (v in reached) != (g.side[v] == BLACK)]
 
-    pairs = tuple(
-        (u, match[u]) for u in left if match[u] != -1
-    )
+    pairs = tuple((u, match[u]) for u in left if match[u] != -1)
+    size = len(pairs)
     if len(cover) != size:
         raise InternalInvariantError(
             f"cover size {len(cover)} != matching size {size}"

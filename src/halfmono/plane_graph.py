@@ -158,7 +158,8 @@ def build_plane_graph(
     Args:
         n: number of vertices, labelled 0..n-1.
         rotations: per vertex, its neighbours in counterclockwise order.
-        coords: optional per-vertex (x, y) positions, only used for drawing.
+        coords: optional per-vertex (x, y) positions, only used for drawing;
+            kept as given, number types included.
 
     Raises:
         InconsistentRotation: ids out of range, loops, repeats or asymmetry.
@@ -169,7 +170,7 @@ def build_plane_graph(
             carries the validate_even_polygonal report.
         OddCycleFound: an edge joins two same-side vertices; checked last.
     """
-    rot = tuple(tuple(r) for r in rotations)
+    rot = tuple(map(tuple, rotations))  # tuples pass through uncopied
     # Dart d is tails[d] -> heads[d]; start[u] + i is u -> rot[u][i].  The
     # dict maps the int key u * n + v of u -> v to its dart id, so twin[d],
     # the dart v -> u, is one lookup of v * n + u.
@@ -240,7 +241,7 @@ def build_plane_graph(
         dart_face=tuple(face_of),
         dart_edge=tuple(dart_edge),
         side=side,
-        coords=tuple((float(x), float(y)) for x, y in coords) if coords else None,
+        coords=tuple(map(tuple, coords)) if coords else None,
     )
     report = validate_even_polygonal(g)
     if not report.ok:

@@ -98,6 +98,22 @@ def split_face(inst: InstanceFile, rng: random.Random) -> InstanceFile:
     return InstanceFile(inst.name, inst.n + length - 1, tuple(map(tuple, rotations)))
 
 
+def relabelled_instance(inst: InstanceFile, perm) -> InstanceFile:
+    """The same embedded graph with vertex v renamed perm[v]."""
+    rotations = [()] * inst.n
+    coords = [None] * inst.n
+    for v, rot in enumerate(inst.rotations):
+        rotations[perm[v]] = tuple(perm[u] for u in rot)
+        if inst.coords:
+            coords[perm[v]] = inst.coords[v]
+    return InstanceFile(
+        f"{inst.name}-relabelled",
+        inst.n,
+        tuple(rotations),
+        tuple(coords) if inst.coords else None,
+    )
+
+
 def random_split_instance(seed: int) -> InstanceFile:
     """split_base_instance(seed) with one face split (split_face)."""
     inst = split_base_instance(seed)

@@ -1,18 +1,30 @@
+import random
+
 import pytest
 
 from corpus import (
     corpus_graphs,
+    corpus_instances,
     cycle_graph,
     grid_graph,
+    k2m_instance,
     prism_graph,
+    random_rich_instance,
     random_split_graphs,
+    random_split_instance,
     random_subdivided_graphs,
     random_subdivided_instance,
+    relabelled_instance,
 )
 from halfmono import independence
 from halfmono.errors import InternalInvariantError, SizeCapExceeded
 from halfmono.independence import alpha_bruteforce, maximum_matching
-from halfmono.instance_io import build
+from halfmono.instance_io import (
+    build,
+    cycle_instance,
+    grid_instance,
+    prism_instance,
+)
 from halfmono.plane_graph import BLACK
 
 CORPUS = corpus_graphs()
@@ -97,38 +109,141 @@ def _recursive_matching(g, b) -> list[int]:
     return match
 
 
+def _unseeded_matching(g) -> list[int]:
+    """Reference: the search before seeding, `_augment` from every black
+    vertex in order, starting from the empty matching."""
+    match = [-1] * g.n
+    for u in range(g.n):
+        if g.side[u] == BLACK:
+            independence._augment(g.rotations, match, u)
+    return match
+
+
+def _konig(g, match) -> tuple[int, tuple[int, ...]]:
+    """Size and Konig cover of a maximum matching given as partners: the
+    black vertices that alternating paths from the unmatched black vertices
+    miss, plus the white vertices they reach."""
+    black = [u for u in range(g.n) if g.side[u] == BLACK]
+    reached = {u for u in black if match[u] == -1}
+    stack = list(reached)
+    while stack:
+        for v in g.rotations[stack.pop()]:
+            if v not in reached:
+                reached.add(v)
+                if match[v] != -1 and match[v] not in reached:
+                    reached.add(match[v])
+                    stack.append(match[v])
+    cover = tuple(v for v in range(g.n) if (v in reached) != (g.side[v] == BLACK))
+    return sum(match[u] != -1 for u in black), cover
+
+
 MATCHING_GRAPHS = [g for _, g in CORPUS] + [
     build(random_subdivided_instance(seed, 40)) for seed in range(60)
 ]
 
 
 def test_matching_equals_recursive_search():
+    # `edges` is one maximum matching, not a given one; size and cover are
+    # the same for all of them
     for g in MATCHING_GRAPHS:
-        b = g.side
-        match = _recursive_matching(g, b)
-        left = [u for u in range(g.n) if b[u] == BLACK]
-        expected = tuple((u, match[u]) for u in left if match[u] != -1)
-        assert maximum_matching(g).edges == expected
+        result = maximum_matching(g)
+        assert all(g.side[u] == BLACK and v in g.rotations[u] for u, v in result.edges)
+        assert (result.size, result.cover) == _konig(g, _recursive_matching(g, g.side))
+
+
+def _seeding_instances():
+    yield from corpus_instances()
+    for seed in range(600):
+        yield random_subdivided_instance(seed, 40)
+    for seed in range(400):
+        yield random_split_instance(seed)
+    for seed in range(800):
+        yield random_rich_instance(seed)
+    for m in range(2, 60):
+        yield k2m_instance(m)
+    for rows in range(2, 13):
+        for cols in range(2, 13):
+            yield grid_instance(rows, cols)
+    for length in range(13, 100):
+        yield grid_instance(2, length)
+    for m in range(4, 102, 2):
+        yield prism_instance(m)
+
+
+def test_seeded_cover_equals_unseeded_cover():
+    count = 0
+    for inst in _seeding_instances():
+        g = build(inst)
+        result = maximum_matching(g)
+        size, cover = _konig(g, _unseeded_matching(g))
+        assert (result.size, result.cover, result.alpha) == (size, cover, g.n - size), inst.name
+        count += 1
+    assert count >= 2000
+
+
+def _count_augments(monkeypatch, g) -> int:
+    """Augmenting searches that maximum_matching(g) starts."""
+    calls = []
+    augment = independence._augment
+
+    def counted(rotations, match, root):
+        calls.append(root)
+        return augment(rotations, match, root)
+
+    monkeypatch.setattr(independence, "_augment", counted)
+    maximum_matching(g)
+    return len(calls)
+
+
+def _shuffled_cycle(length: int):
+    """The cycle with its vertices renamed at random, vertex 0 kept."""
+    perm = list(range(1, length))
+    random.Random(0).shuffle(perm)
+    return relabelled_instance(cycle_instance(length), [0, *perm])
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [grid_instance(200, 200), grid_instance(2, 3000), _shuffled_cycle(10000)],
+    ids=["grid200x200", "ladder2x3000", "shuffled-cycle10000"],
+)
+def test_seeding_leaves_few_augmenting_searches(monkeypatch, inst):
+    # a count, not a clock: without the seeding every black vertex starts
+    # one search (20,000, 3,000 and 5,000), which is quadratic on grids.
+    # Matching each lowest free vertex to its first free neighbour alone
+    # leaves 633 searches on the shuffled cycle; the degree-1 rule, none.
+    g = build(inst)
+    assert _count_augments(monkeypatch, g) <= g.side.count(BLACK) // 100
+    assert maximum_matching(g).alpha == g.n // 2
+
+
+def test_augmenting_step_is_needed_and_certified(monkeypatch):
+    # the seeding leaves this instance's matching short; with the
+    # augmenting step switched off the cover certificate catches it
+    g = build(random_rich_instance(7))
+    assert _count_augments(monkeypatch, g) > 0
+    monkeypatch.setattr(independence, "_augment", lambda rotations, match, root: False)
+    with pytest.raises(InternalInvariantError, match="^cover size .* != matching size"):
+        maximum_matching(g)
 
 
 def test_cover_size_is_certified(monkeypatch):
-    # the first root is matched to the vertex opposite it on the 6-cycle,
-    # a non-neighbour; the alternating search then reaches every vertex
-    def augment(rotations, match, root):
-        if root != 0:
-            return False
-        match[0], match[3] = 3, 0
-        return True
-
-    monkeypatch.setattr(independence, "_augment", augment)
+    # the seeding matches black 0 to the vertex opposite it on the 6-cycle,
+    # a non-neighbour, and points every white vertex at 0: the searches from
+    # 2 and 4 then fail, and the alternating search reaches every vertex
+    monkeypatch.setattr(
+        independence, "_greedy_matching", lambda rotations: [3, 0, -1, 0, -1, 0]
+    )
     g = cycle_graph(6)
     with pytest.raises(InternalInvariantError, match="^cover size 3 != matching size 1$"):
         maximum_matching(g)
 
 
 def test_matching_disjointness_is_certified(monkeypatch):
-    # every search reports an augmenting path but flips none
-    monkeypatch.setattr(independence, "_augment", lambda rotations, match, root: True)
+    # the seeding matches both black vertices of the 4-cycle to white 1
+    monkeypatch.setattr(
+        independence, "_greedy_matching", lambda rotations: [1, 2, 1, -1]
+    )
     g = cycle_graph(4)
     with pytest.raises(InternalInvariantError, match="^matching edges are not disjoint$"):
         maximum_matching(g)

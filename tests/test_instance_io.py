@@ -55,6 +55,14 @@ def test_round_trip(inst):
     assert g1.edges == g2.edges
 
 
+def test_build_keeps_parsed_rotations_and_coords():
+    inst = parse_instance_text(serialize_instance(grid_instance(3, 4)))
+    g = build(inst)
+    for v in range(inst.n):
+        assert g.rotations[v] is inst.rotations[v]
+        assert g.coords[v] is inst.coords[v]
+
+
 def test_parse_reports_every_defect():
     text = """\
 name broken

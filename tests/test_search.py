@@ -21,6 +21,7 @@ from corpus import (
     random_split_instance,
     random_subdivided_graphs,
     random_subdivided_instance,
+    relabelled_instance,
     split_base_instance,
 )
 from halfmono import search
@@ -603,22 +604,6 @@ def _mirror(inst: InstanceFile) -> InstanceFile:
     return InstanceFile(f"{inst.name}-mirror", inst.n, rotations, coords)
 
 
-def _relabel(inst: InstanceFile, perm) -> InstanceFile:
-    """The same embedded graph with vertex v renamed perm[v]."""
-    rotations = [()] * inst.n
-    coords = [None] * inst.n
-    for v, rot in enumerate(inst.rotations):
-        rotations[perm[v]] = tuple(perm[u] for u in rot)
-        if inst.coords:
-            coords[perm[v]] = inst.coords[v]
-    return InstanceFile(
-        f"{inst.name}-relabelled",
-        inst.n,
-        tuple(rotations),
-        tuple(coords) if inst.coords else None,
-    )
-
-
 METAMORPHIC_INSTANCES = (
     [inst for inst in corpus_instances() if build(inst).num_faces <= 12]
     + [random_subdivided_instance(seed, 16) for seed in range(60)]
@@ -636,7 +621,7 @@ METAMORPHIC_INSTANCES = (
 def test_mirror_and_relabel_keep_chif_alpha_and_the_laws(inst, mirror, data):
     perm = data.draw(st.permutations(range(inst.n)))
     expected = exact_chi_f(build(inst))
-    g = build(_relabel(_mirror(inst) if mirror else inst, perm))
+    g = build(relabelled_instance(_mirror(inst) if mirror else inst, perm))
     res = exact_chi_f(g)
     assert (res.chi_f, res.alpha) == (expected.chi_f, expected.alpha)
     # what `check` runs: every law on every system, region colorings included
