@@ -21,8 +21,9 @@ edge.  `decompose_regions` takes them for one parity vector, walks the
 curves and returns it all as one `RegionDecomposition`;
 `build_division_tree` checks the tree laws on the sides.  It is the
 single-system path of the search's witness, the renderer and the public
-API.  The law sweep (`search._sweep`) builds its systems depth-first,
-sharing each prefix of faces, but takes the same two steps;
+API.  The search's walk (`search._sweep`) builds its systems
+depth-first, sharing each prefix of faces, and counts components by
+`join_face`'s merges; with laws it takes the same two steps;
 `decompose_regions` is the reference it is tested against and
 re-evaluates any system on which it finds a law violated.  `_walks` is
 the one curve walker: one pass over the selected edges counts every
@@ -119,19 +120,24 @@ def _walks(num_midpoints: int, ends, selected) -> list[tuple[list[int], list[int
     return walks
 
 
-def join_face(parent: list[int], cell: int, side) -> None:
+def join_face(parent: list[int], cell: int, side) -> int:
     """Join face cell `cell` to every vertex of `side` in the cell union-find.
 
     parent is a union-find over the V + F cells.  Faces are joined in
     order, so cell is still a root and each root is only pointed at a
     later face cell; path halving only skips ahead.  So parent[c] >= c,
     with equality exactly at the roots, which label_regions relies on.
+    Returns how many components were merged into the face cell's: with
+    the face cell added, the component count falls by that number less 1.
     """
+    merged = 0
     for v in side:
         while parent[v] != v:  # find v's root, halving the path
             parent[v] = v = parent[parent[v]]
         if v != cell:
             parent[v] = cell
+            merged += 1
+    return merged
 
 
 def decompose_regions(m: MedialGraph, bits) -> RegionDecomposition:

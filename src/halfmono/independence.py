@@ -148,6 +148,9 @@ def maximum_matching(g: PlaneGraph) -> MatchingResult:
     # 2 * size distinct matched vertices also give 2 * alpha >= n.
     if len(set(matched_vertices)) != 2 * size:
         raise InternalInvariantError("matching edges are not disjoint")
+    for u, v in pairs:
+        if v not in g.rotations[u]:
+            raise InternalInvariantError(f"matched pair {u}-{v} is not an edge")
     return MatchingResult(n=g.n, edges=pairs, size=size, cover=tuple(cover))
 
 

@@ -3,25 +3,24 @@
 The maximum number of colors of an admissible coloring equals the maximum
 number of regions over all dividing systems.  A system is one parity bit
 per face, and it passes from search to certificate as that tuple of bits.
-exact_chi_f finds the maximum with `_best_bits`, a depth-first search over
-the faces that counts components with a rollback union-find and cuts off
-every prefix whose count is no better than the best so far; it keeps the
-lexicographically smallest maximizer as witness.  Every system is visited
-or bounded, so systems_explored still reports 2^F.  Both read the int
-tables of the medial graph, which `medial.build_medial_graph` builds once
-per op.
+`_sweep` is the one walk over the systems: depth-first over the faces,
+bit 0 first, keeping per prefix of faces the cell union-find that joins
+each face cell to its uncut side (`dividing.join_face`) and its
+component count, so a system pays only for its last face.  It keeps the
+lexicographically smallest maximizer as witness.  Without laws, as
+`exact_chi_f` runs it, a face never raises the count, so a prefix no
+better than the best so far is cut off; every system is visited or
+bounded, so systems_explored still reports 2^F.  With laws, the law
+sweep, it visits all 2^F systems, also keeps the open curve paths and
+the smallest edge of each closed curve, and evaluates each leaf as a
+single system is evaluated: the degree law, the regions and each
+curve's two sides labelled (`dividing.label_regions`), and
+`_check_system` on those arrays.  Both read the int tables of the
+medial graph, which `medial.build_medial_graph` builds once per op.
 
-Every system is evaluated by the same three steps: each face cell is
-joined to its uncut side (`dividing.join_face`), the regions and each
-curve's two sides are labelled (`dividing.label_regions`), and
-`_check_system` checks the laws on those arrays.  The law sweep,
-`_sweep`, visits all 2^F systems depth-first in the same order, keeping
-per prefix of faces the cell union-find, the open curve paths and the
-smallest edge of each closed curve, so a system pays only for its last
-face; at each leaf it checks the degree law and takes the last two
-steps.  `_check_system` builds the division tree's adjacency as
-int-keyed region pairs (`dividing.build_division_tree`, which checks the
-tree laws), checks region independence and claims 2 and 3 against it in
+`_check_system` builds the division tree's adjacency as int-keyed
+region pairs (`dividing.build_division_tree`, which checks the tree
+laws), checks region independence and claims 2 and 3 against it in
 one pass over the base edges, and the half-monochromatic law
 (`_check_region_coloring`): every vertex of each face's uncut side,
 `m.sides[f][bit]`, lies in the face cell's region.  That alternation-class
@@ -32,8 +31,9 @@ properness of the region coloring, and the base vertex law already gives
 it one color per region.  A law that fails at a leaf is reported by the
 single-system path: `dividing.decompose_regions`, which also walks the
 curves, and `_check_system` evaluate that system again (`_recheck`), so
-its error reads as theirs.  The sweep's witness must equal `_best_bits`'s
-and its count the witness's.
+its error reads as theirs.  The law sweep's witness, counted by
+`label_regions`, must equal the pruned walk's, counted by merges, and its
+count the witness's.
 
 `_certify` runs the witness through `dividing.decompose_regions` and
 `_check_system`, adds claim 1, and certifies 2 * chiF <= 3 * alpha in
@@ -195,32 +195,38 @@ def _recheck(m: MedialGraph, bits, found: InternalInvariantError) -> NoReturn:
     ) from found
 
 
-def _sweep(g: PlaneGraph, m: MedialGraph) -> tuple[tuple[int, ...], int]:
-    """Check every law on all 2^F systems; return the witness bits and its count.
+def _sweep(m: MedialGraph, laws: bool) -> tuple[tuple[int, ...], int]:
+    """The lexicographically smallest region-count maximizer and its count.
 
-    A depth-first sweep over the faces in order, bit 0 first, so the
-    systems come in the lexicographic order of itertools.product and the
-    first strict maximizer is the one _best_bits finds.  state[f] holds
-    what the faces < f build, so each system pays only for its last face:
+    The one walk over the dividing systems: depth-first over the faces in
+    order, bit 0 first, so the systems come in the lexicographic order of
+    itertools.product and the first strict maximizer is kept.  state[f]
+    holds what the faces < f build, so each system pays only for its last
+    face:
     - the cell union-find of dividing.decompose_regions, face cell n + f
-      joined to m.sides[f][bit] by dividing.join_face;
-    - the open curve paths over the midpoints: other[x] is the far end of
-      the path that ends at x, or -1 once x has degree two, and low[x] the
-      path's smallest medial edge;
-    - the smallest edge of every closed curve, and the selected edge count.
-    A leaf checks the degree law on the selected edge count, then labels
-    the regions and takes each curve's sides at its smallest edge with
+      joined to m.sides[f][bit] by dividing.join_face, and its component
+      count: one more cell, less the components join_face merged;
+    - with laws, the open curve paths over the midpoints (other[x] is the
+      far end of the path that ends at x, or -1 once x has degree two,
+      and low[x] the path's smallest medial edge), the smallest edge of
+      every closed curve, and the selected edge count.
+    Without laws, a face never raises the count, so a prefix no better
+    than the best so far is cut off.  With laws, every leaf checks the
+    degree law on the selected edge count, then labels the regions and
+    takes each curve's sides at its smallest edge with
     dividing.label_regions and checks the other laws with _check_system,
     as the single-system path does; no curve walk is listed.  A violated
     law is reported by _recheck on the first system, in that order, that
     violates one.
     """
+    g = m.graph
     n, nf, num_midpoints = g.n, len(m.sides), g.num_edges
     sides, selected, ends = m.sides, m.selected, m.ends
-    # (parent, other, low, closed, count) of the faces < f
+    # (parent, components, other, low, closed, count) of the faces < f
     state: list = [None] * (nf + 1)
     state[0] = (
         list(range(n + nf)),
+        n,
         list(range(num_midpoints)),
         [len(ends)] * num_midpoints,
         [],
@@ -231,18 +237,19 @@ def _sweep(g: PlaneGraph, m: MedialGraph) -> tuple[tuple[int, ...], int]:
     f = 0
     while f >= 0:
         if f == nf:
-            parent, _, _, closed, count = state[nf]
+            parent, k, _, _, closed, count = state[nf]
             bits = tuple(bit)
-            try:
-                # every degree is at most 2, so all are 2 iff they sum to 2E
-                if count != num_midpoints:
-                    raise InternalDegreeViolation(
-                        f"{count} medial edges selected, expected {num_midpoints}"
-                    )
-                region_of_cell, k, curve_sides = label_regions(m, parent, closed)
-                _check_system(m, region_of_cell, k, curve_sides, bits)
-            except InternalInvariantError as exc:
-                _recheck(m, bits, exc)
+            if laws:
+                try:
+                    # every degree is at most 2, so all are 2 iff they sum to 2E
+                    if count != num_midpoints:
+                        raise InternalDegreeViolation(
+                            f"{count} medial edges selected, expected {num_midpoints}"
+                        )
+                    region_of_cell, k, curve_sides = label_regions(m, parent, closed)
+                    _check_system(m, region_of_cell, k, curve_sides, bits)
+                except InternalInvariantError as exc:
+                    _recheck(m, bits, exc)
             if k > best:
                 best, best_bits = k, bits
             f -= 1
@@ -253,10 +260,17 @@ def _sweep(g: PlaneGraph, m: MedialGraph) -> tuple[tuple[int, ...], int]:
             f -= 1
             continue
         bit[f] = b
-        parent, other, low, closed, count = state[f]
+        parent, k, other, low, closed, count = state[f]
         if b == 0:  # bit 1 is the last use of state[f], so it may take the lists
-            parent, other, low, closed = parent[:], other[:], low[:], closed[:]
-        join_face(parent, n + f, sides[f][b])
+            parent = parent[:]
+            if laws:
+                other, low, closed = other[:], low[:], closed[:]
+        k += 1 - join_face(parent, n + f, sides[f][b])
+        if not laws:
+            if k > best:  # no completion has more components than its prefix
+                state[f + 1] = (parent, k, other, low, closed, count)
+                f += 1
+            continue
         for e in selected[f][b]:
             x, y = ends[e]
             ox, oy = other[x], other[y]
@@ -283,64 +297,9 @@ def _sweep(g: PlaneGraph, m: MedialGraph) -> tuple[tuple[int, ...], int]:
                     other[x] = -1
                 if oy != y:
                     other[y] = -1
-        state[f + 1] = (parent, other, low, closed, count + len(selected[f][b]))
+        state[f + 1] = (parent, k, other, low, closed, count + len(selected[f][b]))
         f += 1
     return best_bits, best
-
-
-def _best_bits(m: MedialGraph) -> tuple[int, ...]:
-    """Bits of the lexicographically smallest region-count maximizer.
-
-    The sweep's answer, found by a pruned depth-first search over the
-    faces in order, bit 0 first.  The regions are the components of the
-    V + F cells with face cell n + f joined to m.sides[f][bit] (see
-    dividing.decompose_regions).  Adding a face adds one cell and merges
-    c >= 1 components, so the count of a prefix bounds every completion and
-    a prefix whose count is <= the best so far is pruned.  Union-by-size
-    without path compression lets each step be undone on backtrack.
-    """
-    n, nf, sides = m.graph.n, len(m.sides), m.sides
-    parent = list(range(n + nf))
-    size = [1] * (n + nf)
-    # Each face adds one cell and each union removes one component, so
-    # with faces < f joined there are n + f - len(merged) components.
-    merged: list[int] = []  # absorbed roots, in union order
-    mark = [0] * nf  # len(merged) before face f was joined
-    bit = [-1] * nf  # bit tried last at face f; -1 before the first
-    best, best_bits = 0, ()
-    f = 0
-    while f >= 0:
-        if f == nf:  # a completion that beat every earlier one
-            best = n + nf - len(merged)
-            best_bits = tuple(bit)
-            f -= 1
-            continue
-        if bit[f] < 0:
-            mark[f] = len(merged)
-        else:
-            while len(merged) > mark[f]:
-                r = merged.pop()
-                size[parent[r]] -= size[r]
-                parent[r] = r
-        if bit[f] == 1:
-            bit[f] = -1
-            f -= 1
-            continue
-        bit[f] += 1
-        root = n + f  # of the face cell's component
-        for v in sides[f][bit[f]]:
-            while parent[v] != v:
-                v = parent[v]
-            if v == root:
-                continue
-            a, b = (v, root) if size[v] < size[root] else (root, v)
-            parent[a] = b
-            size[b] += size[a]
-            merged.append(a)
-            root = b
-        if n + f + 1 - len(merged) > best:
-            f += 1
-    return best_bits
 
 
 def _certify(g: PlaneGraph, m: MedialGraph, parities) -> SearchResult:
@@ -389,7 +348,7 @@ def _certify(g: PlaneGraph, m: MedialGraph, parities) -> SearchResult:
 def exact_chi_f(g: PlaneGraph, face_cap: int = DEFAULT_FACE_CAP) -> SearchResult:
     """Maximize the region count over all 2^F dividing systems.
 
-    A pruned depth-first search (`_best_bits`) finds the lexicographically
+    The pruned walk (`_sweep` without laws) finds the lexicographically
     smallest maximizer; only that witness is law-checked and certified.
     systems_explored is 2^F: every system is either visited or bounded.
 
@@ -408,7 +367,7 @@ def exact_chi_f(g: PlaneGraph, face_cap: int = DEFAULT_FACE_CAP) -> SearchResult
     if nf > cap:
         raise FaceCapExceeded(f"{nf} faces exceeds cap {cap}")
     m = build_medial_graph(g)
-    return _certify(g, m, _best_bits(m))
+    return _certify(g, m, _sweep(m, laws=False)[0])
 
 
 def audit_claims(g: PlaneGraph, result: SearchResult) -> AuditReport:
@@ -426,19 +385,19 @@ def sweep_dividing_systems(
 ) -> SearchResult:
     """Verify the region, tree, claim and coloring laws on every dividing system.
 
-    Exhaustive over all 2^F parity vectors (_sweep): the degree, base
-    vertex, region-count, tree, claim 2 and 3 and region-coloring laws of
-    each system; every violation raises as decompose_regions and
-    _check_system raise it.  The same pass finds the optimum, which must be
-    the pruned search's, and returns it, certified exactly as by
-    exact_chi_f.
+    Exhaustive over all 2^F parity vectors (_sweep with laws): the degree,
+    base vertex, region-count, tree, claim 2 and 3 and region-coloring laws
+    of each system; every violation raises as decompose_regions and
+    _check_system raise it.  The same pass finds the optimum by
+    label_regions' counts, which must be the pruned walk's, found by merge
+    counts, and returns it, certified exactly as by exact_chi_f.
     """
     nf = g.num_faces
     if nf > face_cap:
         raise FaceCapExceeded(f"{nf} faces exceeds sweep cap {face_cap}")
     m = build_medial_graph(g)
-    bits, most = _sweep(g, m)
-    pruned = _best_bits(m)
+    bits, most = _sweep(m, laws=True)
+    pruned = _sweep(m, laws=False)[0]
     if bits != pruned:
         raise InternalInvariantError(
             f"sweep witness {_parity_index(bits)} differs from the pruned"

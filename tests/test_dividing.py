@@ -211,11 +211,13 @@ def test_joined_faces_point_every_cell_at_a_later_one(name, g):
     n = g.n
     for bits in itertools.product((0, 1), repeat=g.num_faces):
         parent = list(range(n + len(bits)))
-        for f, bit in enumerate(bits):
-            join_face(parent, n + f, m.sides[f][bit])
+        merged = sum(
+            join_face(parent, n + f, m.sides[f][bit]) for f, bit in enumerate(bits)
+        )
         assert all(p >= c for c, p in enumerate(parent)), bits
         roots = sum(p == c for c, p in enumerate(parent))
         assert roots == decompose_regions(m, bits).num_regions, bits
+        assert n + len(bits) - merged == roots, bits
 
 
 def _reference_region_of_cell(m, parities):

@@ -247,3 +247,14 @@ def test_matching_disjointness_is_certified(monkeypatch):
     g = cycle_graph(4)
     with pytest.raises(InternalInvariantError, match="^matching edges are not disjoint$"):
         maximum_matching(g)
+
+
+def test_matched_pairs_are_certified_edges(monkeypatch):
+    # the seeding matches 0 to the vertex opposite it on the 6-cycle; the
+    # cover {0, 2, 4} still has the matching's size and covers every edge
+    monkeypatch.setattr(
+        independence, "_greedy_matching", lambda rotations: [3, 2, 1, 0, 5, 4]
+    )
+    g = cycle_graph(6)
+    with pytest.raises(InternalInvariantError, match="^matched pair 0-3 is not an edge$"):
+        maximum_matching(g)

@@ -48,7 +48,6 @@ from halfmono.medial import build_medial_graph
 from halfmono.oracle import chi_f_bruteforce
 from halfmono.plane_graph import validate_even_polygonal
 from halfmono.search import (
-    _best_bits,
     _check_region_coloring,
     _check_structural_claims,
     _check_system,
@@ -223,7 +222,7 @@ def test_sweep_maximum_agrees_with_search():
 )
 def test_pruned_search_matches_exhaustive_scan(name, g):
     m = build_medial_graph(g)
-    assert _best_bits(m) == _scan(m)
+    assert search._sweep(m, laws=False)[0] == _scan(m)
 
 
 @pytest.mark.parametrize("name,g", corpus_graphs() + random_split_graphs())
@@ -296,7 +295,7 @@ def test_witness_claim1_is_checked_on_the_kernel_arrays(monkeypatch):
     # Hand the certificate C4's one-curve system (0, 1) as witness: two
     # regions {0, 2} and {1, 3}, a valid system whose region coloring puts
     # exactly two colors on each face, which no optimum does.
-    monkeypatch.setattr(search, "_best_bits", lambda medial: (0, 1))
+    monkeypatch.setattr(search, "_sweep", lambda m, laws: ((0, 1), 2))
     with _raises(
         ClaimViolated, "claim 'claim1' violated: face 0 carries exactly two colors"
     ):
@@ -475,7 +474,10 @@ def test_sweep_reports_a_law_the_kernel_passes(monkeypatch):
 
 def test_sweep_maximizer_is_cross_checked_with_the_pruned_search(monkeypatch):
     # (1, 1) is C4's other maximizer; the sweep keeps the first, (0, 0)
-    monkeypatch.setattr(search, "_best_bits", lambda m: (1, 1))
+    sweep = search._sweep
+    monkeypatch.setattr(
+        search, "_sweep", lambda m, laws: sweep(m, laws) if laws else ((1, 1), 3)
+    )
     with _raises(
         InternalInvariantError, "sweep witness 0 differs from the pruned search's 3"
     ):
@@ -485,9 +487,9 @@ def test_sweep_maximizer_is_cross_checked_with_the_pruned_search(monkeypatch):
 def test_sweep_count_is_cross_checked_with_the_witness_kernel(monkeypatch):
     sweep = search._sweep
 
-    def miscounted(g, m):
-        bits, most = sweep(g, m)
-        return bits, most + 1
+    def miscounted(m, laws):
+        bits, most = sweep(m, laws)
+        return bits, most + laws
 
     monkeypatch.setattr(search, "_sweep", miscounted)
     with _raises(
@@ -526,7 +528,7 @@ def test_sweep_leaves_equal_region_kernel(name, g, monkeypatch):
     monkeypatch.setattr(search, "build_division_tree", tree_spy)
     monkeypatch.setattr(search, "_check_region_coloring", color_spy)
     m = build_medial_graph(g)
-    bits, most = search._sweep(g, m)
+    bits, most = search._sweep(m, laws=True)
     monkeypatch.undo()
     expected = []
     for system in itertools.product((0, 1), repeat=g.num_faces):
