@@ -4,10 +4,12 @@ The fast path is a maximum matching plus the matching = cover duality of
 bipartite graphs, giving alpha = n - matching size together with a
 checkable cover certificate.  The matching is seeded greedily the
 Karp-Sipser way, which on grids, ladders, prisms and cycles already leaves
-it maximum, and augmenting paths finish it.  The cover is read off
-alternating paths from the unmatched black vertices; by Dulmage-Mendelsohn
-it is the same for every maximum matching, so the seeding changes no
-result.  A subset brute force serves as cross-check.
+it maximum.  Then one alternating search runs per black vertex the seeding
+left free: it either augments, or fails and keeps what it reached, which
+no later search enters again.  The failed searches together reach what the
+Konig cover is read from; by Dulmage-Mendelsohn that cover is the same for
+every maximum matching, so the seeding changes no result.  A subset brute
+force serves as cross-check.
 """
 
 from __future__ import annotations
@@ -33,35 +35,33 @@ class MatchingResult:
         return self.n - self.size
 
 
-def _augment(
-    rotations: tuple[tuple[int, ...], ...], match: list[int], root: int
-) -> bool:
-    """Flip one augmenting path from `root`, if any, found depth-first.
+def _search(
+    rotations: tuple[tuple[int, ...], ...],
+    match: list[int],
+    root: int,
+    reached: set[int],
+) -> None:
+    """Grow alternating paths breadth-first from the free black `root`.
 
-    An explicit stack, so path length is not bounded by the recursion
-    limit; neighbours in rotation order and one `seen` set per search.
+    Vertices in `reached` are skipped.  On reaching a free white vertex,
+    flip the path back through the parent pointers and stop.  Otherwise
+    the tree is Hungarian: no later augmentation enters it, so all it
+    reached joins `reached` for good.
     """
-    seen: set[int] = set()
-    stack = [(root, iter(rotations[root]))]
-    path: list[int] = []  # path[k]: the right vertex taken from stack[k]
-    while stack:
-        for v in stack[-1][1]:
-            if v in seen:
+    parent: dict[int, int] = {}  # white vertex -> the black it was found from
+    tree = [root]
+    for u in tree:
+        for v in rotations[u]:
+            if v in parent or v in reached:
                 continue
-            seen.add(v)
-            path.append(v)
+            parent[v] = u
             if match[v] == -1:
-                for (u, _), w in zip(stack, path):
-                    match[u] = w
-                    match[w] = u
-                return True
-            stack.append((match[v], iter(rotations[match[v]])))
-            break
-        else:
-            stack.pop()
-            if path:
-                path.pop()
-    return False
+                while v != -1:
+                    u = parent[v]
+                    match[v], match[u], v = u, v, match[u]
+                return
+            tree.append(match[v])
+    reached.update(tree, parent)
 
 
 def _greedy_matching(rotations: tuple[tuple[int, ...], ...]) -> list[int]:
@@ -106,32 +106,19 @@ def _greedy_matching(rotations: tuple[tuple[int, ...], ...]) -> list[int]:
 def maximum_matching(g: PlaneGraph) -> MatchingResult:
     """Maximum matching with a minimum-cover witness.
 
-    _greedy_matching seeds the matching; augmenting paths then start at the
-    BLACK vertices of g.side (the 2-colouring build_plane_graph stored) that
-    the seeding left unmatched.  The cover, and so alpha, do not depend on
-    which maximum matching this finds; `edges` is one of them.
+    _greedy_matching seeds the matching; one _search then starts at each
+    BLACK vertex of g.side (the 2-colouring build_plane_graph stored) that
+    the seeding left unmatched.  A failed search keeps its reach, and no
+    later search enters it again; the cover is the black vertices outside
+    that reach plus the white ones in it.  The cover, and so alpha, do not
+    depend on which maximum matching this finds; `edges` is one of them.
     """
     left = [v for v, s in enumerate(g.side) if s == BLACK]
     match = _greedy_matching(g.rotations)
+    reached: set[int] = set()
     for u in left:
         if match[u] == -1:
-            _augment(g.rotations, match, u)
-
-    # Alternating reachability from unmatched left vertices: the cover is
-    # (left not reached) plus (right reached), listed in vertex order.
-    reached: set[int] = set()
-    stack = [u for u in left if match[u] == -1]
-    reached.update(stack)
-    while stack:
-        u = stack.pop()
-        for v in g.rotations[u]:
-            if v in reached:
-                continue
-            reached.add(v)
-            w = match[v]
-            if w != -1 and w not in reached:
-                reached.add(w)
-                stack.append(w)
+            _search(g.rotations, match, u, reached)
     cover = [v for v in range(g.n) if (v in reached) != (g.side[v] == BLACK)]
 
     pairs = tuple((u, match[u]) for u in left if match[u] != -1)

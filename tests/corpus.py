@@ -131,6 +131,32 @@ def k2m_instance(m: int) -> InstanceFile:
     return InstanceFile(f"k2_{m}", m + 2, tuple(rotations))
 
 
+def fan_instance(length: int) -> InstanceFile:
+    """The cycle C_{2L}, L = length >= 2, plus L - 1 black vertices inside.
+
+    Fresh vertex 2L + i joins the white vertices 2i + 1 and 2i + 3 and cuts
+    the quadrangle through 2i + 2 off the inner face, so every face stays
+    even.  The black side has 2L - 1 vertices and the white side L, so
+    n = 3L - 1 and alpha = 2L - 1.  Vertex 2L + i is drawn halfway between
+    the centre and vertex 2i + 2.
+    """
+    cycle = cycle_instance(2 * length)
+    rotations = [list(r) for r in cycle.rotations]
+    coords = list(cycle.coords)
+    for i in range(length - 1):
+        fresh, a, b = 2 * length + i, 2 * i + 1, 2 * i + 3
+        # counterclockwise, the inside of the cycle at vertex v lies between
+        # v + 1 and v - 1, and the newest fresh vertex is nearest v + 1
+        rotations[a].insert(1, fresh)
+        rotations[b].insert(1, fresh)
+        rotations.append([a, b])
+        x, y = coords[2 * i + 2]
+        coords.append((x / 2, y / 2))
+    return InstanceFile(
+        f"fan{length}", 3 * length - 1, tuple(map(tuple, rotations)), tuple(coords)
+    )
+
+
 def random_rich_instance(seed: int) -> InstanceFile:
     """A seeded instance beyond grids: a grid up to 3 x 4 or 2 x 5, prism 4
     or 6, or K_{2,m} with m <= 7; then 0-4 random edges each subdivided 2 or

@@ -24,6 +24,7 @@ from corpus import (
 )
 from halfmono import cli
 from halfmono.instance_io import (
+    _FAMILIES,
     LAYOUT_VERTEX_CAP,
     InstanceFile,
     build,
@@ -352,6 +353,20 @@ def test_gen_rejects_non_ascii_and_overlong_integers(params, capsys):
     assert captured.err.endswith(" is not an integer\n")
     assert captured.err.count("\n") == 1
     assert len(captured.err.encode()) < 200
+
+
+GEN_PARAMS = {"cycle": "6", "grid": "3x4", "prism": "6"}
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_gen_without_out_prints_the_file_bytes(family, tmp_path, capsys):
+    path = tmp_path / f"{family}.hmg"
+    assert cli.main(["gen", family, GEN_PARAMS[family], "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["gen", family, GEN_PARAMS[family]]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.encode() == path.read_bytes()
+    assert captured.err == ""
 
 
 def test_gen_size_cap_exits_3(tmp_path):

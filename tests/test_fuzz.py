@@ -17,7 +17,13 @@ import random
 
 import pytest
 
-from corpus import instance_edges, k2m_instance, relabelled_instance, split_face
+from corpus import (
+    fan_instance,
+    instance_edges,
+    k2m_instance,
+    relabelled_instance,
+    split_face,
+)
 from halfmono import cli
 from halfmono.instance_io import (
     InstanceFile,
@@ -39,6 +45,7 @@ BASES = {
         prism_instance(4),
         prism_instance(6),
         k2m_instance(4),
+        fan_instance(4),  # the black side is the larger one
     )
 }
 MUTANTS_PER_BASE = 40

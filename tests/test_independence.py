@@ -6,6 +6,7 @@ from corpus import (
     corpus_graphs,
     corpus_instances,
     cycle_graph,
+    fan_instance,
     grid_graph,
     k2m_instance,
     prism_graph,
@@ -74,8 +75,22 @@ def test_certificates(name, g):
     assert all(not (u in independent and v in independent) for u, v in g.edges)
 
 
+def _black_heavy_instances():
+    """Instances whose black side is the larger one, so that free black
+    vertices stay after any maximum matching: fans, and K_{2,m} renamed so
+    that vertex 0, and so the black side, is on the m-side."""
+    for length in range(2, 9):
+        yield fan_instance(length)
+    for m in (3, 8, 22):
+        yield relabelled_instance(k2m_instance(m), [2, 1, 0, *range(3, m + 2)])
+
+
+BLACK_HEAVY = [(inst.name, build(inst)) for inst in _black_heavy_instances()]
+
+
 @pytest.mark.parametrize(
-    "name,g", CORPUS + random_subdivided_graphs() + random_split_graphs()
+    "name,g",
+    CORPUS + random_subdivided_graphs() + random_split_graphs() + BLACK_HEAVY,
 )
 def test_konig_matches_bruteforce_and_half_bound(name, g):
     alpha = maximum_matching(g).alpha
@@ -89,7 +104,8 @@ def test_bruteforce_cap():
 
 
 def _recursive_matching(g, b) -> list[int]:
-    """Reference: the same augmenting-path search, written recursively."""
+    """Reference: a depth-first augmenting-path search from every black
+    vertex of `b`, from the empty matching, written recursively."""
     match = [-1] * g.n
 
     def augment(u: int, seen: set[int]) -> bool:
@@ -106,16 +122,6 @@ def _recursive_matching(g, b) -> list[int]:
     for u in range(g.n):
         if b[u] == BLACK:
             augment(u, set())
-    return match
-
-
-def _unseeded_matching(g) -> list[int]:
-    """Reference: the search before seeding, `_augment` from every black
-    vertex in order, starting from the empty matching."""
-    match = [-1] * g.n
-    for u in range(g.n):
-        if g.side[u] == BLACK:
-            independence._augment(g.rotations, match, u)
     return match
 
 
@@ -168,29 +174,39 @@ def _seeding_instances():
         yield grid_instance(2, length)
     for m in range(4, 102, 2):
         yield prism_instance(m)
+    yield from _black_heavy_instances()
+    for length in range(9, 40):
+        yield fan_instance(length)
 
 
-def test_seeded_cover_equals_unseeded_cover():
+def test_seeded_cover_equals_unseeded_cover(monkeypatch):
+    # seeded, and from an empty matching, where every black vertex starts
+    # a search; the reference shares no code with the package
     count = 0
     for inst in _seeding_instances():
         g = build(inst)
+        size, cover = _konig(g, _recursive_matching(g, g.side))
+        expected = (size, cover, g.n - size)
         result = maximum_matching(g)
-        size, cover = _konig(g, _unseeded_matching(g))
-        assert (result.size, result.cover, result.alpha) == (size, cover, g.n - size), inst.name
+        assert (result.size, result.cover, result.alpha) == expected, inst.name
+        with monkeypatch.context() as m:
+            m.setattr(independence, "_greedy_matching", lambda r: [-1] * len(r))
+            result = maximum_matching(g)
+        assert (result.size, result.cover, result.alpha) == expected, inst.name
         count += 1
     assert count >= 2000
 
 
-def _count_augments(monkeypatch, g) -> int:
-    """Augmenting searches that maximum_matching(g) starts."""
+def _count_searches(monkeypatch, g) -> int:
+    """Alternating searches that maximum_matching(g) starts."""
     calls = []
-    augment = independence._augment
+    search = independence._search
 
-    def counted(rotations, match, root):
+    def counted(rotations, match, root, reached):
         calls.append(root)
-        return augment(rotations, match, root)
+        return search(rotations, match, root, reached)
 
-    monkeypatch.setattr(independence, "_augment", counted)
+    monkeypatch.setattr(independence, "_search", counted)
     maximum_matching(g)
     return len(calls)
 
@@ -213,24 +229,61 @@ def test_seeding_leaves_few_augmenting_searches(monkeypatch, inst):
     # Matching each lowest free vertex to its first free neighbour alone
     # leaves 633 searches on the shuffled cycle; the degree-1 rule, none.
     g = build(inst)
-    assert _count_augments(monkeypatch, g) <= g.side.count(BLACK) // 100
+    assert _count_searches(monkeypatch, g) <= g.side.count(BLACK) // 100
     assert maximum_matching(g).alpha == g.n // 2
 
 
 def test_augmenting_step_is_needed_and_certified(monkeypatch):
-    # the seeding leaves this instance's matching short; with the
-    # augmenting step switched off the cover certificate catches it
+    # the seeding leaves this instance's matching short; with the search's
+    # flips made on a copy of the matching, so thrown away, the cover
+    # certificate catches it
+    search = independence._search
     g = build(random_rich_instance(7))
-    assert _count_augments(monkeypatch, g) > 0
-    monkeypatch.setattr(independence, "_augment", lambda rotations, match, root: False)
+    assert _count_searches(monkeypatch, g) > 0
+    monkeypatch.setattr(
+        independence,
+        "_search",
+        lambda rotations, match, root, reached: search(
+            rotations, list(match), root, reached
+        ),
+    )
     with pytest.raises(InternalInvariantError, match="^cover size .* != matching size"):
         maximum_matching(g)
 
 
+class _CountedRotations:
+    """Rotation lists that count how many times they are read."""
+
+    def __init__(self, rotations):
+        self.rotations = rotations
+        self.reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return self.rotations[v]
+
+
+def test_searches_read_each_rotation_list_about_once(monkeypatch):
+    # a count, not a clock: fan(2000) leaves 1,999 black vertices free under
+    # every maximum matching.  A search per free vertex that walked again
+    # through the closed trees of the searches before it would read about
+    # 4 million rotation lists; skipping what they reached reads at most 2n.
+    g = build(fan_instance(2000))
+    rotations = _CountedRotations(g.rotations)
+    search = independence._search
+    monkeypatch.setattr(
+        independence,
+        "_search",
+        lambda _, match, root, reached: search(rotations, match, root, reached),
+    )
+    assert maximum_matching(g).alpha == 3999
+    assert 0 < rotations.reads <= 2 * g.n
+
+
 def test_cover_size_is_certified(monkeypatch):
     # the seeding matches black 0 to the vertex opposite it on the 6-cycle,
-    # a non-neighbour, and points every white vertex at 0: the searches from
-    # 2 and 4 then fail, and the alternating search reaches every vertex
+    # a non-neighbour, and points every white vertex at 0: the search from
+    # 2 then fails and reaches every vertex but 4, and the one from 4 adds 4
     monkeypatch.setattr(
         independence, "_greedy_matching", lambda rotations: [3, 0, -1, 0, -1, 0]
     )
@@ -257,4 +310,19 @@ def test_matched_pairs_are_certified_edges(monkeypatch):
     )
     g = cycle_graph(6)
     with pytest.raises(InternalInvariantError, match="^matched pair 0-3 is not an edge$"):
+        maximum_matching(g)
+
+
+def test_covered_edges_are_certified(monkeypatch):
+    # fan(2) is K_{2,3}; the seeding leaves black 2 free.  A search that
+    # fails and reaches only its root makes the cover the other two black
+    # vertices, 0 and 4: the matching's size, but the edges 1-2 and 2-3 at
+    # the root are missed
+    monkeypatch.setattr(
+        independence,
+        "_search",
+        lambda rotations, match, root, reached: reached.add(root),
+    )
+    g = build(fan_instance(2))
+    with pytest.raises(InternalInvariantError, match="^edge 1-2 not covered$"):
         maximum_matching(g)
