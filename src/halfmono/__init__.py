@@ -33,7 +33,6 @@ from .instance_io import (
 from .medial import MedialGraph, build_medial_graph
 from .oracle import OracleResult, chi_f_bruteforce
 from .plane_graph import (
-    Face,
     PlaneGraph,
     ValidationReport,
     build_plane_graph,
@@ -54,7 +53,6 @@ __all__ = [
     "AuditReport",
     "Coloring",
     "Cycle",
-    "Face",
     "InstanceFile",
     "MatchingResult",
     "MedialGraph",

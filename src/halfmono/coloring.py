@@ -42,16 +42,17 @@ def check_proper(g: PlaneGraph, labels: Sequence[int]) -> bool:
 
 def check_half_monochromatic(g: PlaneGraph, labels: Sequence[int]) -> bool:
     """True iff on every face some label covers at least half the boundary."""
-    for f in g.faces:
+    fs = g.face_start
+    for s, e in zip(fs, fs[1:]):
         counts: dict[int, int] = {}
         best = 0
-        for v in f.vertices:
+        for v in g.dart_tail[s:e]:
             c = labels[v]
             k = counts.get(c, 0) + 1
             counts[c] = k
             if k > best:
                 best = k
-        if 2 * best < f.degree:
+        if 2 * best < e - s:
             return False
     return True
 

@@ -5,12 +5,14 @@ that face's medial cycle.  The union of the selected edges is a disjoint
 collection of closed curves.  Regions are computed without any geometry:
 the faces of the medial graph are one cell per base vertex plus one cell
 per base face, and two cells sharing a non-selected medial edge lie in the
-same region.  The medial edge at walk position i of a face joins the
+same region.  Medial edge d is base dart d (see medial): the edge at
+walk position i of face f is dart face_start[f] + i, which joins the
 midpoints of walk edges i and i + 1, so it cuts off walk vertex i + 1.  A
-face with bit b leaves positions 1 - b, 3 - b, ... unselected, and as its
-walk has even length those cut off walk vertices b, b + 2, ...: one
-bipartition side of its boundary.  So the regions are the components of
-the graph joining each face cell to that side.  The classical fact
+face with bit b selects positions b, b + 2, ... and leaves 1 - b,
+3 - b, ... unselected, and as its walk has even length those cut off walk
+vertices b, b + 2, ...: one bipartition side of its boundary.  So the
+regions are the components of the graph joining each face cell to that
+side.  The classical fact
 "k closed curves cut the sphere into k + 1 regions" becomes a verified law
 rather than an assumption.
 
@@ -51,9 +53,9 @@ from .medial import MedialGraph
 class Cycle:
     """One closed curve; edges[i] joins vertices[i] to vertices[(i+1) % len].
 
-    vertices are midpoints (base edge ids) and edges are the medial edges
-    as base darts: dart d joins the midpoints of d and of the dart after it
-    in its face walk, cutting off the head of d.
+    vertices are midpoints (base edge ids) and edges are medial edges,
+    which are base darts: dart d joins the midpoints of d and of the dart
+    after it in its face walk, cutting off the head of d.
     """
 
     vertices: tuple[int, ...]
@@ -152,12 +154,12 @@ def decompose_regions(m: MedialGraph, bits) -> RegionDecomposition:
     midpoint.  `bits` must be one 0 or 1 per face;
     assemble_dividing_system checks parity vectors from outside.
     """
-    n, sides, selected_by_face = m.graph.n, m.sides, m.selected
+    n, sides, fs = m.graph.n, m.sides, m.graph.face_start
     parent = list(range(n + len(bits)))
     selected: list[int] = []
     for f, bit in enumerate(bits):
         join_face(parent, n + f, sides[f][bit])
-        selected += selected_by_face[f][bit]
+        selected += range(fs[f] + bit, fs[f + 1], 2)
 
     # selected lists faces in order, each face's edges in position order:
     # the index order _walks needs
@@ -173,7 +175,7 @@ def decompose_regions(m: MedialGraph, bits) -> RegionDecomposition:
         region_of_cell=tuple(region_of_cell),
         regions=tuple(map(tuple, regions)),
         cycles=tuple(
-            Cycle(tuple(midpoints), tuple(map(m.dart.__getitem__, edges)))
+            Cycle(tuple(midpoints), tuple(edges))
             for edges, midpoints in walks
         ),
         curve_sides=tuple(curve_sides),
@@ -207,7 +209,7 @@ def label_regions(m: MedialGraph, parent: list[int], lows) -> tuple[list, int, l
         raise InternalInvariantError("region without any base vertex") from None
     sides = [  # the dart's own edge is the medial edge's first midpoint
         (region_of_cell[head[d]], region_of_cell[n + face[d]], edge[d])
-        for d in map(m.dart.__getitem__, lows)
+        for d in lows
     ]
     if len(label) != len(sides) + 1:
         raise RegionCycleMismatch(f"{len(label)} regions but {len(sides)} curves")
@@ -257,13 +259,13 @@ def assemble_dividing_system(m: MedialGraph, parities) -> tuple[int, ...]:
 
     Raises BadParameter unless parities holds one 0 or 1 per face; equal
     values such as 1.0 and True come back as the int 1.  Bit b of face f
-    selects the medial edges m.selected[f][b], one of the two perfect
-    matchings of the face's medial cycle.
+    selects the medial edges at positions b, b + 2, ... of face f's walk,
+    one of the two perfect matchings of the face's medial cycle.
     """
     bits = tuple(parities)
-    if len(bits) != len(m.selected):
+    if len(bits) != len(m.sides):
         raise BadParameter(
-            f"expected {len(m.selected)} parity bits, got {len(bits)}"
+            f"expected {len(m.sides)} parity bits, got {len(bits)}"
         )
     if any(b not in (0, 1) for b in bits):
         raise BadParameter("parity bits must be 0 or 1")

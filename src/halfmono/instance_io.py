@@ -361,7 +361,9 @@ def tutte_embedding(g: PlaneGraph) -> tuple[tuple[float, float], ...]:
             f"{g.n} vertices exceeds layout cap {LAYOUT_VERTEX_CAP}; "
             "give the instance coord lines to draw it"
         )
-    boundary = max(g.faces, key=lambda f: (f.degree, -f.id)).vertices
+    fs = g.face_start
+    s, e = max(zip(fs, fs[1:]), key=lambda w: w[1] - w[0])  # first on ties
+    boundary = g.dart_tail[s:e]
     ring = len(boundary)
     pos: dict[int, tuple[float, float]] = {}
     for k, v in enumerate(boundary):

@@ -7,6 +7,11 @@ follows ``u`` in the rotation at ``v``.  Euler's formula then certifies
 that the rotation system really describes a sphere embedding, and
 `build_plane_graph` validates the faces it has just traced: every
 `PlaneGraph` has even polygonal faces, each a simple cycle of even length.
+
+Darts are numbered along the face walks: face f is the darts
+face_start[f] .. face_start[f + 1] - 1 in walk order, from its smallest
+(tail, head) dart, and its boundary vertices are their tails.  Dart d is
+also medial edge d (see medial).
 """
 
 from __future__ import annotations
@@ -32,19 +37,6 @@ ODD_FACE = "odd_face"
 
 
 @dataclass(frozen=True)
-class Face:
-    """One traced face; the walk starts at its smallest (tail, head) dart."""
-
-    id: int
-    darts: tuple[int, ...]
-    vertices: tuple[int, ...]  # dart tails, in walk order
-
-    @property
-    def degree(self) -> int:
-        return len(self.darts)
-
-
-@dataclass(frozen=True)
 class PlaneGraph:
     """Immutable embedded graph; all derived links are precomputed tuples.
 
@@ -54,7 +46,7 @@ class PlaneGraph:
     n: int
     rotations: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int], ...]  # canonical (u, v) with u < v, sorted
-    faces: tuple[Face, ...]
+    face_start: tuple[int, ...]  # F + 1 offsets: face f's darts start at [f]
     dart_tail: tuple[int, ...]
     dart_head: tuple[int, ...]
     dart_next: tuple[int, ...]
@@ -69,7 +61,7 @@ class PlaneGraph:
 
     @property
     def num_faces(self) -> int:
-        return len(self.faces)
+        return len(self.face_start) - 1
 
     def degree(self, v: int) -> int:
         return len(self.rotations[v])
@@ -148,6 +140,16 @@ def compute_bipartition(
     return tuple(side)
 
 
+def _successors(start: list[int]) -> list[int]:
+    """i + 1 for every index i, but the last index of each block
+    start[k] .. start[k + 1] - 1 maps to the block's first."""
+    succ = list(range(1, start[-1] + 1))
+    for s, e in zip(start, start[1:]):
+        if e > s:
+            succ[e - 1] = s
+    return succ
+
+
 def build_plane_graph(
     n: int,
     rotations,
@@ -171,14 +173,14 @@ def build_plane_graph(
         OddCycleFound: an edge joins two same-side vertices; checked last.
     """
     rot = tuple(map(tuple, rotations))  # tuples pass through uncopied
-    # Dart d is tails[d] -> heads[d]; start[u] + i is u -> rot[u][i].  The
-    # dict maps the int key u * n + v of u -> v to its dart id, so twin[d],
-    # the dart v -> u, is one lookup of v * n + u.
+    # Slot s is tails[s] -> heads[s]; start[u] + i is u -> rot[u][i].  The
+    # dict maps the int key u * n + v of u -> v to its slot, so twin[s],
+    # the slot of v -> u, is one lookup of v * n + u.
     start = list(accumulate(map(len, rot), initial=0))
     tails = [u for u, r in enumerate(rot) for _ in r]
     heads = [v for r in rot for v in r]
-    dart = {u * n + v: d for d, (u, v) in enumerate(zip(tails, heads))}
-    twin = list(map(dart.get, [v * n + u for u, v in zip(tails, heads)]))
+    slot = {u * n + v: s for s, (u, v) in enumerate(zip(tails, heads))}
+    twin = list(map(slot.get, [v * n + u for u, v in zip(tails, heads)]))
     # Whole-array tests; any failure reruns the per-vertex scan, which
     # raises the first defect in vertex order.
     if (
@@ -186,60 +188,54 @@ def build_plane_graph(
         or len(rot) != n
         or (heads and (min(heads) < 0 or max(heads) >= n))
         or any(map(eq, tails, heads))
-        or len(dart) != len(heads)
+        or len(slot) != len(heads)
         or None in twin
     ):
         _check_rotations(n, rot)
     side = compute_bipartition(n, rot)  # also the connectivity check
 
     # The dart after u -> v is v -> w, w following u in rot[v]: the slot
-    # after twin[d] among v's slots, wrapping round at the last one.
-    succ = list(range(1, len(heads) + 1))
-    for s, e in zip(start, start[1:]):
-        if e > s:
-            succ[e - 1] = s
-    nxt = list(map(succ.__getitem__, twin))
+    # after twin[s] among v's slots, wrapping round at the last one.
+    nxt = list(map(_successors(start).__getitem__, twin))
 
-    # Visiting darts in key order, which is (tail, head) order, starts each
+    # Visiting slots in key order, which is (tail, head) order, starts each
     # face at its smallest dart, orders face ids canonically and meets the
-    # edges (u, v), u < v, in sorted order.
+    # edges (u, v), u < v, in sorted order.  Dart i is slot walk[i]: the
+    # face walks, one after another.
+    walk: list[int] = []
+    face_start = [0]
     face_of = [-1] * len(heads)
-    dart_edge = [-1] * len(heads)
+    slot_edge = [-1] * len(heads)
     edges: list[tuple[int, int]] = []
-    faces: list[Face] = []
-    for key in sorted(dart):
-        d0 = dart[key]
+    for key in sorted(slot):
+        s0 = slot[key]
         u, v = divmod(key, n)
         if u < v:
-            dart_edge[d0] = dart_edge[twin[d0]] = len(edges)
+            slot_edge[s0] = slot_edge[twin[s0]] = len(edges)
             edges.append((u, v))
-        if face_of[d0] != -1:
+        if face_of[s0] != -1:
             continue
-        walk = [d0]
-        d = nxt[d0]
-        while d != d0:
-            walk.append(d)
-            d = nxt[d]
-        f = len(faces)
-        for d in walk:
-            face_of[d] = f
-        faces.append(Face(f, tuple(walk), tuple(map(tails.__getitem__, walk))))
+        f, s = len(face_start) - 1, s0
+        while face_of[s] == -1:  # nxt is a permutation: the walk closes at s0
+            face_of[s] = f
+            walk.append(s)
+            s = nxt[s]
+        face_start.append(len(walk))
 
-    if n - len(edges) + len(faces) != 2:
-        raise EulerViolation(
-            f"V - E + F = {n} - {len(edges)} + {len(faces)} != 2"
-        )
+    nf = len(face_start) - 1
+    if n - len(edges) + nf != 2:
+        raise EulerViolation(f"V - E + F = {n} - {len(edges)} + {nf} != 2")
 
     g = PlaneGraph(
         n=n,
         rotations=rot,
         edges=tuple(edges),
-        faces=tuple(faces),
-        dart_tail=tuple(tails),
-        dart_head=tuple(heads),
-        dart_next=tuple(nxt),
-        dart_face=tuple(face_of),
-        dart_edge=tuple(dart_edge),
+        face_start=tuple(face_start),
+        dart_tail=tuple(map(tails.__getitem__, walk)),
+        dart_head=tuple(map(heads.__getitem__, walk)),
+        dart_next=tuple(_successors(face_start)),
+        dart_face=tuple(map(face_of.__getitem__, walk)),
+        dart_edge=tuple(map(slot_edge.__getitem__, walk)),
         side=side,
         coords=tuple(map(tuple, coords)) if coords else None,
     )
@@ -255,14 +251,16 @@ def build_plane_graph(
 def validate_even_polygonal(g: PlaneGraph) -> ValidationReport:
     """Check that every face boundary is a simple cycle of even length."""
     defects: list[FaceDefect] = []
-    for f in g.faces:
-        if f.degree < 3 or len(set(f.vertices)) != f.degree:
-            if f.degree < 3:
-                detail = f"walk of length {f.degree} is not a cycle"
+    fs = g.face_start
+    for f, (s, e) in enumerate(zip(fs, fs[1:])):
+        degree, vertices = e - s, g.dart_tail[s:e]
+        if degree < 3 or len(set(vertices)) != degree:
+            if degree < 3:
+                detail = f"walk of length {degree} is not a cycle"
             else:
-                repeated = [v for v, c in Counter(f.vertices).items() if c > 1]
+                repeated = [v for v, c in Counter(vertices).items() if c > 1]
                 detail = f"vertex {min(repeated)} appears more than once"
-            defects.append(FaceDefect(f.id, FACE_NOT_CYCLE, detail))
-        elif f.degree % 2 != 0:
-            defects.append(FaceDefect(f.id, ODD_FACE, f"degree {f.degree} is odd"))
+            defects.append(FaceDefect(f, FACE_NOT_CYCLE, detail))
+        elif degree % 2 != 0:
+            defects.append(FaceDefect(f, ODD_FACE, f"degree {degree} is odd"))
     return ValidationReport(defects=tuple(defects))

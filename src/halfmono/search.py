@@ -221,7 +221,7 @@ def _sweep(m: MedialGraph, laws: bool) -> tuple[tuple[int, ...], int]:
     """
     g = m.graph
     n, nf, num_midpoints = g.n, len(m.sides), g.num_edges
-    sides, selected, ends = m.sides, m.selected, m.ends
+    sides, ends, fs = m.sides, m.ends, g.face_start
     # (parent, components, other, low, closed, count) of the faces < f
     state: list = [None] * (nf + 1)
     state[0] = (
@@ -271,7 +271,8 @@ def _sweep(m: MedialGraph, laws: bool) -> tuple[tuple[int, ...], int]:
                 state[f + 1] = (parent, k, other, low, closed, count)
                 f += 1
             continue
-        for e in selected[f][b]:
+        selected = range(fs[f] + b, fs[f + 1], 2)
+        for e in selected:
             x, y = ends[e]
             ox, oy = other[x], other[y]
             if ox < 0 or oy < 0 or (x == y and ox != x):
@@ -297,7 +298,7 @@ def _sweep(m: MedialGraph, laws: bool) -> tuple[tuple[int, ...], int]:
                     other[x] = -1
                 if oy != y:
                     other[y] = -1
-        state[f + 1] = (parent, k, other, low, closed, count + len(selected[f][b]))
+        state[f + 1] = (parent, k, other, low, closed, count + len(selected))
         f += 1
     return best_bits, best
 
@@ -315,11 +316,10 @@ def _certify(g: PlaneGraph, m: MedialGraph, parities) -> SearchResult:
     r = decompose_regions(m, parities)
     colors = r.region_of_cell
     census = Counter(_check_system(m, colors, r.num_regions, r.curve_sides, parities))
-    for f in g.faces:
-        if len({colors[v] for v in f.vertices}) == 2:
-            raise ClaimViolated(
-                "claim1", f"face {f.id} carries exactly two colors"
-            )
+    fs = g.face_start
+    for f, (s, e) in enumerate(zip(fs, fs[1:])):
+        if len({colors[v] for v in g.dart_tail[s:e]}) == 2:
+            raise ClaimViolated("claim1", f"face {f} carries exactly two colors")
     chi_f = r.num_regions
 
     alpha = maximum_matching(g).alpha

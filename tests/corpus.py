@@ -37,6 +37,17 @@ def prism_graph(cycle_len: int) -> PlaneGraph:
     return build(prism_instance(cycle_len))
 
 
+def face_darts(g: PlaneGraph) -> list[range]:
+    """Per face, its darts in walk order: face_start[f] .. face_start[f + 1] - 1."""
+    fs = g.face_start
+    return [range(s, e) for s, e in zip(fs, fs[1:])]
+
+
+def face_vertices(g: PlaneGraph) -> list[tuple[int, ...]]:
+    """Per face, its boundary vertices in walk order: its darts' tails."""
+    return [g.dart_tail[d.start:d.stop] for d in face_darts(g)]
+
+
 def instance_edges(inst: InstanceFile) -> list[tuple[int, int]]:
     return sorted(
         {(min(u, v), max(u, v)) for u, neigh in enumerate(inst.rotations) for v in neigh}
@@ -76,9 +87,9 @@ def split_face(inst: InstanceFile, rng: random.Random) -> InstanceFile:
     sharing several vertices and vertices of degree up to 5 arise.
     Coordinates are dropped, as the new path has no natural drawing.
     """
-    faces = build(inst).faces
+    faces = face_vertices(build(inst))
     while True:
-        walk = rng.choice(faces).vertices
+        walk = rng.choice(faces)
         i, j = sorted(rng.sample(range(len(walk)), 2))
         d = j - i
         length = rng.choice([k for k in (1, 2, 3) if (d + k) % 2 == 0])

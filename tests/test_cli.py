@@ -33,6 +33,7 @@ from halfmono.instance_io import (
     grid_instance,
     serialize_instance,
 )
+from halfmono.independence import maximum_matching
 from halfmono.search import _check_region_coloring, exact_chi_f
 from halfmono.errors import (
     BoundViolated,
@@ -278,17 +279,40 @@ def test_render_with_parities_runs_no_search(tmp_path, c4_file):
     assert capped.read_bytes() == default.read_bytes()
 
 
-def _run_cli(*argv: str, timeout: float | None = None) -> subprocess.CompletedProcess:
+def _run_cli(
+    *argv: str, timeout: float | None = None, stdout=subprocess.PIPE
+) -> subprocess.CompletedProcess:
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "halfmono.cli", *argv],
         env=env,
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         timeout=timeout,
     )
+
+
+@pytest.mark.parametrize(
+    "rows,cols", [(2, 3), (150, 150)], ids=["at-flush", "mid-write"]
+)
+def test_a_closed_reader_ends_alpha_quietly(tmp_path, rows, cols):
+    # `halfmono alpha big.hmg | head -c 5`: the reader has gone before the
+    # first write.  The small output fails at the closing flush; the cover
+    # line of grid 150x150 is past 64 KB, so its print fails mid-write.
+    path = tmp_path / "g.hmg"
+    path.write_text(serialize_instance(grid_instance(rows, cols)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_cli("alpha", str(path), timeout=60, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    cover = maximum_matching(build(grid_instance(rows, cols))).cover
+    assert (len(f"cover = {list(cover)}") > 65536) == (rows > 2)
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from corpus import corpus_graphs, cycle_graph, grid_graph, prism_graph
+from corpus import corpus_graphs, cycle_graph, face_vertices, grid_graph, prism_graph
 from halfmono.coloring import (
     Coloring,
     baseline_coloring,
@@ -91,9 +91,9 @@ def test_region_colorings_admissible_for_every_system(g):
 def _alternation_class_check(g, labels):
     """Independent formulation: some alternation class of each face is
     monochromatic."""
-    for f in g.faces:
-        even = [labels[v] for v in f.vertices[0::2]]
-        odd = [labels[v] for v in f.vertices[1::2]]
+    for walk in face_vertices(g):
+        even = [labels[v] for v in walk[0::2]]
+        odd = [labels[v] for v in walk[1::2]]
         if len(set(even)) != 1 and len(set(odd)) != 1:
             return False
     return True

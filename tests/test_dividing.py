@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from corpus import (
     corpus_graphs,
     cycle_graph,
+    face_vertices,
     grid_graph,
     oracle_corpus_graphs,
     prism_graph,
@@ -231,9 +232,9 @@ def _reference_region_of_cell(m, parities):
             x = parent[x]
         return x
 
+    fs = g.face_start
     for f, bit in enumerate(parities):
-        for i in m.selected[f][1 - bit]:
-            d = m.dart[i]
+        for d in range(fs[f] + 1 - bit, fs[f + 1], 2):
             parent[find(g.dart_head[d])] = find(g.n + g.dart_face[d])
     ids: dict[int, int] = {}
     return tuple(ids.setdefault(find(cell), len(ids)) for cell in range(len(parent)))
@@ -273,7 +274,7 @@ SYSTEM_DIGESTS = {
 
 
 def _dart_key(g):
-    return lambda d: (g.dart_face[d], g.faces[g.dart_face[d]].darts.index(d))
+    return lambda d: (g.dart_face[d], d - g.face_start[g.dart_face[d]])
 
 
 # sha256 over every system's (bits, curve_sides): the division tree's edges
@@ -319,7 +320,8 @@ def _reference_system(m, bits):
     (region_of_cell, region count, curve count, division tree edges)."""
     g = m.graph
     n = g.n
-    selected = [e for f, bit in enumerate(bits) for e in m.selected[f][bit]]
+    fs = g.face_start
+    selected = [e for f, b in enumerate(bits) for e in range(fs[f] + b, fs[f + 1], 2)]
     degree = [0] * g.num_edges
     for e in selected:
         for v in m.ends[e]:
@@ -353,8 +355,8 @@ def _reference_system(m, bits):
             x = parent[x]
         return x
 
-    for f, bit in enumerate(bits):
-        for v in g.faces[f].vertices[bit::2]:
+    for f, (bit, walk) in enumerate(zip(bits, face_vertices(g))):
+        for v in walk[bit::2]:
             root = find(v)
             if root != n + f:
                 parent[root] = n + f
@@ -370,7 +372,7 @@ def _reference_system(m, bits):
 
     tree = []
     for edges in cycles:
-        d = m.dart[min(edges)]  # indices run in (face, position) order
+        d = min(edges)  # darts run in (face, position) order
         a, b = region_of_cell[g.dart_head[d]], region_of_cell[n + g.dart_face[d]]
         tree.append((min(a, b), max(a, b)))
     return region_of_cell, num_regions, len(cycles), tree

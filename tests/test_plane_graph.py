@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from corpus import (
     corpus_graphs,
     cycle_graph,
+    face_darts,
+    face_vertices,
     grid_graph,
     oracle_corpus_graphs,
     prism_graph,
@@ -45,13 +47,13 @@ CORPUS = corpus_graphs()
 def test_build_c4():
     g = build_plane_graph(4, C4_ROTATIONS)
     assert (g.n, g.num_edges, g.num_faces) == (4, 4, 2)
-    assert [f.degree for f in g.faces] == [4, 4]
+    assert g.face_start == (0, 4, 8)
 
 
 def test_build_grid_2x3():
     g = grid_graph(2, 3)
     assert (g.n, g.num_edges, g.num_faces) == (6, 7, 3)
-    assert sorted(f.degree for f in g.faces) == [4, 4, 6]
+    assert sorted(map(len, face_darts(g))) == [4, 4, 6]
     assert g.n - g.num_edges + g.num_faces == 2
 
 
@@ -156,33 +158,38 @@ def test_bipartition_on_odd_faces_raises(tmp_path, monkeypatch, capsys):
 def test_corpus_valid_and_euler(name, g):
     assert validate_even_polygonal(g).ok
     assert g.n - g.num_edges + g.num_faces == 2
-    assert all(f.degree % 2 == 0 and f.degree >= 4 for f in g.faces)
+    assert all(len(f) % 2 == 0 and len(f) >= 4 for f in face_darts(g))
 
 
 @pytest.mark.parametrize("name,g", CORPUS)
 def test_every_dart_in_exactly_one_face(name, g):
     seen = [0] * len(g.dart_tail)
-    for f in g.faces:
-        for d in f.darts:
+    for f, darts in enumerate(face_darts(g)):
+        for d in darts:
             seen[d] += 1
-            assert g.dart_face[d] == f.id
+            assert g.dart_face[d] == f
     assert seen == [1] * len(g.dart_tail)
+    assert g.face_start[0] == 0 and g.face_start[-1] == len(g.dart_tail)
 
 
 @pytest.mark.parametrize("name,g", CORPUS)
 def test_face_walks_closed_and_canonical(name, g):
-    for f in g.faces:
-        for i, d in enumerate(f.darts):
-            nxt = f.darts[(i + 1) % f.degree]
+    for darts in face_darts(g):
+        for i, d in enumerate(darts):
+            nxt = darts[(i + 1) % len(darts)]
+            assert g.dart_next[d] == nxt
             assert g.dart_head[d] == g.dart_tail[nxt]
-        start = min(f.darts, key=lambda d: (g.dart_tail[d], g.dart_head[d]))
-        assert f.darts[0] == start
+        start = min(darts, key=lambda d: (g.dart_tail[d], g.dart_head[d]))
+        assert darts[0] == start
+    # faces are numbered by their smallest darts, in (tail, head) order
+    firsts = [(g.dart_tail[s], g.dart_head[s]) for s in g.face_start[:-1]]
+    assert firsts == sorted(firsts)
 
 
 @given(g=st.sampled_from([g for _, g in CORPUS]))
 def test_rebuild_is_deterministic(g):
     again = build_plane_graph(g.n, g.rotations, g.coords)
-    assert again.faces == g.faces
+    assert again.face_start == g.face_start
     assert again.edges == g.edges
     assert again.dart_next == g.dart_next
 
@@ -190,8 +197,8 @@ def test_rebuild_is_deterministic(g):
 @given(g=st.sampled_from([g for _, g in CORPUS]))
 def test_bipartition_alternates_around_faces(g):
     side = g.side
-    for f in g.faces:
-        sides = [side[v] for v in f.vertices]
+    for walk in face_vertices(g):
+        sides = [side[v] for v in walk]
         assert all(sides[i] != sides[(i + 1) % len(sides)] for i in range(len(sides)))
 
 
@@ -203,18 +210,23 @@ GOLDEN_GRAPHS = (
 )
 
 
-# sha256 over repr(field) of every golden graph, one line each, recorded
-# from the tracer that built a dart-index dict and sorted all darts
+# sha256 over repr(field) of every golden graph, one line each.  n,
+# rotations, edges, side and coords were recorded from an earlier tracer
+# that numbered darts in rotation order and kept each face as a tuple of
+# darts; face_start and the dart tables were read from that tracer's
+# output in face-walk order (dart i the i-th dart of the concatenated
+# walks, dart_next mapped through the same renumbering, face_start the
+# cumulative face degrees).
 PLANE_GRAPH_DIGESTS = {
     "n": "a0522fb9eeafb4b423a81bd9d7dcfdc6b773123fb16bab2dcfbc4cb8e203c524",
     "rotations": "59cfaaeb0fccc19b332e1c59173659961889568346f00e944a7e5d85d97e8bb6",
     "edges": "deb2353848480fe44372bfa1a9a9790d700142eb721f47980855c86ae9ada682",
-    "faces": "f923a786ccdaa1bbed77b7c4690d761f3498a5f6d57819df2b65993f016f74b9",
-    "dart_tail": "60890484d4bbad78289f3c857b5e2d1df27b093490b54a30839ad8f0916f7cac",
-    "dart_head": "85c0ef9672bae98e49554a97a6c6390a8e3b085d3d9dd4f2e0ad115ef6804159",
-    "dart_next": "c8193afb77944080cb432bb0b40a9bb46b17b3a19bd9daafd4b297e03ca3f796",
-    "dart_face": "62fa5ee927ac859dc2b64dfa5862fd0f2a303ffd8caa37820693b3be8c1662bc",
-    "dart_edge": "89c3d3e6a5cb90b17c936ced597d9c7fcd170f03405c3bc93a2f4b64704f500f",
+    "face_start": "1eba204a24509c97902afeb8253ff0a3fa060e19927e0041d094978f261786ff",
+    "dart_tail": "0c9fbca2d11e108b6e681da4be3ea50ac52af7bca71f780d5586afdd951deee5",
+    "dart_head": "2ddbc036b76fcfac8d2501278b20fbc16db361afac2eff34db4fab1d5349808d",
+    "dart_next": "f1760eac4d7d7e8fac5fd086031eba7526fa6749e3b066a53172fb9d16873096",
+    "dart_face": "ab99d261f7fc73c20fd24ac0b8a8159e41360477ed7c2a934518734a6af88a93",
+    "dart_edge": "3d14f1cbd5366ccc5db053f6bc7bfcc2d359c8633dc9e8549bead9046ca8ebad",
     "side": "05e04c0ad8a84a6355dceda3e85f8e9ed62c8ee8b1a5f45c1a1a730828e32ef0",
     "coords": "f127823699e650eab8354e9d9d46515135776bb43f75f426dcb50bcaad3713b2",
 }
@@ -288,5 +300,5 @@ def test_two_hubs_of_degree_20000_build():
     rotations = [tuple(leaves), tuple(reversed(leaves))] + [(0, 1)] * k
     g = build_plane_graph(k + 2, rotations)
     assert (g.num_edges, g.num_faces) == (2 * k, k)
-    assert {f.degree for f in g.faces} == {4}
+    assert set(map(len, face_darts(g))) == {4}
     assert validate_even_polygonal(g).ok

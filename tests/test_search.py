@@ -11,6 +11,7 @@ from corpus import (
     corpus_graphs,
     corpus_instances,
     cycle_graph,
+    face_darts,
     grid_graph,
     k2m_instance,
     oracle_corpus_graphs,
@@ -239,20 +240,25 @@ def _raises(exc, message):
     return pytest.raises(exc, match=f"^{re.escape(message)}$")
 
 
+def _replant(m, e, ends):
+    """m with medial edge e moved to join the midpoints ends."""
+    return dataclasses.replace(m, ends=(*m.ends[:e], ends, *m.ends[e + 1:]))
+
+
 def test_kernel_laws_raise_their_errors():
-    _, m = _c4_medial()
-    # face 1's odd matching also takes face 0's odd positions
-    doubled = (m.selected[0], ((4, 6), (1, 3, 5, 7)))
+    g, m = _c4_medial()
+    # C4's system (0, 0) selects edges 0, 2, 4 and 6, joining midpoints
+    # 0-2, 3-1, 1-3 and 2-0; edge 4 moved to 0-3 gives midpoint 0 a third
     with _raises(InternalDegreeViolation, "midpoint 0 has degree 3, expected 2"):
-        decompose_regions(dataclasses.replace(m, selected=doubled), (0, 1))
-    # edge 5 joins midpoints 3 and 2, and its second end meets midpoint 2
-    # a third time
-    overfull = (((0, 1), (1, 3)), ((5,), (5, 7)))
+        decompose_regions(_replant(m, 4, (0, 3)), (0, 0))
+    # edge 2 moved to 2-3 gives midpoint 2 a third edge, but midpoint 1,
+    # left with one, is the first the degree law names
+    with _raises(InternalDegreeViolation, "midpoint 1 has degree 1, expected 2"):
+        decompose_regions(_replant(m, 2, (2, 3)), (0, 0))
+    # face 1 has no darts, so it selects no edges
+    emptied = dataclasses.replace(g, face_start=(0, 4, 4))
     with _raises(InternalDegreeViolation, "midpoint 0 has degree 1, expected 2"):
-        decompose_regions(dataclasses.replace(m, selected=overfull), (0, 0))
-    emptied = (m.selected[0], ((), ()))
-    with _raises(InternalDegreeViolation, "midpoint 0 has degree 1, expected 2"):
-        decompose_regions(dataclasses.replace(m, selected=emptied), (0, 0))
+        decompose_regions(dataclasses.replace(m, graph=emptied), (0, 0))
     with _raises(InternalInvariantError, "region without any base vertex"):
         decompose_regions(dataclasses.replace(m, sides=(m.sides[0], ((), ()))), (0, 0))
     flipped = (m.sides[0][::-1], m.sides[1])
@@ -372,12 +378,14 @@ def test_sweep_checks_the_region_coloring_of_every_system(monkeypatch):
 
 
 def _third_edge(g, m):
-    # face 1's odd matching also takes face 0's odd positions
-    return g, dataclasses.replace(m, selected=(m.selected[0], ((4, 6), (1, 3, 5, 7))))
+    # edge 4, selected by bit 0 of face 1, joins midpoints 0 and 3
+    return g, _replant(m, 4, (0, 3))
 
 
 def _no_edges(g, m):
-    return g, dataclasses.replace(m, selected=(m.selected[0], ((), ())))
+    # face 1 has no darts, so it selects no edges
+    doctored = dataclasses.replace(g, face_start=(0, 4, 4))
+    return doctored, dataclasses.replace(m, graph=doctored)
 
 
 def _no_side(g, m):
@@ -410,7 +418,7 @@ LAW_MUTATIONS = {
     "degree, a third edge": (
         _third_edge,
         (InternalDegreeViolation, "midpoint 0 has degree 3, expected 2"),
-        (InternalDegreeViolation, "midpoint 3 meets a third selected edge"),
+        (InternalDegreeViolation, "midpoint 0 meets a third selected edge"),
     ),
     "degree, a missing edge": (
         _no_edges,
@@ -569,7 +577,7 @@ def test_region_coloring_check_rejects_a_moved_uncut_vertex(degree):
     # all of them, so it rejects every array the count form rejects.
     g = grid_graph(3, 4)
     m = build_medial_graph(g)
-    f = next(face.id for face in g.faces if face.degree == degree)
+    f = next(f for f, darts in enumerate(face_darts(g)) if len(darts) == degree)
     moves = count_rejected = 0
     for index, bits in enumerate(itertools.product((0, 1), repeat=g.num_faces)):
         s = decompose_regions(m, bits)
@@ -596,7 +604,7 @@ def test_split_instance_gains_one_even_face(seed):
     assert g.num_faces == base.num_faces + 1
     assert g.num_edges > base.num_edges  # the path has at least one edge
     assert validate_even_polygonal(g).ok  # every face an even simple cycle
-    assert all(f.degree >= 4 for f in g.faces)
+    assert all(len(darts) >= 4 for darts in face_darts(g))
 
 
 def _mirror(inst: InstanceFile) -> InstanceFile:
