@@ -1,5 +1,11 @@
 """Exact solver and verifier for half-monochromatic colorings of plane
-graphs with even polygonal faces."""
+graphs with even polygonal faces.
+
+Every record the package returns (PlaneGraph, SearchResult and the rest)
+is an immutable typing.NamedTuple: `_replace` copies one with fields
+changed, `_fields` names its fields, and it compares equal to a plain
+tuple of the same values.
+"""
 
 from .coloring import (
     Coloring,

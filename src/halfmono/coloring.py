@@ -13,23 +13,30 @@ check for arbitrary labels, such as the oracle's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .dividing import RegionDecomposition
 from .plane_graph import BLACK, PlaneGraph
 
 
-@dataclass(frozen=True)
-class Coloring:
-    """Dense surjective coloring: every color in 0..num_colors-1 is used."""
-
+class _ColoringFields(NamedTuple):
     colors: tuple[int, ...]
     num_colors: int
 
-    def __post_init__(self):
-        if set(self.colors) != set(range(self.num_colors)):
+
+class Coloring(_ColoringFields):
+    """Dense surjective coloring: every color in 0..num_colors-1 is used."""
+
+    __slots__ = ()
+
+    def __new__(cls, colors: tuple[int, ...], num_colors: int) -> Coloring:
+        if set(colors) != set(range(num_colors)):
             raise ValueError("colors must be exactly 0..num_colors-1, all used")
+        return super().__new__(cls, colors, num_colors)
+
+    @classmethod
+    def _make(cls, iterable) -> Coloring:  # _replace builds through this
+        return cls(*iterable)
 
 
 def check_proper(g: PlaneGraph, labels: Sequence[int]) -> bool:

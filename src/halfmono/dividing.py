@@ -37,7 +37,7 @@ parity vectors that come from outside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BadParameter,
@@ -49,8 +49,7 @@ from .errors import (
 from .medial import MedialGraph
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(NamedTuple):
     """One closed curve; edges[i] joins vertices[i] to vertices[(i+1) % len].
 
     vertices are midpoints (base edge ids) and edges are medial edges,
@@ -62,8 +61,7 @@ class Cycle:
     edges: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RegionDecomposition:
+class RegionDecomposition(NamedTuple):
     """One system's regions and curves, as decompose_regions checked them.
 
     curve_sides[i] is (corner's region, face cell's region, first midpoint)

@@ -14,14 +14,13 @@ force serves as cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalInvariantError, SizeCapExceeded
 from .plane_graph import BLACK, PlaneGraph
 
 
-@dataclass(frozen=True)
-class MatchingResult:
+class MatchingResult(NamedTuple):
     n: int
     # a maximum matching, one (black, white) pair per matched black vertex
     # in vertex order; which one is found is not part of the result

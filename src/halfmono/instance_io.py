@@ -17,7 +17,7 @@ import colorsys
 import math
 import re
 from collections.abc import Collection, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coloring import Coloring
 from .dividing import Cycle
@@ -25,8 +25,7 @@ from .errors import BadParameter, DegenerateLayout, ParseError, SizeCapExceeded
 from .plane_graph import PlaneGraph, build_plane_graph
 
 
-@dataclass(frozen=True)
-class InstanceFile:
+class InstanceFile(NamedTuple):
     name: str
     n: int
     rotations: tuple[tuple[int, ...], ...]
@@ -75,9 +74,14 @@ def parse_instance_text(text: str) -> InstanceFile:
     defects: list[tuple[int, str]] = []
     name: str | None = None
     n: int | None = None
-    rotations: dict[int, tuple[int, tuple[int, ...]]] = {}
-    coords: dict[int, tuple[int, tuple[float, float]]] = {}
+    rotations: dict[int, tuple[int, ...]] = {}
+    coords: dict[int, tuple[float, float]] = {}
     rejected_xy: set[int] = set()  # ids of coord lines with bad values
+    # Ids are checked against n as they are stored.  Until the vertices
+    # line is read, limit is 0, so every id fails the check; a failing id
+    # keeps its line in unchecked, to be checked once n is known.
+    limit = 0
+    unchecked: list[tuple[int, str, int]] = []  # (line, kind, id)
 
     # Only \n, \r\n and \r end a line: str.splitlines also cuts at \f, U+0085 ...
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
@@ -98,7 +102,9 @@ def parse_instance_text(text: str) -> InstanceFile:
             if v in rotations:
                 defects.append((line_no, f"duplicate rotation for vertex {v}"))
             else:
-                rotations[v] = (line_no, tuple(map(int, parts[2:])))
+                rotations[v] = tuple(map(int, parts[2:]))
+                if not 0 <= v < limit:
+                    unchecked.append((line_no, "rotation", v))
         elif key == "coord":
             if len(parts) != 4 or not _INTEGER.fullmatch(parts[1]):
                 defects.append((line_no, "coord requires: vertex id, x, y"))
@@ -117,7 +123,9 @@ def parse_instance_text(text: str) -> InstanceFile:
             if v in coords:
                 defects.append((line_no, f"duplicate coord for vertex {v}"))
             else:
-                coords[v] = (line_no, (x, y))
+                coords[v] = (x, y)
+                if not 0 <= v < limit:
+                    unchecked.append((line_no, "coord", v))
         elif key == "name":
             if len(parts) < 2:
                 defects.append((line_no, "name requires a value"))
@@ -133,20 +141,16 @@ def parse_instance_text(text: str) -> InstanceFile:
             elif int(parts[1]) <= 0:
                 defects.append((line_no, "vertex count must be positive"))
             else:
-                n = int(parts[1])
+                n = limit = int(parts[1])
         else:
             defects.append((line_no, f"unknown directive {key!r}"))
 
     if n is None:
         defects.append((0, "missing 'vertices' line"))
     else:
-        for kind, table in (("rotation", rotations), ("coord", coords)):
-            if table and (min(table) < 0 or max(table) >= n):
-                for v, (line_no, _) in sorted(table.items()):
-                    if not 0 <= v < n:
-                        defects.append(
-                            (line_no, f"{kind} for out-of-range vertex {v}")
-                        )
+        for line_no, kind, v in unchecked:
+            if not 0 <= v < n:
+                defects.append((line_no, f"{kind} for out-of-range vertex {v}"))
         missing = _missing_ids(rotations, n)
         if missing:
             defects.append((0, f"missing rotation for {missing}"))
@@ -163,8 +167,8 @@ def parse_instance_text(text: str) -> InstanceFile:
     return InstanceFile(
         name=name if name is not None else "unnamed",
         n=n,
-        rotations=tuple(rotations[v][1] for v in range(n)),
-        coords=tuple(coords[v][1] for v in range(n)) if coords else None,
+        rotations=tuple(map(rotations.__getitem__, range(n))),
+        coords=tuple(map(coords.__getitem__, range(n))) if coords else None,
     )
 
 

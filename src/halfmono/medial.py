@@ -15,13 +15,12 @@ and face are not copied: they are g.dart_head and g.dart_face.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .plane_graph import PlaneGraph
 
 
-@dataclass(frozen=True)
-class MedialGraph:
+class MedialGraph(NamedTuple):
     """Medial edge d is the base graph's dart d."""
 
     graph: PlaneGraph

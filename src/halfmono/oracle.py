@@ -10,16 +10,14 @@ confirm each other through independent search paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .coloring import Coloring, check_half_monochromatic, check_proper
 from .errors import InternalInvariantError, SizeCapExceeded
 from .plane_graph import PlaneGraph
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     chi_f: int
     witness: Coloring
     partitions_scanned: int

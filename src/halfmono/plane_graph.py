@@ -17,9 +17,9 @@ also medial edge d (see medial).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import eq
+from typing import NamedTuple
 
 from .errors import (
     EulerViolation,
@@ -36,8 +36,7 @@ FACE_NOT_CYCLE = "face_not_cycle"
 ODD_FACE = "odd_face"
 
 
-@dataclass(frozen=True)
-class PlaneGraph:
+class PlaneGraph(NamedTuple):
     """Immutable embedded graph; all derived links are precomputed tuples.
 
     Its fields agree with one another only as build_plane_graph makes them.
@@ -67,15 +66,13 @@ class PlaneGraph:
         return len(self.rotations[v])
 
 
-@dataclass(frozen=True)
-class FaceDefect:
+class FaceDefect(NamedTuple):
     face: int
     kind: str
     detail: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     defects: tuple[FaceDefect, ...]
 
     @property

@@ -48,8 +48,7 @@ coloring is `coloring.coloring_from_regions(witness_regions)`.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 from .coloring import baseline_coloring
 from .dividing import (
@@ -78,8 +77,7 @@ DEFAULT_SWEEP_CAP = 16
 MAX_FACES = 10_000
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     """Outcome of the structural checks run on a computed optimum.
 
     A report exists only when all three claims hold, since a violation
@@ -92,8 +90,7 @@ class AuditReport:
     case: str  # "i" when 3*|degree-1 nodes| >= 2*chiF, else "ii"
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     chi_f: int
     witness_parities: tuple[int, ...]
     witness_regions: RegionDecomposition
@@ -166,9 +163,10 @@ def _check_system(m: MedialGraph, region_of_cell, k, curve_sides, bits) -> list[
     sides).  Raises on a violated law; returns the division tree's node
     degrees.
     """
+    g, sides = m.graph, m.sides
     adjacent, degrees = build_division_tree(curve_sides, k)
-    _check_structural_claims(m.graph, region_of_cell, adjacent, degrees)
-    _check_region_coloring(m.graph.n, m.sides, region_of_cell, bits)
+    _check_structural_claims(g, region_of_cell, adjacent, degrees)
+    _check_region_coloring(g.n, sides, region_of_cell, bits)
     return degrees
 
 

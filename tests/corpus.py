@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from math import comb
 
 from halfmono.instance_io import (
@@ -64,7 +63,7 @@ def random_subdivided_instance(seed: int, max_vertices: int = 10) -> InstanceFil
     for _ in range(rng.randint(1, max_pairs)):
         u, v = rng.choice(instance_edges(inst))
         inst = subdivide_edge(inst, u, v, times=2)
-    return replace(inst, name=f"subgrid{rows}x{cols}-s{seed}")
+    return inst._replace(name=f"subgrid{rows}x{cols}-s{seed}")
 
 
 def split_base_instance(seed: int) -> InstanceFile:
@@ -97,6 +96,16 @@ def split_face(inst: InstanceFile, rng: random.Random) -> InstanceFile:
         chord = length == 1 and v in inst.rotations[u]  # would be a double edge
         if min(d, len(walk) - d) + length >= 4 and not chord:
             break
+    return add_path(inst, walk, i, j, length)
+
+
+def add_path(inst: InstanceFile, walk, i: int, j: int, length: int) -> InstanceFile:
+    """inst with a fresh path of `length` edges from walk[i] to walk[j],
+    i < j, drawn inside the face whose boundary walk is `walk`.
+
+    Coordinates are dropped, as the new path has no natural drawing.
+    """
+    u, v = walk[i], walk[j]
     path = [u, *range(inst.n, inst.n + length - 1), v]
     rotations = [list(r) for r in inst.rotations]
     # The face walk enters walk[k] from walk[k - 1] and leaves towards the
@@ -129,7 +138,7 @@ def random_split_instance(seed: int) -> InstanceFile:
     """split_base_instance(seed) with one face split (split_face)."""
     inst = split_base_instance(seed)
     split = split_face(inst, random.Random(f"split{seed}"))
-    return replace(split, name=f"split-{inst.name}-s{seed}")
+    return split._replace(name=f"split-{inst.name}-s{seed}")
 
 
 def k2m_instance(m: int) -> InstanceFile:
@@ -140,6 +149,26 @@ def k2m_instance(m: int) -> InstanceFile:
     rotations = [tuple(range(2, m + 2)), tuple(range(m + 1, 1, -1))]
     rotations += [(0, 1)] * m
     return InstanceFile(f"k2_{m}", m + 2, tuple(rotations))
+
+
+def tight_instance(k: int) -> InstanceFile:
+    """T_k for k >= 1, on which 2 chiF = 3 alpha: chiF = 3k and alpha = 2k.
+
+    K_{2,2k} (k2m_instance) with two paths s-x-t of length 2 between each
+    pair of spokes s = 2 + 2j, t = 3 + 2j for j < k - 1.  Each path goes
+    into the first face, in face order, whose walk has s and t at distance
+    2.  T_k has n = 4k and F = 4k - 2, all quadrangles; T_1 is C4.
+    """
+    inst = k2m_instance(2 * k)
+    for j in range(k - 1):
+        s, t = 2 + 2 * j, 3 + 2 * j
+        for _ in range(2):
+            walk = next(
+                w for w in face_vertices(build(inst))
+                if s in w and t in w and (w.index(t) - w.index(s)) % len(w) in (2, len(w) - 2)
+            )
+            inst = add_path(inst, walk, *sorted((walk.index(s), walk.index(t))), 2)
+    return inst._replace(name=f"tight{k}")
 
 
 def fan_instance(length: int) -> InstanceFile:
@@ -184,7 +213,7 @@ def random_rich_instance(seed: int) -> InstanceFile:
         inst = subdivide_edge(inst, u, v, times=rng.choice((2, 4)))
     for _ in range(rng.randint(0, 3)):
         inst = split_face(inst, rng)
-    return replace(inst, name=f"rich-{inst.name}-s{seed}")
+    return inst._replace(name=f"rich-{inst.name}-s{seed}")
 
 
 def corpus_instances() -> list[InstanceFile]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from corpus import corpus_graphs, face_vertices, oracle_corpus_graphs
+from corpus import corpus_graphs, face_vertices, oracle_corpus_graphs, tight_instance
 from halfmono import cli
 from halfmono.coloring import (
     baseline_coloring,
@@ -28,9 +28,10 @@ from halfmono.dividing import (
 )
 from halfmono.errors import BoundViolated, ClaimViolated, HalfmonoError
 from halfmono.independence import alpha_bruteforce, maximum_matching
+from halfmono.instance_io import build
 from halfmono.medial import build_medial_graph
 from halfmono.oracle import chi_f_bruteforce
-from halfmono.search import exact_chi_f
+from halfmono.search import exact_chi_f, sweep_dividing_systems
 
 FULL_CORPUS = corpus_graphs()  # cycles 4..12, grids up to 4x5, prisms 4..8
 ORACLE_CORPUS = oracle_corpus_graphs()  # <= 10 vertices incl. 25 randomized
@@ -132,7 +133,7 @@ def test_criterion_2_theorem_certificate(corpus_results):
     assert cli.exit_code_for_exception(ClaimViolated("claim2")) == 2
 
 
-@criterion(3, "tightness on the 4-cycle and the even-cycle family")
+@criterion(3, "tightness on the 4-cycle and T_k; the even-cycle family")
 def test_criterion_3_tightness_witness(corpus_results):
     g4, res4 = corpus_results["cycle4"]
     assert (res4.chi_f, res4.alpha) == (3, 2)
@@ -146,6 +147,17 @@ def test_criterion_3_tightness_witness(corpus_results):
         assert baseline <= res.chi_f <= (3 * res.alpha) // 2
         if g.n <= 12:
             assert chi_f_bruteforce(g).chi_f == half + 1
+
+    for k in range(1, 8):  # T_1 is C4
+        g = build(tight_instance(k))
+        assert (g.n, g.num_faces) == (4 * k, 4 * k - 2)
+        res = exact_chi_f(g, face_cap=26)
+        assert (res.chi_f, res.alpha) == (3 * k, 2 * k)
+        assert 2 * res.chi_f == 3 * res.alpha  # bound met with equality
+        if k <= 4:
+            assert sweep_dividing_systems(g).chi_f == 3 * k
+        if k <= 2:
+            assert chi_f_bruteforce(g).chi_f == 3 * k
 
 
 @criterion(4, "region count == curve count + 1 over every dividing system")

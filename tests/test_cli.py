@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import io
 import json
 import json.encoder
@@ -498,7 +497,7 @@ _NAMED_INSTANCES = [cycle_instance(4), grid_instance(2, 3), k2m_instance(3)]
 def test_chif_json_escapes_drawn_names_as_json_does(tokens, inst, tmp_path_factory):
     name = " ".join(tokens)
     path = tmp_path_factory.mktemp("named") / "named.hmg"
-    path.write_text(serialize_instance(dataclasses.replace(inst, name=name)), encoding="utf-8")
+    path.write_text(serialize_instance(inst._replace(name=name)), encoding="utf-8")
     out = io.StringIO()
     with redirect_stdout(out):
         assert cli.main(["chif", str(path), "--json"]) == 0

@@ -41,6 +41,8 @@ def test_coloring_must_be_dense_and_surjective():
         Coloring((0, 2, 0, 2), 3)  # color 1 unused
     with pytest.raises(ValueError):
         Coloring((0, 1), 3)
+    with pytest.raises(ValueError):
+        Coloring((0, 1), 2)._replace(num_colors=3)
 
 
 def test_coloring_from_regions_c4():

@@ -240,6 +240,15 @@ PARSE_DEFECT_GOLDEN = {
         [(10, "coord for out-of-range vertex 4"),
          (11, "coord for out-of-range vertex -2")],
     ),
+    "out-of-range-before-vertices": (
+        "rotation 4 0\ncoord -1 0 0\nvertices two\nrotation 0 1 3\nvertices 4\n"
+        "rotation 1 2 0\nrotation 2 3 1\nrotation 3 0 2\nrotation 7 1\n",
+        [(0, "missing coord for 4 of 4 vertices: 0-3"),
+         (1, "rotation for out-of-range vertex 4"),
+         (2, "coord for out-of-range vertex -1"),
+         (3, "vertices requires one integer"),
+         (9, "rotation for out-of-range vertex 7")],
+    ),
     "unknown-directive": (
         "vertices 4\n" + C4_ROTATIONS + "edge 0 1\nRotation 0 1 3\nverts 4\n",
         [(6, "unknown directive 'edge'"), (7, "unknown directive 'Rotation'"),

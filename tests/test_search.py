@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import re
 import tracemalloc
@@ -182,16 +181,16 @@ def test_audit_claims_recomputes():
 def test_audit_claims_rejects_malformed_parity_vectors():
     g = cycle_graph(4)
     res = exact_chi_f(g)
-    short = dataclasses.replace(res, witness_parities=(0,))
+    short = res._replace(witness_parities=(0,))
     with _raises(BadParameter, "expected 2 parity bits, got 1"):
         audit_claims(g, short)
     with _raises(BadParameter, "parity bits must be 0 or 1"):
-        audit_claims(g, dataclasses.replace(res, witness_parities=(0, 2)))
+        audit_claims(g, res._replace(witness_parities=(0, 2)))
 
 
 def _audit_outcome(g, res, parities):
     try:
-        return audit_claims(g, dataclasses.replace(res, witness_parities=parities))
+        return audit_claims(g, res._replace(witness_parities=parities))
     except ClaimViolated as exc:
         return type(exc), str(exc)
 
@@ -242,7 +241,7 @@ def _raises(exc, message):
 
 def _replant(m, e, ends):
     """m with medial edge e moved to join the midpoints ends."""
-    return dataclasses.replace(m, ends=(*m.ends[:e], ends, *m.ends[e + 1:]))
+    return m._replace(ends=(*m.ends[:e], ends, *m.ends[e + 1:]))
 
 
 def test_kernel_laws_raise_their_errors():
@@ -256,14 +255,14 @@ def test_kernel_laws_raise_their_errors():
     with _raises(InternalDegreeViolation, "midpoint 1 has degree 1, expected 2"):
         decompose_regions(_replant(m, 2, (2, 3)), (0, 0))
     # face 1 has no darts, so it selects no edges
-    emptied = dataclasses.replace(g, face_start=(0, 4, 4))
+    emptied = g._replace(face_start=(0, 4, 4))
     with _raises(InternalDegreeViolation, "midpoint 0 has degree 1, expected 2"):
-        decompose_regions(dataclasses.replace(m, graph=emptied), (0, 0))
+        decompose_regions(m._replace(graph=emptied), (0, 0))
     with _raises(InternalInvariantError, "region without any base vertex"):
-        decompose_regions(dataclasses.replace(m, sides=(m.sides[0], ((), ()))), (0, 0))
+        decompose_regions(m._replace(sides=(m.sides[0], ((), ()))), (0, 0))
     flipped = (m.sides[0][::-1], m.sides[1])
     with _raises(RegionCycleMismatch, "2 regions but 2 curves"):
-        decompose_regions(dataclasses.replace(m, sides=flipped), (0, 0))
+        decompose_regions(m._replace(sides=flipped), (0, 0))
 
 
 def test_tree_laws_raise_their_errors():
@@ -314,7 +313,7 @@ def test_witness_bound_is_certified(monkeypatch):
     monkeypatch.setattr(
         search,
         "maximum_matching",
-        lambda g: dataclasses.replace(matching(g), size=3),
+        lambda g: matching(g)._replace(size=3),
     )
     for run in (exact_chi_f, sweep_dividing_systems):
         with _raises(BoundViolated, "2*3 > 3*1"):
@@ -384,32 +383,32 @@ def _third_edge(g, m):
 
 def _no_edges(g, m):
     # face 1 has no darts, so it selects no edges
-    doctored = dataclasses.replace(g, face_start=(0, 4, 4))
-    return doctored, dataclasses.replace(m, graph=doctored)
+    doctored = g._replace(face_start=(0, 4, 4))
+    return doctored, m._replace(graph=doctored)
 
 
 def _no_side(g, m):
-    return g, dataclasses.replace(m, sides=(m.sides[0], ((), ())))
+    return g, m._replace(sides=(m.sides[0], ((), ())))
 
 
 def _flipped_side(g, m):
-    return g, dataclasses.replace(m, sides=(m.sides[0][::-1], m.sides[1]))
+    return g, m._replace(sides=(m.sides[0][::-1], m.sides[1]))
 
 
 def _corners_in_face_cells(g, m):
     # each curve's two sides are both read from its face cell's region:
     # every dart's head becomes its face cell
     heads = tuple(g.n + f for f in g.dart_face)
-    doctored = dataclasses.replace(g, dart_head=heads)
-    return doctored, dataclasses.replace(m, graph=doctored)
+    doctored = g._replace(dart_head=heads)
+    return doctored, m._replace(graph=doctored)
 
 
 def _chord(g, m):
     # base edge 1-2 becomes 0-2, which joins the two vertices of face 0's
     # uncut side under bit 0
     edges = tuple((0, 2) if e == (1, 2) else e for e in g.edges)
-    doctored = dataclasses.replace(g, edges=edges)
-    return doctored, dataclasses.replace(m, graph=doctored)
+    doctored = g._replace(edges=edges)
+    return doctored, m._replace(graph=doctored)
 
 
 # doctoring of C4, the error the single-system path raises on the first
