@@ -1,4 +1,5 @@
 import argparse
+import gc
 import io
 import json
 import json.encoder
@@ -870,3 +871,156 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, monkeypatch, capsys
         assert code == fresh.returncode == expected_code, argv
         assert captured.out == fresh.stdout, argv
         assert captured.err == fresh.stderr, argv
+
+
+# Every subcommand on its success path and on its failure paths: argv, whose
+# upper-case words _gc_case_argv turns into paths, the exit code, and how
+# the run is doctored.
+GC_CASES = {
+    "chif-json": (["chif", "GRID", "--json"], 0, None),
+    "chif-witness": (["chif", "GRID", "--witness"], 0, None),
+    "chif-face-cap": (["chif", "GRID", "--face-cap", "2"], 3, None),
+    "chif-odd-faces": (["chif", "K4"], 1, None),
+    "chif-unparsable": (["chif", "BAD"], 1, None),
+    "chif-missing-file": (["chif", "MISSING"], 1, None),
+    "chif-violated-law": (["chif", "CYCLE6"], 2, "law"),
+    "check": (["check", "GRID", "CYCLE6"], 0, None),
+    "check-mixed-batch": (["check", "BATCH"], 1, None),
+    "check-violated-law": (["check", "CYCLE6"], 2, "law"),
+    "alpha": (["alpha", "GRID"], 0, None),
+    "alpha-odd-faces": (["alpha", "K4"], 1, None),
+    "alpha-closed-reader": (["alpha", "GRID"], 0, "pipe"),
+    "validate": (["validate", "GRID"], 0, None),
+    "validate-odd-faces": (["validate", "K4"], 1, None),
+    "oracle": (["oracle", "CYCLE6"], 0, None),
+    "oracle-vertex-cap": (["oracle", "GRID", "--vertex-cap", "6"], 3, None),
+    "gen": (["gen", "grid", "3x4", "-o", "OUT"], 0, None),
+    "gen-stdout": (["gen", "prism", "4"], 0, None),
+    "gen-bad-parameter": (["gen", "grid", "3xa"], 1, None),
+    "render-color": (["render", "GRID", "-o", "SVG", "--color"], 0, None),
+    "render-color-tutte": (["render", "BARE", "-o", "SVG", "--color"], 0, None),
+    "render-parities": (["render", "GRID", "-o", "SVG", "--parities", "0110010"], 0, None),
+    "render-bad-parities": (["render", "GRID", "-o", "SVG", "--parities", "01a"], 1, None),
+}
+
+
+class _ClosedReader(io.StringIO):
+    """A stdout whose reader has gone: flushing raises BrokenPipeError, and
+    main's handler points `fd`, a scratch file, at devnull."""
+
+    def __init__(self, fd: int):
+        super().__init__()
+        self.fd = fd
+
+    def fileno(self) -> int:
+        return self.fd
+
+    def flush(self) -> None:
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def _gc_case_argv(case: str, request, tmp_path, monkeypatch) -> tuple[list[str], int]:
+    """Write the files GC_CASES[case] names, doctor the run, return (argv, code)."""
+    command, code, doctor = GC_CASES[case]
+    grid = grid_instance(3, 4)
+    files = {
+        "GRID": serialize_instance(grid),
+        "BARE": serialize_instance(grid._replace(coords=None)),
+        "CYCLE6": serialize_instance(cycle_instance(6)),
+        "K4": K4_TEXT,
+        "BAD": "name bad\nvertices two\n",
+    }
+    for key, text in files.items():
+        (tmp_path / f"{key.lower()}.hmg").write_text(text)
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    for key in ("GRID", "K4", "BAD"):
+        (batch / f"{key.lower()}.hmg").write_text(files[key])
+    names = {key: str(tmp_path / f"{key.lower()}.hmg") for key in files}
+    names.update(
+        BATCH=str(batch),
+        MISSING=str(tmp_path / "missing.hmg"),
+        OUT=str(tmp_path / "out.hmg"),
+        SVG=str(tmp_path / "out.svg"),
+    )
+    if doctor == "law":  # as in test_check_mixed_batch_streams_each_file_once
+        monkeypatch.setattr(
+            "halfmono.search._check_region_coloring",
+            lambda n, sides, region_of_cell, bits: _check_region_coloring(
+                n, [s[::-1] for s in sides], region_of_cell, bits
+            ),
+        )
+    elif doctor == "pipe":
+        fd = os.open(tmp_path / "pipe", os.O_WRONLY | os.O_CREAT)
+        request.addfinalizer(lambda: os.close(fd))
+        monkeypatch.setattr(sys, "stdout", _ClosedReader(fd))
+    return [names.get(arg, arg) for arg in command], code
+
+
+@pytest.fixture()
+def gc_state():
+    """Give the collector back in the state the test found it in."""
+    was_on = gc.isenabled()
+    yield
+    if was_on:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+# cli.main pauses the cyclic collector, which is sound only if no command
+# leaves cyclic garbage for it: refcounting must free everything.  Usage
+# errors are left out: main(["chif"]) leaves 6 cyclic objects, through the
+# traceback of argparse's SystemExit, and a usage error ends the process.
+# The parser is built first: building it leaves 88 cyclic objects of
+# argparse's help formatters, once per process.
+@pytest.mark.parametrize("case", GC_CASES)
+def test_no_command_leaves_cyclic_garbage(
+    case, request, tmp_path, monkeypatch, capsys, gc_state
+):
+    argv, code = _gc_case_argv(case, request, tmp_path, monkeypatch)
+    cli._parser()
+    gc.collect()
+    gc.disable()  # so that main's own finally cannot collect what it left
+    assert cli.main(argv) == code
+    assert gc.collect() == 0
+
+
+def test_main_runs_no_collector_pass(tmp_path, capsys, gc_state):
+    # with the collector running, this op makes about 50 passes (46 of
+    # generation 0 and 4 of generation 1 on Python 3.11)
+    path = tmp_path / "c.hmg"
+    path.write_text(serialize_instance(cycle_instance(10_000)))
+    passes = []
+
+    def record(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    gc.enable()
+    gc.callbacks.append(record)
+    try:
+        assert cli.main(["alpha", str(path)]) == 0
+    finally:
+        gc.callbacks.remove(record)
+    assert passes == []
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("case", [*GC_CASES, "usage-error"])
+def test_main_gives_the_caller_its_collector_state_back(
+    case, enabled, request, tmp_path, monkeypatch, capsys, gc_state
+):
+    if case == "usage-error":
+        argv, code = ["chif"], 1
+    else:
+        argv, code = _gc_case_argv(case, request, tmp_path, monkeypatch)
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    try:
+        assert cli.main(argv) == code
+    except SystemExit as exc:
+        assert (case, exc.code) == ("usage-error", code)
+    assert gc.isenabled() is enabled
