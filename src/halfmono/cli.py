@@ -337,7 +337,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="write a corpus instance")
     p.add_argument("family", choices=sorted(_FAMILIES))
-    p.add_argument("params", nargs="+", help="cycle LEN | grid RxC | prism LEN")
+    p.add_argument("params", nargs="+", help="cycle LEN | grid RxC | prism LEN | tight K")
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_gen)
 

@@ -6,9 +6,10 @@ proper coloring a class on an even cycle reaches half only as one of the
 two alternation classes, so the count-based check below is equivalent to
 "one alternation class of each face is monochromatic".  Both checks take
 one label per vertex; a caller holding a Coloring passes its colors.
-The law sweep checks the alternation-class form on the region kernel's
-arrays (search._check_region_coloring); the count form here remains the
-check for arbitrary labels, such as the oracle's.
+The law sweep checks the alternation-class form on its union-find's roots
+(search._leaf_laws) and the witness on the region kernel's arrays
+(search._check_region_coloring); the count form here remains the check
+for arbitrary labels, such as the oracle's.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ side.  The classical fact
 "k closed curves cut the sphere into k + 1 regions" becomes a verified law
 rather than an assumption.
 
-Every system takes the same steps: `join_face` joins each face cell to
+One system takes two steps: `join_face` joins each face cell to
 its uncut side in a union-find over the cells, and `label_regions`
 numbers the regions and reads each curve's two sides at its smallest
 edge.  `decompose_regions` takes them for one parity vector, walks the
@@ -25,7 +25,8 @@ curves and returns it all as one `RegionDecomposition`;
 single-system path of the search's witness, the renderer and the public
 API.  The search's walk (`search._sweep`) builds its systems
 depth-first, sharing each prefix of faces, and counts components by
-`join_face`'s merges; with laws it takes the same two steps;
+`join_face`'s merges; with laws it checks each leaf on the union-find's
+roots, and takes the same two steps only on a leaf that fails;
 `decompose_regions` is the reference it is tested against and
 re-evaluates any system on which it finds a law violated.  `_walks` is
 the one curve walker: one pass over the selected edges counts every

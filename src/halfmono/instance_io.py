@@ -257,15 +257,72 @@ def prism_instance(cycle_len: int) -> InstanceFile:
     return InstanceFile(f"prism{m}", 2 * m, tuple(rotations), tuple(coords))
 
 
+def k2m_instance(m: int) -> InstanceFile:
+    """K_{2,m} for m >= 2: poles 0 and 1 joined by m paths through 2..m+1.
+
+    Its m faces are quadrangles, each with both poles on its boundary.
+    """
+    if m < 2:
+        raise BadParameter("K_{2,m} requires m >= 2")
+    _require_gen_size(m + 2)
+    rotations = [tuple(range(2, m + 2)), tuple(range(m + 1, 1, -1))]
+    rotations += [(0, 1)] * m
+    return InstanceFile(f"k2_{m}", m + 2, tuple(rotations))
+
+
+def add_path(inst: InstanceFile, walk, i: int, j: int, length: int) -> InstanceFile:
+    """inst with a fresh path of `length` edges from walk[i] to walk[j],
+    i < j, drawn inside the face whose boundary walk is `walk`.
+
+    Coordinates are dropped, as the new path has no natural drawing.
+    """
+    u, v = walk[i], walk[j]
+    path = [u, *range(inst.n, inst.n + length - 1), v]
+    rotations = [list(r) for r in inst.rotations]
+    # The face walk enters walk[k] from walk[k - 1] and leaves towards the
+    # next neighbour counterclockwise, so the path leaves walk[k] into the
+    # face right after walk[k - 1].
+    for k, nxt in ((i, path[1]), (j, path[-2])):
+        rot = rotations[walk[k]]
+        rot.insert(rot.index(walk[k - 1]) + 1, nxt)
+    rotations += [[path[k - 1], path[k + 1]] for k in range(1, length)]
+    return InstanceFile(inst.name, inst.n + length - 1, tuple(map(tuple, rotations)))
+
+
+def tight_instance(k: int) -> InstanceFile:
+    """T_k for k >= 1, on which 2 chiF = 3 alpha: chiF = 3k and alpha = 2k.
+
+    K_{2,2k} (k2m_instance) with two paths s-x-t of length 2 between each
+    pair of spokes s = 2 + 2j, t = 3 + 2j for j < k - 1; each path splits
+    the quadrangle through s and t in two, as add_path puts a path into
+    the first face, in face order, whose walk has s and t at distance 2.
+    The rotations are written out directly, in time linear in k.  T_k has
+    n = 4k and F = 4k - 2, all quadrangles; T_1 is C4.
+    """
+    if k < 1:
+        raise BadParameter("tight requires k >= 1")
+    _require_gen_size(4 * k)
+    inst = k2m_instance(2 * k)
+    rotations = list(inst.rotations)
+    for j in range(k - 1):
+        s, t, x, y = 2 + 2 * j, 3 + 2 * j, 2 + 2 * k + 2 * j, 3 + 2 * k + 2 * j
+        rotations[s] = (0, 1, x, y)
+        rotations[t] = (0, y, x, 1)
+        rotations += [(t, s), (t, s)]
+    return InstanceFile(f"tight{k}", 4 * k, tuple(rotations))
+
+
 _FAMILIES = {  # family -> (parameter count, generator)
     "cycle": (1, cycle_instance),
     "grid": (2, grid_instance),
     "prism": (1, prism_instance),
+    "tight": (1, tight_instance),
 }
 
 
 def generate_instance(family: str, params) -> InstanceFile:
-    """Dispatch to a corpus family: cycle LEN, grid ROWS COLS, prism LEN."""
+    """Dispatch to a corpus family: cycle LEN, grid ROWS COLS, prism LEN,
+    tight K."""
     params = tuple(params)
     if family not in _FAMILIES:
         raise BadParameter(f"unknown family {family!r}; know {sorted(_FAMILIES)}")

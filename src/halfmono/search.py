@@ -12,28 +12,34 @@ lexicographically smallest maximizer as witness.  Without laws, as
 better than the best so far is cut off; every system is visited or
 bounded, so systems_explored still reports 2^F.  With laws, the law
 sweep, it visits all 2^F systems, also keeps the open curve paths and
-the smallest edge of each closed curve, and evaluates each leaf as a
-single system is evaluated: the degree law, the regions and each
-curve's two sides labelled (`dividing.label_regions`), and
-`_check_system` on those arrays.  Both read the int tables of the
-medial graph, which `medial.build_medial_graph` builds once per op.
+the smallest edge of each closed curve, and checks at each leaf the
+degree law on the selected edge count and then every other law in one
+pass over the cell union-find's roots (`_leaf_laws`), numbering no
+region.  Both read the int tables of the medial graph, which
+`medial.build_medial_graph` builds once per op.
 
-`_check_system` builds the division tree's adjacency as int-keyed
-region pairs (`dividing.build_division_tree`, which checks the tree
-laws), checks region independence and claims 2 and 3 against it in
+The law functions evaluate one system from its labelled arrays:
+`dividing.label_regions` numbers the regions and reads each curve's two
+sides, and `_check_system` builds the division tree's adjacency as
+int-keyed region pairs (`dividing.build_division_tree`, which checks the
+tree laws), checks region independence and claims 2 and 3 against it in
 one pass over the base edges, and the half-monochromatic law
 (`_check_region_coloring`): every vertex of each face's uncut side,
 `m.sides[f][bit]`, lies in the face cell's region.  That alternation-class
 form reads half of each boundary and is stronger than the count form of
 `coloring.check_half_monochromatic`, which stays the check for arbitrary
-labels.  Each law is checked once: region independence is exactly
-properness of the region coloring, and the base vertex law already gives
-it one color per region.  A law that fails at a leaf is reported by the
-single-system path: `dividing.decompose_regions`, which also walks the
-curves, and `_check_system` evaluate that system again (`_recheck`), so
-its error reads as theirs.  The law sweep's witness, counted by
-`label_regions`, must equal the pruned walk's, counted by merges, and its
-count the witness's.
+labels.  `_leaf_laws` checks the same laws in the same order on root
+ids, the tree's adjacency keyed ra * (n + F) + rb, and only decides
+whether they hold.  Each law is checked once: region independence is
+exactly properness of the region coloring, and the base vertex law
+already gives it one color per region.  A leaf that `_leaf_laws` rejects
+goes to the law functions, on its own state (`_reject`), whose error is
+the sweep's finding; then the single-system path,
+`dividing.decompose_regions`, which also walks the curves, and
+`_check_system` evaluate that system again (`_recheck`), so its error
+reads as theirs.  The law sweep's witness, counted by `_leaf_laws`' roots,
+must equal the pruned walk's, counted by merges, and its count the
+witness's.
 
 `_certify` runs the witness through `dividing.decompose_regions` and
 `_check_system`, adds claim 1, and certifies 2 * chiF <= 3 * alpha in
@@ -170,6 +176,81 @@ def _check_system(m: MedialGraph, region_of_cell, k, curve_sides, bits) -> list[
     return degrees
 
 
+def _leaf_laws(m: MedialGraph, parent: list[int], closed, bits) -> int:
+    """Every law label_regions and _check_system check, on one sweep leaf.
+
+    parent is the leaf's cell union-find and closed the smallest edge of
+    each curve, as _sweep keeps them; this resolves parent in place and
+    checks the laws in their order on root ids, numbering no region: each
+    region holds a base vertex; regions outnumber curves by one; each
+    curve borders two regions and the curves form no cycle; region
+    independence and claims 2 and 3, against the tree's adjacency, one int
+    ra * (n + F) + rb per curve and order; and the half-monochromatic law
+    on the faces' uncut sides.  Returns the region count, or 0 if a law
+    fails; the law functions then report it (_reject).
+    """
+    g = m.graph
+    n, head, face = g.n, g.dart_head, g.dart_face
+    w = len(parent)
+    for c in range(w - 1, -1, -1):  # as label_regions resolves it
+        parent[c] = parent[parent[c]]
+    vertex_roots = parent[:n]
+    roots = set(vertex_roots)
+    k = len(roots)
+    if not roots.issuperset(parent[n:]) or k != len(closed) + 1:
+        return 0
+    up = list(range(w))  # the division tree's union-find over root ids
+    degree = [0] * w
+    adjacent = set()
+    for d in closed:
+        a, b = parent[head[d]], parent[n + face[d]]
+        ra, rb = a, b
+        while up[ra] != ra:
+            up[ra] = ra = up[up[ra]]
+        while up[rb] != rb:
+            up[rb] = rb = up[up[rb]]
+        if ra == rb:  # a cycle; a curve with one region on both sides is a loop
+            return 0
+        up[ra] = rb
+        adjacent.add(a * w + b)
+        adjacent.add(b * w + a)
+        degree[a] += 1
+        degree[b] += 1
+    # a region is never adjacent to itself, so this is independence too
+    for u, v in g.edges:
+        if parent[u] * w + parent[v] not in adjacent:
+            return 0
+    for r in roots:
+        if degree[r] >= 2 and vertex_roots.count(r) < 2:
+            return 0
+    cell = n
+    for side, bit in zip(m.sides, bits):
+        r = parent[cell]
+        for v in side[bit]:
+            if parent[v] != r:
+                return 0
+        cell += 1
+    return k
+
+
+def _reject(m: MedialGraph, parent: list[int], closed, bits) -> NoReturn:
+    """Report a leaf that _leaf_laws rejected as the law functions find it.
+
+    label_regions and _check_system run on the leaf's own state, which
+    _leaf_laws has already resolved; their error goes to _recheck as the
+    sweep's finding.  If they pass, the disagreement is the finding.
+    """
+    try:
+        region_of_cell, k, curve_sides = label_regions(m, parent, closed)
+        _check_system(m, region_of_cell, k, curve_sides, bits)
+    except InternalInvariantError as exc:
+        _recheck(m, bits, exc)
+    _recheck(m, bits, InternalInvariantError(
+        f"sweep leaf rejects parity index {_parity_index(bits)}"
+        " that the law functions pass"
+    ))
+
+
 def _parity_index(bits) -> int:
     """The system's index in the sweep's order: face 0's bit most significant."""
     return int("".join(map(str, bits)), 2)
@@ -210,12 +291,13 @@ def _sweep(m: MedialGraph, laws: bool) -> tuple[tuple[int, ...], int]:
       every closed curve, and the selected edge count.
     Without laws, a face never raises the count, so a prefix no better
     than the best so far is cut off.  With laws, every leaf checks the
-    degree law on the selected edge count, then labels the regions and
-    takes each curve's sides at its smallest edge with
-    dividing.label_regions and checks the other laws with _check_system,
-    as the single-system path does; no curve walk is listed.  A violated
-    law is reported by _recheck on the first system, in that order, that
-    violates one.
+    degree law on the selected edge count, then every other law with
+    _leaf_laws, on the union-find's roots and each curve's smallest edge;
+    no region is numbered and no curve walk is listed.  Each law is
+    checked once.  A violated law is reported by _recheck on the first
+    system, in that order, that violates one; a leaf that _leaf_laws
+    rejects is first handed to the law functions (_reject).  The bits are
+    copied out only at a new best or a violation.
     """
     g = m.graph
     n, nf, num_midpoints = g.n, len(m.sides), g.num_edges
@@ -236,20 +318,17 @@ def _sweep(m: MedialGraph, laws: bool) -> tuple[tuple[int, ...], int]:
     while f >= 0:
         if f == nf:
             parent, k, _, _, closed, count = state[nf]
-            bits = tuple(bit)
             if laws:
-                try:
-                    # every degree is at most 2, so all are 2 iff they sum to 2E
-                    if count != num_midpoints:
-                        raise InternalDegreeViolation(
-                            f"{count} medial edges selected, expected {num_midpoints}"
-                        )
-                    region_of_cell, k, curve_sides = label_regions(m, parent, closed)
-                    _check_system(m, region_of_cell, k, curve_sides, bits)
-                except InternalInvariantError as exc:
-                    _recheck(m, bits, exc)
+                # every degree is at most 2, so all are 2 iff they sum to 2E
+                if count != num_midpoints:
+                    _recheck(m, tuple(bit), InternalDegreeViolation(
+                        f"{count} medial edges selected, expected {num_midpoints}"
+                    ))
+                k = _leaf_laws(m, parent, closed, bit)
+                if not k:
+                    _reject(m, parent, closed, tuple(bit))
             if k > best:
-                best, best_bits = k, bits
+                best, best_bits = k, tuple(bit)
             f -= 1
             continue
         b = bit[f] + 1
@@ -387,8 +466,8 @@ def sweep_dividing_systems(
     base vertex, region-count, tree, claim 2 and 3 and region-coloring laws
     of each system; every violation raises as decompose_regions and
     _check_system raise it.  The same pass finds the optimum by
-    label_regions' counts, which must be the pruned walk's, found by merge
-    counts, and returns it, certified exactly as by exact_chi_f.
+    _leaf_laws' root counts, which must be the pruned walk's, found by
+    merge counts, and returns it, certified exactly as by exact_chi_f.
     """
     nf = g.num_faces
     if nf > face_cap:

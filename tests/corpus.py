@@ -5,13 +5,18 @@ from __future__ import annotations
 import random
 from math import comb
 
+# add_path, k2m_instance and tight_instance are gen's; the tests import them
+# from here with the rest of the corpus
 from halfmono.instance_io import (
     InstanceFile,
+    add_path,
     build,
     cycle_instance,
     grid_instance,
+    k2m_instance,
     prism_instance,
     subdivide_edge,
+    tight_instance,
 )
 from halfmono.plane_graph import PlaneGraph
 
@@ -99,25 +104,6 @@ def split_face(inst: InstanceFile, rng: random.Random) -> InstanceFile:
     return add_path(inst, walk, i, j, length)
 
 
-def add_path(inst: InstanceFile, walk, i: int, j: int, length: int) -> InstanceFile:
-    """inst with a fresh path of `length` edges from walk[i] to walk[j],
-    i < j, drawn inside the face whose boundary walk is `walk`.
-
-    Coordinates are dropped, as the new path has no natural drawing.
-    """
-    u, v = walk[i], walk[j]
-    path = [u, *range(inst.n, inst.n + length - 1), v]
-    rotations = [list(r) for r in inst.rotations]
-    # The face walk enters walk[k] from walk[k - 1] and leaves towards the
-    # next neighbour counterclockwise, so the path leaves walk[k] into the
-    # face right after walk[k - 1].
-    for k, nxt in ((i, path[1]), (j, path[-2])):
-        rot = rotations[walk[k]]
-        rot.insert(rot.index(walk[k - 1]) + 1, nxt)
-    rotations += [[path[k - 1], path[k + 1]] for k in range(1, length)]
-    return InstanceFile(inst.name, inst.n + length - 1, tuple(map(tuple, rotations)))
-
-
 def relabelled_instance(inst: InstanceFile, perm) -> InstanceFile:
     """The same embedded graph with vertex v renamed perm[v]."""
     rotations = [()] * inst.n
@@ -139,36 +125,6 @@ def random_split_instance(seed: int) -> InstanceFile:
     inst = split_base_instance(seed)
     split = split_face(inst, random.Random(f"split{seed}"))
     return split._replace(name=f"split-{inst.name}-s{seed}")
-
-
-def k2m_instance(m: int) -> InstanceFile:
-    """K_{2,m} for m >= 2: poles 0 and 1 joined by m paths through 2..m+1.
-
-    Its m faces are quadrangles, each with both poles on its boundary.
-    """
-    rotations = [tuple(range(2, m + 2)), tuple(range(m + 1, 1, -1))]
-    rotations += [(0, 1)] * m
-    return InstanceFile(f"k2_{m}", m + 2, tuple(rotations))
-
-
-def tight_instance(k: int) -> InstanceFile:
-    """T_k for k >= 1, on which 2 chiF = 3 alpha: chiF = 3k and alpha = 2k.
-
-    K_{2,2k} (k2m_instance) with two paths s-x-t of length 2 between each
-    pair of spokes s = 2 + 2j, t = 3 + 2j for j < k - 1.  Each path goes
-    into the first face, in face order, whose walk has s and t at distance
-    2.  T_k has n = 4k and F = 4k - 2, all quadrangles; T_1 is C4.
-    """
-    inst = k2m_instance(2 * k)
-    for j in range(k - 1):
-        s, t = 2 + 2 * j, 3 + 2 * j
-        for _ in range(2):
-            walk = next(
-                w for w in face_vertices(build(inst))
-                if s in w and t in w and (w.index(t) - w.index(s)) % len(w) in (2, len(w) - 2)
-            )
-            inst = add_path(inst, walk, *sorted((walk.index(s), walk.index(t))), 2)
-    return inst._replace(name=f"tight{k}")
 
 
 def fan_instance(length: int) -> InstanceFile:

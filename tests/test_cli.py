@@ -379,7 +379,7 @@ def test_gen_rejects_non_ascii_and_overlong_integers(params, capsys):
     assert len(captured.err.encode()) < 200
 
 
-GEN_PARAMS = {"cycle": "6", "grid": "3x4", "prism": "6"}
+GEN_PARAMS = {"cycle": "6", "grid": "3x4", "prism": "6", "tight": "2"}
 
 
 @pytest.mark.parametrize("family", sorted(_FAMILIES))
@@ -429,7 +429,12 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 @pytest.mark.parametrize(
     "family,params,name",
-    [("cycle", "6", "cycle6"), ("grid", "3x4", "grid3x4"), ("grid", "4x5", "grid4x5")],
+    [
+        ("cycle", "6", "cycle6"),
+        ("grid", "3x4", "grid3x4"),
+        ("grid", "4x5", "grid4x5"),
+        ("tight", "2", "tight2"),
+    ],
 )
 def test_chif_json_golden_bytes(family, params, name, tmp_path, capsys):
     path = tmp_path / f"{name}.hmg"
@@ -634,8 +639,8 @@ def test_check_mixed_batch_streams_each_file_once(tmp_path, monkeypatch, capsys)
         "k4.hmg: ERROR k4: invalid instance",
     ]
 
-    # a violated law outranks both: on cycle6 the sweep's region-coloring
-    # law reads the other side of each face, so system 0 breaks it
+    # a violated law outranks both: on cycle6 the region-coloring law reads
+    # the other side of each face, so the witness, system 0, breaks it
     monkeypatch.setattr(
         "halfmono.search._check_region_coloring",
         lambda n, sides, region_of_cell, bits: _check_region_coloring(
@@ -650,12 +655,13 @@ def test_check_mixed_batch_streams_each_file_once(tmp_path, monkeypatch, capsys)
     ]
 
 
-# The sweep checks the division tree of every system, then once more to
-# certify the witness; the pruned search checks only the witness.  Either
-# way only the witness runs decompose_regions, which walks its curves once,
-# and its output curves are those walks.
-TREE_CHECKS_PER_OP = {"check": 2**7 + 1, "chif": 1}
-LAW_CHECKS_PER_OP = {"check": ["_sweep"] * 2**7 + ["_certify"], "chif": ["_certify"]}
+# The sweep checks every law of every system in its leaf, 2^F leaves; the
+# pruned search checks none.  Either way only the witness runs
+# decompose_regions, which walks its curves once, and its output curves are
+# those walks; only the witness runs the law functions and the tree check.
+LEAVES_PER_OP = {"check": ["_sweep"] * 2**7, "chif": []}
+TREE_CHECKS_PER_OP = {"check": 1, "chif": 1}
+LAW_CHECKS_PER_OP = {"check": ["_certify"], "chif": ["_certify"]}
 
 
 @pytest.mark.parametrize("command", [["check"], ["chif", "--json"]])
@@ -672,7 +678,8 @@ def test_one_enumeration_and_one_medial_build_per_op(
     # the witness is checked on the kernel's arrays, not rebuilt as objects
     assemble = _count_calls(monkeypatch, "halfmono.dividing", "assemble_dividing_system")
     tree = _count_calls(monkeypatch, "halfmono.dividing", "build_division_tree")
-    # every system's laws go through the one law check, the sweep's leaves too
+    # every swept system's laws go through the one leaf check
+    leaves = _count_calls(monkeypatch, "halfmono.search", "_leaf_laws")
     laws = _count_calls(monkeypatch, "halfmono.search", "_check_system")
     # the half-monochromatic law is checked on the kernel's arrays, not
     # by counting labels
@@ -684,7 +691,8 @@ def test_one_enumeration_and_one_medial_build_per_op(
     assert len(medial) == 1
     assert len(validate) == 1
     assert assemble == []
-    assert len(tree) == TREE_CHECKS_PER_OP[command[0]]  # one tree check per system
+    assert leaves == LEAVES_PER_OP[command[0]]  # systems swept = 2^F
+    assert len(tree) == TREE_CHECKS_PER_OP[command[0]]
     assert laws == LAW_CHECKS_PER_OP[command[0]]
     assert half == []
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from corpus import (
+    add_path,
     corpus_instances,
     face_darts,
     face_vertices,
@@ -33,11 +34,13 @@ from halfmono.instance_io import (
     cycle_instance,
     generate_instance,
     grid_instance,
+    k2m_instance,
     parse_instance_text,
     prism_instance,
     render_svg,
     serialize_instance,
     subdivide_edge,
+    tight_instance,
     tutte_embedding,
 )
 from halfmono.plane_graph import validate_even_polygonal
@@ -327,6 +330,36 @@ def test_generate_families():
     cube = build(generate_instance("prism", [4]))
     assert (cube.n, cube.num_faces) == (8, 6)
     assert set(map(len, face_darts(cube))) == {4}
+    t3 = build(generate_instance("tight", [3]))
+    assert (t3.n, t3.num_faces) == (12, 10)
+    assert set(map(len, face_darts(t3))) == {4}
+
+
+def _tight_by_paths(k: int) -> InstanceFile:
+    """T_k as its definition builds it: K_{2,2k}, then for each pair of
+    spokes s = 2 + 2j, t = 3 + 2j, j < k - 1, two paths s-x-t, each put by
+    add_path into the first face, in face order, whose walk has s and t at
+    distance 2."""
+    inst = k2m_instance(2 * k)
+    for j in range(k - 1):
+        s, t = 2 + 2 * j, 3 + 2 * j
+        for _ in range(2):
+            walk = next(
+                w for w in face_vertices(build(inst))
+                if s in w and t in w
+                and (w.index(t) - w.index(s)) % len(w) in (2, len(w) - 2)
+            )
+            inst = add_path(inst, walk, *sorted((walk.index(s), walk.index(t))), 2)
+    return inst._replace(name=f"tight{k}")
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_tight_instance_is_its_path_construction(k):
+    inst = tight_instance(k)
+    assert inst == _tight_by_paths(k)
+    g = build(inst)
+    assert validate_even_polygonal(g).ok
+    assert (g.n, g.num_faces) == (4 * k, 4 * k - 2)
 
 
 @pytest.mark.parametrize(
@@ -339,6 +372,8 @@ def test_generate_families():
         ("prism", [2]),
         ("grid", [3]),
         ("triangle", [3]),
+        ("tight", [0]),
+        ("tight", [1, 2]),
     ],
 )
 def test_generator_bad_parameters(family, params):
@@ -349,7 +384,8 @@ def test_generator_bad_parameters(family, params):
 def test_generator_size_cap_boundary(monkeypatch):
     monkeypatch.setattr(instance_io, "GEN_VERTEX_CAP", 12)
     assert cycle_instance(12).n == grid_instance(3, 4).n == prism_instance(6).n == 12
-    for family, params in (("cycle", [14]), ("grid", [3, 5]), ("prism", [8])):
+    assert tight_instance(3).n == 12
+    for family, params in (("cycle", [14]), ("grid", [3, 5]), ("prism", [8]), ("tight", [4])):
         with pytest.raises(SizeCapExceeded):
             generate_instance(family, params)
 

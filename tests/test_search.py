@@ -1,3 +1,4 @@
+from collections import Counter
 import itertools
 import re
 import tracemalloc
@@ -32,7 +33,7 @@ from halfmono.coloring import (
     check_proper,
     coloring_from_regions,
 )
-from halfmono.dividing import build_division_tree, decompose_regions
+from halfmono.dividing import build_division_tree, decompose_regions, label_regions
 from halfmono.errors import (
     BadParameter,
     BoundViolated,
@@ -72,6 +73,18 @@ EXPECTED = {
     "prism6": (prism_graph(6), 7, 6),
     "prism8": (prism_graph(8), 9, 8),
 }
+
+
+def _first_broken_system(m):
+    """The first parity vector, in the sweep's order, on which
+    decompose_regions or _check_system raises."""
+    for bits in itertools.product((0, 1), repeat=len(m.sides)):
+        try:
+            r = decompose_regions(m, bits)
+            _check_system(m, r.region_of_cell, r.num_regions, r.curve_sides, bits)
+        except InternalInvariantError:
+            return bits
+    return None
 
 
 def _scan(m, laws=False):
@@ -340,35 +353,47 @@ def test_witness_region_coloring_is_checked(monkeypatch):
         exact_chi_f(cycle_graph(4))
 
 
+def _numbered(parent, n):
+    """Each cell's root renamed by its region's index, regions in order of
+    their smallest vertex cell, as label_regions numbers them."""
+    label = {root: i for i, root in enumerate(dict.fromkeys(parent[:n]))}
+    return [label.get(root, -1) for root in parent]
+
+
 def test_sweep_checks_the_region_coloring_of_every_system(monkeypatch):
     g = cycle_graph(4)
     sweep_dividing_systems(g)
-    check = search._check_region_coloring
-    # the arrays of (0, 0), whose face cells hold the other side of each
-    # face under bits (1, 1)
-    swapped = decompose_regions(build_medial_graph(g), (0, 0)).region_of_cell
-    calls = []
+    leaf = search._leaf_laws
+    calls, states = [], {}
 
-    def checked(n, sides, region_of_cell, bits):
+    def checked(m, parent, closed, bits):
+        bits = tuple(bits)
         if bits == (1, 1):
-            region_of_cell = swapped
-        calls.append((bits, list(region_of_cell[:n])))
-        check(n, sides, region_of_cell, bits)
+            # the state of (0, 0), whose face cells hold the other side of
+            # each face under bits (1, 1): every law but the region
+            # coloring holds on it
+            parent[:], closed[:] = states[0, 0]
+        k = leaf(m, parent, closed, bits)
+        states[bits] = parent[:], closed[:]
+        calls.append((bits, _numbered(parent, g.n)[: g.n], k))
+        return k
 
-    monkeypatch.setattr(search, "_check_region_coloring", checked)
+    monkeypatch.setattr(search, "_leaf_laws", checked)
     with _raises(
-        InternalInvariantError, "region coloring failed for parity index 3"
+        InternalInvariantError, "law sweep and region kernel disagree on parity index 3"
     ) as info:
         sweep_dividing_systems(g)
-    # the sweep checks all four systems; the failure is then reported by
-    # re-checking the last one through decompose_regions
+    # the sweep checks all four systems and rejects the last; the law
+    # functions find its region coloring broken on the same state, and the
+    # single-system path, which builds the true state, passes it
     assert calls == [
-        ((0, 0), [0, 1, 0, 2]),
-        ((0, 1), [0, 1, 0, 1]),
-        ((1, 0), [0, 1, 0, 1]),
-        ((1, 1), [0, 1, 0, 2]),
-        ((1, 1), [0, 1, 0, 2]),
+        ((0, 0), [0, 1, 0, 2], 3),
+        ((0, 1), [0, 1, 0, 1], 2),
+        ((1, 0), [0, 1, 0, 1], 2),
+        ((1, 1), [0, 1, 0, 2], 0),
     ]
+    parent, closed = states[0, 0]
+    assert leaf(build_medial_graph(g), parent, closed, (0, 0)) == 3
     cause = info.value.__cause__
     assert (type(cause), str(cause)) == (
         InternalInvariantError,
@@ -411,8 +436,68 @@ def _chord(g, m):
     return doctored, m._replace(graph=doctored)
 
 
-# doctoring of C4, the error the single-system path raises on the first
-# failing system, and the sweep's own finding, which is its cause
+def _lone_forest(g, m):
+    # Under bit 0, face 0's uncut side becomes vertex 0 alone and face 1's
+    # vertex 2 alone, and curve dart 2 is read in face 1: system (0, 0) has
+    # the four regions {0}, {1}, {2} and {3} and two curves, 1-0 and 3-2.
+    # Every base edge joins the ends of one curve, so only the region count
+    # is broken.
+    doctored = g._replace(
+        edges=((0, 1), (2, 3), (0, 1), (2, 3)), dart_face=(0, 0, 1, 0, 1, 1, 1, 1)
+    )
+    sides = (((0,), m.sides[0][1]), ((2,), m.sides[1][1]))
+    return doctored, m._replace(graph=doctored, sides=sides)
+
+
+def _parallel_curves(g, m):
+    # On grid2x3, as C4 has too few vertices for two regions of degree two
+    # and two vertices each: system (0, 0, 0) has regions {0, 2, 4}, {1, 5}
+    # and {3}, and its two curves are read at darts 0 and 4.  Dart 4's
+    # corner becomes vertex 1, so both curves join regions 0 and 1, and
+    # base edges 0-3 and 3-4 become 0-1 and 4-5, so that only the tree is
+    # broken.
+    g = grid_graph(2, 3)
+    doctored = g._replace(
+        dart_head=(*g.dart_head[:4], 1, *g.dart_head[5:]),
+        edges=((0, 1), (0, 1), (1, 2), (1, 4), (2, 5), (4, 5), (4, 5)),
+    )
+    return doctored, build_medial_graph(g)._replace(graph=doctored)
+
+
+def _far_chord(g, m):
+    # base edge 0-1 becomes 1-3, which joins the two leaves of system
+    # (0, 0)'s star
+    doctored = g._replace(edges=((1, 3), *g.edges[1:]))
+    return doctored, m._replace(graph=doctored)
+
+
+def _lone_middle(g, m):
+    # Under bit 0, face 0's uncut side becomes vertex 0 alone and face 1's
+    # becomes {2, 3}, so system (0, 0) has regions {0}, {1} and {2, 3} and
+    # its curves, both read on face 0, make the path {1} - {0} - {2, 3}.
+    # Every base edge runs from vertex 0, so all join adjacent regions.
+    doctored = g._replace(edges=((0, 1), (0, 3), (0, 2), (0, 3)))
+    sides = (((0,), m.sides[0][1]), ((2, 3), m.sides[1][1]))
+    return doctored, m._replace(graph=doctored, sides=sides)
+
+
+class _CutSides(tuple):
+    """Face sides that index as built, as the joins read them, but iterate
+    with each face's two sides exchanged, as no law may read them."""
+
+    def __iter__(self):
+        return (side[::-1] for side in tuple.__iter__(self))
+
+
+def _cut_sides(g, m):
+    # the half-monochromatic law iterates the sides, so it reads each
+    # face's cut side, whose vertices lie outside the face cell's region
+    return g, m._replace(sides=_CutSides(m.sides))
+
+
+# doctoring of C4 (or of grid2x3, where it says so), the error the
+# single-system path raises on the first failing system, and the sweep's own
+# finding, which is its cause
 LAW_MUTATIONS = {
     "degree, a third edge": (
         _third_edge,
@@ -439,10 +524,35 @@ LAW_MUTATIONS = {
         (NotATree, "curve through midpoint 0 borders a single region"),
         (NotATree, "curve through midpoint 3 borders a single region"),
     ),
+    "regions == curves + 1, no other law": (
+        _lone_forest,
+        (RegionCycleMismatch, "4 regions but 2 curves"),
+        (RegionCycleMismatch, "4 regions but 2 curves"),
+    ),
+    "tree, two curve paths": (
+        _parallel_curves,
+        (NotATree, "regions 0 and 1 are joined by two curve paths"),
+        (NotATree, "regions 0 and 1 are joined by two curve paths"),
+    ),
     "claims": (
         _chord,
         (ClaimViolated, "claim 'independent_regions' violated: edge 0-2 inside region 0"),
         (ClaimViolated, "claim 'independent_regions' violated: edge 0-2 inside region 0"),
+    ),
+    "claim 2": (
+        _far_chord,
+        (ClaimViolated, "claim 'claim2' violated: edge 1-3 spans non-adjacent regions 1,2"),
+        (ClaimViolated, "claim 'claim2' violated: edge 1-3 spans non-adjacent regions 1,2"),
+    ),
+    "claim 3": (
+        _lone_middle,
+        (ClaimViolated, "claim 'claim3' violated: region 0 has degree 2 but one vertex"),
+        (ClaimViolated, "claim 'claim3' violated: region 0 has degree 2 but one vertex"),
+    ),
+    "region coloring": (
+        _cut_sides,
+        (InternalInvariantError, "region coloring failed for parity index 0"),
+        (InternalInvariantError, "region coloring failed for parity index 0"),
     ),
 }
 
@@ -454,10 +564,33 @@ def test_sweep_reports_each_violated_law_as_the_kernel_does(law, monkeypatch):
     with _raises(error, message):
         _scan(m, laws=True)  # the single-system path, on every system in order
     monkeypatch.setattr(search, "build_medial_graph", lambda graph: m)
+    rechecked = []
+    kernel = search.decompose_regions
+
+    def recorded(m, bits):
+        rechecked.append(bits)
+        return kernel(m, bits)
+
+    monkeypatch.setattr(search, "decompose_regions", recorded)
     with _raises(error, message) as info:
         sweep_dividing_systems(g)
-    # the sweep's own check for this law found it
+    # the sweep's own check for this law found it, on the first system in
+    # order that breaks a law, which _recheck then evaluated alone
     assert (type(info.value.__cause__), str(info.value.__cause__)) == found
+    assert rechecked == [_first_broken_system(m)]
+
+
+def _rejecting_first_leaf(monkeypatch):
+    """Make the sweep's leaf check reject the first system it sees."""
+    leaf = search._leaf_laws
+    seen = []
+
+    def rejecting(m, parent, closed, bits):
+        k = leaf(m, parent, closed, bits)
+        seen.append(k)
+        return 0 if len(seen) == 1 else k
+
+    monkeypatch.setattr(search, "_leaf_laws", rejecting)
 
 
 def test_sweep_reports_a_law_the_kernel_passes(monkeypatch):
@@ -471,12 +604,28 @@ def test_sweep_reports_a_law_the_kernel_passes(monkeypatch):
             raise NotATree("doctored")
         return tree(curve_sides, k)
 
+    _rejecting_first_leaf(monkeypatch)
     monkeypatch.setattr(search, "build_division_tree", failing_once)
     with _raises(
         InternalInvariantError, "law sweep and region kernel disagree on parity index 0"
     ) as info:
         sweep_dividing_systems(cycle_graph(4))
     assert str(info.value.__cause__) == "doctored"
+
+
+def test_sweep_reports_a_leaf_the_law_functions_pass(monkeypatch):
+    # the leaf check rejects a system that the law functions pass on the
+    # same state: the disagreement is the sweep's finding
+    _rejecting_first_leaf(monkeypatch)
+    with _raises(
+        InternalInvariantError, "law sweep and region kernel disagree on parity index 0"
+    ) as info:
+        sweep_dividing_systems(cycle_graph(4))
+    cause = info.value.__cause__
+    assert (type(cause), str(cause)) == (
+        InternalInvariantError,
+        "sweep leaf rejects parity index 0 that the law functions pass",
+    )
 
 
 def test_sweep_maximizer_is_cross_checked_with_the_pruned_search(monkeypatch):
@@ -517,26 +666,35 @@ SWEEP_REFERENCE_GRAPHS = [
 ]
 
 
+def _leaf_states(m, monkeypatch):
+    """(resolved cell union-find, closed curves' smallest edges, bits, count)
+    of every leaf of the law sweep on m, in sweep order."""
+    states = []
+    leaf = search._leaf_laws
+
+    def spy(m, parent, closed, bits):
+        k = leaf(m, parent, closed, bits)
+        states.append((parent[:], closed[:], tuple(bits), k))
+        return k
+
+    monkeypatch.setattr(search, "_leaf_laws", spy)
+    search._sweep(m, laws=True)
+    monkeypatch.undo()
+    return states
+
+
 @pytest.mark.parametrize("name,g", SWEEP_REFERENCE_GRAPHS)
 def test_sweep_leaves_equal_region_kernel(name, g, monkeypatch):
-    # Each leaf hands its curve sides and region count to the tree check,
-    # then its bits and regions to the region-coloring check.
-    leaves = []
-    tree, color = search.build_division_tree, search._check_region_coloring
-
-    def tree_spy(curve_sides, k):
-        leaves.append([sorted(curve_sides), k])
-        return tree(curve_sides, k)
-
-    def color_spy(n, sides, region_of_cell, bits):
-        leaves[-1] += [bits, region_of_cell]
-        color(n, sides, region_of_cell, bits)
-
-    monkeypatch.setattr(search, "build_division_tree", tree_spy)
-    monkeypatch.setattr(search, "_check_region_coloring", color_spy)
+    # Each leaf's roots, numbered by smallest vertex cell, are the kernel's
+    # regions; its curves' sides, read at their smallest edges, and its
+    # count are the kernel's.
     m = build_medial_graph(g)
-    bits, most = search._sweep(m, laws=True)
-    monkeypatch.undo()
+    n, head, face, edge = g.n, g.dart_head, g.dart_face, g.dart_edge
+    leaves = []
+    for parent, closed, bits, k in _leaf_states(m, monkeypatch):
+        region = _numbered(parent, n)
+        sides = [(region[head[d]], region[n + face[d]], edge[d]) for d in closed]
+        leaves.append([sorted(sides), k, bits, region])
     expected = []
     for system in itertools.product((0, 1), repeat=g.num_faces):
         s = decompose_regions(m, system)
@@ -544,8 +702,73 @@ def test_sweep_leaves_equal_region_kernel(name, g, monkeypatch):
             [sorted(s.curve_sides), s.num_regions, system, list(s.region_of_cell)]
         )
     assert leaves == expected
+    bits, most = search._sweep(m, laws=True)
     assert bits == _scan(m)
     assert most == decompose_regions(m, bits).num_regions
+
+
+def _leaf_mutants(m, parent, closed):
+    """(kind, medial graph, cell union-find, curves) for every single change
+    to one resolved leaf state: a cell moved to another root or to a fresh
+    one of its own, a curve's smallest edge dropped or listed twice, or one
+    end of a base edge re-planted at the first vertex of some region."""
+    roots = sorted(set(parent))
+    for c in range(len(parent)):
+        for r in [*roots, c]:
+            if r != parent[c]:
+                moved = parent[:]
+                moved[c] = r
+                yield "cell", m, moved, closed
+    for i in range(len(closed)):
+        yield "curve", m, parent, closed[:i] + closed[i + 1:]
+        yield "curve", m, parent, closed + closed[i:i + 1]
+    g = m.graph
+    first = {}
+    for v in range(g.n):
+        first.setdefault(parent[v], v)
+    for i, (u, v) in enumerate(g.edges):
+        for x in first.values():
+            if x not in (u, v):
+                edges = (*g.edges[:i], (u, x), *g.edges[i + 1:])
+                yield "edge", m._replace(graph=g._replace(edges=edges)), parent, closed
+
+
+def _rich_with_a_wide_face():
+    inst = random_rich_instance(2)
+    g = build(inst)
+    assert max(map(len, face_darts(g))) == 14  # besides degrees 4, 6 and 8
+    return inst.name, g
+
+
+@pytest.mark.parametrize(
+    "name,g",
+    [("grid3x4", grid_graph(3, 4)), ("prism6", prism_graph(6)), _rich_with_a_wide_face()],
+)
+def test_leaf_rejects_exactly_when_the_law_functions_raise(name, g, monkeypatch):
+    # On every system, every single change to the leaf's resolved state is
+    # rejected by the leaf check exactly when label_regions and
+    # _check_system raise on the same state; a passing leaf counts the
+    # regions they count.  Both outcomes occur on re-planted base edges.
+    m = build_medial_graph(g)
+    outcomes = Counter()
+    for parent, closed, bits, _ in _leaf_states(m, monkeypatch):
+        for kind, mutant, moved, curves in _leaf_mutants(m, parent, closed):
+            k = search._leaf_laws(mutant, moved[:], curves[:], bits)
+            try:
+                region_of_cell, count, sides = label_regions(mutant, moved[:], curves)
+                _check_system(mutant, region_of_cell, count, sides, bits)
+            except InternalInvariantError:
+                assert k == 0, (kind, bits)
+                outcomes[kind, "rejected"] += 1
+            else:
+                assert k == count, (kind, bits)
+                outcomes[kind, "passed"] += 1
+    assert outcomes["edge", "rejected"] and outcomes["edge", "passed"], outcomes
+    # A moved cell breaks the region count, or leaves some face cell's
+    # region without a vertex of the face's uncut side; a changed curve list
+    # breaks the region count.
+    for kind in ("cell", "curve"):
+        assert outcomes[kind, "rejected"] and not outcomes[kind, "passed"], outcomes
 
 
 @pytest.mark.parametrize(
