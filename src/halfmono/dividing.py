@@ -25,8 +25,9 @@ curves and returns it all as one `RegionDecomposition`;
 single-system path of the search's witness, the renderer and the public
 API.  The search's walk (`search._sweep`) builds its systems
 depth-first, sharing each prefix of faces, and counts components by
-`join_face`'s merges; with laws it checks each leaf on the union-find's
-roots, and takes the same two steps only on a leaf that fails;
+`join_face`'s merges; with laws it checks each system on the
+union-find's roots, in place at the last face's join, and takes the same
+two steps only on a system that fails;
 `decompose_regions` is the reference it is tested against and
 re-evaluates any system on which it finds a law violated.  `_walks` is
 the one curve walker: one pass over the selected edges counts every

@@ -6,17 +6,20 @@ per face, and it passes from search to certificate as that tuple of bits.
 `_sweep` is the one walk over the systems: depth-first over the faces,
 bit 0 first, keeping per prefix of faces the cell union-find that joins
 each face cell to its uncut side (`dividing.join_face`) and its
-component count, so a system pays only for its last face.  It keeps the
-lexicographically smallest maximizer as witness.  Without laws, as
-`exact_chi_f` runs it, a face never raises the count, so a prefix no
-better than the best so far is cut off; every system is visited or
-bounded, so systems_explored still reports 2^F.  With laws, the law
-sweep, it visits all 2^F systems, also keeps the open curve paths and
-the smallest edge of each closed curve, and checks at each leaf the
-degree law on the selected edge count and then every other law in one
-pass over the cell union-find's roots (`_leaf_laws`), numbering no
-region.  Both read the int tables of the medial graph, which
-`medial.build_medial_graph` builds once per op.
+component count, so a system pays only for its last face; the last
+face's two systems are evaluated in place, right after its steps, and
+push no state.  It keeps the lexicographically smallest maximizer as
+witness.  Without laws, as `exact_chi_f` runs it, a face never raises
+the count, so a prefix no better than the best so far is cut off; every
+system is visited or bounded, so systems_explored still reports 2^F.
+With laws, the law sweep, it visits all 2^F systems, also keeps the open
+curve paths and the smallest edge of each closed curve, and checks at
+each leaf the degree law on the selected edge count and then every other
+law in one pass over the cell union-find's roots (`_leaf_laws`),
+numbering no region.  Both read the int tables of the medial graph,
+which `medial.build_medial_graph` builds once per op; the law sweep also
+builds, once per call, per face and bit the selected edges with both
+their midpoints, and the tables the leaf reads (`_leaf_tables`).
 
 The law functions evaluate one system from its labelled arrays:
 `dividing.label_regions` numbers the regions and reads each curve's two
@@ -176,21 +179,39 @@ def _check_system(m: MedialGraph, region_of_cell, k, curve_sides, bits) -> list[
     return degrees
 
 
-def _leaf_laws(m: MedialGraph, parent: list[int], closed, bits) -> int:
+def _leaf_tables(m: MedialGraph) -> tuple:
+    """What _leaf_laws reads of the medial graph, built once per sweep.
+
+    The base vertex count n; per medial edge d the two cells it
+    separates, its corner and its face cell, (dart_head[d], n +
+    dart_face[d]); the base edges; and per face f its cell and its two
+    sides, (n + f, m.sides[f]), in the order m.sides iterates.
+    """
+    g = m.graph
+    n = g.n
+    return (
+        n,
+        tuple(zip(g.dart_head, [n + f for f in g.dart_face])),
+        g.edges,
+        tuple(enumerate(m.sides, n)),
+    )
+
+
+def _leaf_laws(tables, parent: list[int], closed, bits) -> int:
     """Every law label_regions and _check_system check, on one sweep leaf.
 
-    parent is the leaf's cell union-find and closed the smallest edge of
-    each curve, as _sweep keeps them; this resolves parent in place and
-    checks the laws in their order on root ids, numbering no region: each
-    region holds a base vertex; regions outnumber curves by one; each
-    curve borders two regions and the curves form no cycle; region
-    independence and claims 2 and 3, against the tree's adjacency, one int
+    tables are the medial graph's, as _leaf_tables builds them; parent is
+    the leaf's cell union-find and closed the smallest edge of each curve,
+    as _sweep keeps them.  This resolves parent in place and checks the
+    laws in their order on root ids, numbering no region: each region
+    holds a base vertex; regions outnumber curves by one; each curve
+    borders two regions and the curves form no cycle; region independence
+    and claims 2 and 3, against the tree's adjacency, one int
     ra * (n + F) + rb per curve and order; and the half-monochromatic law
     on the faces' uncut sides.  Returns the region count, or 0 if a law
     fails; the law functions then report it (_reject).
     """
-    g = m.graph
-    n, head, face = g.n, g.dart_head, g.dart_face
+    n, cells, edges, faces = tables
     w = len(parent)
     for c in range(w - 1, -1, -1):  # as label_regions resolves it
         parent[c] = parent[parent[c]]
@@ -203,7 +224,8 @@ def _leaf_laws(m: MedialGraph, parent: list[int], closed, bits) -> int:
     degree = [0] * w
     adjacent = set()
     for d in closed:
-        a, b = parent[head[d]], parent[n + face[d]]
+        u, c = cells[d]
+        a, b = parent[u], parent[c]
         ra, rb = a, b
         while up[ra] != ra:
             up[ra] = ra = up[up[ra]]
@@ -217,19 +239,17 @@ def _leaf_laws(m: MedialGraph, parent: list[int], closed, bits) -> int:
         degree[a] += 1
         degree[b] += 1
     # a region is never adjacent to itself, so this is independence too
-    for u, v in g.edges:
+    for u, v in edges:
         if parent[u] * w + parent[v] not in adjacent:
             return 0
     for r in roots:
         if degree[r] >= 2 and vertex_roots.count(r) < 2:
             return 0
-    cell = n
-    for side, bit in zip(m.sides, bits):
+    for (cell, side), bit in zip(faces, bits):
         r = parent[cell]
         for v in side[bit]:
             if parent[v] != r:
                 return 0
-        cell += 1
     return k
 
 
@@ -289,21 +309,33 @@ def _sweep(m: MedialGraph, laws: bool) -> tuple[tuple[int, ...], int]:
       far end of the path that ends at x, or -1 once x has degree two,
       and low[x] the path's smallest medial edge), the smallest edge of
       every closed curve, and the selected edge count.
-    Without laws, a face never raises the count, so a prefix no better
-    than the best so far is cut off.  With laws, every leaf checks the
-    degree law on the selected edge count, then every other law with
-    _leaf_laws, on the union-find's roots and each curve's smallest edge;
-    no region is numbered and no curve walk is listed.  Each law is
-    checked once.  A violated law is reported by _recheck on the first
-    system, in that order, that violates one; a leaf that _leaf_laws
-    rejects is first handed to the law functions (_reject).  The bits are
-    copied out only at a new best or a violation.
+    The last face's two systems are evaluated in place, right after that
+    face's steps, and push no state.  Without laws, a face never raises
+    the count, so a prefix no better than the best so far is cut off.
+    With laws, every system checks the degree law on the selected edge
+    count, then every other law with _leaf_laws, on the union-find's
+    roots and each curve's smallest edge; no region is numbered and no
+    curve walk is listed.  The tables the laws read are built once per
+    call: per face and bit the selected edges as (e, x, y) with their two
+    midpoints, and _leaf_tables.  Each law is checked once.  A violated
+    law is reported by _recheck on the first system, in that order, that
+    violates one; a system that _leaf_laws rejects is first handed to the
+    law functions (_reject).  The bits are copied out only at a new best
+    or a violation.
     """
     g = m.graph
     n, nf, num_midpoints = g.n, len(m.sides), g.num_edges
-    sides, ends, fs = m.sides, m.ends, g.face_start
+    sides, ends = m.sides, m.ends
+    if laws:
+        fs = g.face_start
+        selected = [
+            [tuple((e, *ends[e]) for e in range(fs[f] + b, fs[f + 1], 2)) for b in (0, 1)]
+            for f in range(nf)
+        ]
+        tables = _leaf_tables(m)
+    last = nf - 1
     # (parent, components, other, low, closed, count) of the faces < f
-    state: list = [None] * (nf + 1)
+    state: list = [None] * nf
     state[0] = (
         list(range(n + nf)),
         n,
@@ -316,21 +348,6 @@ def _sweep(m: MedialGraph, laws: bool) -> tuple[tuple[int, ...], int]:
     best, best_bits = -1, ()
     f = 0
     while f >= 0:
-        if f == nf:
-            parent, k, _, _, closed, count = state[nf]
-            if laws:
-                # every degree is at most 2, so all are 2 iff they sum to 2E
-                if count != num_midpoints:
-                    _recheck(m, tuple(bit), InternalDegreeViolation(
-                        f"{count} medial edges selected, expected {num_midpoints}"
-                    ))
-                k = _leaf_laws(m, parent, closed, bit)
-                if not k:
-                    _reject(m, parent, closed, tuple(bit))
-            if k > best:
-                best, best_bits = k, tuple(bit)
-            f -= 1
-            continue
         b = bit[f] + 1
         if b == 2:
             bit[f] = -1
@@ -345,12 +362,14 @@ def _sweep(m: MedialGraph, laws: bool) -> tuple[tuple[int, ...], int]:
         k += 1 - join_face(parent, n + f, sides[f][b])
         if not laws:
             if k > best:  # no completion has more components than its prefix
-                state[f + 1] = (parent, k, other, low, closed, count)
-                f += 1
+                if f < last:
+                    state[f + 1] = (parent, k, other, low, closed, count)
+                    f += 1
+                else:
+                    best, best_bits = k, tuple(bit)
             continue
-        selected = range(fs[f] + b, fs[f + 1], 2)
-        for e in selected:
-            x, y = ends[e]
+        edges = selected[f][b]
+        for e, x, y in edges:
             ox, oy = other[x], other[y]
             if ox < 0 or oy < 0 or (x == y and ox != x):
                 # every system below this prefix breaks the degree law
@@ -375,8 +394,22 @@ def _sweep(m: MedialGraph, laws: bool) -> tuple[tuple[int, ...], int]:
                     other[x] = -1
                 if oy != y:
                     other[y] = -1
-        state[f + 1] = (parent, k, other, low, closed, count + len(selected))
-        f += 1
+        count += len(edges)
+        if f < last:
+            state[f + 1] = (parent, k, other, low, closed, count)
+            f += 1
+            continue
+        # the last face: this system is complete
+        # every degree is at most 2, so all are 2 iff they sum to 2E
+        if count != num_midpoints:
+            _recheck(m, tuple(bit), InternalDegreeViolation(
+                f"{count} medial edges selected, expected {num_midpoints}"
+            ))
+        k = _leaf_laws(tables, parent, closed, bit)
+        if not k:
+            _reject(m, parent, closed, tuple(bit))
+        if k > best:
+            best, best_bits = k, tuple(bit)
     return best_bits, best
 
 

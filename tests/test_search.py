@@ -366,14 +366,14 @@ def test_sweep_checks_the_region_coloring_of_every_system(monkeypatch):
     leaf = search._leaf_laws
     calls, states = [], {}
 
-    def checked(m, parent, closed, bits):
+    def checked(tables, parent, closed, bits):
         bits = tuple(bits)
         if bits == (1, 1):
             # the state of (0, 0), whose face cells hold the other side of
             # each face under bits (1, 1): every law but the region
             # coloring holds on it
             parent[:], closed[:] = states[0, 0]
-        k = leaf(m, parent, closed, bits)
+        k = leaf(tables, parent, closed, bits)
         states[bits] = parent[:], closed[:]
         calls.append((bits, _numbered(parent, g.n)[: g.n], k))
         return k
@@ -393,7 +393,7 @@ def test_sweep_checks_the_region_coloring_of_every_system(monkeypatch):
         ((1, 1), [0, 1, 0, 2], 0),
     ]
     parent, closed = states[0, 0]
-    assert leaf(build_medial_graph(g), parent, closed, (0, 0)) == 3
+    assert leaf(search._leaf_tables(build_medial_graph(g)), parent, closed, (0, 0)) == 3
     cause = info.value.__cause__
     assert (type(cause), str(cause)) == (
         InternalInvariantError,
@@ -402,8 +402,16 @@ def test_sweep_checks_the_region_coloring_of_every_system(monkeypatch):
 
 
 def _third_edge(g, m):
-    # edge 4, selected by bit 0 of face 1, joins midpoints 0 and 3
+    # edge 4, selected by bit 0 of face 1, joins midpoints 0 and 3; face 1
+    # is the last, whose systems the walk evaluates in place
     return g, _replant(m, 4, (0, 3))
+
+
+def _first_face_loop(g, m):
+    # edge 2, selected by bit 0 of face 0, becomes a loop at midpoint 0,
+    # which edge 0 already meets: the walk meets the fault at face 0, before
+    # it reaches the last face
+    return g, _replant(m, 2, (0, 0))
 
 
 def _no_edges(g, m):
@@ -504,6 +512,11 @@ LAW_MUTATIONS = {
         (InternalDegreeViolation, "midpoint 0 has degree 3, expected 2"),
         (InternalDegreeViolation, "midpoint 0 meets a third selected edge"),
     ),
+    "degree, a loop in the first face": (
+        _first_face_loop,
+        (InternalDegreeViolation, "midpoint 0 has degree 4, expected 2"),
+        (InternalDegreeViolation, "midpoint 0 meets a third selected edge"),
+    ),
     "degree, a missing edge": (
         _no_edges,
         (InternalDegreeViolation, "midpoint 0 has degree 1, expected 2"),
@@ -585,8 +598,8 @@ def _rejecting_first_leaf(monkeypatch):
     leaf = search._leaf_laws
     seen = []
 
-    def rejecting(m, parent, closed, bits):
-        k = leaf(m, parent, closed, bits)
+    def rejecting(tables, parent, closed, bits):
+        k = leaf(tables, parent, closed, bits)
         seen.append(k)
         return 0 if len(seen) == 1 else k
 
@@ -672,8 +685,8 @@ def _leaf_states(m, monkeypatch):
     states = []
     leaf = search._leaf_laws
 
-    def spy(m, parent, closed, bits):
-        k = leaf(m, parent, closed, bits)
+    def spy(tables, parent, closed, bits):
+        k = leaf(tables, parent, closed, bits)
         states.append((parent[:], closed[:], tuple(bits), k))
         return k
 
@@ -753,7 +766,7 @@ def test_leaf_rejects_exactly_when_the_law_functions_raise(name, g, monkeypatch)
     outcomes = Counter()
     for parent, closed, bits, _ in _leaf_states(m, monkeypatch):
         for kind, mutant, moved, curves in _leaf_mutants(m, parent, closed):
-            k = search._leaf_laws(mutant, moved[:], curves[:], bits)
+            k = search._leaf_laws(search._leaf_tables(mutant), moved[:], curves[:], bits)
             try:
                 region_of_cell, count, sides = label_regions(mutant, moved[:], curves)
                 _check_system(mutant, region_of_cell, count, sides, bits)
@@ -858,3 +871,9 @@ def test_mirror_and_relabel_keep_chif_alpha_and_the_laws(inst, mirror, data):
     assert (res.chi_f, res.alpha) == (expected.chi_f, expected.alpha)
     # what `check` runs: every law on every system, region colorings included
     assert sweep_dividing_systems(g).chi_f == res.chi_f
+    if g.num_faces <= 10:
+        # both walk modes against the exhaustive scan they replace
+        m = build_medial_graph(g)
+        scanned = _scan(m)
+        assert search._sweep(m, laws=True)[0] == scanned
+        assert search._sweep(m, laws=False)[0] == scanned
