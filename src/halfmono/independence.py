@@ -111,6 +111,11 @@ def maximum_matching(g: PlaneGraph) -> MatchingResult:
     later search enters it again; the cover is the black vertices outside
     that reach plus the white ones in it.  The cover, and so alpha, do not
     depend on which maximum matching this finds; `edges` is one of them.
+
+    The certificate is checked before returning, in this order: the cover
+    is as large as the matching, it covers every edge, the matched pairs
+    are disjoint, and each pair is an edge.  Cover and matched vertices
+    are marked in one bytearray(n) each, one byte per vertex.
     """
     left = [v for v, s in enumerate(g.side) if s == BLACK]
     match = _greedy_matching(g.rotations)
@@ -126,14 +131,20 @@ def maximum_matching(g: PlaneGraph) -> MatchingResult:
         raise InternalInvariantError(
             f"cover size {len(cover)} != matching size {size}"
         )
-    cover_set = set(cover)
+    in_cover = bytearray(g.n)
+    for v in cover:
+        in_cover[v] = 1
     for u, v in g.edges:
-        if u not in cover_set and v not in cover_set:
+        if not (in_cover[u] or in_cover[v]):
             raise InternalInvariantError(f"edge {u}-{v} not covered")
-    matched_vertices = [x for uv in pairs for x in uv]
+    del in_cover
     # 2 * size distinct matched vertices also give 2 * alpha >= n.
-    if len(set(matched_vertices)) != 2 * size:
-        raise InternalInvariantError("matching edges are not disjoint")
+    matched = bytearray(g.n)
+    for uv in pairs:
+        for x in uv:
+            if matched[x]:
+                raise InternalInvariantError("matching edges are not disjoint")
+            matched[x] = 1
     for u, v in pairs:
         if v not in g.rotations[u]:
             raise InternalInvariantError(f"matched pair {u}-{v} is not an edge")

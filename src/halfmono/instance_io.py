@@ -70,7 +70,12 @@ def _missing_ids(present: Collection[int], n: int) -> str:
 
 
 def parse_instance_text(text: str) -> InstanceFile:
-    """Parse instance text, collecting every defect before failing."""
+    """Parse instance text, collecting every defect before failing.
+
+    Lines are consumed as they are read: each is dropped from the line
+    list before the next, so the text's lines and the parsed tables are
+    not held in full at once.
+    """
     defects: list[tuple[int, str]] = []
     name: str | None = None
     n: int | None = None
@@ -84,8 +89,13 @@ def parse_instance_text(text: str) -> InstanceFile:
     unchecked: list[tuple[int, str, int]] = []  # (line, kind, id)
 
     # Only \n, \r\n and \r end a line: str.splitlines also cuts at \f, U+0085 ...
+    # The list is reversed and popped, so each line is freed once read.
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for line_no, line in enumerate(lines, start=1):
+    lines.reverse()
+    line_no = 0
+    while lines:
+        line = lines.pop()
+        line_no += 1
         if "#" in line:
             line = line.split("#", 1)[0]
         line = line.strip()

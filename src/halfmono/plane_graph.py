@@ -189,24 +189,28 @@ def build_plane_graph(
         or None in twin
     ):
         _check_rotations(n, rot)
+    # The slots in key order, which is (tail, head) order; the key dict
+    # is dead from here on.
+    order = list(map(slot.__getitem__, sorted(slot)))
+    del slot
     side = compute_bipartition(n, rot)  # also the connectivity check
 
     # The dart after u -> v is v -> w, w following u in rot[v]: the slot
     # after twin[s] among v's slots, wrapping round at the last one.
     nxt = list(map(_successors(start).__getitem__, twin))
+    del start
 
-    # Visiting slots in key order, which is (tail, head) order, starts each
-    # face at its smallest dart, orders face ids canonically and meets the
-    # edges (u, v), u < v, in sorted order.  Dart i is slot walk[i]: the
-    # face walks, one after another.
+    # Visiting the slots in key order starts each face at its smallest
+    # dart, orders face ids canonically and meets the edges (u, v), u < v,
+    # in sorted order.  Dart i is slot walk[i]: the face walks, one after
+    # another.
     walk: list[int] = []
     face_start = [0]
     face_of = [-1] * len(heads)
     slot_edge = [-1] * len(heads)
     edges: list[tuple[int, int]] = []
-    for key in sorted(slot):
-        s0 = slot[key]
-        u, v = divmod(key, n)
+    for s0 in order:
+        u, v = tails[s0], heads[s0]
         if u < v:
             slot_edge[s0] = slot_edge[twin[s0]] = len(edges)
             edges.append((u, v))
@@ -218,21 +222,32 @@ def build_plane_graph(
             walk.append(s)
             s = nxt[s]
         face_start.append(len(walk))
+    del twin, nxt, order
 
     nf = len(face_start) - 1
     if n - len(edges) + nf != 2:
         raise EulerViolation(f"V - E + F = {n} - {len(edges)} + {nf} != 2")
 
+    # Each dart table is built in turn, and the slot-indexed list it reads
+    # is freed right after.
+    dart_tail = tuple(map(tails.__getitem__, walk))
+    del tails
+    dart_head = tuple(map(heads.__getitem__, walk))
+    del heads
+    dart_face = tuple(map(face_of.__getitem__, walk))
+    del face_of
+    dart_edge = tuple(map(slot_edge.__getitem__, walk))
+    del slot_edge, walk
     g = PlaneGraph(
         n=n,
         rotations=rot,
         edges=tuple(edges),
         face_start=tuple(face_start),
-        dart_tail=tuple(map(tails.__getitem__, walk)),
-        dart_head=tuple(map(heads.__getitem__, walk)),
+        dart_tail=dart_tail,
+        dart_head=dart_head,
         dart_next=tuple(_successors(face_start)),
-        dart_face=tuple(map(face_of.__getitem__, walk)),
-        dart_edge=tuple(map(slot_edge.__getitem__, walk)),
+        dart_face=dart_face,
+        dart_edge=dart_edge,
         side=side,
         coords=tuple(map(tuple, coords)) if coords else None,
     )

@@ -773,13 +773,15 @@ def test_chif_refuses_more_faces_than_it_can_print(tmp_path):
 
 def test_hundred_thousand_vertex_cycle(tmp_path):
     # F = 2 faces, so the search and the sweep are tiny; parsing, face
-    # tracing, the medial build, the kernel and matching all run at n = 10^5
+    # tracing, the medial build, the kernel and matching all run at n = 10^5,
+    # and validate is the load path alone
     path = tmp_path / "c5.hmg"
     assert cli.main(["gen", "cycle", "100000", "-o", str(path)]) == 0
     expected = {
         "chif": "chiF = 50001\nalpha = 50000\n",
         "check": "c5.hmg: chiF=50001 alpha=50000 bound=ok claims=ok",
         "alpha": "alpha = 50000\nmatching size = 50000\n",
+        "validate": "valid: every face is a simple cycle of even length\n",
     }
     for command, text in expected.items():
         proc = _run_cli(command, str(path), timeout=120)

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -23,7 +24,16 @@ from halfmono.errors import (
     OddCycleFound,
 )
 from halfmono import cli, plane_graph
-from halfmono.instance_io import InstanceFile, build, serialize_instance
+from halfmono.independence import maximum_matching
+from halfmono.instance_io import (
+    InstanceFile,
+    build,
+    cycle_instance,
+    grid_instance,
+    parse_instance_text,
+    prism_instance,
+    serialize_instance,
+)
 from halfmono.plane_graph import (
     BLACK,
     FACE_NOT_CYCLE,
@@ -301,3 +311,49 @@ def test_two_hubs_of_degree_20000_build():
     assert (g.num_edges, g.num_faces) == (2 * k, k)
     assert set(map(len, face_darts(g))) == {4}
     assert validate_even_polygonal(g).ok
+
+
+LOAD_INSTANCES = {
+    "prism4000": lambda: prism_instance(4000),
+    "cycle10000": lambda: cycle_instance(10000),
+    "grid100x100": lambda: grid_instance(100, 100),
+}
+# tracemalloc peaks of the load path, in MB, under Python 3.11, when the
+# line list, the key dict with twin, nxt and the slot tables, and the
+# certificate's two sets live to the end of their functions, against each
+# freed once dead:
+#   parse_instance_text  4.69 -> 3.16   5.22 -> 3.35   5.71 -> 4.04
+#   build                9.40 -> 4.89   7.88 -> 3.87  14.44 -> 7.92
+#   maximum_matching     1.53 -> 0.72   1.93 -> 0.71   2.08 -> 0.87
+# Each bound lies between the two figures.
+LOAD_PEAK_BOUNDS_MB = {
+    ("parse", "prism4000"): 3.9,
+    ("parse", "cycle10000"): 4.3,
+    ("parse", "grid100x100"): 4.9,
+    ("build", "prism4000"): 7.0,
+    ("build", "cycle10000"): 5.9,
+    ("build", "grid100x100"): 11.0,
+    ("matching", "prism4000"): 1.1,
+    ("matching", "cycle10000"): 1.3,
+    ("matching", "grid100x100"): 1.5,
+}
+
+
+@pytest.mark.parametrize(
+    "step, name", LOAD_PEAK_BOUNDS_MB, ids=[f"{s}-{n}" for s, n in LOAD_PEAK_BOUNDS_MB]
+)
+def test_load_path_peak_stays_small(step, name):
+    inst = LOAD_INSTANCES[name]()
+    if step == "parse":
+        call, arg = parse_instance_text, serialize_instance(inst)
+    elif step == "build":
+        call, arg = build, inst
+    else:
+        call, arg = maximum_matching, build(inst)
+    tracemalloc.start()
+    try:
+        call(arg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < LOAD_PEAK_BOUNDS_MB[step, name] * 1_000_000
