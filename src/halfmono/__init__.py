@@ -48,7 +48,6 @@ from .plane_graph import (
 from .search import (
     AuditReport,
     SearchResult,
-    audit_claims,
     exact_chi_f,
     sweep_dividing_systems,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "ValidationReport",
     "alpha_bruteforce",
     "assemble_dividing_system",
-    "audit_claims",
     "baseline_coloring",
     "build",
     "build_division_tree",

@@ -30,11 +30,12 @@ union-find's roots, in place at the last face's join, and takes the same
 two steps only on a system that fails;
 `decompose_regions` is the reference it is tested against and
 re-evaluates any system on which it finds a law violated.  `_walks` is
-the one curve walker: one pass over the selected edges counts every
-midpoint's degree, and one walk per curve lists its edges and midpoints,
-which become `Cycle`s as they stand, so the curves printed are the
-curves whose laws were checked.  `assemble_dividing_system` checks
-parity vectors that come from outside.
+the one curve walker, reading each edge's midpoints off the dart tables:
+one pass over the selected edges counts every midpoint's degree, and
+one walk per curve lists its edges and midpoints, which become `Cycle`s
+as they stand, so the curves printed are the curves whose laws were
+checked.  `assemble_dividing_system` checks parity vectors that come
+from outside.
 """
 
 from __future__ import annotations
@@ -78,20 +79,22 @@ class RegionDecomposition(NamedTuple):
     curve_sides: tuple[tuple[int, int, int], ...]
 
 
-def _walks(num_midpoints: int, ends, selected) -> list[tuple[list[int], list[int]]]:
+def _walks(g, selected) -> list[tuple[list[int], list[int]]]:
     """Split selected medial edges into closed curves, ordered by smallest midpoint.
 
-    Each curve is (edges, midpoints) in walk order, leaving its smallest
-    midpoint first; edges[i] leaves midpoints[i].  Verifies the degree-two
-    law before walking.  `selected` must be in index order: then each
-    midpoint's first incidence is its smaller-keyed edge, by which a curve
-    leaves its smallest midpoint.
+    g is the base PlaneGraph, whose dart tables give each medial edge's
+    midpoints (see medial).  Each curve is (edges, midpoints) in walk
+    order, leaving its smallest midpoint first; edges[i] leaves
+    midpoints[i].  Verifies the degree-two law before walking.  `selected`
+    must be in index order: then each midpoint's first incidence is its
+    smaller-keyed edge, by which a curve leaves its smallest midpoint.
     """
+    edge, nxt, num_midpoints = g.dart_edge, g.dart_next, g.num_edges
     first = [-1] * num_midpoints
     second = [-1] * num_midpoints
     degree = [0] * num_midpoints
     for e in selected:
-        for v in ends[e]:  # a loop edge meets its midpoint twice
+        for v in (edge[e], edge[nxt[e]]):  # a loop edge meets its midpoint twice
             d = degree[v]
             if d == 0:
                 first[v] = e
@@ -109,13 +112,13 @@ def _walks(num_midpoints: int, ends, selected) -> list[tuple[list[int], list[int
         v = start
         edges, midpoints = [e], [start]
         while True:
-            a, b = ends[e]
-            v = b if a == v else a
+            a = edge[e]
+            v = edge[nxt[e]] if a == v else a
             if v == start:
                 break
-            nxt = first[v]
+            out = first[v]
             first[v] = -1
-            e = second[v] if nxt == e else nxt  # leave by the other edge
+            e = second[v] if out == e else out  # leave by the other edge
             edges.append(e)
             midpoints.append(v)
         walks.append((edges, midpoints))
@@ -163,7 +166,7 @@ def decompose_regions(m: MedialGraph, bits) -> RegionDecomposition:
 
     # selected lists faces in order, each face's edges in position order:
     # the index order _walks needs
-    walks = _walks(m.graph.num_edges, m.ends, selected)
+    walks = _walks(m.graph, selected)
     lows = [min(edges) for edges, _ in walks]
     region_of_cell, num_regions, curve_sides = label_regions(m, parent, lows)
     regions: list[list[int]] = [[] for _ in range(num_regions)]

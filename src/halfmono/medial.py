@@ -9,8 +9,9 @@ the corner dart_head[d].  So medial edge d is dart d, and as darts run in
 (face, position) keys; joins from different faces stay distinct parallel
 edges.  As each face's medial cycle is even, its two perfect matchings are
 exactly its edges at even positions and those at odd ones: bit b of face f
-selects range(face_start[f] + b, face_start[f + 1], 2).  An edge's corner
-and face are not copied: they are g.dart_head and g.dart_face.
+selects range(face_start[f] + b, face_start[f + 1], 2).  Nothing per edge
+is copied: an edge's midpoints, corner and face are read off g.dart_edge,
+g.dart_next, g.dart_head and g.dart_face where they are needed.
 """
 
 from __future__ import annotations
@@ -24,17 +25,15 @@ class MedialGraph(NamedTuple):
     """Medial edge d is the base graph's dart d."""
 
     graph: PlaneGraph
-    ends: tuple[tuple[int, int], ...]  # the two midpoints of each medial edge
     # [face][bit]: the corners that bit's unselected edges cut off, one
     # bipartition side of the face's boundary (see dividing)
     sides: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
 def build_medial_graph(g: PlaneGraph) -> MedialGraph:
-    """Construct the medial graph's tables in one pass over the face walks."""
-    edge, fs, tail = g.dart_edge, g.face_start, g.dart_tail
+    """Construct each face's two sides in one pass over the face walks."""
+    fs, tail = g.face_start, g.dart_tail
     return MedialGraph(
         graph=g,
-        ends=tuple(zip(edge, map(edge.__getitem__, g.dart_next))),
         sides=tuple((tail[s:e:2], tail[s + 1:e:2]) for s, e in zip(fs, fs[1:])),
     )

@@ -16,10 +16,10 @@ With laws, the law sweep, it visits all 2^F systems, also keeps the open
 curve paths and the smallest edge of each closed curve, and checks at
 each leaf the degree law on the selected edge count and then every other
 law in one pass over the cell union-find's roots (`_leaf_laws`),
-numbering no region.  Both read the int tables of the medial graph,
-which `medial.build_medial_graph` builds once per op; the law sweep also
-builds, once per call, per face and bit the selected edges with both
-their midpoints, and the tables the leaf reads (`_leaf_tables`).
+numbering no region.  Both read each face's two sides, which
+`medial.build_medial_graph` builds once per op, and the plane graph's
+dart tables in place; the law sweep builds one table more, once per
+call: per face and bit the selected edges with both their midpoints.
 
 The law functions evaluate one system from its labelled arrays:
 `dividing.label_regions` numbers the regions and reads each curve's two
@@ -50,8 +50,6 @@ exact integer arithmetic; the `RegionDecomposition` those laws were
 checked on, its curve walks included, is the result's witness_regions.
 Both `exact_chi_f` and the sweep return that `SearchResult`; its witness
 coloring is `coloring.coloring_from_regions(witness_regions)`.
-`audit_claims` checks a result's witness bits with
-`dividing.assemble_dividing_system` and runs them through `_certify` again.
 """
 
 from __future__ import annotations
@@ -62,7 +60,6 @@ from typing import NamedTuple, NoReturn
 from .coloring import baseline_coloring
 from .dividing import (
     RegionDecomposition,
-    assemble_dividing_system,
     build_division_tree,
     decompose_regions,
     join_face,
@@ -180,21 +177,15 @@ def _check_system(m: MedialGraph, region_of_cell, k, curve_sides, bits) -> list[
 
 
 def _leaf_tables(m: MedialGraph) -> tuple:
-    """What _leaf_laws reads of the medial graph, built once per sweep.
+    """What _leaf_laws reads of the medial graph, gathered once per sweep.
 
-    The base vertex count n; per medial edge d the two cells it
-    separates, its corner and its face cell, (dart_head[d], n +
-    dart_face[d]); the base edges; and per face f its cell and its two
-    sides, (n + f, m.sides[f]), in the order m.sides iterates.
+    The base vertex count n; dart_head and dart_face, which give the two
+    cells that medial edge d separates, its corner dart_head[d] and its
+    face cell n + dart_face[d]; the base edges; and per face f its cell
+    and its two sides, (n + f, m.sides[f]), in the order m.sides iterates.
     """
     g = m.graph
-    n = g.n
-    return (
-        n,
-        tuple(zip(g.dart_head, [n + f for f in g.dart_face])),
-        g.edges,
-        tuple(enumerate(m.sides, n)),
-    )
+    return g.n, g.dart_head, g.dart_face, g.edges, tuple(enumerate(m.sides, g.n))
 
 
 def _leaf_laws(tables, parent: list[int], closed, bits) -> int:
@@ -211,7 +202,7 @@ def _leaf_laws(tables, parent: list[int], closed, bits) -> int:
     on the faces' uncut sides.  Returns the region count, or 0 if a law
     fails; the law functions then report it (_reject).
     """
-    n, cells, edges, faces = tables
+    n, head, face, edges, faces = tables
     w = len(parent)
     for c in range(w - 1, -1, -1):  # as label_regions resolves it
         parent[c] = parent[parent[c]]
@@ -224,8 +215,7 @@ def _leaf_laws(tables, parent: list[int], closed, bits) -> int:
     degree = [0] * w
     adjacent = set()
     for d in closed:
-        u, c = cells[d]
-        a, b = parent[u], parent[c]
+        a, b = parent[head[d]], parent[n + face[d]]
         ra, rb = a, b
         while up[ra] != ra:
             up[ra] = ra = up[up[ra]]
@@ -308,42 +298,41 @@ def _sweep(m: MedialGraph, laws: bool) -> tuple[tuple[int, ...], int]:
     - with laws, the open curve paths over the midpoints (other[x] is the
       far end of the path that ends at x, or -1 once x has degree two,
       and low[x] the path's smallest medial edge), the smallest edge of
-      every closed curve, and the selected edge count.
+      every closed curve, and the selected edge count; without laws,
+      other and low are None and closed stays empty.
     The last face's two systems are evaluated in place, right after that
     face's steps, and push no state.  Without laws, a face never raises
     the count, so a prefix no better than the best so far is cut off.
     With laws, every system checks the degree law on the selected edge
     count, then every other law with _leaf_laws, on the union-find's
     roots and each curve's smallest edge; no region is numbered and no
-    curve walk is listed.  The tables the laws read are built once per
-    call: per face and bit the selected edges as (e, x, y) with their two
-    midpoints, and _leaf_tables.  Each law is checked once.  A violated
-    law is reported by _recheck on the first system, in that order, that
-    violates one; a system that _leaf_laws rejects is first handed to the
-    law functions (_reject).  The bits are copied out only at a new best
-    or a violation.
+    curve walk is listed.  The one table the laws build, once per call,
+    holds per face and bit the selected edges as (e, x, y) with their two
+    midpoints, x = dart_edge[e] and y = dart_edge[dart_next[e]]; the leaf
+    reads the dart tables in place (_leaf_tables).  Each law is checked
+    once.  A violated law is reported by _recheck on the first system, in
+    that order, that violates one; a system that _leaf_laws rejects is
+    first handed to the law functions (_reject).  The bits are copied out
+    only at a new best or a violation.
     """
     g = m.graph
-    n, nf, num_midpoints = g.n, len(m.sides), g.num_edges
-    sides, ends = m.sides, m.ends
+    n, nf, num_midpoints, sides = g.n, len(m.sides), g.num_edges, m.sides
+    other = low = None
     if laws:
-        fs = g.face_start
+        fs, edge, nxt = g.face_start, g.dart_edge, g.dart_next
         selected = [
-            [tuple((e, *ends[e]) for e in range(fs[f] + b, fs[f + 1], 2)) for b in (0, 1)]
-            for f in range(nf)
+            [
+                tuple((e, edge[e], edge[nxt[e]]) for e in range(s + b, t, 2))
+                for b in (0, 1)
+            ]
+            for s, t in zip(fs, fs[1:])
         ]
         tables = _leaf_tables(m)
+        other, low = list(range(num_midpoints)), [len(edge)] * num_midpoints
     last = nf - 1
     # (parent, components, other, low, closed, count) of the faces < f
     state: list = [None] * nf
-    state[0] = (
-        list(range(n + nf)),
-        n,
-        list(range(num_midpoints)),
-        [len(ends)] * num_midpoints,
-        [],
-        0,
-    )
+    state[0] = (list(range(n + nf)), n, other, low, [], 0)
     bit = [-1] * nf  # bit tried last at face f; -1 before the first
     best, best_bits = -1, ()
     f = 0
@@ -478,16 +467,6 @@ def exact_chi_f(g: PlaneGraph, face_cap: int = DEFAULT_FACE_CAP) -> SearchResult
         raise FaceCapExceeded(f"{nf} faces exceeds cap {cap}")
     m = build_medial_graph(g)
     return _certify(g, m, _sweep(m, laws=False)[0])
-
-
-def audit_claims(g: PlaneGraph, result: SearchResult) -> AuditReport:
-    """Re-run every check on a result's witness bits from scratch.
-
-    Raises BadParameter on a parity vector of the wrong length or with a
-    bit other than 0 or 1.
-    """
-    m = build_medial_graph(g)
-    return _certify(g, m, assemble_dividing_system(m, result.witness_parities)).audit
 
 
 def sweep_dividing_systems(

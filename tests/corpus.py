@@ -52,6 +52,12 @@ def face_vertices(g: PlaneGraph) -> list[tuple[int, ...]]:
     return [g.dart_tail[d.start:d.stop] for d in face_darts(g)]
 
 
+def medial_ends(g: PlaneGraph, d: int) -> tuple[int, int]:
+    """The two midpoints (base edge ids) that medial edge d, dart d, joins:
+    its own edge's and that of the dart after it in its face walk."""
+    return g.dart_edge[d], g.dart_edge[g.dart_next[d]]
+
+
 def instance_edges(inst: InstanceFile) -> list[tuple[int, int]]:
     return sorted(
         {(min(u, v), max(u, v)) for u, neigh in enumerate(inst.rotations) for v in neigh}

@@ -11,6 +11,7 @@ from corpus import (
     cycle_graph,
     face_vertices,
     grid_graph,
+    medial_ends,
     oracle_corpus_graphs,
     prism_graph,
     random_split_graphs,
@@ -92,9 +93,9 @@ def test_c6_star_tree():
 
 def test_bad_parity_vectors_rejected():
     m = build_medial_graph(cycle_graph(4))
-    with pytest.raises(BadParameter):
+    with pytest.raises(BadParameter, match=r"^expected 2 parity bits, got 1$"):
         assemble_dividing_system(m, (0,))
-    with pytest.raises(BadParameter):
+    with pytest.raises(BadParameter, match=r"^parity bits must be 0 or 1$"):
         assemble_dividing_system(m, (0, 2))
 
 
@@ -324,13 +325,13 @@ def _reference_system(m, bits):
     selected = [e for f, b in enumerate(bits) for e in range(fs[f] + b, fs[f + 1], 2)]
     degree = [0] * g.num_edges
     for e in selected:
-        for v in m.ends[e]:
+        for v in medial_ends(g, e):
             degree[v] += 1
     assert all(d == 2 for d in degree)
 
     incident = {v: [] for v in reversed(range(len(selected)))}
     for e in selected:
-        for v in m.ends[e]:
+        for v in medial_ends(g, e):
             incident[v].append(e)
     cycles = []
     while incident:
@@ -339,7 +340,7 @@ def _reference_system(m, bits):
         current = start
         while True:
             edges.append(edge)
-            a, b = m.ends[edge]
+            a, b = medial_ends(g, edge)
             current = b if a == current else a
             if current == start:
                 break

@@ -8,6 +8,7 @@ from corpus import (
     face_darts,
     face_vertices,
     grid_graph,
+    medial_ends,
     prism_graph,
     random_split_graphs,
 )
@@ -46,8 +47,8 @@ def _matchings(m, f):
 def _face_edges(m, face_id):
     """Face face_id's medial edges as (face, position, a, b, corner)."""
     return [
-        (_face(m, i), _position(m, i), *m.ends[i], _corner(m, i))
-        for i in range(len(m.ends))
+        (_face(m, i), _position(m, i), *medial_ends(m.graph, i), _corner(m, i))
+        for i in range(len(m.graph.dart_tail))
         if _face(m, i) == face_id
     ]
 
@@ -55,7 +56,7 @@ def _face_edges(m, face_id):
 def test_c4_counts_and_tags():
     m = build_medial_graph(cycle_graph(4))
     assert m.graph.num_edges == 4
-    assert len(m.ends) == 8
+    assert len(m.graph.dart_tail) == 8
     # base edge ids: 0={0,1}, 1={0,3}, 2={1,2}, 3={2,3}
     assert _face_edges(m, 0) == [
         (0, 0, 0, 2, 1),
@@ -77,9 +78,9 @@ def test_c4_counts_and_tags():
 
 def test_grid_and_prism_counts():
     m = build_medial_graph(grid_graph(2, 3))
-    assert (m.graph.num_edges, len(m.ends)) == (7, 14)
+    assert (m.graph.num_edges, len(m.graph.dart_tail)) == (7, 14)
     cube = build_medial_graph(prism_graph(4))
-    assert (cube.graph.num_edges, len(cube.ends)) == (12, 24)
+    assert (cube.graph.num_edges, len(cube.graph.dart_tail)) == (12, 24)
     assert all(len(_midpoint_walk(cube.graph, f)) == 4 for f in face_darts(cube.graph))
     for f in range(cube.graph.num_faces):
         assert [len(matching) for matching in _matchings(cube, f)] == [2, 2]
@@ -109,8 +110,9 @@ def test_hexagon_matchings_cut_one_side():
 @pytest.mark.parametrize("name,g", CORPUS)
 def test_edge_count_law(name, g):
     m = build_medial_graph(g)
-    assert len(m.ends) == sum(map(len, face_darts(g))) == len(g.dart_tail)
-    assert len(m.ends) == 2 * g.num_edges
+    # one medial edge per dart: one per walk position of each face
+    assert sum(map(len, face_darts(g))) == len(g.dart_tail) == 2 * g.num_edges
+    assert sum(len(s0) + len(s1) for s0, s1 in m.sides) == len(g.dart_tail)
 
 
 @pytest.mark.parametrize("name,g", CORPUS)
@@ -119,13 +121,11 @@ def test_matchings_are_perfect_and_exhaustive(name, g):
     for f, darts in enumerate(face_darts(g)):
         walk = _midpoint_walk(g, darts)
         # the medial cycle runs along the walk: edge i joins walk[i], walk[i + 1]
-        assert [m.ends[i] for i in range(len(m.ends)) if _face(m, i) == f] == list(
-            zip(walk, walk[1:] + walk[:1])
-        )
+        assert [medial_ends(g, i) for i in darts] == list(zip(walk, walk[1:] + walk[:1]))
         m0, m1 = _matchings(m, f)
         cycle_vertices = set(walk)
         for matching in (m0, m1):
-            touched = [x for i in matching for x in m.ends[i]]
+            touched = [x for i in matching for x in medial_ends(g, i)]
             assert sorted(touched) == sorted(cycle_vertices)
         positions = [_position(m, i) for i in [*m0, *m1]]
         assert sorted(positions) == list(range(len(darts)))
@@ -133,16 +133,15 @@ def test_matchings_are_perfect_and_exhaustive(name, g):
 
 @pytest.mark.parametrize("name,g", CORPUS)
 def test_every_midpoint_on_two_faces_with_degree_four(name, g):
-    m = build_medial_graph(g)
     appearances = [0] * g.num_edges
     for darts in face_darts(g):
         for x in set(_midpoint_walk(g, darts)):
             appearances[x] += 1
     assert appearances == [2] * g.num_edges
     degree = [0] * g.num_edges
-    for a, b in m.ends:
-        degree[a] += 1
-        degree[b] += 1
+    for d in range(len(g.dart_tail)):
+        for x in medial_ends(g, d):
+            degree[x] += 1
     assert degree == [4] * g.num_edges
 
 
@@ -151,7 +150,7 @@ def test_corners_alternate_bipartition_classes(name, g):
     m = build_medial_graph(g)
     b = g.side
     for f in range(g.num_faces):
-        corners = [_corner(m, i) for i in range(len(m.ends)) if _face(m, i) == f]
+        corners = [_corner(m, i) for i in range(len(g.dart_tail)) if _face(m, i) == f]
         sides = [b[v] for v in corners]
         assert all(
             sides[i] != sides[(i + 1) % len(sides)] for i in range(len(sides))
@@ -161,12 +160,10 @@ def test_corners_alternate_bipartition_classes(name, g):
 @pytest.mark.parametrize("name,g", CORPUS + random_split_graphs())
 def test_tables_follow_the_darts(name, g):
     m = build_medial_graph(g)
-    # corner, face and midpoint count are the plane graph's: edge i is dart i
-    fields = list(m._fields)
-    assert fields == ["graph", "ends", "sides"]
-    assert len(m.ends) == len(g.dart_tail)
-    for i, ends in enumerate(m.ends):
-        assert ends == (g.dart_edge[i], g.dart_edge[g.dart_next[i]])
+    # midpoints, corner and face are the plane graph's: edge i is dart i,
+    # and the medial graph copies nothing per edge
+    assert m._fields == ("graph", "sides")
+    assert m.graph is g
     b = g.side
     for f, walk in enumerate(face_vertices(g)):
         matchings = _matchings(m, f)
@@ -182,10 +179,12 @@ def test_tables_follow_the_darts(name, g):
 
 def test_grid_tables_stay_small():
     # What build and build_medial_graph keep for the 100 x 100 grid (10^4
-    # vertices, 39,600 darts, 9,802 faces), in bytes: 10.98 MB with darts
-    # numbered along the face walks, and 16.96 MB when each face was also
-    # an object holding its darts and vertices and the medial graph kept
-    # its own dart order and both matchings of every face.
+    # vertices, 39,600 darts, 9,802 faces), in bytes, under Python 3.10 to
+    # 3.12: 6.98-7.24 MB when the medial graph keeps only each face's two
+    # sides, 9.51-9.78 MB when it also copied both midpoints of every
+    # edge, and 16.96 MB, measured earlier, when each face was also an
+    # object holding its darts and vertices and the medial graph kept its
+    # own dart order and both matchings of every face.
     inst = grid_instance(100, 100)
     tracemalloc.start()
     try:
@@ -195,4 +194,4 @@ def test_grid_tables_stay_small():
     finally:
         tracemalloc.stop()
     assert m.graph is g
-    assert size < 14_000_000
+    assert size < 8_500_000
