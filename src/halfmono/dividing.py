@@ -18,9 +18,10 @@ rather than an assumption.
 
 One system takes two steps: `join_face` joins each face cell to
 its uncut side in a union-find over the cells, and `label_regions`
-numbers the regions and reads each curve's two sides at its smallest
-edge.  `decompose_regions` takes them for one parity vector, walks the
-curves and returns it all as one `RegionDecomposition`;
+numbers the regions and reads each curve's two sides at its largest
+edge, the edge that closes it in the search's walk.  `decompose_regions`
+takes them for one parity vector, walks the curves and returns it all
+as one `RegionDecomposition`;
 `build_division_tree` checks the tree laws on the sides.  It is the
 single-system path of the search's witness, the renderer and the public
 API.  The search's walk (`search._sweep`) builds its systems
@@ -32,10 +33,9 @@ two steps only on a system that fails;
 re-evaluates any system on which it finds a law violated.  `_walks` is
 the one curve walker, reading each edge's midpoints off the dart tables:
 one pass over the selected edges counts every midpoint's degree, and
-one walk per curve lists its edges and midpoints, which become `Cycle`s
-as they stand, so the curves printed are the curves whose laws were
-checked.  `assemble_dividing_system` checks parity vectors that come
-from outside.
+one walk per curve builds its `Cycle`, so the curves printed are the
+curves whose laws were checked.  `assemble_dividing_system` checks
+parity vectors that come from outside.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class RegionDecomposition(NamedTuple):
     """One system's regions and curves, as decompose_regions checked them.
 
     curve_sides[i] is (corner's region, face cell's region, first midpoint)
-    at the smallest medial edge of cycles[i]: the division tree's edges.
+    at the largest medial edge of cycles[i]: the division tree's edges.
     """
 
     n: int  # base vertex count; cells 0..n-1 are vertex cells, then face cells
@@ -79,15 +79,15 @@ class RegionDecomposition(NamedTuple):
     curve_sides: tuple[tuple[int, int, int], ...]
 
 
-def _walks(g, selected) -> list[tuple[list[int], list[int]]]:
+def _walks(g, selected) -> list[Cycle]:
     """Split selected medial edges into closed curves, ordered by smallest midpoint.
 
     g is the base PlaneGraph, whose dart tables give each medial edge's
-    midpoints (see medial).  Each curve is (edges, midpoints) in walk
-    order, leaving its smallest midpoint first; edges[i] leaves
-    midpoints[i].  Verifies the degree-two law before walking.  `selected`
-    must be in index order: then each midpoint's first incidence is its
-    smaller-keyed edge, by which a curve leaves its smallest midpoint.
+    midpoints (see medial).  Each curve is a Cycle in walk order, leaving
+    its smallest midpoint first, built as soon as it is walked.  Verifies
+    the degree-two law before walking.  `selected` must be in index
+    order: then each midpoint's first incidence is its smaller-keyed
+    edge, by which a curve leaves its smallest midpoint.
     """
     edge, nxt, num_midpoints = g.dart_edge, g.dart_next, g.num_edges
     first = [-1] * num_midpoints
@@ -104,7 +104,7 @@ def _walks(g, selected) -> list[tuple[list[int], list[int]]]:
     for v, d in enumerate(degree):
         if d != 2:
             raise InternalDegreeViolation(f"midpoint {v} has degree {d}, expected 2")
-    walks = []
+    cycles = []
     for start in range(num_midpoints):
         e = first[start]
         if e < 0:  # walked as part of an earlier curve
@@ -121,8 +121,8 @@ def _walks(g, selected) -> list[tuple[list[int], list[int]]]:
             e = second[v] if out == e else out  # leave by the other edge
             edges.append(e)
             midpoints.append(v)
-        walks.append((edges, midpoints))
-    return walks
+        cycles.append(Cycle(tuple(midpoints), tuple(edges)))
+    return cycles
 
 
 def join_face(parent: list[int], cell: int, side) -> int:
@@ -150,12 +150,12 @@ def decompose_regions(m: MedialGraph, bits) -> RegionDecomposition:
 
     Joins face cell n + f to m.sides[f][bit] (see the module docstring)
     with join_face, walks the curves (_walks) and labels the regions and
-    each curve's sides at its smallest-keyed edge (label_regions).
-    Verifies the degree-two law, that every region holds a base vertex and
-    that regions outnumber curves by exactly one.  Each region lists its
-    base vertices; each walk becomes a Cycle that starts at its smallest
-    midpoint.  `bits` must be one 0 or 1 per face;
-    assemble_dividing_system checks parity vectors from outside.
+    each curve's sides at its largest edge (label_regions).  Verifies the
+    degree-two law, that every region holds a base vertex and that
+    regions outnumber curves by exactly one.  Each region lists its base
+    vertices; each Cycle starts at its smallest midpoint.  `bits` must be
+    one 0 or 1 per face; assemble_dividing_system checks parity vectors
+    from outside.
     """
     n, sides, fs = m.graph.n, m.sides, m.graph.face_start
     parent = list(range(n + len(bits)))
@@ -166,9 +166,10 @@ def decompose_regions(m: MedialGraph, bits) -> RegionDecomposition:
 
     # selected lists faces in order, each face's edges in position order:
     # the index order _walks needs
-    walks = _walks(m.graph, selected)
-    lows = [min(edges) for edges, _ in walks]
-    region_of_cell, num_regions, curve_sides = label_regions(m, parent, lows)
+    cycles = _walks(m.graph, selected)
+    region_of_cell, num_regions, curve_sides = label_regions(
+        m, parent, [max(c.edges) for c in cycles]
+    )
     regions: list[list[int]] = [[] for _ in range(num_regions)]
     for v in range(n):
         regions[region_of_cell[v]].append(v)
@@ -177,25 +178,24 @@ def decompose_regions(m: MedialGraph, bits) -> RegionDecomposition:
         num_regions=num_regions,
         region_of_cell=tuple(region_of_cell),
         regions=tuple(map(tuple, regions)),
-        cycles=tuple(
-            Cycle(tuple(midpoints), tuple(edges))
-            for edges, midpoints in walks
-        ),
+        cycles=tuple(cycles),
         curve_sides=tuple(curve_sides),
     )
 
 
-def label_regions(m: MedialGraph, parent: list[int], lows) -> tuple[list, int, list]:
-    """Number a system's regions; read each curve's sides at its smallest edge.
+def label_regions(
+    m: MedialGraph, parent: list[int], curve_edges
+) -> tuple[list, int, list]:
+    """Number a system's regions; read each curve's sides at one of its edges.
 
     parent is the system's cell union-find, joined by join_face; this
     resolves it in place and numbers regions by smallest vertex cell.
-    lows holds each curve's smallest-keyed edge, a deterministic witness,
-    as every edge of a curve separates the same two regions.  Returns the
-    region of every cell, the region count and per curve (corner's region,
-    face cell's region, first midpoint).  Raises InternalInvariantError if
-    a region holds no base vertex, then RegionCycleMismatch unless regions
-    outnumber curves by one.
+    curve_edges holds one edge per curve, its largest as both callers
+    pass it, since every edge of a curve separates the same two regions.
+    Returns the region of every cell, the region count and per curve
+    (corner's region, face cell's region, first midpoint).  Raises
+    InternalInvariantError if a region holds no base vertex, then
+    RegionCycleMismatch unless regions outnumber curves by one.
     """
     g = m.graph
     n, head, face, edge = g.n, g.dart_head, g.dart_face, g.dart_edge
@@ -212,7 +212,7 @@ def label_regions(m: MedialGraph, parent: list[int], lows) -> tuple[list, int, l
         raise InternalInvariantError("region without any base vertex") from None
     sides = [  # the dart's own edge is the medial edge's first midpoint
         (region_of_cell[head[d]], region_of_cell[n + face[d]], edge[d])
-        for d in lows
+        for d in curve_edges
     ]
     if len(label) != len(sides) + 1:
         raise RegionCycleMismatch(f"{len(label)} regions but {len(sides)} curves")

@@ -13,8 +13,8 @@ witness.  Without laws, as `exact_chi_f` runs it, a face never raises
 the count, so a prefix no better than the best so far is cut off; every
 system is visited or bounded, so systems_explored still reports 2^F.
 With laws, the law sweep, it visits all 2^F systems, also keeps the open
-curve paths and the smallest edge of each closed curve, and checks at
-each leaf the degree law on the selected edge count and then every other
+curve paths and the edge that closed each curve, its largest, and checks
+at each leaf the degree law on the selected edge count and then every other
 law in one pass over the cell union-find's roots (`_leaf_laws`),
 numbering no region.  Both read each face's two sides, which
 `medial.build_medial_graph` builds once per op, and the plane graph's
@@ -192,7 +192,7 @@ def _leaf_laws(tables, parent: list[int], closed, bits) -> int:
     """Every law label_regions and _check_system check, on one sweep leaf.
 
     tables are the medial graph's, as _leaf_tables builds them; parent is
-    the leaf's cell union-find and closed the smallest edge of each curve,
+    the leaf's cell union-find and closed the largest edge of each curve,
     as _sweep keeps them.  This resolves parent in place and checks the
     laws in their order on root ids, numbering no region: each region
     holds a base vertex; regions outnumber curves by one; each curve
@@ -296,16 +296,18 @@ def _sweep(m: MedialGraph, laws: bool) -> tuple[tuple[int, ...], int]:
       joined to m.sides[f][bit] by dividing.join_face, and its component
       count: one more cell, less the components join_face merged;
     - with laws, the open curve paths over the midpoints (other[x] is the
-      far end of the path that ends at x, or -1 once x has degree two,
-      and low[x] the path's smallest medial edge), the smallest edge of
-      every closed curve, and the selected edge count; without laws,
-      other and low are None and closed stays empty.
+      far end of the path that ends at x, or -1 once x has degree two),
+      the edge that closed each curve, and the selected edge count;
+      without laws, other is None and closed stays empty.  Face f's
+      edges come after those of every face < f, in position order, and
+      darts run in (face, position) order, so the edge that closes a
+      curve is its largest.
     The last face's two systems are evaluated in place, right after that
     face's steps, and push no state.  Without laws, a face never raises
     the count, so a prefix no better than the best so far is cut off.
     With laws, every system checks the degree law on the selected edge
     count, then every other law with _leaf_laws, on the union-find's
-    roots and each curve's smallest edge; no region is numbered and no
+    roots and each curve's largest edge; no region is numbered and no
     curve walk is listed.  The one table the laws build, once per call,
     holds per face and bit the selected edges as (e, x, y) with their two
     midpoints, x = dart_edge[e] and y = dart_edge[dart_next[e]]; the leaf
@@ -317,7 +319,7 @@ def _sweep(m: MedialGraph, laws: bool) -> tuple[tuple[int, ...], int]:
     """
     g = m.graph
     n, nf, num_midpoints, sides = g.n, len(m.sides), g.num_edges, m.sides
-    other = low = None
+    other = None
     if laws:
         fs, edge, nxt = g.face_start, g.dart_edge, g.dart_next
         selected = [
@@ -328,11 +330,11 @@ def _sweep(m: MedialGraph, laws: bool) -> tuple[tuple[int, ...], int]:
             for s, t in zip(fs, fs[1:])
         ]
         tables = _leaf_tables(m)
-        other, low = list(range(num_midpoints)), [len(edge)] * num_midpoints
+        other = list(range(num_midpoints))
     last = nf - 1
-    # (parent, components, other, low, closed, count) of the faces < f
+    # (parent, components, other, closed, count) of the faces < f
     state: list = [None] * nf
-    state[0] = (list(range(n + nf)), n, other, low, [], 0)
+    state[0] = (list(range(n + nf)), n, other, [], 0)
     bit = [-1] * nf  # bit tried last at face f; -1 before the first
     best, best_bits = -1, ()
     f = 0
@@ -343,16 +345,16 @@ def _sweep(m: MedialGraph, laws: bool) -> tuple[tuple[int, ...], int]:
             f -= 1
             continue
         bit[f] = b
-        parent, k, other, low, closed, count = state[f]
+        parent, k, other, closed, count = state[f]
         if b == 0:  # bit 1 is the last use of state[f], so it may take the lists
             parent = parent[:]
             if laws:
-                other, low, closed = other[:], low[:], closed[:]
+                other, closed = other[:], closed[:]
         k += 1 - join_face(parent, n + f, sides[f][b])
         if not laws:
             if k > best:  # no completion has more components than its prefix
                 if f < last:
-                    state[f + 1] = (parent, k, other, low, closed, count)
+                    state[f + 1] = (parent, k, other, closed, count)
                     f += 1
                 else:
                     best, best_bits = k, tuple(bit)
@@ -369,23 +371,18 @@ def _sweep(m: MedialGraph, laws: bool) -> tuple[tuple[int, ...], int]:
                 )
                 _recheck(m, bits, found)
             if ox == y:  # e closes the path from x to y, or is a loop at x
-                lo = low[x]
-                closed.append(e if e < lo else lo)
+                closed.append(e)
                 other[x] = other[y] = -1
             else:  # splice the paths ox..x and y..oy into one from ox to oy
-                lo = low[x] if low[x] < low[y] else low[y]
-                if e < lo:
-                    lo = e
                 other[ox] = oy
                 other[oy] = ox
-                low[ox] = low[oy] = lo
                 if ox != x:
                     other[x] = -1
                 if oy != y:
                     other[y] = -1
         count += len(edges)
         if f < last:
-            state[f + 1] = (parent, k, other, low, closed, count)
+            state[f + 1] = (parent, k, other, closed, count)
             f += 1
             continue
         # the last face: this system is complete

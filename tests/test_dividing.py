@@ -279,11 +279,12 @@ def _dart_key(g):
 
 
 # sha256 over every system's (bits, curve_sides): the division tree's edges
-# and the midpoint each NotATree message names.
+# and the midpoint each NotATree message names, read at each curve's
+# largest edge.
 CURVE_SIDE_DIGESTS = {
-    "cycle6": "99de505e629dfeaa8bff1eb2e3d82dd7f6ed45ff52406c36ba872e8255c6ee49",
-    "grid3x4": "576ea848b69b279031facde3ae9473e562466fb219a4c76588ae5329b4eb7307",
-    "prism6": "da6e319c9851628c725a3f372e9fe1ef3a8c6dc3be7682a6740903c41c8f2b29",
+    "cycle6": "e2fd47d6c4199fd7a9083eeda5d63b5950058cdeee28db55e60ce89fcd112be7",
+    "grid3x4": "39de83fee14aa082dc674314e35fb6f4e7efc5c02c89d4f6b87d9c2f179b8a64",
+    "prism6": "36e3da62729e3bd11400d02ecf6a2292553651f9eb9e00043ce4e5f341d1bba6",
 }
 
 

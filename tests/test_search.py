@@ -160,17 +160,20 @@ def test_claim_checks_stay_linear_in_the_region_count(run):
     assert peak < 60_000_000
 
 
-# tracemalloc peaks on the 10^4-cycle, in MB, under Python 3.10 to 3.12,
-# when the medial graph copied both midpoints of every edge, the law
+# tracemalloc peaks on the 10^4-cycle, in MB, under Python 3.10 to 3.12:
+# first when the medial graph copied both midpoints of every edge, the law
 # sweep's leaf its two cells, and the pruned walk allocated curve lists it
-# never read, against each read off the dart tables in place:
+# never read; then with each read off the dart tables in place; then with
+# each curve named by its largest edge, so that the law sweep keeps no
+# smallest-edge table and the curve walker builds each Cycle once:
 #   build_medial_graph      1.44 -> 0.16
-#   exact_chi_f             6.34-6.56 -> 5.17-5.29
-#   sweep_dividing_systems  8.11-8.63 -> 5.10-5.30
-# Each bound lies between the two figures.
+#   exact_chi_f             6.34-6.56 -> 5.17-5.29 -> 4.75-4.86
+#   sweep_dividing_systems  8.11-8.63 -> 5.10-5.30 -> 4.86-5.06
+# Each bound lies between two figures of its row; sweep_dividing_systems'
+# last two are too close for a stable bound between them.
 SOLVE_PEAK_BOUNDS_MB = {
     build_medial_graph: 0.7,
-    exact_chi_f: 5.8,
+    exact_chi_f: 5.0,
     sweep_dividing_systems: 6.8,
 }
 
@@ -470,12 +473,12 @@ def _chord(g, m):
 
 def _lone_forest(g, m):
     # Under bit 0, face 0's uncut side becomes vertex 0 alone and face 1's
-    # vertex 2 alone, and curve dart 2 is read in face 1: system (0, 0) has
-    # the four regions {0}, {1}, {2} and {3} and two curves, 1-0 and 3-2.
-    # Every base edge joins the ends of one curve, so only the region count
-    # is broken.
+    # vertex 2 alone, and curve dart 6 is read in face 0: system (0, 0) has
+    # the four regions {0}, {1}, {2} and {3} and two curves, read at darts
+    # 6 and 4, 1-0 and 3-2.  Every base edge joins the ends of one curve,
+    # so only the region count is broken.
     doctored = g._replace(
-        edges=((0, 1), (2, 3), (0, 1), (2, 3)), dart_face=(0, 0, 1, 0, 1, 1, 1, 1)
+        edges=((0, 1), (2, 3), (0, 1), (2, 3)), dart_face=(0, 0, 0, 0, 1, 1, 0, 1)
     )
     sides = (((0,), m.sides[0][1]), ((2,), m.sides[1][1]))
     return doctored, m._replace(graph=doctored, sides=sides)
@@ -484,13 +487,13 @@ def _lone_forest(g, m):
 def _parallel_curves(g, m):
     # On grid2x3, as C4 has too few vertices for two regions of degree two
     # and two vertices each: system (0, 0, 0) has regions {0, 2, 4}, {1, 5}
-    # and {3}, and its two curves are read at darts 0 and 4.  Dart 4's
+    # and {3}, and its two curves are read at darts 12 and 6.  Dart 6's
     # corner becomes vertex 1, so both curves join regions 0 and 1, and
     # base edges 0-3 and 3-4 become 0-1 and 4-5, so that only the tree is
     # broken.
     g = grid_graph(2, 3)
     doctored = g._replace(
-        dart_head=(*g.dart_head[:4], 1, *g.dart_head[5:]),
+        dart_head=(*g.dart_head[:6], 1, *g.dart_head[7:]),
         edges=((0, 1), (0, 1), (1, 2), (1, 4), (2, 5), (4, 5), (4, 5)),
     )
     return doctored, build_medial_graph(g)._replace(graph=doctored)
@@ -504,12 +507,12 @@ def _far_chord(g, m):
 
 
 def _lone_middle(g, m):
-    # Under bit 0, face 0's uncut side becomes vertex 0 alone and face 1's
-    # becomes {2, 3}, so system (0, 0) has regions {0}, {1} and {2, 3} and
-    # its curves, both read on face 0, make the path {1} - {0} - {2, 3}.
+    # Under bit 0, face 0's uncut side becomes {2, 3} and face 1's vertex 0
+    # alone, so system (0, 0) has regions {0}, {1} and {2, 3} and its
+    # curves, both read on face 1, make the path {1} - {0} - {2, 3}.
     # Every base edge runs from vertex 0, so all join adjacent regions.
     doctored = g._replace(edges=((0, 1), (0, 3), (0, 2), (0, 3)))
-    sides = (((0,), m.sides[0][1]), ((2, 3), m.sides[1][1]))
+    sides = (((2, 3), m.sides[0][1]), ((0,), m.sides[1][1]))
     return doctored, m._replace(graph=doctored, sides=sides)
 
 
@@ -558,8 +561,8 @@ LAW_MUTATIONS = {
     ),
     "tree": (
         _corners_in_face_cells,
-        (NotATree, "curve through midpoint 0 borders a single region"),
-        (NotATree, "curve through midpoint 3 borders a single region"),
+        (NotATree, "curve through midpoint 2 borders a single region"),
+        (NotATree, "curve through midpoint 1 borders a single region"),
     ),
     "regions == curves + 1, no other law": (
         _lone_forest,
@@ -704,7 +707,7 @@ SWEEP_REFERENCE_GRAPHS = [
 
 
 def _leaf_states(m, monkeypatch):
-    """(resolved cell union-find, closed curves' smallest edges, bits, count)
+    """(resolved cell union-find, closed curves' largest edges, bits, count)
     of every leaf of the law sweep on m, in sweep order."""
     states = []
     leaf = search._leaf_laws
@@ -723,7 +726,7 @@ def _leaf_states(m, monkeypatch):
 @pytest.mark.parametrize("name,g", SWEEP_REFERENCE_GRAPHS)
 def test_sweep_leaves_equal_region_kernel(name, g, monkeypatch):
     # Each leaf's roots, numbered by smallest vertex cell, are the kernel's
-    # regions; its curves' sides, read at their smallest edges, and its
+    # regions; its curves' sides, read at their largest edges, and its
     # count are the kernel's.
     m = build_medial_graph(g)
     n, head, face, edge = g.n, g.dart_head, g.dart_face, g.dart_edge
@@ -747,7 +750,7 @@ def test_sweep_leaves_equal_region_kernel(name, g, monkeypatch):
 def _leaf_mutants(m, parent, closed):
     """(kind, medial graph, cell union-find, curves) for every single change
     to one resolved leaf state: a cell moved to another root or to a fresh
-    one of its own, a curve's smallest edge dropped or listed twice, or one
+    one of its own, a curve's largest edge dropped or listed twice, or one
     end of a base edge re-planted at the first vertex of some region."""
     roots = sorted(set(parent))
     for c in range(len(parent)):
