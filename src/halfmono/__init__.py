@@ -28,13 +28,13 @@ from .instance_io import (
     build,
     cycle_instance,
     generate_instance,
+    grid_embedding,
     grid_instance,
     parse_instance_text,
     prism_instance,
     render_svg,
     serialize_instance,
     subdivide_edge,
-    tutte_embedding,
 )
 from .medial import MedialGraph, build_medial_graph
 from .oracle import OracleResult, chi_f_bruteforce
@@ -83,6 +83,7 @@ __all__ = [
     "exact_chi_f",
     "extract_cycles",
     "generate_instance",
+    "grid_embedding",
     "grid_instance",
     "maximum_matching",
     "parse_instance_text",
@@ -91,6 +92,5 @@ __all__ = [
     "serialize_instance",
     "subdivide_edge",
     "sweep_dividing_systems",
-    "tutte_embedding",
     "validate_even_polygonal",
 ]

@@ -2,7 +2,8 @@
 
 Three families matter to callers: invalid input, violated internal laws
 (these signal a bug, never a bad instance), and size caps.  The CLI maps
-them to exit codes 1, 2 and 3 respectively.
+them to exit codes 1, 2 and 3 respectively.  Drawing adds no family of its
+own: the grid layout draws every valid instance.
 """
 
 from __future__ import annotations
@@ -47,10 +48,6 @@ class FaceStructureError(InvalidInstanceError):
 
 class BadParameter(InvalidInstanceError):
     """A generator or rendering parameter is out of its admissible range."""
-
-
-class DegenerateLayout(HalfmonoError):
-    """Computed layout has coincident vertices or failed to converge."""
 
 
 class InternalInvariantError(HalfmonoError):

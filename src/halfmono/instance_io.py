@@ -1,4 +1,4 @@
-"""Instance files, corpus generators, Tutte layout and SVG rendering.
+"""Instance files, corpus generators, grid layout and SVG rendering.
 
 Instance format (line oriented, ``#`` starts a comment)::
 
@@ -8,7 +8,8 @@ Instance format (line oriented, ``#`` starts a comment)::
     ...
     coord 0 0.0 0.0         # optional; all vertices or none
 
-Rotations are the authoritative embedding; coordinates only drive drawing.
+Rotations are the authoritative embedding; coordinates only drive drawing,
+and an instance without them is drawn by grid_embedding.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import NamedTuple
 
 from .coloring import Coloring
 from .dividing import Cycle
-from .errors import BadParameter, DegenerateLayout, ParseError, SizeCapExceeded
+from .errors import BadParameter, ParseError, SizeCapExceeded
 from .plane_graph import PlaneGraph, build_plane_graph
 
 
@@ -381,106 +382,98 @@ def subdivide_edge(inst: InstanceFile, u: int, v: int, times: int = 2) -> Instan
 # Layout and rendering
 # ---------------------------------------------------------------------------
 
-# The layout runs conjugate gradients on a sparse system in O(n) memory,
-# with O(n) work per sweep; a bare k x k grid takes about 3k sweeps.  On a
-# 2-core machine a bare 50x50 grid renders in about 0.9 s and 23 MB peak,
-# a bare 100x100 grid in about 6 s.
-LAYOUT_VERTEX_CAP = 2500
-COINCIDE = 1e-6  # layout vertices closer than this count as one point
+def grid_embedding(g: PlaneGraph) -> tuple[tuple[int, int], ...]:
+    """Straight-line drawing on the integer grid, exact, in linear time.
 
-
-def _conjugate_gradient(
-    diag: list[int], rows: list[list[int]], b: list[float]
-) -> list[float]:
-    """Solve A x = b for A with diagonal diag and -1 at (i, j) per j in
-    rows[i], symmetric positive definite, starting from x = 0.
-
-    Stops once the squared residual is 1e-30 of its start: looser stops
-    move the layout's printed digits or fail its 1e-9 residual check.
+    A centre vertex n + f in every face f makes a simple triangulation on
+    N = n + F vertices, as every face is a simple cycle.  Its outer
+    triangle is the first dart v1 -> v2 of a largest face (the
+    lowest-numbered on ties) and that face's centre.  Peeling chord-free
+    outer vertices from the top down gives a canonical order, which the
+    shift method of de Fraysseix, Pach and Pollack (Combinatorica 1990)
+    draws, with x kept relative to a tree parent as in Chrobak and Payne
+    (IPL 1995).  The centres are then dropped.  The points are distinct,
+    no two edges meet outside a shared end, every vertex sees its
+    neighbours counterclockwise in rotation order, and the drawing fits in
+    2N - 4 by N - 2 grid units.
     """
-    x = [0.0] * len(b)
-    r = list(b)
-    p = list(b)
-    rr = sum(ri * ri for ri in r)
-    stop = 1e-30 * rr
-    for _ in range(len(b) + 1000):
-        if rr <= stop:
-            break
-        q = [d * pi - sum(map(p.__getitem__, row)) for d, row, pi in zip(diag, rows, p)]
-        step = rr / sum(pi * qi for pi, qi in zip(p, q))
-        x = [xi + step * pi for xi, pi in zip(x, p)]
-        r = [ri - step * qi for ri, qi in zip(r, q)]
-        rr, rr_old = sum(ri * ri for ri in r), rr
-        p = [ri + rr / rr_old * pi for ri, pi in zip(r, p)]
-    return x
+    n, fs, tails = g.n, g.face_start, g.dart_tail
+    # at v, the centre of the face of dart u -> v follows u counterclockwise
+    face_of = {t * n + h: f for t, h, f in zip(tails, g.dart_head, g.dart_face)}
+    rot = [
+        [x for u in g.rotations[v] for x in (u, n + face_of[u * n + v])]
+        for v in range(n)
+    ]
+    del face_of
+    rot += [list(reversed(tails[s:e])) for s, e in zip(fs, fs[1:])]
+    size = len(rot)
+    f = max(range(g.num_faces), key=lambda h: fs[h + 1] - fs[h])  # first on ties
+    v1, v2, top = tails[fs[f]], g.dart_head[fs[f]], n + f
 
+    # Peel: an outer vertex other than v1 and v2 with two outer neighbours
+    # has no chord, so it can go; its inner neighbours then turn outer.
+    state = bytearray(size)  # 0 inner, 1 outer, 2 peeled
+    outer_deg = [0] * size
+    for v in (v1, v2, top):
+        state[v], outer_deg[v] = 1, 2
+    peeled: list[int] = []
+    stack = [top]
+    while stack:
+        v = stack.pop()
+        if state[v] != 1 or outer_deg[v] != 2 or v == v1 or v == v2:
+            continue  # stale
+        state[v] = 2
+        peeled.append(v)
+        for u in rot[v]:
+            if state[u] == 1:
+                outer_deg[u] -= 1
+            elif state[u] == 0:
+                state[u] = 1
+                for w in rot[u]:
+                    if state[w] == 1:
+                        outer_deg[u] += 1
+                        outer_deg[w] += 1
+        stack += [u for u in rot[v] if state[u] == 1 and outer_deg[u] == 2]
 
-def tutte_embedding(g: PlaneGraph) -> tuple[tuple[float, float], ...]:
-    """Barycentric layout: pin one face to a regular polygon, average the rest.
-
-    Pins a face of maximum degree, the lowest-numbered on ties.  Interior
-    positions solve the linear system "every vertex sits at the mean of its
-    neighbours" by conjugate gradients, one solve per coordinate (the
-    system is positive definite, as the graph is connected); a residual
-    above 1e-9 or two vertices closer than 1e-6 raise DegenerateLayout
-    (expected when the graph is not 3-connected), in which case callers
-    should supply explicit coords.
-    More than LAYOUT_VERTEX_CAP vertices raise SizeCapExceeded.
-    """
-    if g.n > LAYOUT_VERTEX_CAP:
-        raise SizeCapExceeded(
-            f"{g.n} vertices exceeds layout cap {LAYOUT_VERTEX_CAP}; "
-            "give the instance coord lines to draw it"
+    # Shift: v_k covers the contour run w_p .. w_q of its earlier
+    # neighbours.  dx is x relative to the tree parent: the contour
+    # predecessor, or for w_{p+1} and w_q the vertex that covers them.
+    order = [v1, v2, *reversed(peeled)]
+    rank = [0] * size
+    for k, v in enumerate(order):
+        rank[v] = k
+    dx, y = [0] * size, [0] * size
+    left, right = [-1] * size, [-1] * size
+    right[v1] = v2
+    for k in range(2, size):
+        v = order[k]
+        r = rot[v]
+        i = r.index(v1) if v == top else next(
+            i for i, u in enumerate(r) if rank[u] < k < rank[r[i - 1]]
         )
-    fs = g.face_start
-    s, e = max(zip(fs, fs[1:]), key=lambda w: w[1] - w[0])  # first on ties
-    boundary = g.dart_tail[s:e]
-    ring = len(boundary)
-    pos: dict[int, tuple[float, float]] = {}
-    for k, v in enumerate(boundary):
-        ang = math.pi / 2 - 2 * math.pi * k / ring
-        pos[v] = (math.cos(ang), math.sin(ang))
+        run = [u for u in r[i:] + r[:i] if rank[u] < k]
+        wp, wq = run[0], run[-1]
+        dx[run[1]] += 1
+        dx[wq] += 1
+        span = sum(dx[u] for u in run[1:])  # x(w_q) - x(w_p)
+        dx[v] = (span + y[wq] - y[wp]) // 2
+        y[v] = (span + y[wq] + y[wp]) // 2
+        dx[wq] = span - dx[v]
+        if len(run) > 2:
+            dx[run[1]] -= dx[v]
+            left[v] = run[1]
+            right[run[-2]] = -1
+        right[wp], right[v] = v, wq
 
-    interior = [v for v in range(g.n) if v not in pos]
-    if interior:
-        # rows of the graph Laplacian at interior vertices; the pinned
-        # neighbours move to the right-hand side
-        idx = {v: i for i, v in enumerate(interior)}
-        diag = [g.degree(v) for v in interior]
-        rows = [[idx[u] for u in g.rotations[v] if u in idx] for v in interior]
-        pinned = [[pos[u] for u in g.rotations[v] if u in pos] for v in interior]
-        xs, ys = (
-            _conjugate_gradient(diag, rows, [sum(q[k] for q in qs) for qs in pinned])
-            for k in (0, 1)
-        )
-        for v, x, y in zip(interior, xs, ys):
-            pos[v] = (x, y)
-
-    coords = tuple(pos[v] for v in range(g.n))
-    for v in interior:
-        mx = sum(coords[u][0] for u in g.rotations[v]) / g.degree(v)
-        my = sum(coords[u][1] for u in g.rotations[v]) / g.degree(v)
-        if math.hypot(coords[v][0] - mx, coords[v][1] - my) >= 1e-9:
-            raise DegenerateLayout(f"residual too large at vertex {v}")
-    # Bucket the vertices into square cells of side COINCIDE: two points
-    # closer than that lie in the same or neighbouring cells.  The first v
-    # with a close w > v, and its smallest such w, are the first pair in
-    # lexicographic order.
-    cells: dict[tuple[int, int], list[int]] = {}
-    keys = [(math.floor(x / COINCIDE), math.floor(y / COINCIDE)) for x, y in coords]
-    for v, key in enumerate(keys):
-        cells.setdefault(key, []).append(v)
-    for v, (cx, cy) in enumerate(keys):
-        close = [
-            w
-            for dx in (-1, 0, 1)
-            for dy in (-1, 0, 1)
-            for w in cells.get((cx + dx, cy + dy), ())
-            if w > v and math.dist(coords[v], coords[w]) < COINCIDE
-        ]
-        if close:
-            raise DegenerateLayout(f"vertices {v} and {min(close)} coincide")
-    return coords
+    x = [0] * size
+    stack = [v1]
+    while stack:
+        u = stack.pop()
+        for c in (left[u], right[u]):
+            if c >= 0:
+                x[c] = x[u] + dx[c]
+                stack.append(c)
+    return tuple(zip(x[:n], y[:n]))
 
 
 SCALE = 70.0  # drawing units per layout unit
@@ -528,11 +521,15 @@ def render_svg(
     g: PlaneGraph, cycles: Sequence[Cycle] = (), coloring: Coloring | None = None
 ) -> str:
     """Deterministic SVG: base edges, one colored path per closed curve of
-    one dividing system of g, vertices filled by the coloring when given."""
+    one dividing system of g, vertices filled by the coloring when given.
+
+    Vertices sit at g's coords, or where grid_embedding puts them when g
+    has none.
+    """
     if coloring is not None and len(coloring.colors) != g.n:
         raise BadParameter("coloring does not cover every vertex")
 
-    coords = g.coords if g.coords is not None else tutte_embedding(g)
+    coords = g.coords if g.coords is not None else grid_embedding(g)
     xs = [x for x, _ in coords]
     ys = [y for _, y in coords]
     min_x, max_y = min(xs), max(ys)

@@ -3,8 +3,9 @@
     PYTHONPATH=src python tests/census.py ORACLE_N SWEEP_N
 
 holds every map with n <= SWEEP_N against the law sweep and every map with
-n <= ORACLE_N against the partition-scan oracle (see check_map), pins the
-number of maps of each size (COUNTS) and exits 1 on the first mismatch.
+n <= ORACLE_N against the partition-scan oracle, checks the grid drawing of
+every map (see check_map), pins the number of maps of each size (COUNTS)
+and exits 1 on the first mismatch.
 tests/test_census.py runs the same checks for n <= 9.
 
 Every 2-connected bipartite plane graph has an ear decomposition from an
@@ -22,9 +23,9 @@ import sys
 import time
 from collections import Counter
 
-from corpus import add_path, face_vertices
+from corpus import add_path, drawing_defect, face_vertices
 from halfmono.independence import alpha_bruteforce, maximum_matching
-from halfmono.instance_io import InstanceFile, build, cycle_instance
+from halfmono.instance_io import InstanceFile, build, cycle_instance, grid_embedding
 from halfmono.oracle import chi_f_bruteforce
 from halfmono.search import exact_chi_f, sweep_dividing_systems
 
@@ -112,7 +113,8 @@ def census(max_n: int) -> list[InstanceFile]:
 def check_map(inst: InstanceFile, sweep: bool, oracle: bool) -> None:
     """Hold the pruned search against the law sweep (the whole certified
     result) when `sweep`, and against the oracle when `oracle`; hold the
-    matching's alpha against subset enumeration always."""
+    matching's alpha against subset enumeration, and check the grid
+    drawing exactly, always."""
     g = build(inst)
     res = exact_chi_f(g)
     if sweep:
@@ -120,6 +122,7 @@ def check_map(inst: InstanceFile, sweep: bool, oracle: bool) -> None:
     if oracle:
         assert chi_f_bruteforce(g).chi_f == res.chi_f, inst.name
     assert maximum_matching(g).alpha == alpha_bruteforce(g), inst.name
+    assert drawing_defect(g, grid_embedding(g)) == "", inst.name
 
 
 def main(argv: list[str]) -> int:
@@ -137,7 +140,8 @@ def main(argv: list[str]) -> int:
     for inst in maps:
         check_map(inst, sweep=inst.n <= sweep_n, oracle=inst.n <= oracle_n)
     print(f"counts {counts}; laws held against the sweep to n = {sweep_n} and "
-          f"the oracle to n = {oracle_n} in {time.perf_counter() - t0:.1f} s")
+          f"the oracle to n = {oracle_n}, and every map drew exactly, "
+          f"in {time.perf_counter() - t0:.1f} s")
     return 0
 
 

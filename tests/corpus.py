@@ -58,6 +58,78 @@ def medial_ends(g: PlaneGraph, d: int) -> tuple[int, int]:
     return g.dart_edge[d], g.dart_edge[g.dart_next[d]]
 
 
+def _orient(a, b, c) -> int:
+    """Twice the signed area of triangle abc: > 0 when it turns left."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _half(x: int, y: int) -> int:
+    """0 for directions at angles [0, pi), 1 for [pi, 2 pi)."""
+    return 0 if y > 0 or (y == 0 and x > 0) else 1
+
+
+def _meet(p, q, r, s) -> bool:
+    """Whether the closed segments pq and rs share a point."""
+    d1, d2 = _orient(r, s, p), _orient(r, s, q)
+    d3, d4 = _orient(p, q, r), _orient(p, q, s)
+    if d1 * d2 < 0 and d3 * d4 < 0:
+        return True
+
+    def on(a, b, c):  # c, collinear with ab, lies within ab's box
+        return all(min(a[k], b[k]) <= c[k] <= max(a[k], b[k]) for k in (0, 1))
+
+    return (
+        (d1 == 0 and on(r, s, p))
+        or (d2 == 0 and on(r, s, q))
+        or (d3 == 0 and on(p, q, r))
+        or (d4 == 0 and on(p, q, s))
+    )
+
+
+def drawing_defect(g: PlaneGraph, coords) -> str:
+    """What keeps coords from being an exact straight-line drawing of g's
+    embedding, '' if nothing, in integer arithmetic:
+
+    - the points are distinct pairs of ints;
+    - every vertex sees its neighbours counterclockwise in rotation order,
+      in one turn and in distinct directions (so no two edges at a vertex
+      overlap);
+    - no two edges without a shared end meet, which also keeps every
+      vertex off the edges it is not an end of.
+    """
+    if len(coords) != g.n or not all(type(c) is int for p in coords for c in p):
+        return "not one pair of ints per vertex"
+    if len(set(coords)) != g.n:
+        return "two vertices share a point"
+    for v, rot in enumerate(g.rotations):
+        px, py = coords[v]
+        dirs = [(coords[u][0] - px, coords[u][1] - py) for u in rot]
+        keys = [_half(*a) for a in dirs]
+        # around one turn, exactly one step may fail to go strictly
+        # counterclockwise: the one back past angle 0
+        backs = sum(
+            not (keys[i - 1] < keys[i] or (
+                keys[i - 1] == keys[i] and _orient((0, 0), dirs[i - 1], dirs[i]) > 0
+            ))
+            for i in range(len(rot))
+        )
+        if backs != 1:
+            return f"neighbours of vertex {v} are not counterclockwise in rotation order"
+    # edges sorted by left end: those that start right of an edge's right
+    # end cannot meet it
+    segs = sorted(
+        (min(coords[u][0], coords[v][0]), max(coords[u][0], coords[v][0]), u, v)
+        for u, v in g.edges
+    )
+    for i, (_, end, u, v) in enumerate(segs):
+        for start, _, a, b in segs[i + 1 :]:
+            if start > end:
+                break
+            if not {u, v} & {a, b} and _meet(coords[u], coords[v], coords[a], coords[b]):
+                return f"edges {u}-{v} and {a}-{b} meet"
+    return ""
+
+
 def instance_edges(inst: InstanceFile) -> list[tuple[int, int]]:
     return sorted(
         {(min(u, v), max(u, v)) for u, neigh in enumerate(inst.rotations) for v in neigh}

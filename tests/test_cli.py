@@ -25,13 +25,13 @@ from corpus import (
 from halfmono import cli
 from halfmono.instance_io import (
     _FAMILIES,
-    LAYOUT_VERTEX_CAP,
     InstanceFile,
     build,
     cycle_instance,
     generate_instance,
     grid_instance,
     serialize_instance,
+    tight_instance,
 )
 from halfmono.independence import maximum_matching
 from halfmono.search import _check_region_coloring, exact_chi_f
@@ -405,19 +405,15 @@ def test_gen_size_cap_exits_3(tmp_path):
     assert not out.exists()
 
 
-def test_render_without_coords_above_layout_cap_exits_3(tmp_path, capsys):
-    inst = cycle_instance(LAYOUT_VERTEX_CAP + 2)
+def test_render_draws_a_long_bare_cycle(tmp_path, capsys):
+    # 2502 vertices without coord lines: past the old layout's size cap
+    inst = cycle_instance(2502)
     path = tmp_path / "bare.hmg"
-    path.write_text(
-        serialize_instance(InstanceFile(inst.name, inst.n, inst.rotations, None))
-    )
+    path.write_text(serialize_instance(inst._replace(coords=None)))
     out = tmp_path / "bare.svg"
-    assert cli.main(["render", str(path), "-o", str(out)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert "exceeds layout cap" in captured.err and "coord" in captured.err
-    assert not out.exists()
+    assert cli.main(["render", str(path), "-o", str(out)]) == 0
+    assert capsys.readouterr() == (f"wrote {out}\n", "")
+    assert out.read_text().count("<circle") == inst.n
 
 
 def test_missing_file():
@@ -908,7 +904,7 @@ GC_CASES = {
     "gen-stdout": (["gen", "prism", "4"], 0, None),
     "gen-bad-parameter": (["gen", "grid", "3xa"], 1, None),
     "render-color": (["render", "GRID", "-o", "SVG", "--color"], 0, None),
-    "render-color-tutte": (["render", "BARE", "-o", "SVG", "--color"], 0, None),
+    "render-color-bare": (["render", "BARE", "-o", "SVG", "--color"], 0, None),
     "render-parities": (["render", "GRID", "-o", "SVG", "--parities", "0110010"], 0, None),
     "render-bad-parities": (["render", "GRID", "-o", "SVG", "--parities", "01a"], 1, None),
 }
@@ -935,7 +931,7 @@ def _gc_case_argv(case: str, request, tmp_path, monkeypatch) -> tuple[list[str],
     grid = grid_instance(3, 4)
     files = {
         "GRID": serialize_instance(grid),
-        "BARE": serialize_instance(grid._replace(coords=None)),
+        "BARE": serialize_instance(tight_instance(2)),  # no coord lines
         "CYCLE6": serialize_instance(cycle_instance(6)),
         "K4": K4_TEXT,
         "BAD": "name bad\nvertices two\n",

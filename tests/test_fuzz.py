@@ -8,7 +8,8 @@ and the validator's error paths.  Every mutant runs through six commands,
 twice each: no command may raise, each must exit 0, 1 or 3 (2 would be a
 violated internal law), and the second run must print the same bytes as
 the first.  The caps keep each op small: the sweep stops at 8 faces and
-the partition oracle at 8 vertices, Bell(8) = 4,140 partitions.
+the partition oracle at 8 vertices, Bell(8) = 4,140 partitions.  Every
+mutant that `chif` solves must render too.
 """
 
 from __future__ import annotations
@@ -169,5 +170,7 @@ def test_mutants_exit_cleanly_and_deterministically(name, tmp_path, capsys):
             assert _run(argv, svg, capsys) == first, (argv, text)
             codes[command[0]] = first[0]
         solved += codes["chif"] == 0
+        # every instance the solver takes can be drawn
+        assert codes["render"] == 0 or codes["chif"] != 0, text
     # most mutants reach the solver, not just the parser
     assert solved >= MUTANTS_PER_BASE // 2

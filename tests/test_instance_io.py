@@ -1,7 +1,5 @@
 import hashlib
-import math
 import os
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -12,8 +10,10 @@ import pytest
 from corpus import (
     add_path,
     corpus_instances,
+    drawing_defect,
     face_darts,
     face_vertices,
+    random_rich_instance,
     random_split_instance,
     random_subdivided_instance,
 )
@@ -23,7 +23,6 @@ from halfmono.dividing import assemble_dividing_system, decompose_regions, extra
 from halfmono.medial import build_medial_graph
 from halfmono.errors import (
     BadParameter,
-    DegenerateLayout,
     FaceStructureError,
     ParseError,
     SizeCapExceeded,
@@ -33,6 +32,7 @@ from halfmono.instance_io import (
     build,
     cycle_instance,
     generate_instance,
+    grid_embedding,
     grid_instance,
     k2m_instance,
     parse_instance_text,
@@ -41,7 +41,6 @@ from halfmono.instance_io import (
     serialize_instance,
     subdivide_edge,
     tight_instance,
-    tutte_embedding,
 )
 from halfmono.plane_graph import validate_even_polygonal
 
@@ -420,47 +419,6 @@ def test_random_subdivided_corpus_is_valid():
         assert validate_even_polygonal(build(inst)).ok
 
 
-def _proper_crossing(p1, p2, p3, p4):
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1, d2 = orient(p3, p4, p1), orient(p3, p4, p2)
-    d3, d4 = orient(p1, p2, p3), orient(p1, p2, p4)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
-
-
-def _count_crossings(g, coords):
-    count = 0
-    for i, (u1, v1) in enumerate(g.edges):
-        for u2, v2 in g.edges[i + 1 :]:
-            if {u1, v1} & {u2, v2}:
-                continue
-            if _proper_crossing(coords[u1], coords[v1], coords[u2], coords[v2]):
-                count += 1
-    return count
-
-
-def test_tutte_cube_layout():
-    g = build(prism_instance(4))
-    coords = tutte_embedding(g)
-    assert _count_crossings(g, coords) == 0
-    for v in range(g.n):
-        for w in range(v + 1, g.n):
-            assert math.dist(coords[v], coords[w]) > 1e-6
-
-
-def test_tutte_c4_pins_everything():
-    g = build(cycle_instance(4))
-    coords = tutte_embedding(g)
-    assert all(abs(math.hypot(x, y) - 1.0) < 1e-12 for x, y in coords)
-
-
-def test_tutte_grid_layout():
-    g = build(grid_instance(2, 3))
-    coords = tutte_embedding(g)
-    assert _count_crossings(g, coords) == 0
-
-
 def _cycles(g, bits):
     m = build_medial_graph(g)
     return extract_cycles(m, assemble_dividing_system(m, bits))
@@ -495,7 +453,7 @@ def test_render_rejects_wrong_parity_length(tmp_path, capsys):
         render_svg(g, coloring=Coloring((0, 1, 0), 2))
 
 
-def test_render_uses_tutte_when_no_coords():
+def test_render_uses_grid_layout_when_no_coords():
     inst = prism_instance(4)
     bare = InstanceFile(inst.name, inst.n, inst.rotations, None)
     svg = render_svg(build(bare))
@@ -506,15 +464,16 @@ def _bare(inst: InstanceFile) -> InstanceFile:
     return InstanceFile(inst.name, inst.n, inst.rotations, None)
 
 
-# sha256 of the coordinate-less render: the first three recorded before the
-# layout cap existed, grid20x20 and prism1000 while the layout was still a
-# dense direct solve
+# sha256 of the coordinate-less render; tight2 and k2_4 have vertices with
+# the same neighbours, which a barycentric layout would put on one point
 BARE_RENDER_SHA256 = {
-    "prism4": "484461dab936230593fedb840002e3760ffbfe2089e9f6e2d4593b3e27ae439c",
-    "grid3x4": "6706e8fc06bd4bf92dacd656057d116581e5341772b7d38cfc68b17f283cb332",
-    "grid6x6": "dd6f3138b687749745730b9e60c80289a69ded95089c4deefd24ef7a8acdc012",
-    "grid20x20": "47381d81f6a1d5b3d613566d81b4eba222a3890e5c532fde99da1aef44b6a25c",
-    "prism1000": "43b6b986bc92542d3f3281dbb16fb360945a9e398ac08f7229aaf8fe77fdba72",
+    "prism4": "c1ff1f40d377ecce1aba0bd4a51f4e01c27b6b76d71090d3cad01d45a115158e",
+    "grid3x4": "6723f21579d5fe3889b32278411cf9dbbabc26de1bf3e3f7e339a8c659b924a6",
+    "grid6x6": "b9d8b32ec985c498a91cda0a3115f771e705b7c9f312b59b7a5982d03a72be94",
+    "grid20x20": "4a2c78c1377502a8da34ec5d8236f49e0f380e3782be7f70ff9dbaf16beb2c0a",
+    "prism1000": "1c260caa4528853a4534bf5db25f7867cf0f1f351cbb4f5ca7cd43a285c8301a",
+    "tight2": "064a6590a2d001d759f215e94dc7b18aaf231109d0cbf77c1b48b64ac4415653",
+    "k2_4": "3deba11be6cbb6126fcfde4ab3088bc3c652cd47021e8776c0420bc9afb21d89",
 }
 
 
@@ -526,21 +485,14 @@ BARE_RENDER_SHA256 = {
         grid_instance(6, 6),
         grid_instance(20, 20),
         prism_instance(1000),
+        tight_instance(2),
+        k2m_instance(4),
     ],
     ids=lambda i: i.name,
 )
 def test_bare_render_golden_digest(inst):
     svg = render_svg(build(_bare(inst)))
     assert hashlib.sha256(svg.encode()).hexdigest() == BARE_RENDER_SHA256[inst.name]
-
-
-def test_layout_cap_spares_instances_with_coords(monkeypatch):
-    inst = grid_instance(3, 4)
-    expected = render_svg(build(inst))
-    monkeypatch.setattr(instance_io, "LAYOUT_VERTEX_CAP", inst.n - 1)
-    assert render_svg(build(inst)) == expected
-    with pytest.raises(SizeCapExceeded, match="coord"):
-        render_svg(build(_bare(inst)))
 
 
 def test_bare_render_runs_without_numpy(tmp_path):
@@ -559,43 +511,16 @@ def test_bare_render_runs_without_numpy(tmp_path):
     assert digest == BARE_RENDER_SHA256["grid6x6"]
 
 
-def test_tutte_layout_memory_is_linear():
-    # 784 interior vertices: a dense 784 x 784 system alone takes 4.9 MB
+def test_grid_layout_memory_is_linear():
     g = build(_bare(grid_instance(30, 30)))
-    tutte_embedding(g)  # leaves no import or cache to the measured call
+    grid_embedding(g)  # leaves no import or cache to the measured call
     tracemalloc.start()
     try:
-        tutte_embedding(g)
+        grid_embedding(g)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
-
-
-def _dense_barycentric(g):
-    """The layout by numpy.linalg.solve of the dense barycentric system,
-    with the same pinned face as tutte_embedding."""
-    import numpy as np
-
-    boundary = max(face_vertices(g), key=len)  # the first on ties
-    pos = np.zeros((g.n, 2))
-    for k, v in enumerate(boundary):
-        ang = math.pi / 2 - 2 * math.pi * k / len(boundary)
-        pos[v] = (math.cos(ang), math.sin(ang))
-    interior = [v for v in range(g.n) if v not in boundary]
-    idx = {v: i for i, v in enumerate(interior)}
-    a = np.zeros((len(interior), len(interior)))
-    rhs = np.zeros((len(interior), 2))
-    for v, i in idx.items():
-        a[i, i] = g.degree(v)
-        for u in g.rotations[v]:
-            if u in idx:
-                a[i, idx[u]] -= 1.0
-            else:
-                rhs[i] += pos[u]
-    if interior:
-        pos[interior] = np.linalg.solve(a, rhs)
-    return pos
 
 
 LAYOUT_REFERENCE_INSTANCES = [
@@ -608,20 +533,43 @@ LAYOUT_REFERENCE_INSTANCES = [
 ]
 
 
-@pytest.mark.parametrize("inst", LAYOUT_REFERENCE_INSTANCES, ids=lambda i: i.name)
-def test_tutte_matches_dense_solve(inst):
+@pytest.mark.parametrize(
+    "inst",
+    [
+        *LAYOUT_REFERENCE_INSTANCES,
+        *(k2m_instance(m) for m in range(2, 30)),
+        *(tight_instance(k) for k in range(1, 8)),
+        *(random_rich_instance(seed) for seed in range(300)),
+    ],
+    ids=lambda i: i.name,
+)
+def test_grid_embedding_is_exact(inst):
     g = build(_bare(inst))
-    expected = _dense_barycentric(g)
-    try:
-        coords = tutte_embedding(g)
-    except DegenerateLayout as exc:
-        # the dense layout must put the reported pair together as well
-        pair = re.fullmatch(r"vertices (\d+) and (\d+) coincide", str(exc))
-        v, w = map(int, pair.groups())
-        assert math.dist(expected[v], expected[w]) < instance_io.COINCIDE
-        return
-    gap = max(abs(c - e) for p, q in zip(coords, expected) for c, e in zip(p, q))
-    assert gap <= 1e-12
+    coords = grid_embedding(g)
+    assert drawing_defect(g, coords) == ""
+    size = g.n + g.num_faces  # vertices of the triangulation drawn
+    assert all(0 <= x <= 2 * size - 4 and 0 <= y <= size - 2 for x, y in coords)
+
+
+def _assert_grid_layout_on_base(inst: InstanceFile) -> None:
+    # the first dart of the largest face spans the bottom row, 2N - 4 wide
+    g = build(_bare(inst))
+    coords = grid_embedding(g)
+    assert drawing_defect(g, coords) == ""
+    size = g.n + g.num_faces
+    v1, v2 = g.dart_tail[0], g.dart_head[0]
+    assert coords[v1] == (0, 0) and coords[v2] == (2 * size - 4, 0)
+    assert all(y > 0 for v, (_, y) in enumerate(coords) if v not in (v1, v2))
+
+
+def test_grid_layout_cube():
+    # every face of the cube is a 4-cycle, so face 0 is the outer one
+    _assert_grid_layout_on_base(prism_instance(4))
+
+
+def test_grid_layout_grid2x3():
+    # the outer 6-cycle of the 2x3 grid is its largest face
+    _assert_grid_layout_on_base(grid_instance(2, 3))
 
 
 def test_render_extremes_are_computed_once(monkeypatch):
@@ -659,13 +607,3 @@ def test_colored_render_with_coords_golden_digest():
     r = decompose_regions(m, assemble_dividing_system(m, bits))
     svg = render_svg(g, r.cycles, coloring_from_regions(r))
     assert hashlib.sha256(svg.encode()).hexdigest() == COLORED_RENDER_SHA256
-
-
-def test_tutte_reports_first_coincident_pair():
-    # K_{2,4}: the pinned face is 0-2-1-5, and the two spokes left inside
-    # both sit at the mean of the hubs 0 and 1
-    rotations = ((2, 3, 4, 5), (5, 4, 3, 2), (0, 1), (0, 1), (0, 1), (0, 1))
-    g = build(InstanceFile("k24", 6, rotations, None))
-    assert validate_even_polygonal(g).ok
-    with pytest.raises(DegenerateLayout, match=r"^vertices 3 and 4 coincide$"):
-        tutte_embedding(g)
